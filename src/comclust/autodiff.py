@@ -3,8 +3,13 @@
 A forward pass builds a graph of ``Var`` nodes; ``backward`` replays it in
 reverse topological order and accumulates vector-Jacobian products into the
 leaves. Only the handful of primitives needed by the encoder and the loss
-functions are provided (matmul, broadcast add, elementwise multiply, ReLU,
-cosine distance, row gather, scalar combine).
+functions are provided: matmul, broadcast add/subtract/scale, elementwise
+multiply, ReLU, row gather, mean, and a row-wise cosine distance.
+
+Losses work on batches: an (M, S) array holds one embedding per row, and
+``row_cosine_distance`` turns two such operands (or one and a constant
+(S,) row) into an (M,) ``Var`` with a single fused vector-Jacobian product,
+so a batch of triplets costs a few graph nodes rather than a few per row.
 
 All arithmetic is float64.
 """
@@ -141,50 +146,68 @@ def row(a: Var, i: int) -> Var:
     return Var(a.value[i], (a,), vjp)
 
 
-def add_n(xs) -> Var:
-    """Sum of same-shape Vars (used to accumulate per-triplet hinge terms)."""
-    xs = [as_var(x) for x in xs]
-    out = xs[0].value.copy()
-    for x in xs[1:]:
-        out = out + x.value
+def mean(a: Var) -> Var:
+    """Mean of all entries, as a scalar Var."""
+    a = as_var(a)
+    return Var(a.value.mean(), (a,),
+               lambda g: (np.full(a.value.shape, g / a.value.size),))
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # Summed along the last axis without an (M, S) temporary. For
+    # C-contiguous operands each row's sum does not depend on how many rows
+    # are in the batch, so one row alone gives the same bits as in a batch.
+    return np.einsum("...s,...s->...", a, b)
+
+
+def row_cosine_distance(u, v) -> Var:
+    """Row-wise 1 - (u_i.v_i)/(|u_i||v_i|), each in [0, 2].
+
+    Operands are (M, S) arrays or Vars; either one may instead be a single
+    (S,) row broadcast over all M rows, and two (S,) rows give a 0-d result.
+    Returns an (M,) Var with one fused vector-Jacobian product for both
+    operands. Raises ZeroVectorError when any row norm falls below 1e-12 --
+    a collapsed embedding is a bug worth surfacing, not something to clamp
+    over.
+    """
+    u, v = as_var(u), as_var(v)
+    uval, vval = u.value, v.value
+    if (uval.ndim not in (1, 2) or vval.ndim not in (1, 2)
+            or uval.shape[-1] != vval.shape[-1] or uval.shape[-1] < 1
+            or (uval.ndim == vval.ndim == 2 and uval.shape != vval.shape)):
+        raise ShapeMismatchError(
+            f"row_cosine_distance shapes {uval.shape}, {vval.shape}")
+    nu = np.sqrt(_rowdot(uval, uval))
+    nv = np.sqrt(_rowdot(vval, vval))
+    if np.any(nu < NORM_FLOOR) or np.any(nv < NORM_FLOOR):
+        raise ZeroVectorError(f"vector norm below {NORM_FLOOR:g} "
+                              f"({np.min(nu):g}, {np.min(nv):g})")
+    nunv = nu * nv
+    cos = _rowdot(uval, vval) / nunv
 
     def vjp(g):
-        return tuple(g for _ in xs)
+        # d(1 - cos)/dx = -(y / (|x||y|) - cos * x / |x|^2), row by row
+        cross = (g / nunv)[..., None]
+        gu = (g * cos / (nu * nu))[..., None] * uval - cross * vval
+        gv = (g * cos / (nv * nv))[..., None] * vval - cross * uval
+        return _unbroadcast(gu, uval.shape), _unbroadcast(gv, vval.shape)
 
-    return Var(out, tuple(xs), vjp)
+    return Var(1.0 - cos, (u, v), vjp)
 
 
 def cosine_distance(u, v):
-    """1 - (u.v)/(|u||v|), in [0, 2].
+    """1 - (u.v)/(|u||v|) of two 1-D vectors, in [0, 2].
 
-    Accepts plain 1-D arrays (returns a float) or Vars (returns a scalar Var
-    differentiable w.r.t. both arguments). Raises ZeroVectorError when either
-    norm falls below 1e-12 -- a collapsed embedding is a bug worth surfacing,
-    not something to clamp over.
+    Plain arrays give a float; if either argument is a Var the result is a
+    scalar Var differentiable w.r.t. both. Raises ZeroVectorError as
+    ``row_cosine_distance`` does.
     """
-    graph = isinstance(u, Var) or isinstance(v, Var)
     uval = u.value if isinstance(u, Var) else np.asarray(u, dtype=np.float64)
     vval = v.value if isinstance(v, Var) else np.asarray(v, dtype=np.float64)
-    if uval.shape != vval.shape or uval.ndim != 1 or uval.size < 1:
+    if uval.ndim != 1 or vval.ndim != 1:
         raise ShapeMismatchError(f"cosine_distance shapes {uval.shape}, {vval.shape}")
-    nu = float(np.linalg.norm(uval))
-    nv = float(np.linalg.norm(vval))
-    if nu < NORM_FLOOR or nv < NORM_FLOOR:
-        raise ZeroVectorError(f"vector norm below {NORM_FLOOR:g} ({nu:g}, {nv:g})")
-    cos = float(uval @ vval) / (nu * nv)
-    dist = 1.0 - cos
-    if not graph:
-        return dist
-
-    uvar, vvar = as_var(u), as_var(v)
-
-    def vjp(g):
-        g = float(g)
-        gu = -g * (vval / (nu * nv) - cos * uval / (nu * nu))
-        gv = -g * (uval / (nu * nv) - cos * vval / (nv * nv))
-        return gu, gv
-
-    return Var(dist, (uvar, vvar), vjp)
+    dist = row_cosine_distance(u, v)
+    return dist if isinstance(u, Var) or isinstance(v, Var) else dist.item()
 
 
 def backward(loss: Var):

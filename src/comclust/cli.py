@@ -17,7 +17,7 @@ from . import checkpoint as ckpt
 from . import dataio, training
 from .dataio import BlobSpec, LabeledDataset, load_csv, save_csv, save_results
 from .encoder import AdamConfig
-from .errors import ComclustError, DimensionMismatchError
+from .errors import ComclustError, DimensionMismatchError, InvalidSpecError
 from .losses import MarginSpec
 from .training import (EQUAL, INVERSE_FREQUENCY, TrainConfig,
                        evaluate_classifier, evaluate_prototypes)
@@ -112,17 +112,27 @@ def _add_train_flags(p):
     p.add_argument("--dropout", type=float, default=0.3)
 
 
+def _parse(text: str, convert, what: str):
+    """convert(text), reporting malformed flag text as InvalidSpecError."""
+    try:
+        return convert(text)
+    except ValueError:
+        raise InvalidSpecError(f"bad {what}: {text!r}") from None
+
+
 def _margin_spec(text: str, loss_kind: str) -> MarginSpec:
     if text == "adaptive":
         if loss_kind == "triplet":
             # the traditional triplet baseline needs a constant margin
             return MarginSpec("constant", 0.2)
         return MarginSpec("adaptive")
-    return MarginSpec("constant", float(text))
+    alpha = _parse(text, float, "--margin (want 'adaptive' or a number)")
+    return MarginSpec("constant", alpha)
 
 
 def _train_config(args) -> TrainConfig:
-    hidden = tuple(int(h) for h in args.hidden.split(",") if h)
+    hidden = tuple(_parse(h, int, "--hidden width")
+                   for h in args.hidden.split(",") if h)
     return TrainConfig(
         batch_size=args.batch_size,
         epochs=args.epochs,
@@ -252,11 +262,14 @@ def cmd_eval(args) -> None:
     save_results(args.out, record)
 
 
+def _ratio(part: str) -> tuple:
+    maj, minc = part.split(":")
+    return int(maj), int(minc)
+
+
 def _parse_ratios(text: str) -> list:
-    ratios = []
-    for part in text.split(","):
-        maj, minc = part.split(":")
-        ratios.append((int(maj), int(minc)))
+    ratios = [_parse(part, _ratio, "--ratios entry (want MAJ:MIN)")
+              for part in text.split(",")]
     if len(ratios) < 2:
         raise ComclustError("sweep needs at least two ratios")
     return ratios
@@ -306,7 +319,8 @@ def run_sweep_cell(n_maj: int, n_min: int, method: str, seed: int,
 
 def cmd_sweep(args) -> None:
     ratios = _parse_ratios(args.ratios)
-    seeds = [int(s) for s in args.seeds.split(",") if s]
+    seeds = [_parse(s, int, "--seeds entry")
+             for s in args.seeds.split(",") if s]
     methods = [m for m in args.methods.split(",") if m]
     for m in methods:
         if m not in SWEEP_METHODS:

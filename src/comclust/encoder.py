@@ -12,7 +12,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Var
-from .errors import ShapeMismatchError
+from .errors import InvalidSpecError, ShapeMismatchError
 
 
 @dataclass(frozen=True)
@@ -24,9 +24,9 @@ class EncoderConfig:
 
     def __post_init__(self):
         if self.embedding_dim < 2:
-            raise ValueError("embedding_dim must be >= 2")
+            raise InvalidSpecError("embedding_dim must be >= 2")
         if not (0.0 <= self.dropout_rate < 1.0):
-            raise ValueError("dropout_rate must be in [0, 1)")
+            raise InvalidSpecError("dropout_rate must be in [0, 1)")
 
     @property
     def layer_dims(self) -> list:
@@ -42,11 +42,11 @@ class AdamConfig:
 
     def __post_init__(self):
         if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+            raise InvalidSpecError("learning_rate must be positive")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ValueError("betas must be in [0, 1)")
+            raise InvalidSpecError("betas must be in [0, 1)")
         if self.eps <= 0:
-            raise ValueError("eps must be positive")
+            raise InvalidSpecError("eps must be positive")
 
 
 @dataclass

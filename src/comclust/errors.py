@@ -60,8 +60,10 @@ class NonFiniteLossError(ComclustError):
     """Training loss became NaN or infinite."""
 
 
-class InvalidSpecError(ComclustError):
-    pass
+class InvalidSpecError(ComclustError, ValueError):
+    """A configuration value or command-line spec is malformed or out of
+    range. Also a ValueError, so callers that catch bad arguments as
+    ValueError keep working."""
 
 
 class ParseError(ComclustError):

@@ -2,10 +2,14 @@
 (COM) triplet, its cluster-center variant for pseudo-labeled training, and
 weighted cross-entropy.
 
-Every function accepts either plain 1-D numpy arrays (returning a float) or
-``Var`` nodes (returning a scalar ``Var`` differentiable w.r.t. all vector
-inputs). Distances are cosine distances, so all losses are invariant to
-positive rescaling of any embedding.
+The batch losses take (M, S) operands, one triplet or anchor per row, and
+are built from a few array ops on ``row_cosine_distance``: the per-row
+hinge argument, one ReLU, and a mean. The single-triplet functions
+(``triplet_loss``, ``com_dist_wa``, ...) take 1-D vectors and serve as the
+per-row definitions. Either kind accepts plain numpy arrays (returning a
+float) or ``Var`` nodes (returning a scalar ``Var`` differentiable w.r.t.
+every ``Var`` input). Distances are cosine distances, so all losses are
+invariant to positive rescaling of any embedding.
 """
 
 from __future__ import annotations
@@ -15,8 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Var, cosine_distance
-from .errors import EmptyBatchError, LengthMismatchError
+from .autodiff import Var, cosine_distance, row_cosine_distance
+from .errors import (EmptyBatchError, InvalidSpecError, LengthMismatchError,
+                     ShapeMismatchError)
 
 PROB_CLAMP = 1e-12
 
@@ -36,9 +41,10 @@ class MarginSpec:
 
     def __post_init__(self):
         if self.mode not in ("constant", "adaptive"):
-            raise ValueError(f"unknown margin mode {self.mode!r}")
+            raise InvalidSpecError(f"unknown margin mode {self.mode!r}")
         if self.mode == "constant" and not (0.0 <= self.alpha <= 2.0):
-            raise ValueError(f"constant margin {self.alpha} outside [0, 2]")
+            raise InvalidSpecError(
+                f"constant margin {self.alpha} outside [0, 2]")
 
 
 @dataclass(frozen=True)
@@ -49,52 +55,50 @@ class ClassWeights:
     def __post_init__(self):
         if not (self.w_min > 0 and self.w_maj > 0
                 and np.isfinite(self.w_min) and np.isfinite(self.w_maj)):
-            raise ValueError("class weights must be finite and positive")
+            raise InvalidSpecError("class weights must be finite and positive")
 
 
-def _graph(*xs) -> bool:
-    return any(isinstance(x, Var) for x in xs)
+def _result(value: Var, *inputs):
+    """Plain-array inputs get a float back; any Var input keeps the graph."""
+    return value if any(isinstance(x, Var) for x in inputs) else value.item()
 
 
-def _hinge(x):
-    if isinstance(x, Var):
-        return ad.relu(x)
-    return max(0.0, x)
+def _wa(d_own, d_other, d_cc):
+    """Within- vs across-cluster term d_own - 0.5 * (d_other + d_cc)."""
+    return ad.sub(d_own, ad.scale(ad.add(d_other, d_cc), 0.5))
 
 
-def _combine(terms, coeffs):
-    """sum(c * t) over scalars, staying in the graph when needed."""
-    if any(isinstance(t, Var) for t in terms):
-        return ad.add_n([ad.scale(ad.as_var(t), c) for t, c in zip(terms, coeffs)])
-    return sum(c * t for t, c in zip(terms, coeffs))
+def _triplet_hinge(d_ap, d_an, alpha: float) -> Var:
+    return ad.relu(ad.add(ad.sub(d_ap, d_an), alpha))
+
+
+def _com_hinge(d_ap, d_an, d_pn, margin: MarginSpec) -> Var:
+    bound = ad.sub(1.0, d_pn) if margin.mode == "adaptive" else margin.alpha
+    return ad.relu(ad.add(_wa(d_ap, d_an, d_pn), bound))
+
+
+def _vector_dist(u, v) -> Var:
+    return ad.as_var(cosine_distance(u, v))
 
 
 def triplet_loss(e_a, e_p, e_n, alpha: float):
     """Classic triplet hinge: max(0, d(A,P) - d(A,N) + alpha)."""
-    d_ap = cosine_distance(e_a, e_p)
-    d_an = cosine_distance(e_a, e_n)
-    return _hinge(_combine([d_ap, d_an, 1.0], [1.0, -1.0, alpha]))
+    hinge = _triplet_hinge(_vector_dist(e_a, e_p), _vector_dist(e_a, e_n),
+                           alpha)
+    return _result(hinge, e_a, e_p, e_n)
 
 
 def com_dist_wa(e_a, e_p, e_n):
     """Within- vs across-cluster term: d(A,P) - 0.5*(d(A,N) + d(P,N))."""
-    d_ap = cosine_distance(e_a, e_p)
-    d_an = cosine_distance(e_a, e_n)
-    d_pn = cosine_distance(e_p, e_n)
-    return _combine([d_ap, d_an, d_pn], [1.0, -0.5, -0.5])
+    wa = _wa(_vector_dist(e_a, e_p), _vector_dist(e_a, e_n),
+             _vector_dist(e_p, e_n))
+    return _result(wa, e_a, e_p, e_n)
 
 
 def com_adaptive_margin(e_p, e_n):
     """Adaptive margin 1 - d(P,N); negative once the pair is separated
     past orthogonality, which relaxes the constraint."""
-    d_pn = cosine_distance(e_p, e_n)
-    return _combine([d_pn, 1.0], [-1.0, 1.0])
-
-
-def _margin_term(margin: MarginSpec, e_p, e_n):
-    if margin.mode == "adaptive":
-        return com_adaptive_margin(e_p, e_n)
-    return margin.alpha
+    return _result(ad.sub(1.0, _vector_dist(e_p, e_n)), e_p, e_n)
 
 
 def com_triplet_loss(anchors, positives, negatives, margin: MarginSpec):
@@ -103,22 +107,19 @@ def com_triplet_loss(anchors, positives, negatives, margin: MarginSpec):
     ``anchors``/``positives``/``negatives`` are (M, S) arrays or Vars; row i
     of each forms one triplet.
     """
-    m = _batch_len(anchors)
-    terms = []
-    for i in range(m):
-        e_a, e_p, e_n = _row(anchors, i), _row(positives, i), _row(negatives, i)
-        terms.append(_hinge(_combine(
-            [com_dist_wa(e_a, e_p, e_n), _margin_term(margin, e_p, e_n)],
-            [1.0, 1.0])))
-    return _combine(terms, [1.0 / m] * m)
+    _batch_len(anchors, positives, negatives)
+    hinge = _com_hinge(row_cosine_distance(anchors, positives),
+                       row_cosine_distance(anchors, negatives),
+                       row_cosine_distance(positives, negatives), margin)
+    return _result(ad.mean(hinge), anchors, positives, negatives)
 
 
 def triplet_loss_batch(anchors, positives, negatives, alpha: float):
     """Mean traditional triplet hinge over a batch (ablation baseline)."""
-    m = _batch_len(anchors)
-    terms = [triplet_loss(_row(anchors, i), _row(positives, i), _row(negatives, i), alpha)
-             for i in range(m)]
-    return _combine(terms, [1.0 / m] * m)
+    _batch_len(anchors, positives, negatives)
+    hinge = _triplet_hinge(row_cosine_distance(anchors, positives),
+                           row_cosine_distance(anchors, negatives), alpha)
+    return _result(ad.mean(hinge), anchors, positives, negatives)
 
 
 def udc_adaptive_margin(mu_min, mu_maj):
@@ -133,37 +134,35 @@ def udc_dist_wa(e_a, mu_min, mu_maj, pseudo_class: int):
     center the negative role, per the anchor's pseudo-class.
     """
     own, other = (mu_min, mu_maj) if pseudo_class == C_MIN else (mu_maj, mu_min)
-    d_own = cosine_distance(e_a, own)
-    d_other = cosine_distance(e_a, other)
-    d_cc = cosine_distance(mu_min, mu_maj)
-    return _combine([d_own, d_other, d_cc], [1.0, -0.5, -0.5])
+    wa = _wa(_vector_dist(e_a, own), _vector_dist(e_a, other),
+             _vector_dist(mu_min, mu_maj))
+    return _result(wa, e_a, mu_min, mu_maj)
 
 
 def udc_com_loss(anchors, pseudo_classes, mu_min, mu_maj, margin: MarginSpec):
     """Mean hinge of the center-based COM term over a pseudo-labeled batch.
 
-    With mode="adaptive" the margin is 1 - d(mu_min, mu_maj); with
-    mode="constant" the traditional triplet form on cluster centers is used
-    (d(A, own) - d(A, other) + alpha), matching the ablation baseline.
+    ``anchors`` is an (M, S) array or Var; the centers ``mu_min``/``mu_maj``
+    are constant (S,) arrays. With mode="adaptive" the margin is
+    1 - d(mu_min, mu_maj); with mode="constant" the traditional triplet form
+    on cluster centers is used (d(A, own) - d(A, other) + alpha), matching
+    the ablation baseline.
     """
     m = _batch_len(anchors)
     pseudo_classes = np.asarray(pseudo_classes, dtype=int)
     if len(pseudo_classes) != m:
         raise LengthMismatchError("pseudo_classes length != batch size")
-    terms = []
-    for i in range(m):
-        e_a = _row(anchors, i)
-        own, other = ((mu_min, mu_maj) if pseudo_classes[i] == C_MIN
-                      else (mu_maj, mu_min))
-        if margin.mode == "adaptive":
-            arg = _combine([udc_dist_wa(e_a, mu_min, mu_maj, pseudo_classes[i]),
-                            udc_adaptive_margin(mu_min, mu_maj)], [1.0, 1.0])
-        else:
-            arg = _combine([cosine_distance(e_a, own),
-                            cosine_distance(e_a, other), 1.0],
-                           [1.0, -1.0, margin.alpha])
-        terms.append(_hinge(arg))
-    return _combine(terms, [1.0 / m] * m)
+    mu_min = np.asarray(mu_min, dtype=np.float64)
+    mu_maj = np.asarray(mu_maj, dtype=np.float64)
+    minority = (pseudo_classes == C_MIN)[:, None]
+    d_own = row_cosine_distance(anchors, np.where(minority, mu_min, mu_maj))
+    d_other = row_cosine_distance(anchors, np.where(minority, mu_maj, mu_min))
+    if margin.mode == "adaptive":
+        hinge = _com_hinge(d_own, d_other, cosine_distance(mu_min, mu_maj),
+                           margin)
+    else:
+        hinge = _triplet_hinge(d_own, d_other, margin.alpha)
+    return _result(ad.mean(hinge), anchors)
 
 
 def weighted_cross_entropy(labels, probs, weights: ClassWeights):
@@ -196,14 +195,12 @@ def weighted_cross_entropy(labels, probs, weights: ClassWeights):
     return Var(value, (probs,), vjp)
 
 
-def _batch_len(x) -> int:
-    val = x.value if isinstance(x, Var) else np.asarray(x)
-    if val.ndim != 2 or val.shape[0] < 1:
-        raise EmptyBatchError(f"expected non-empty (M, S) batch, got {val.shape}")
-    return val.shape[0]
-
-
-def _row(x, i):
-    if isinstance(x, Var):
-        return ad.row(x, i)
-    return np.asarray(x, dtype=np.float64)[i]
+def _batch_len(*xs) -> int:
+    """Rows M shared by the (M, S) batches ``xs``."""
+    shapes = [(x.value if isinstance(x, Var) else np.asarray(x)).shape
+              for x in xs]
+    if len(shapes[0]) != 2 or shapes[0][0] < 1:
+        raise EmptyBatchError(f"expected non-empty (M, S) batch, got {shapes[0]}")
+    if any(shape != shapes[0] for shape in shapes):
+        raise ShapeMismatchError(f"batch shapes differ: {shapes}")
+    return shapes[0][0]

@@ -8,9 +8,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import cosine_distance
+from .autodiff import cosine_distance, row_cosine_distance
 from .errors import (DegenerateDistancesError, MissingClassError,
-                     ShapeMismatchError, ZeroVectorError)
+                     ShapeMismatchError)
 from .losses import C_MAJ, C_MIN
 
 
@@ -91,12 +91,22 @@ def feature_mask(cl_min, cl_maj) -> np.ndarray:
 
 
 def prototype_distances(e_test, proto: Prototypes):
-    """(d_min, d_maj): cosine distances of the test embedding to the two
-    prototypes, on mask-selected coordinates."""
+    """(d_min, d_maj): cosine distances to the two prototypes on
+    mask-selected coordinates, as floats for one 1-D embedding or as (N,)
+    arrays for an (N, S) batch. A row gives the same bits alone as in any
+    batch."""
     e_test = np.asarray(e_test, dtype=np.float64)
+    rows = np.atleast_2d(e_test)
+    cl_min, cl_maj = proto.cl_min, proto.cl_maj
     mask = proto.feature_mask
-    d_min = cosine_distance(e_test[mask], proto.cl_min[mask])
-    d_maj = cosine_distance(e_test[mask], proto.cl_maj[mask])
+    if not mask.all():
+        # compress keeps rows C-contiguous, which row-wise sums rely on
+        rows = rows.compress(mask, axis=1)
+        cl_min, cl_maj = cl_min[mask], cl_maj[mask]
+    d_min = row_cosine_distance(rows, cl_min).value
+    d_maj = row_cosine_distance(rows, cl_maj).value
+    if e_test.ndim == 1:
+        return float(d_min[0]), float(d_maj[0])
     return d_min, d_maj
 
 
@@ -104,18 +114,20 @@ def infer_label(e_test, proto: Prototypes):
     """Assign by nearest prototype. An exact tie goes to the minority class,
     favoring sensitivity for the rare class.
 
-    Returns (label, d_min, d_maj).
+    Returns (label, d_min, d_maj): an int and two floats for a 1-D
+    embedding, (N,) arrays for an (N, S) batch.
     """
     d_min, d_maj = prototype_distances(e_test, proto)
-    label = C_MAJ if d_maj < d_min else C_MIN
-    return label, d_min, d_maj
+    label = np.where(d_maj < d_min, C_MAJ, C_MIN)
+    return (int(label) if label.ndim == 0 else label), d_min, d_maj
 
 
-def malignancy_score(e_test, proto: Prototypes) -> float:
+def malignancy_score(e_test, proto: Prototypes):
     """Continuous score d_maj / (d_maj + d_min) in [0, 1]; above 0.5 exactly
-    when infer_label assigns the minority class."""
+    when infer_label assigns the minority class. A float for a 1-D
+    embedding, an (N,) array for an (N, S) batch."""
     d_min, d_maj = prototype_distances(e_test, proto)
     total = d_maj + d_min
-    if total < 1e-12:
+    if np.any(total < 1e-12):
         raise DegenerateDistancesError("both prototype distances near zero")
     return d_maj / total

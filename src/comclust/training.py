@@ -15,8 +15,8 @@ from . import gmm as gmm_mod
 from .autodiff import backward, grad_of, make_rng
 from .dataio import TRAIN, LabeledDataset
 from .encoder import AdamConfig, EncoderConfig, ParamStore
-from .errors import (MissingClassError, NonFiniteLossError,
-                     TooFewSamplesError)
+from .errors import (InvalidSpecError, MissingClassError,
+                     NonFiniteLossError, TooFewSamplesError)
 from .losses import (C_MAJ, C_MIN, ClassWeights, MarginSpec, com_triplet_loss,
                      triplet_loss_batch, udc_com_loss, weighted_cross_entropy)
 from .metrics import roc_auc, weighted_metrics
@@ -44,9 +44,9 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+            raise InvalidSpecError("batch_size must be >= 1")
         if self.loss_kind not in (LOSS_COM, LOSS_TRIPLET):
-            raise ValueError(f"unknown loss kind {self.loss_kind!r}")
+            raise InvalidSpecError(f"unknown loss kind {self.loss_kind!r}")
 
     def encoder_config(self, input_dim: int) -> EncoderConfig:
         return EncoderConfig(input_dim, tuple(self.hidden),
@@ -245,7 +245,7 @@ def train_classifier(dataset: LabeledDataset, config: TrainConfig,
     softmax head, trained with (optionally inverse-frequency weighted)
     cross-entropy. Returns (ClassifierModel, TrainLog)."""
     if weighting not in (EQUAL, INVERSE_FREQUENCY):
-        raise ValueError(f"unknown weighting {weighting!r}")
+        raise InvalidSpecError(f"unknown weighting {weighting!r}")
     x, y = _training_split(dataset)
     for c in (C_MAJ, C_MIN):
         if not np.any(y == c):
@@ -283,11 +283,8 @@ def evaluate_prototypes(params: ParamStore, enc_config: EncoderConfig,
     scores plus aggregate weighted metrics and AUC (when both classes are
     present)."""
     emb = enc.embed(params, enc_config, x)
-    preds = np.empty(len(emb), dtype=int)
-    scores = np.empty(len(emb))
-    for i, e in enumerate(emb):
-        preds[i], _, _ = infer_label(e, proto)
-        scores[i] = malignancy_score(e, proto)
+    preds, _, _ = infer_label(emb, proto)
+    scores = malignancy_score(emb, proto)
     return _aggregate(np.asarray(y, dtype=int), preds, scores)
 
 

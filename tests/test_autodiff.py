@@ -3,7 +3,7 @@ import pytest
 
 from comclust import autodiff as ad
 from comclust.autodiff import Var, backward, cosine_distance, grad_of, make_rng
-from comclust.errors import NotScalarError, ZeroVectorError
+from comclust.errors import NotScalarError, ShapeMismatchError, ZeroVectorError
 
 
 def test_cosine_distance_identical_orthogonal_antipodal():
@@ -113,3 +113,85 @@ def test_rng_reproducibility():
     c = make_rng(43).normal(size=10)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+class TestRowCosineDistance:
+    @staticmethod
+    def _weighted_mean(d, w):
+        # unequal row weights so a gradient routed to the wrong row shows
+        return ad.mean(ad.mul(d, w))
+
+    @pytest.mark.parametrize("v_rows", [True, False],
+                             ids=["MxS-by-MxS", "MxS-by-S-constant"])
+    def test_gradient_matches_finite_differences(self, v_rows):
+        rng = make_rng(51)
+        for _ in range(20):
+            u = rng.normal(size=(5, 4))
+            w = rng.uniform(0.5, 2.0, size=5)
+            if v_rows:
+                v = rng.normal(size=(5, 4))
+
+                def run(u=u, v=v, w=w):
+                    vu, vv = Var(u), Var(v)
+                    return vu, vv, self._weighted_mean(
+                        ad.row_cosine_distance(vu, vv), w)
+
+                vu, vv, loss = run()
+                backward(loss)
+                for arr, var in ((u, vu), (v, vv)):
+                    num = central_diff(lambda: run()[2].item(), arr)
+                    assert np.max(_rel_err(grad_of(var), num)) < 1e-3
+            else:
+                c = rng.normal(size=4)
+
+                def run(u=u, c=c, w=w):
+                    vu = Var(u)
+                    return vu, self._weighted_mean(
+                        ad.row_cosine_distance(vu, c), w)
+
+                vu, loss = run()
+                backward(loss)
+                num = central_diff(lambda: run()[1].item(), u)
+                assert np.max(_rel_err(grad_of(vu), num)) < 1e-3
+
+    def test_constant_row_var_gets_summed_gradient(self):
+        rng = make_rng(52)
+        u, c = rng.normal(size=(6, 3)), rng.normal(size=3)
+        vc = Var(c.copy())
+        backward(ad.mean(ad.row_cosine_distance(u, vc)))
+        num = central_diff(
+            lambda: ad.mean(ad.row_cosine_distance(u, c)).item(), c)
+        assert np.max(_rel_err(grad_of(vc), num)) < 1e-3
+
+    def test_rows_match_one_dimensional_distance(self):
+        rng = make_rng(53)
+        u, v = rng.normal(size=(2, 7, 5))
+        d = ad.row_cosine_distance(u, v).value
+        assert d.shape == (7,)
+        for i in range(7):
+            assert d[i] == pytest.approx(cosine_distance(u[i], v[i]), abs=1e-15)
+            single = ad.row_cosine_distance(u[i:i + 1], v[i]).value[0]
+            assert single == ad.row_cosine_distance(u, v[i]).value[i]
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_zero_row_raises(self, swap):
+        u = np.array([[1.0, 2.0], [0.0, 0.0], [3.0, -1.0]])
+        v = np.ones((3, 2))
+        with pytest.raises(ZeroVectorError):
+            ad.row_cosine_distance(*((v, u) if swap else (u, v)))
+        with pytest.raises(ZeroVectorError):
+            ad.row_cosine_distance(Var(v), np.zeros(2))
+
+    @pytest.mark.parametrize("u_shape,v_shape", [
+        ((3, 2), (4, 2)), ((3, 2), (3, 3)), ((3, 2), (3,)), ((3,), (2,)),
+        ((2, 3, 2), (2, 3, 2)), ((3, 0), (3, 0))])
+    def test_mismatched_shapes_raise(self, u_shape, v_shape):
+        with pytest.raises(ShapeMismatchError):
+            ad.row_cosine_distance(np.ones(u_shape), Var(np.ones(v_shape)))
+
+    def test_mean_gradient(self):
+        x = Var(np.arange(6.0).reshape(2, 3))
+        m = ad.mean(x)
+        assert m.item() == pytest.approx(2.5)
+        backward(m)
+        np.testing.assert_allclose(x.grad, np.full((2, 3), 1 / 6))

@@ -207,3 +207,18 @@ class TestSweep:
     def test_cell_seeds_differ_across_ratios(self):
         assert sweep_cell_seeds(0, 0) != sweep_cell_seeds(0, 1)
         assert sweep_cell_seeds(0, 0) == sweep_cell_seeds(0, 0)
+
+
+class TestBadInput:
+    """Malformed flag values end in 'error: ...' and exit code 1."""
+
+    @pytest.mark.parametrize("flags", [
+        ["train-sdc", "--batch-size", "0"],
+        ["train-sdc", "--margin", "foo"],
+        ["sweep-imbalance", "--ratios", "60-10"],
+    ], ids=["batch-size-0", "margin-foo", "ratios-60-10"])
+    def test_reported_as_error(self, flags, blob_csv, tmp_path, capsys):
+        data = ["--data", str(blob_csv)] if flags[0] != "sweep-imbalance" else []
+        assert main([*flags, *data, "--out", str(tmp_path / "o.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
