@@ -10,7 +10,7 @@ imbalance-sweep benchmark harness round out the package.
 from .autodiff import Var, backward, cosine_distance, make_rng
 from .dataio import BlobSpec, LabeledDataset, load_csv, save_csv, split_dataset, synth_imbalanced
 from .encoder import AdamConfig, EncoderConfig, ParamStore, adam_step
-from .gmm import GaussianMixture, GmmConfig, fit_em, kmeans, responsibilities
+from .gmm import GaussianMixture, fit_em, kmeans, responsibilities
 from .losses import (ClassWeights, MarginSpec, com_adaptive_margin,
                      com_dist_wa, com_triplet_loss, triplet_loss,
                      udc_adaptive_margin, udc_com_loss, udc_dist_wa,

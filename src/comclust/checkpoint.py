@@ -13,7 +13,6 @@ from .dataio import _jsonable
 from .encoder import EncoderConfig, ParamStore
 from .errors import ParseError
 from .prototypes import Prototypes
-from .training import ClassifierModel
 
 FORMAT_VERSION = 1
 
@@ -59,34 +58,106 @@ def save_checkpoint(path, kind: str, params: ParamStore,
 
 
 def load_checkpoint(path) -> dict:
-    """Returns {kind, encoder_config, params, prototypes?, seed, config}."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    if "version" not in doc:
-        raise ParseError(f"{path}: missing version field")
-    if doc["version"] != FORMAT_VERSION:
-        raise ParseError(f"{path}: unsupported version {doc['version']}")
-    arrays = []
-    for entry in doc["params"]:
-        arr = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
-        arrays.append(arr)
-    out = {
-        "kind": doc["kind"],
-        "encoder_config": _encoder_from(doc["encoder"]),
-        "params": ParamStore(arrays),
-        "seed": doc["seed"],
+    """Returns {kind, encoder_config, params, prototypes?, seed, config}.
+
+    The document is checked against its own encoder config: a file that is
+    not a checkpoint, a missing field, or an array whose shape or length
+    does not fit raises ParseError naming ``path``.
+    """
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except ValueError as exc:
+        raise ParseError(f"{path}: not a JSON checkpoint ({exc})") from None
+    _check(isinstance(doc, dict), path, "checkpoint is not a JSON object")
+    _check("version" in doc, path, "missing version field")
+    _check(doc["version"] == FORMAT_VERSION, path,
+           f"unsupported version {doc['version']}")
+    for key in ("kind", "encoder", "params", "seed"):
+        _check(key in doc, path, f"missing {key} field")
+    kind, seed = doc["kind"], doc["seed"]
+    _check(kind in (KIND_CLUSTERING, KIND_CLASSIFIER), path,
+           f"unknown kind {kind!r}")
+    _check(isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0,
+           path, f"seed {seed!r} is not a non-negative integer")
+    try:
+        encoder_config = _encoder_from(doc["encoder"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: bad encoder config ({exc})") from None
+    _check(kind != KIND_CLUSTERING or "prototypes" in doc, path,
+           "clustering checkpoint without prototypes")
+    return {
+        "kind": kind,
+        "encoder_config": encoder_config,
+        "params": ParamStore(_read_params(doc["params"], path, kind,
+                                          encoder_config)),
+        "seed": seed,
         "config": doc.get("config", {}),
-        "prototypes": None,
+        "prototypes": (_read_prototypes(doc["prototypes"], path,
+                                        encoder_config.embedding_dim)
+                       if "prototypes" in doc else None),
     }
-    if "prototypes" in doc:
-        p = doc["prototypes"]
-        out["prototypes"] = Prototypes(
-            np.array(p["cl_min"], dtype=np.float64),
-            np.array(p["cl_maj"], dtype=np.float64),
-            float(p["separation"]),
-            np.array(p["feature_mask"], dtype=bool))
-    return out
 
 
-def classifier_from_checkpoint(doc: dict) -> ClassifierModel:
-    return ClassifierModel(doc["params"], doc["encoder_config"])
+def _check(ok: bool, path, what: str) -> None:
+    if not ok:
+        raise ParseError(f"{path}: {what}")
+
+
+def _numbers(value, path, what: str) -> np.ndarray:
+    """A JSON list of finite numbers as a 1-D float64 array."""
+    try:
+        arr = np.array(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        arr = None
+    _check(arr is not None and arr.ndim == 1 and bool(np.all(np.isfinite(arr))),
+           path, f"{what} is not a list of finite numbers")
+    return arr
+
+
+def _param_shapes(kind: str, config: EncoderConfig) -> list:
+    """Array shapes in save order: (W, b) per layer, then the 2-output head
+    for a classifier."""
+    dims = config.layer_dims
+    shapes = []
+    for d_in, d_out in zip(dims[:-1], dims[1:]):
+        shapes += [(d_in, d_out), (d_out,)]
+    if kind == KIND_CLASSIFIER:
+        shapes += [(config.embedding_dim, 2), (2,)]
+    return shapes
+
+
+def _read_params(entries, path, kind: str, config: EncoderConfig) -> list:
+    _check(isinstance(entries, list), path, "params is not a list")
+    arrays = []
+    for i, entry in enumerate(entries):
+        _check(isinstance(entry, dict) and "shape" in entry and "data" in entry,
+               path, f"params[{i}] lacks shape or data")
+        shape = entry["shape"]
+        _check(isinstance(shape, list)
+               and all(isinstance(d, int) and d >= 0 for d in shape),
+               path, f"params[{i}] shape {shape!r} is not a list of sizes")
+        data = _numbers(entry["data"], path, f"params[{i}] data")
+        _check(data.size == int(np.prod(shape)), path,
+               f"params[{i}] has {data.size} values for shape {shape}")
+        arrays.append(data.reshape(shape))
+    got, expected = [a.shape for a in arrays], _param_shapes(kind, config)
+    _check(got == expected, path,
+           f"parameter shapes {got} do not match the encoder's {expected}")
+    return arrays
+
+
+def _read_prototypes(p, path, embedding_dim: int) -> Prototypes:
+    keys = ("cl_min", "cl_maj", "feature_mask")
+    _check(isinstance(p, dict) and all(k in p for k in keys + ("separation",)),
+           path, "prototypes lack cl_min, cl_maj, feature_mask or separation")
+    vectors = {k: _numbers(p[k], path, f"prototypes {k}") for k in keys}
+    for k, v in vectors.items():
+        _check(v.size == embedding_dim, path,
+               f"prototypes {k} has length {v.size}, embedding_dim is "
+               f"{embedding_dim}")
+    separation = p["separation"]
+    _check(isinstance(separation, (int, float)) and np.isfinite(separation),
+           path, "prototypes separation is not a finite number")
+    return Prototypes(vectors["cl_min"], vectors["cl_maj"], float(separation),
+                      vectors["feature_mask"].astype(bool))

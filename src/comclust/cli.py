@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import sys
 
 import numpy as np
@@ -17,7 +18,7 @@ from . import checkpoint as ckpt
 from . import dataio, training
 from .dataio import BlobSpec, LabeledDataset, load_csv, save_csv, save_results
 from .encoder import AdamConfig
-from .errors import ComclustError, DimensionMismatchError, InvalidSpecError
+from .errors import ComclustError, InvalidSpecError, ShapeMismatchError
 from .losses import MarginSpec
 from .training import (EQUAL, INVERSE_FREQUENCY, TrainConfig,
                        evaluate_classifier, evaluate_prototypes)
@@ -239,7 +240,7 @@ def cmd_eval(args) -> None:
     doc = ckpt.load_checkpoint(args.checkpoint)
     dataset = load_csv(args.data)
     if dataset.n_features != doc["encoder_config"].input_dim:
-        raise DimensionMismatchError(
+        raise ShapeMismatchError(
             f"checkpoint expects {doc['encoder_config'].input_dim} features, "
             f"data has {dataset.n_features}")
     if args.split == "all":
@@ -250,8 +251,8 @@ def cmd_eval(args) -> None:
         evaluation = evaluate_prototypes(doc["params"], doc["encoder_config"],
                                          doc["prototypes"], x, y)
     else:
-        evaluation = evaluate_classifier(
-            ckpt.classifier_from_checkpoint(doc), x, y)
+        model = training.ClassifierModel(doc["params"], doc["encoder_config"])
+        evaluation = evaluate_classifier(model, x, y)
     record = {"command": "eval", "checkpoint": args.checkpoint,
               "split": args.split, "seed": doc["seed"],
               "config": doc["config"],
@@ -281,6 +282,13 @@ def sweep_cell_seeds(run_seed: int, ratio_index: int) -> tuple:
     return tuple(int(s) for s in state)
 
 
+def _sweep_base_config(epochs: int, batch_size: int, lr: float) -> TrainConfig:
+    """The training settings shared by every sweep cell; each cell sets its
+    own seed, loss and margin on top."""
+    return TrainConfig(batch_size=batch_size, epochs=epochs,
+                       adam=AdamConfig(learning_rate=lr))
+
+
 def run_sweep_cell(n_maj: int, n_min: int, method: str, seed: int,
                    ratio_index: int, dim: int, separation: float,
                    epochs: int, batch_size: int, lr: float) -> dict:
@@ -290,15 +298,16 @@ def run_sweep_cell(n_maj: int, n_min: int, method: str, seed: int,
     spec = BlobSpec(n_maj=n_maj, n_min=n_min, dim=dim,
                     separation=separation, seed=data_seed)
     dataset = dataio.split_dataset(dataio.synth_imbalanced(spec), split_seed)
-    base = dict(batch_size=batch_size, epochs=epochs, seed=train_seed,
-                adam=AdamConfig(learning_rate=lr))
+    base = dataclasses.replace(_sweep_base_config(epochs, batch_size, lr),
+                               seed=train_seed)
     x_test, y_test = dataset.subset(dataio.TEST)
 
     if method in ("sdc-com", "sdc-triplet", "udc-com", "udc-triplet"):
         com = method.endswith("com")
-        config = TrainConfig(margin=(MarginSpec("adaptive") if com
-                                     else MarginSpec("constant", 0.2)),
-                             loss_kind="com" if com else "triplet", **base)
+        config = dataclasses.replace(
+            base, margin=(MarginSpec("adaptive") if com
+                          else MarginSpec("constant", 0.2)),
+            loss_kind="com" if com else "triplet")
         runner = (training.train_sdc if method.startswith("sdc")
                   else training.train_udc)
         result = runner(dataset, config)
@@ -306,9 +315,8 @@ def run_sweep_cell(n_maj: int, n_min: int, method: str, seed: int,
                                          result.prototypes, x_test, y_test)
         separation_out = result.prototypes.separation
     elif method in ("classifier", "classifier-lw"):
-        config = TrainConfig(**base)
         weighting = INVERSE_FREQUENCY if method == "classifier-lw" else EQUAL
-        model, _ = training.train_classifier(dataset, config, weighting)
+        model, _ = training.train_classifier(dataset, base, weighting)
         evaluation = evaluate_classifier(model, x_test, y_test)
         separation_out = None
     else:
@@ -325,6 +333,8 @@ def cmd_sweep(args) -> None:
     for m in methods:
         if m not in SWEEP_METHODS:
             raise ComclustError(f"unknown method {m!r}")
+    # a bad shared setting fails here, before any cell runs
+    _sweep_base_config(args.epochs, args.batch_size, args.lr)
 
     fieldnames = ["ratio", "method", "seed", "status", "auc", "recall",
                   "precision", "specificity", "accuracy", "f1",

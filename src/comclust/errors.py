@@ -17,19 +17,11 @@ class NotScalarError(ComclustError):
 
 
 class ShapeMismatchError(ComclustError):
-    pass
-
-
-class LengthMismatchError(ComclustError):
-    pass
+    """Arrays that must agree in shape, length or feature count do not."""
 
 
 class EmptyBatchError(ComclustError):
-    pass
-
-
-class EmptyInputError(ComclustError):
-    pass
+    """A batch or input that needs at least one sample has none."""
 
 
 class SingleClassError(ComclustError):
@@ -71,8 +63,4 @@ class ParseError(ComclustError):
 
 
 class MissingColumnError(ComclustError):
-    pass
-
-
-class DimensionMismatchError(ComclustError):
     pass

@@ -1,5 +1,10 @@
-"""Two-component Gaussian mixture over embeddings: k-means(++) init,
-EM fitting, responsibilities, and pseudo-label extraction."""
+"""Two-component, diagonal-covariance Gaussian mixture over embeddings:
+k-means(++) init, EM fitting, responsibilities, and pseudo-label extraction.
+
+The fit settings are module constants: ``EM_MAX_ITER`` EM iterations with
+convergence tolerance ``EM_TOL``, variances floored at ``COV_FLOOR``,
+``KMEANS_RESTARTS`` k-means++ restarts of up to ``KMEANS_MAX_ITER`` Lloyd
+steps each, and ``EM_RESTARTS`` attempts on degeneracy."""
 
 from __future__ import annotations
 
@@ -11,82 +16,55 @@ from .autodiff import make_rng
 from .errors import (DegenerateComponentError, EmptyBatchError,
                      SingularCovarianceError, TooFewSamplesError)
 
+EM_MAX_ITER = 100
+EM_TOL = 1e-3                # NLL change convergence threshold
 COV_FLOOR = 1e-6
+KMEANS_RESTARTS = 10
+KMEANS_MAX_ITER = 300
+EM_RESTARTS = 3              # fresh k-means seeds on degeneracy
 LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 @dataclass
-class GmmConfig:
-    n_components: int = 2
-    max_iter: int = 100          # EM iterations
-    tol: float = 1e-3            # NLL change convergence threshold
-    cov_floor: float = COV_FLOOR
-    full_covariance: bool = False
-    kmeans_restarts: int = 10
-    kmeans_max_iter: int = 300
-    em_restarts: int = 3         # fresh k-means seeds on degeneracy
-
-
-@dataclass
 class GaussianMixture:
-    """Fitted mixture. ``covariances`` is (K, S) of diagonal variances, or
-    (K, S, S) full matrices when fitted with full_covariance."""
+    """Fitted two-component mixture: ``weights`` (2,), ``means`` (2, S) and
+    ``covariances`` (2, S) of diagonal variances."""
     weights: np.ndarray
     means: np.ndarray
     covariances: np.ndarray
     nll_trace: list = field(default_factory=list)
 
-    @property
-    def n_components(self) -> int:
-        return len(self.weights)
-
-    @property
-    def full(self) -> bool:
-        return self.covariances.ndim == 3
-
 
 @dataclass
 class PseudoLabels:
     assignments: np.ndarray        # argmax responsibility per sample
-    responsibilities: np.ndarray   # (N, K), rows sum to 1
+    responsibilities: np.ndarray   # (N, 2), rows sum to 1
     minority_component: int
 
 
 def gaussian_log_pdf(x, mean, cov):
-    """Log-density of a multivariate normal, evaluated in log space.
+    """Log-density of a diagonal-covariance normal, evaluated in log space.
 
-    ``cov`` is a 1-D array of diagonal variances or a full (S, S) matrix.
+    ``cov`` holds the diagonal variances; ``mean`` and ``cov`` may carry
+    leading axes that broadcast against ``x``, the density being taken over
+    the last axis. A single point gives a float.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     mean = np.asarray(mean, dtype=np.float64)
     cov = np.asarray(cov, dtype=np.float64)
+    if np.any(cov <= 0):
+        raise SingularCovarianceError("non-positive diagonal variance")
     diff = x - mean
-    s = mean.size
-    if cov.ndim == 1:
-        if np.any(cov <= 0):
-            raise SingularCovarianceError("non-positive diagonal variance")
-        logdet = float(np.sum(np.log(cov)))
-        maha = np.sum(diff * diff / cov, axis=1)
-    else:
-        try:
-            chol = np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError as exc:
-            raise SingularCovarianceError("covariance not SPD") from exc
-        logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-        sol = np.linalg.solve(chol, diff.T)
-        maha = np.sum(sol * sol, axis=0)
-    out = -0.5 * (s * LOG_2PI + logdet + maha)
+    logdet = np.sum(np.log(cov), axis=-1)
+    maha = np.sum(diff * diff / cov, axis=-1)
+    out = -0.5 * (mean.shape[-1] * LOG_2PI + logdet + maha)
     return out if out.size > 1 else float(out[0])
 
 
 def _component_log_probs(model: GaussianMixture, x: np.ndarray) -> np.ndarray:
-    """(N, K) matrix of log(h_k) + log G_k(x)."""
-    x = np.atleast_2d(x)
-    cols = []
-    for k in range(model.n_components):
-        lp = gaussian_log_pdf(x, model.means[k], model.covariances[k])
-        cols.append(np.atleast_1d(lp) + np.log(model.weights[k]))
-    return np.stack(cols, axis=1)
+    """(N, 2) matrix of log(h_k) + log G_k(x)."""
+    return (gaussian_log_pdf(x[:, None, :], model.means, model.covariances)
+            + np.log(model.weights))
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
@@ -129,8 +107,8 @@ def identify_minority(model: GaussianMixture, assignments=None) -> int:
     return 0
 
 
-def kmeans(points, k: int, restarts: int = 10, max_iter: int = 300,
-           seed: int = 0):
+def kmeans(points, k: int, restarts: int = KMEANS_RESTARTS,
+           max_iter: int = KMEANS_MAX_ITER, seed: int = 0):
     """Lloyd's algorithm with k-means++ seeding, best of ``restarts`` by
     within-cluster sum of squares.
 
@@ -186,66 +164,51 @@ def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return np.sum(diff * diff, axis=2)
 
 
-def fit_em(batch, config: GmmConfig | None = None, seed: int = 0) -> GaussianMixture:
-    """Fit a K=2 mixture by EM with k-means initialization.
+def fit_em(batch, seed: int = 0) -> GaussianMixture:
+    """Fit the two-component mixture by EM with k-means initialization.
 
-    Stops when the NLL improves by less than ``config.tol`` or after
-    ``config.max_iter`` iterations. Covariance diagonals are floored at
-    ``config.cov_floor`` after every M-step. If a component collapses below
-    one effective sample, EM restarts from a fresh k-means seed (up to
-    ``config.em_restarts`` times) before raising DegenerateComponentError.
+    Stops when the NLL improves by less than ``EM_TOL`` or after
+    ``EM_MAX_ITER`` iterations. Variances are floored at ``COV_FLOOR`` after
+    every M-step. If a component collapses below one effective sample, EM
+    restarts from a fresh k-means seed (up to ``EM_RESTARTS`` attempts)
+    before raising DegenerateComponentError.
     """
-    config = config or GmmConfig()
     batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
-    n, s = batch.shape
-    k = config.n_components
-    if n < 2 * k:
-        raise TooFewSamplesError(f"{n} samples for {k} components")
+    n = batch.shape[0]
+    if n < 4:
+        raise TooFewSamplesError(f"{n} samples for 2 components")
 
     last_exc = None
-    for attempt in range(config.em_restarts):
+    for attempt in range(EM_RESTARTS):
         try:
-            return _fit_em_once(batch, config, seed + 1000 * attempt)
+            return _fit_em_once(batch, seed + 1000 * attempt)
         except DegenerateComponentError as exc:
             last_exc = exc
     raise DegenerateComponentError(
-        f"component degenerate after {config.em_restarts} restarts") from last_exc
+        f"component degenerate after {EM_RESTARTS} restarts") from last_exc
 
 
-def _fit_em_once(batch: np.ndarray, config: GmmConfig, seed: int) -> GaussianMixture:
+def _fit_em_once(batch: np.ndarray, seed: int) -> GaussianMixture:
     n, s = batch.shape
-    k = config.n_components
-    centers, assign, _ = kmeans(batch, k, config.kmeans_restarts,
-                                config.kmeans_max_iter, seed)
-    weights = np.bincount(assign, minlength=k).astype(np.float64)
+    centers, assign, _ = kmeans(batch, 2, seed=seed)
+    weights = np.bincount(assign, minlength=2).astype(np.float64)
     weights = np.clip(weights, 1.0, None)
     weights /= weights.sum()
     means = centers.copy()
-    if config.full_covariance:
-        covs = np.empty((k, s, s))
-        for j in range(k):
-            members = batch[assign == j]
-            if len(members) < 2:
-                covs[j] = np.eye(s)
-            else:
-                covs[j] = np.cov(members, rowvar=False, bias=True)
-            covs[j][np.diag_indices(s)] = np.maximum(
-                np.diag(covs[j]), config.cov_floor)
-    else:
-        covs = np.empty((k, s))
-        for j in range(k):
-            members = batch[assign == j]
-            var = members.var(axis=0) if len(members) else np.ones(s)
-            covs[j] = np.maximum(var, config.cov_floor)
+    covs = np.empty((2, s))
+    for j in range(2):
+        members = batch[assign == j]
+        var = members.var(axis=0) if len(members) else np.ones(s)
+        covs[j] = np.maximum(var, COV_FLOOR)
 
     model = GaussianMixture(weights, means, covs, nll_trace=[])
     prev_nll = None
-    for _ in range(config.max_iter):
+    for _ in range(EM_MAX_ITER):
         log_p = _component_log_probs(model, batch)
         lse = _logsumexp(log_p, axis=1)
         nll = float(-np.sum(lse))
         model.nll_trace.append(nll)
-        if prev_nll is not None and abs(prev_nll - nll) < config.tol:
+        if prev_nll is not None and abs(prev_nll - nll) < EM_TOL:
             break
         prev_nll = nll
 
@@ -256,23 +219,13 @@ def _fit_em_once(batch: np.ndarray, config: GmmConfig, seed: int) -> GaussianMix
                 f"effective counts {nk} below 1")
         model.weights = nk / n
         model.means = (r.T @ batch) / nk[:, None]
-        if config.full_covariance:
-            for j in range(k):
-                diff = batch - model.means[j]
-                cov = (r[:, j, None] * diff).T @ diff / nk[j]
-                cov[np.diag_indices(s)] = np.maximum(np.diag(cov),
-                                                     config.cov_floor)
-                model.covariances[j] = cov
-        else:
-            for j in range(k):
-                diff = batch - model.means[j]
-                var = (r[:, j] @ (diff * diff)) / nk[j]
-                model.covariances[j] = np.maximum(var, config.cov_floor)
+        for j in range(2):
+            diff = batch - model.means[j]
+            var = (r[:, j] @ (diff * diff)) / nk[j]
+            model.covariances[j] = np.maximum(var, COV_FLOOR)
 
-    diag = (model.covariances if not config.full_covariance
-            else np.array([np.diag(c) for c in model.covariances]))
     collapsed = (np.allclose(model.means[0], model.means[1], atol=1e-9)
-                 and np.all(diag <= config.cov_floor * (1 + 1e-9)))
+                 and np.all(model.covariances <= COV_FLOOR * (1 + 1e-9)))
     if collapsed:
         raise DegenerateComponentError(
             "both components collapsed onto a single point")

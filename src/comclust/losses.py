@@ -20,8 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Var, cosine_distance, row_cosine_distance
-from .errors import (EmptyBatchError, InvalidSpecError, LengthMismatchError,
-                     ShapeMismatchError)
+from .errors import EmptyBatchError, InvalidSpecError, ShapeMismatchError
 
 PROB_CLAMP = 1e-12
 
@@ -151,7 +150,7 @@ def udc_com_loss(anchors, pseudo_classes, mu_min, mu_maj, margin: MarginSpec):
     m = _batch_len(anchors)
     pseudo_classes = np.asarray(pseudo_classes, dtype=int)
     if len(pseudo_classes) != m:
-        raise LengthMismatchError("pseudo_classes length != batch size")
+        raise ShapeMismatchError("pseudo_classes length != batch size")
     mu_min = np.asarray(mu_min, dtype=np.float64)
     mu_maj = np.asarray(mu_maj, dtype=np.float64)
     minority = (pseudo_classes == C_MIN)[:, None]
@@ -173,7 +172,7 @@ def weighted_cross_entropy(labels, probs, weights: ClassWeights):
     graph = isinstance(probs, Var)
     pvals = probs.value if graph else np.asarray(probs, dtype=np.float64)
     if labels.shape != pvals.shape or labels.ndim != 1:
-        raise LengthMismatchError(
+        raise ShapeMismatchError(
             f"labels {labels.shape} vs probs {pvals.shape}")
     n = labels.size
     if n == 0:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInputError, LengthMismatchError, SingleClassError
+from .errors import EmptyBatchError, ShapeMismatchError, SingleClassError
 
 METRIC_NAMES = ("recall", "precision", "specificity", "accuracy", "f1")
 
@@ -78,7 +78,7 @@ def roc_auc(labels, scores) -> float:
     labels = np.asarray(labels)
     scores = np.asarray(scores, dtype=np.float64)
     if labels.shape != scores.shape or labels.ndim != 1:
-        raise LengthMismatchError(f"labels {labels.shape} vs scores {scores.shape}")
+        raise ShapeMismatchError(f"labels {labels.shape} vs scores {scores.shape}")
     n_pos = int(np.sum(labels == 1))
     n_neg = int(np.sum(labels == 0))
     if n_pos == 0 or n_neg == 0:
@@ -106,8 +106,8 @@ def _check_binary(labels, predictions):
     labels = np.asarray(labels, dtype=int)
     predictions = np.asarray(predictions, dtype=int)
     if labels.shape != predictions.shape or labels.ndim != 1:
-        raise LengthMismatchError(
+        raise ShapeMismatchError(
             f"labels {labels.shape} vs predictions {predictions.shape}")
     if len(labels) == 0:
-        raise EmptyInputError("no samples")
+        raise EmptyBatchError("no samples")
     return labels, predictions

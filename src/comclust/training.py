@@ -40,11 +40,12 @@ class TrainConfig:
     hidden: tuple = (64, 64)
     embedding_dim: int = 32
     dropout_rate: float = 0.3
-    gmm: gmm_mod.GmmConfig = field(default_factory=gmm_mod.GmmConfig)
 
     def __post_init__(self):
         if self.batch_size < 1:
             raise InvalidSpecError("batch_size must be >= 1")
+        if self.epochs < 1:
+            raise InvalidSpecError("epochs must be >= 1")
         if self.loss_kind not in (LOSS_COM, LOSS_TRIPLET):
             raise InvalidSpecError(f"unknown loss kind {self.loss_kind!r}")
 
@@ -183,8 +184,7 @@ def train_udc(dataset: LabeledDataset, config: TrainConfig) -> TrainLog:
         param_vars = store.wrap()
         emb = enc.forward(param_vars, enc_config, x[rows],
                           train_mode=True, rng=rng)
-        model = gmm_mod.fit_em(emb.value, config.gmm,
-                               seed=int(rng.integers(2 ** 31)))
+        model = gmm_mod.fit_em(emb.value, seed=int(rng.integers(2 ** 31)))
         labels = gmm_mod.responsibilities(model, emb.value)
         k_min = labels.minority_component
         pseudo = np.where(labels.assignments == k_min, C_MIN, C_MAJ)

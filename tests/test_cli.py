@@ -1,4 +1,8 @@
+import ast
+import copy
 import csv
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -170,6 +174,91 @@ class TestCheckpointRoundTrip:
         raw = load_results(model)
         assert raw["version"] == ckpt.FORMAT_VERSION
 
+    def test_does_not_import_training_or_cli(self):
+        tree = ast.parse(Path(ckpt.__file__).read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported.add((node.module or "").split(".")[-1])
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[-1]
+                                for alias in node.names)
+        assert not imported & {"training", "cli"}
+
+
+@pytest.fixture(scope="module")
+def sdc_checkpoint_doc(blob_csv, tmp_path_factory):
+    out = tmp_path_factory.mktemp("ckpt") / "model.json"
+    assert main(["train-sdc", "--data", str(blob_csv), "--seed", "1",
+                 "--epochs", "1", "--hidden", "16", "--embedding-dim", "8",
+                 "--out", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
+def _drop(key):
+    def mutate(doc):
+        del doc[key]
+    return mutate
+
+
+def _set(key, value):
+    def mutate(doc):
+        doc[key] = value
+    return mutate
+
+
+def _short_data(doc):
+    doc["params"][0]["data"].pop()
+
+
+def _wide_bias(doc):
+    bias = doc["params"][1]
+    bias["data"].append(0.0)
+    bias["shape"] = [len(bias["data"])]
+
+
+def _short_prototype(doc):
+    doc["prototypes"]["cl_min"].pop()
+
+
+def _long_mask(doc):
+    doc["prototypes"]["feature_mask"].append(1)
+
+
+class TestBadCheckpoint:
+    """A malformed checkpoint ends in 'error: <path>: ...' and exit code 1."""
+
+    @pytest.mark.parametrize("corrupt", [
+        "not json {",
+        "[1, 2]",
+        '{"version": 1, "kind": "clustering"}',
+        _drop("kind"), _drop("encoder"), _drop("params"), _drop("seed"),
+        _set("kind", "regressor"),
+        _short_data,
+        _wide_bias,
+        _set("kind", "classifier"),
+        _drop("prototypes"),
+        _short_prototype,
+        _long_mask,
+    ], ids=["non-json", "not-object", "no-params", "no-kind", "no-encoder",
+            "no-params-key", "no-seed", "unknown-kind", "data-length",
+            "bias-shape", "classifier-without-head", "no-prototypes",
+            "prototype-length", "mask-length"])
+    def test_eval_reports_error(self, corrupt, sdc_checkpoint_doc, blob_csv,
+                                tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        if isinstance(corrupt, str):
+            path.write_text(corrupt)
+        else:
+            doc = copy.deepcopy(sdc_checkpoint_doc)
+            corrupt(doc)
+            path.write_text(json.dumps(doc))
+        assert main(["eval", "--checkpoint", str(path), "--data",
+                     str(blob_csv), "--out", str(tmp_path / "e.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and "Traceback" not in err
+
 
 class TestSweep:
     FAST = ["--ratios", "60:20,60:6", "--seeds", "0,1", "--dim", "4",
@@ -203,6 +292,15 @@ class TestSweep:
     def test_unknown_method_rejected(self, tmp_path):
         assert main(["sweep-imbalance", *self.FAST, "--methods", "magic",
                      "--out", str(tmp_path / "s.csv")]) == 1
+
+    @pytest.mark.parametrize("flag", ["--batch-size", "--epochs"])
+    def test_bad_shared_flag_fails_before_any_cell(self, flag, tmp_path,
+                                                   capsys):
+        out = tmp_path / "s.csv"
+        assert main(["sweep-imbalance", *self.FAST, flag, "0",
+                     "--methods", "classifier", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     def test_cell_seeds_differ_across_ratios(self):
         assert sweep_cell_seeds(0, 0) != sweep_cell_seeds(0, 1)

@@ -2,11 +2,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from comclust.autodiff import make_rng
 from comclust.errors import (DegenerateComponentError, EmptyBatchError,
-                             TooFewSamplesError)
-from comclust.gmm import (GaussianMixture, GmmConfig, fit_em,
+                             SingularCovarianceError, TooFewSamplesError)
+from comclust.gmm import (GaussianMixture, _component_log_probs, fit_em,
                           gaussian_log_pdf, identify_minority, kmeans,
                           mixture_nll, responsibilities)
 
@@ -42,13 +45,43 @@ class TestLogPdf:
             assert gaussian_log_pdf(x, mu, var) == pytest.approx(
                 np.log(direct), abs=1e-10)
 
-    def test_full_covariance_matches_diagonal(self):
-        rng = make_rng(6)
-        mu = rng.normal(size=3)
-        var = rng.uniform(0.5, 2.0, size=3)
-        x = rng.normal(size=3)
-        assert gaussian_log_pdf(x, mu, np.diag(var)) == pytest.approx(
-            gaussian_log_pdf(x, mu, var), abs=1e-12)
+
+
+@st.composite
+def mixtures_and_points(draw):
+    n = draw(st.integers(1, 60))
+    s = draw(st.integers(1, 40))
+    coord = st.floats(-1e3, 1e3)
+    w0 = draw(st.floats(1e-6, 1.0 - 1e-6))
+    model = GaussianMixture(
+        np.array([w0, 1.0 - w0]),
+        draw(hnp.arrays(np.float64, (2, s), elements=coord)),
+        draw(hnp.arrays(np.float64, (2, s), elements=st.floats(1e-6, 1e3))))
+    return model, draw(hnp.arrays(np.float64, (n, s), elements=coord))
+
+
+class TestComponentLogProbs:
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              database=None)
+    @given(mixtures_and_points())
+    def test_equals_per_component_log_pdf(self, case):
+        """The one broadcast call gives the same bits as evaluating each
+        component on its own."""
+        model, x = case
+        per_component = np.stack(
+            [np.atleast_1d(gaussian_log_pdf(x, model.means[k],
+                                            model.covariances[k]))
+             + np.log(model.weights[k]) for k in range(2)], axis=1)
+        assert np.array_equal(_component_log_probs(model, x), per_component)
+
+    def test_zero_variance_raises(self):
+        model = _two_component([0.0, 0.0], [3.0, 3.0])
+        model.covariances[1, 0] = 0.0
+        batch = np.array([[0.0, 1.0], [3.0, 2.0]])
+        with pytest.raises(SingularCovarianceError):
+            responsibilities(model, batch)
+        with pytest.raises(SingularCovarianceError):
+            mixture_nll(model, batch)
 
 
 class TestMixtureNll:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from comclust.autodiff import Var, backward, cosine_distance, make_rng
-from comclust.errors import EmptyBatchError, LengthMismatchError
+from comclust.errors import EmptyBatchError, ShapeMismatchError
 from comclust.losses import (C_MAJ, C_MIN, ClassWeights, MarginSpec,
                              com_adaptive_margin, com_dist_wa,
                              com_triplet_loss, triplet_loss,
@@ -150,7 +150,7 @@ class TestWeightedCrossEntropy:
         assert weighted_cross_entropy(y, p, w) == pytest.approx(expected, abs=1e-12)
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(ShapeMismatchError):
             weighted_cross_entropy([1, 0], [0.5], ClassWeights())
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from comclust.autodiff import make_rng
-from comclust.errors import EmptyInputError, SingleClassError
+from comclust.errors import EmptyBatchError, SingleClassError
 from comclust.metrics import confusion, roc_auc, weighted_metrics
 
 
@@ -87,7 +87,7 @@ class TestWeightedMetrics:
                 assert got[key] == pytest.approx(oracle[key], abs=1e-12)
 
     def test_empty_input(self):
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(EmptyBatchError):
             weighted_metrics([], [])
 
 

@@ -28,6 +28,15 @@ def _fast(seed=0, **kw):
     return TrainConfig(seed=seed, **kw)
 
 
+class TestTrainConfig:
+    def test_hashable(self):
+        assert hash(TrainConfig()) == hash(TrainConfig())
+
+    def test_zero_epochs_rejected(self):
+        with pytest.raises(ValueError):
+            TrainConfig(epochs=0)
+
+
 class TestSampleTriplets:
     def test_class_structure(self):
         labels = np.array([0] * 20 + [1] * 5)
