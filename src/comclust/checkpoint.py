@@ -9,7 +9,7 @@ import json
 
 import numpy as np
 
-from .dataio import _jsonable
+from .dataio import canonical_json
 from .encoder import EncoderConfig, ParamStore
 from .errors import ParseError
 from .prototypes import Prototypes
@@ -53,8 +53,7 @@ def save_checkpoint(path, kind: str, params: ParamStore,
             "feature_mask": prototypes.feature_mask.astype(int).tolist(),
         }
     with open(path, "w") as fh:
-        json.dump(_jsonable(doc), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(canonical_json(doc) + "\n")
 
 
 def load_checkpoint(path) -> dict:

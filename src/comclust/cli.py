@@ -257,7 +257,7 @@ def cmd_eval(args) -> None:
               "split": args.split, "seed": doc["seed"],
               "config": doc["config"],
               "metrics": evaluation["metrics"],
-              "labels": [int(v) for v in y],
+              "labels": y.tolist(),
               "predictions": evaluation["predictions"],
               "scores": evaluation["scores"]}
     save_results(args.out, record)
@@ -333,8 +333,11 @@ def cmd_sweep(args) -> None:
     for m in methods:
         if m not in SWEEP_METHODS:
             raise ComclustError(f"unknown method {m!r}")
-    # a bad shared setting fails here, before any cell runs
+    # a bad shared setting or ratio fails here, before any cell runs
     _sweep_base_config(args.epochs, args.batch_size, args.lr)
+    for n_maj, n_min in ratios:
+        BlobSpec(n_maj=n_maj, n_min=n_min, dim=args.dim,
+                 separation=args.separation)
 
     fieldnames = ["ratio", "method", "seed", "status", "auc", "recall",
                   "precision", "specificity", "accuracy", "f1",

@@ -1,11 +1,15 @@
-"""Synthetic imbalanced dataset generation, CSV ingestion, and the
-stratified 75/12.5/12.5 split."""
+"""Synthetic imbalanced dataset generation, CSV ingestion, the stratified
+75/12.5/12.5 split, and the canonical JSON writer for results and
+checkpoints."""
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
+import math
 from dataclasses import dataclass, field
+from typing import NoReturn
 
 import numpy as np
 
@@ -56,8 +60,10 @@ class BlobSpec:
     def __post_init__(self):
         if not (self.n_maj >= self.n_min >= 1):
             raise InvalidSpecError("need n_maj >= n_min >= 1")
-        if self.sigma <= 0 or self.dim < 1:
-            raise InvalidSpecError("sigma must be positive and dim >= 1")
+        if self.sigma <= 0:
+            raise InvalidSpecError("sigma must be positive")
+        if self.dim < 2:
+            raise InvalidSpecError("need dim >= 2 for two mean directions")
 
 
 def synth_imbalanced(spec: BlobSpec) -> LabeledDataset:
@@ -68,8 +74,6 @@ def synth_imbalanced(spec: BlobSpec) -> LabeledDataset:
     at the origin (or two means on a shared ray) would be invisible to
     cosine geometry. Deterministic per seed.
     """
-    if spec.dim < 2:
-        raise InvalidSpecError("need dim >= 2 for two mean directions")
     rng = make_rng(spec.seed)
     radius = spec.separation * spec.sigma / np.sqrt(2.0)
     mu_maj = np.zeros(spec.dim)
@@ -120,7 +124,10 @@ def save_csv(path, dataset: LabeledDataset) -> None:
 
 def load_csv(path) -> LabeledDataset:
     """Read a `f0,...,f{D-1},label` CSV; labels must be 0 or 1 and all
-    feature cells finite numbers. Errors name the offending line."""
+    feature cells finite numbers. Errors name the offending line.
+
+    The body is checked as one block; only when a check fails is it scanned
+    line by line, to name the first bad line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -132,34 +139,57 @@ def load_csv(path) -> LabeledDataset:
         if d < 1 or header != expected:
             raise MissingColumnError(
                 f"{path}: header must be f0,...,f{{D-1}},label, got {header}")
-        features, labels = [], []
-        for lineno, cells in enumerate(reader, start=2):
-            if len(cells) != d + 1:
-                raise ParseError(f"{path}:{lineno}: expected {d + 1} cells, "
-                                 f"got {len(cells)}")
-            try:
-                row = [float(c) for c in cells[:d]]
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from None
-            if not all(np.isfinite(row)):
-                raise ParseError(f"{path}:{lineno}: non-finite feature value")
-            if cells[d] not in ("0", "1"):
-                raise ParseError(f"{path}:{lineno}: label must be 0 or 1, "
-                                 f"got {cells[d]!r}")
-            features.append(row)
-            labels.append(int(cells[d]))
-    if not features:
+        body = list(reader)
+    if not body:
         raise ParseError(f"{path}: no data rows")
-    return LabeledDataset(np.array(features, dtype=np.float64),
-                          np.array(labels, dtype=int))
+    parsed = _parse_body(body, d)
+    if parsed is None:
+        _raise_first_bad_line(path, body, d)
+    return parsed
+
+
+def _parse_body(body: list, d: int) -> LabeledDataset | None:
+    """The dataset if every row has d finite feature cells and a "0"/"1"
+    label, else None."""
+    n = len(body)
+    if set(map(len, body)) != {d + 1}:
+        return None
+    try:
+        features = np.fromiter(
+            map(float, itertools.chain.from_iterable(r[:d] for r in body)),
+            np.float64, n * d).reshape(n, d)
+    except ValueError:
+        return None
+    labels = [r[d] for r in body]
+    if not np.isfinite(features).all() or not set(labels) <= {"0", "1"}:
+        return None
+    return LabeledDataset(features, np.fromiter(map(int, labels), int, n))
+
+
+def _raise_first_bad_line(path, body: list, d: int) -> NoReturn:
+    """Raise the ParseError of the first line that fails a check; per line
+    the checks run in the order cell count, number, finite, label."""
+    for lineno, cells in enumerate(body, start=2):
+        if len(cells) != d + 1:
+            raise ParseError(f"{path}:{lineno}: expected {d + 1} cells, "
+                             f"got {len(cells)}")
+        try:
+            row = [float(c) for c in cells[:d]]
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from None
+        if not all(np.isfinite(row)):
+            raise ParseError(f"{path}:{lineno}: non-finite feature value")
+        if cells[d] not in ("0", "1"):
+            raise ParseError(f"{path}:{lineno}: label must be 0 or 1, "
+                             f"got {cells[d]!r}")
+    raise AssertionError("a block check failed but no line did")
 
 
 def save_results(path, record: dict) -> None:
     """Write a results record as canonical JSON (sorted keys, fixed float
     repr) so identical runs produce byte-identical files."""
     with open(path, "w") as fh:
-        json.dump(_jsonable(record), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(canonical_json(record) + "\n")
 
 
 def load_results(path) -> dict:
@@ -167,13 +197,62 @@ def load_results(path) -> dict:
         return json.load(fh)
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+def canonical_json(obj) -> str:
+    """The text of ``json.dump(obj, indent=2, sort_keys=True)`` with numpy
+    arrays written as (nested) lists and numpy numbers as Python numbers.
+
+    A list of only ints, or of only finite floats, such as a column of
+    scores, is written with one join of their reprs instead of json's
+    per-item encoder."""
+    out = []
+    _encode(obj, "\n", out)
+    return "".join(out)
+
+
+def _encode(obj, newline: str, out: list) -> None:
+    """Append the chunks of ``obj`` to ``out``; ``newline`` is the line break
+    plus indent of the nesting level ``obj`` sits at."""
     if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
+        obj = obj.tolist()
+    elif isinstance(obj, (np.floating, np.integer)):
+        obj = obj.item()
+    if isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        out.append("{")
+        for n, (key, value) in enumerate(sorted(obj.items())):
+            out.append(("," if n else "") + inner
+                       + json.dumps(_key_text(key)) + ": ")
+            _encode(value, inner, out)
+        out.append(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        out.append("[" + inner)
+        types = set(map(type, obj))
+        if types == {int} or (types == {float}
+                              and all(map(math.isfinite, obj))):
+            out.append(("," + inner).join(map(repr, obj)))
+        else:
+            for n, value in enumerate(obj):
+                if n:
+                    out.append("," + inner)
+                _encode(value, inner, out)
+        out.append(newline + "]")
+    else:
+        out.append(json.dumps(obj))
+
+
+def _key_text(key) -> str:
+    """json's text for a dict key: a str as is, a number, bool or None in
+    its JSON spelling."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return json.dumps(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {type(key).__name__}")

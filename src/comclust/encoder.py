@@ -23,6 +23,9 @@ class EncoderConfig:
     dropout_rate: float = 0.3
 
     def __post_init__(self):
+        if any(width < 1 for width in self.hidden):
+            raise InvalidSpecError(f"hidden widths must be >= 1, got "
+                                   f"{self.hidden}")
         if self.embedding_dim < 2:
             raise InvalidSpecError("embedding_dim must be >= 2")
         if not (0.0 <= self.dropout_rate < 1.0):

@@ -91,14 +91,13 @@ def roc_auc(labels, scores) -> float:
 def _midranks(x: np.ndarray) -> np.ndarray:
     """1-based ranks with ties assigned the mean of their rank range."""
     order = np.argsort(x, kind="mergesort")
+    xs = x[order]
+    # the sorted positions i..j of each run of equal scores; NaN != NaN, so
+    # each NaN is a run of its own
+    starts = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))
+    ends = np.append(starts[1:], len(x)) - 1
     ranks = np.empty(len(x), dtype=np.float64)
-    i = 0
-    while i < len(x):
-        j = i
-        while j + 1 < len(x) and x[order[j + 1]] == x[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
     return ranks
 
 

@@ -293,11 +293,15 @@ class TestSweep:
         assert main(["sweep-imbalance", *self.FAST, "--methods", "magic",
                      "--out", str(tmp_path / "s.csv")]) == 1
 
-    @pytest.mark.parametrize("flag", ["--batch-size", "--epochs"])
-    def test_bad_shared_flag_fails_before_any_cell(self, flag, tmp_path,
+    @pytest.mark.parametrize("flags", [
+        ["--batch-size", "0"], ["--epochs", "0"], ["--dim", "0"],
+        ["--dim", "1"], ["--ratios", "10:20,60:6"],
+    ], ids=["--batch-size", "--epochs", "--dim-0", "--dim-1",
+            "--ratios-min-above-maj"])
+    def test_bad_shared_flag_fails_before_any_cell(self, flags, tmp_path,
                                                    capsys):
         out = tmp_path / "s.csv"
-        assert main(["sweep-imbalance", *self.FAST, flag, "0",
+        assert main(["sweep-imbalance", *self.FAST, *flags,
                      "--methods", "classifier", "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
@@ -314,7 +318,10 @@ class TestBadInput:
         ["train-sdc", "--batch-size", "0"],
         ["train-sdc", "--margin", "foo"],
         ["sweep-imbalance", "--ratios", "60-10"],
-    ], ids=["batch-size-0", "margin-foo", "ratios-60-10"])
+        ["train-sdc", "--hidden", "0"],
+        ["train-sdc", "--hidden", "64,0"],
+    ], ids=["batch-size-0", "margin-foo", "ratios-60-10", "hidden-0",
+            "hidden-64-0"])
     def test_reported_as_error(self, flags, blob_csv, tmp_path, capsys):
         data = ["--data", str(blob_csv)] if flags[0] != "sweep-imbalance" else []
         assert main([*flags, *data, "--out", str(tmp_path / "o.json")]) == 1

@@ -1,11 +1,142 @@
+import csv
+import json
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from comclust.dataio import (SPLIT_FRACTIONS, TEST, TRAIN, VAL, BlobSpec,
-                             LabeledDataset, load_csv, load_results, save_csv,
-                             save_results, split_dataset, synth_imbalanced)
+                             LabeledDataset, canonical_json, load_csv,
+                             load_results, save_csv, save_results,
+                             split_dataset, synth_imbalanced)
 from comclust.errors import (InvalidSpecError, MissingColumnError, ParseError,
                              TooFewSamplesError)
+
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True,
+                    database=None)
+
+
+def reference_load_csv(path) -> LabeledDataset:
+    """Reference: the line-at-a-time loader, parsing and checking each line
+    before reading the next."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ParseError(f"{path}: empty file") from None
+        d = len(header) - 1
+        expected = [f"f{i}" for i in range(d)] + ["label"]
+        if d < 1 or header != expected:
+            raise MissingColumnError(
+                f"{path}: header must be f0,...,f{{D-1}},label, got {header}")
+        features, labels = [], []
+        for lineno, cells in enumerate(reader, start=2):
+            if len(cells) != d + 1:
+                raise ParseError(f"{path}:{lineno}: expected {d + 1} cells, "
+                                 f"got {len(cells)}")
+            try:
+                row = [float(c) for c in cells[:d]]
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: {exc}") from None
+            if not all(np.isfinite(row)):
+                raise ParseError(f"{path}:{lineno}: non-finite feature value")
+            if cells[d] not in ("0", "1"):
+                raise ParseError(f"{path}:{lineno}: label must be 0 or 1, "
+                                 f"got {cells[d]!r}")
+            features.append(row)
+            labels.append(int(cells[d]))
+    if not features:
+        raise ParseError(f"{path}: no data rows")
+    return LabeledDataset(np.array(features, dtype=np.float64),
+                          np.array(labels, dtype=int))
+
+
+def reference_jsonable(obj):
+    """Reference: numpy arrays and numbers as plain Python values, for
+    json.dumps."""
+    if isinstance(obj, dict):
+        return {k: reference_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [reference_jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return reference_jsonable(obj.tolist())
+    if isinstance(obj, (np.floating, np.integer)):
+        return obj.item()
+    return obj
+
+
+# cell texts that float() or the finite check reject, or that csv unquotes
+BAD_CELLS = ["abc", "", "nan", "inf", "-inf", "1e400", "-1e400", '"1.5"',
+             '"x"', '"1,5"', " 2.5", "1_0", "0x1"]
+BAD_LABELS = ["1.0", " 1", "1 ", "2", "-0", "01", "", '"1"', '"0"', '"2"']
+# weighted towards the per-cell checks, which a header fault would mask
+CORRUPTIONS = ["cell"] * 3 + ["label"] * 2 + ["ragged", "blank", "header"]
+BAD_HEADERS = ["", "label", "a,label", "f0,f2,label", "f1,label",
+               "f0,label,x", '"f0",label']
+
+
+@st.composite
+def csv_texts(draw):
+    """A valid f0..f{D-1},label file, then up to three corruptions."""
+    d = draw(st.integers(1, 4))
+    lines = [[f"f{i}" for i in range(d)] + ["label"]]
+    for _ in range(draw(st.integers(0, 6))):
+        lines.append([repr(draw(st.floats(allow_nan=False,
+                                          allow_infinity=False)))
+                      for _ in range(d)] + [draw(st.sampled_from("01"))])
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(CORRUPTIONS))
+        k = draw(st.integers(1, max(1, len(lines) - 1)))
+        if kind == "header":
+            lines[0] = [draw(st.sampled_from(BAD_HEADERS))]
+        elif kind == "blank":
+            lines.insert(k, [""])
+        elif k < len(lines) and lines[k] != [""]:
+            row = lines[k]
+            if kind == "cell":
+                row[draw(st.integers(0, len(row) - 1))] = \
+                    draw(st.sampled_from(BAD_CELLS))
+            elif kind == "label":
+                row[-1] = draw(st.sampled_from(BAD_LABELS))
+            elif draw(st.booleans()):
+                row.pop()
+            else:
+                row.append("1")
+    if draw(st.sampled_from(["keep"] * 9 + ["cut"])) == "cut":
+        lines = lines[:draw(st.integers(0, 1))]   # empty or header-only
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(",".join(cells) for cells in lines)
+    return text + end if lines and draw(st.booleans()) else text
+
+
+def _outcome(loader, path):
+    """The loaded bytes and labels, or the exception class and message."""
+    try:
+        ds = loader(path)
+    except Exception as exc:   # any class: compared across the loaders
+        return type(exc), str(exc)
+    return (ds.features.dtype, ds.features.shape, ds.features.tobytes(),
+            ds.labels.dtype, ds.labels.tolist())
+
+
+json_leaves = st.one_of(
+    st.floats(), st.integers(), st.booleans(), st.none(), st.text(),
+    st.floats().map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.lists(st.floats()), st.lists(st.integers()),
+    hnp.arrays(st.sampled_from([np.float64, np.float32, np.int64, np.bool_]),
+               hnp.array_shapes(min_dims=0, max_dims=2, min_side=0,
+                                max_side=4)),
+)
+json_records = st.recursive(
+    json_leaves,
+    lambda kids: (st.lists(kids, max_size=4)
+                  | st.lists(kids, max_size=3).map(tuple)
+                  | st.dictionaries(st.text(), kids, max_size=4)),
+    max_leaves=20)
 
 
 class TestSynth:
@@ -173,6 +304,22 @@ class TestCsv:
             load_csv(path)
 
 
+    @PROPERTY
+    @given(text=csv_texts())
+    @example(text="f0,f1,label\n1.0,2.0,2\nabc,1.0,0\n")
+    @example(text="f0,label\n1.0,1\nnan,7\n1.0\n")
+    @example(text="f0,label\n1.0,\"2\"\n")
+    def test_matches_line_at_a_time_reference(self, text, csv_path):
+        csv_path.write_bytes(text.encode())
+        assert _outcome(load_csv, csv_path) == \
+            _outcome(reference_load_csv, csv_path)
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "d.csv"
+
+
 class TestResults:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "r.json"
@@ -189,3 +336,28 @@ class TestResults:
         save_results(a, record)
         save_results(b, record)
         assert a.read_bytes() == b.read_bytes()
+
+    @PROPERTY
+    @given(json_records)
+    @example(record={"scores": [0.1, float("nan"), -0.0, float("inf")],
+              "labels": np.arange(3), "é": (), "z": {}})
+    def test_canonical_json_matches_json_dumps(self, record):
+        assert canonical_json(record) == json.dumps(
+            reference_jsonable(record), indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("record", [
+        {1: "a", 10: "b", 2: "c"}, {1.5: 0, -0.5: 1}, {True: 1, False: 0},
+        {None: [1, 2]}, {float("nan"): 1},
+    ])
+    def test_non_string_keys_match_json_dumps(self, record):
+        assert canonical_json(record) == json.dumps(record, indent=2,
+                                                    sort_keys=True)
+
+    @pytest.mark.parametrize("record", [
+        {(1, 2): 0}, {"a": {1, 2}}, {"a": 1, 2: "b"},
+    ])
+    def test_unserialisable_raises_type_error(self, record):
+        with pytest.raises(TypeError):
+            json.dumps(record, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            canonical_json(record)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from comclust.autodiff import make_rng
 from comclust.errors import EmptyBatchError, SingleClassError
-from comclust.metrics import confusion, roc_auc, weighted_metrics
+from comclust.metrics import _midranks, confusion, roc_auc, weighted_metrics
 
 
 def pairwise_auc(labels, scores):
@@ -17,6 +19,34 @@ def pairwise_auc(labels, scores):
         for n in neg:
             total += 1.0 if p > n else (0.5 if p == n else 0.0)
     return total / (len(pos) * len(neg))
+
+
+def loop_midranks(x):
+    """Reference: walk the mergesorted scores one run of ties at a time."""
+    order = np.argsort(x, kind="mergesort")
+    ranks = np.empty(len(x), dtype=np.float64)
+    i = 0
+    while i < len(x):
+        j = i
+        while j + 1 < len(x) and x[order[j + 1]] == x[order[i]]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+# few distinct values, so most draws are full of ties
+FEW_SCORES = st.sampled_from([-1.5, -0.0, 0.0, 0.25, 0.5, 1.0, 3.0])
+
+
+@st.composite
+def labelled_scores(draw, values=FEW_SCORES):
+    """(labels, scores) with both classes present."""
+    n = draw(st.integers(2, 80))
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)
+                  .filter(lambda ls: 0 in ls and 1 in ls))
+    scores = draw(st.lists(values, min_size=n, max_size=n))
+    return np.array(labels), np.array(scores, dtype=np.float64)
 
 
 def per_class_oracle(labels, predictions):
@@ -140,3 +170,34 @@ class TestRocAuc:
         scores = rng.normal(size=40)
         assert roc_auc(labels, scores) + roc_auc(labels, -scores) == \
             pytest.approx(1.0, abs=1e-12)
+
+
+class TestAucProperties:
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(labelled_scores())
+    def test_equals_pairwise_definition(self, case):
+        labels, scores = case
+        assert roc_auc(labels, scores) == pytest.approx(
+            pairwise_auc(labels, scores), abs=1e-12)
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(st.lists(st.one_of(FEW_SCORES,
+                              st.sampled_from([np.nan, np.inf, -np.inf]),
+                              st.floats(allow_nan=True)), max_size=80))
+    def test_midranks_equal_loop_reference(self, values):
+        x = np.array(values, dtype=np.float64)
+        assert np.array_equal(_midranks(x), loop_midranks(x))
+
+    @settings(max_examples=50, deadline=None, derandomize=True,
+              database=None)
+    @given(labelled_scores(st.one_of(FEW_SCORES, st.floats(-1e6, 1e6))))
+    def test_matches_mann_whitney_u(self, case):
+        stats = pytest.importorskip("scipy.stats")
+        labels, scores = case
+        u = stats.mannwhitneyu(scores[labels == 1], scores[labels == 0],
+                               alternative="two-sided").statistic
+        n_pos, n_neg = int(labels.sum()), int((1 - labels).sum())
+        assert roc_auc(labels, scores) == pytest.approx(
+            u / (n_pos * n_neg), abs=1e-12)
