@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotScalarError, ShapeMismatchError, ZeroVectorError
+from .errors import (InvalidSpecError, NotScalarError, ShapeMismatchError,
+                     ZeroVectorError)
 
 NORM_FLOOR = 1e-12
 
@@ -135,17 +136,6 @@ def take_rows(a: Var, idx) -> Var:
     return Var(a.value[idx], (a,), vjp)
 
 
-def row(a: Var, i: int) -> Var:
-    a = as_var(a)
-
-    def vjp(g):
-        full = np.zeros_like(a.value)
-        full[i] = g
-        return (full,)
-
-    return Var(a.value[i], (a,), vjp)
-
-
 def mean(a: Var) -> Var:
     """Mean of all entries, as a scalar Var."""
     a = as_var(a)
@@ -251,4 +241,6 @@ def make_rng(seed: int) -> np.random.Generator:
     """Seeded generator (numpy PCG64): same seed, same call sequence, same
     stream. All randomness in the package flows through generators built
     here."""
+    if seed < 0:
+        raise InvalidSpecError(f"seed must be non-negative, got {seed}")
     return np.random.Generator(np.random.PCG64(seed))

@@ -57,7 +57,8 @@ def save_checkpoint(path, kind: str, params: ParamStore,
 
 
 def load_checkpoint(path) -> dict:
-    """Returns {kind, encoder_config, params, prototypes?, seed, config}.
+    """Returns {kind, encoder_config, params, prototypes, seed, config};
+    prototypes is None for a classifier.
 
     The document is checked against its own encoder config: a file that is
     not a checkpoint, a missing field, or an array whose shape or length
@@ -94,7 +95,7 @@ def load_checkpoint(path) -> dict:
         "config": doc.get("config", {}),
         "prototypes": (_read_prototypes(doc["prototypes"], path,
                                         encoder_config.embedding_dim)
-                       if "prototypes" in doc else None),
+                       if kind == KIND_CLUSTERING else None),
     }
 
 

@@ -26,6 +26,7 @@ from .training import (EQUAL, INVERSE_FREQUENCY, TrainConfig,
 DEFAULT_RATIOS = "900:900,900:450,900:225,900:60,900:25,900:15"
 SWEEP_METHODS = ("sdc-com", "sdc-triplet", "classifier", "classifier-lw",
                  "udc-com", "udc-triplet")
+WEIGHTINGS = {"equal": EQUAL, "inverse-frequency": INVERSE_FREQUENCY}
 
 
 def main(argv=None) -> int:
@@ -60,12 +61,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"run {name.replace('-', ' ')}")
         _add_train_flags(p)
         if name == "train-classifier":
-            p.add_argument("--weighting",
-                           choices=("equal", "inverse-frequency"),
+            p.add_argument("--weighting", choices=tuple(WEIGHTINGS),
                            default="inverse-frequency")
-        p.set_defaults(func={"train-sdc": cmd_train_sdc,
-                             "train-udc": cmd_train_udc,
-                             "train-classifier": cmd_train_classifier}[name])
+        p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
     p.add_argument("--checkpoint", required=True)
@@ -173,64 +171,62 @@ def _load_split(path: str, seed: int) -> LabeledDataset:
 
 
 def _write_train_log(path, result: training.TrainLog) -> None:
+    """One row per iteration: the loss, then the prototype separation and
+    the GMM NLL where the mode logged them."""
+    columns = {"loss": result.losses, "separation": result.separations,
+               "gmm_nll": result.gmm_nlls}
+    columns = {name: values for name, values in columns.items() if values}
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        header = ["iteration", "loss", "separation"]
-        if result.gmm_nlls:
-            header.append("gmm_nll")
-        writer.writerow(header)
-        for i, (loss, sep) in enumerate(zip(result.losses, result.separations)):
-            row = [i, repr(loss), repr(sep)]
-            if result.gmm_nlls:
-                row.append(repr(result.gmm_nlls[i]))
-            writer.writerow(row)
+        writer.writerow(["iteration", *columns])
+        for i, row in enumerate(zip(*columns.values())):
+            writer.writerow([i, *map(repr, row)])
 
 
-def _train_clustering(args, command: str, runner) -> None:
+def _fit(mode: str, dataset: LabeledDataset, config: TrainConfig,
+         weighting: str) -> training.TrainLog:
+    """Train one mode: "sdc", "udc" or "classifier" (which alone uses
+    ``weighting``)."""
+    if mode == "sdc":
+        return training.train_sdc(dataset, config)
+    if mode == "udc":
+        return training.train_udc(dataset, config)
+    return training.train_classifier(dataset, config, weighting)[1]
+
+
+def _evaluate(params, encoder_config, prototypes, x, y) -> dict:
+    """Prototype inference for a clustering model; a classifier, which has
+    no prototypes, is scored by its softmax head."""
+    if prototypes is None:
+        model = training.ClassifierModel(params, encoder_config)
+        return evaluate_classifier(model, x, y)
+    return evaluate_prototypes(params, encoder_config, prototypes, x, y)
+
+
+def cmd_train(args) -> None:
+    """train-sdc, train-udc and train-classifier: train, save the
+    checkpoint, evaluate val and test, write the results record and the
+    optional per-iteration log."""
     dataset = _load_split(args.data, args.seed)
     config = _train_config(args)
-    result = runner(dataset, config)
-    ckpt.save_checkpoint(args.out, ckpt.KIND_CLUSTERING, result.params,
-                         result.encoder_config, result.prototypes,
-                         args.seed, _config_echo(config))
-    metrics = {}
-    for split in (dataio.VAL, dataio.TEST):
-        x, y = dataset.subset(split)
-        metrics[split] = evaluate_prototypes(
-            result.params, result.encoder_config, result.prototypes,
-            x, y)["metrics"]
-    record = {"command": command, "config": _config_echo(config),
-              "seed": args.seed, "metrics": metrics,
-              "prototype_separation": result.prototypes.separation}
-    save_results(args.results or args.out + ".results.json", record)
-    if args.log:
-        _write_train_log(args.log, result)
-
-
-def cmd_train_sdc(args) -> None:
-    _train_clustering(args, "train-sdc", training.train_sdc)
-
-
-def cmd_train_udc(args) -> None:
-    _train_clustering(args, "train-udc", training.train_udc)
-
-
-def cmd_train_classifier(args) -> None:
-    dataset = _load_split(args.data, args.seed)
-    config = _train_config(args)
-    weighting = (INVERSE_FREQUENCY if args.weighting == "inverse-frequency"
-                 else EQUAL)
-    model, result = training.train_classifier(dataset, config, weighting)
-    ckpt.save_checkpoint(args.out, ckpt.KIND_CLASSIFIER, result.params,
-                         result.encoder_config, None,
-                         args.seed, _config_echo(config))
-    metrics = {}
-    for split in (dataio.VAL, dataio.TEST):
-        x, y = dataset.subset(split)
-        metrics[split] = evaluate_classifier(model, x, y)["metrics"]
-    record = {"command": "train-classifier", "config": _config_echo(config),
-              "seed": args.seed, "weighting": args.weighting,
-              "metrics": metrics, "prototype_separation": None}
+    mode = args.command[len("train-"):]
+    record = {"command": args.command, "config": _config_echo(config),
+              "seed": args.seed}
+    weighting = INVERSE_FREQUENCY
+    if mode == "classifier":
+        record["weighting"] = args.weighting
+        weighting = WEIGHTINGS[args.weighting]
+    result = _fit(mode, dataset, config, weighting)
+    proto = result.prototypes
+    ckpt.save_checkpoint(args.out, (ckpt.KIND_CLASSIFIER if proto is None
+                                    else ckpt.KIND_CLUSTERING),
+                         result.params, result.encoder_config, proto,
+                         args.seed, record["config"])
+    record["metrics"] = {
+        split: _evaluate(result.params, result.encoder_config, proto,
+                         *dataset.subset(split))["metrics"]
+        for split in (dataio.VAL, dataio.TEST)}
+    record["prototype_separation"] = None if proto is None else proto.separation
     save_results(args.results or args.out + ".results.json", record)
     if args.log:
         _write_train_log(args.log, result)
@@ -247,12 +243,8 @@ def cmd_eval(args) -> None:
         x, y = dataset.features, dataset.labels
     else:
         x, y = dataio.split_dataset(dataset, doc["seed"]).subset(args.split)
-    if doc["kind"] == ckpt.KIND_CLUSTERING:
-        evaluation = evaluate_prototypes(doc["params"], doc["encoder_config"],
-                                         doc["prototypes"], x, y)
-    else:
-        model = training.ClassifierModel(doc["params"], doc["encoder_config"])
-        evaluation = evaluate_classifier(model, x, y)
+    evaluation = _evaluate(doc["params"], doc["encoder_config"],
+                           doc["prototypes"], x, y)
     record = {"command": "eval", "checkpoint": args.checkpoint,
               "split": args.split, "seed": doc["seed"],
               "config": doc["config"],
@@ -298,31 +290,19 @@ def run_sweep_cell(n_maj: int, n_min: int, method: str, seed: int,
     spec = BlobSpec(n_maj=n_maj, n_min=n_min, dim=dim,
                     separation=separation, seed=data_seed)
     dataset = dataio.split_dataset(dataio.synth_imbalanced(spec), split_seed)
-    base = dataclasses.replace(_sweep_base_config(epochs, batch_size, lr),
-                               seed=train_seed)
-    x_test, y_test = dataset.subset(dataio.TEST)
-
-    if method in ("sdc-com", "sdc-triplet", "udc-com", "udc-triplet"):
-        com = method.endswith("com")
-        config = dataclasses.replace(
-            base, margin=(MarginSpec("adaptive") if com
-                          else MarginSpec("constant", 0.2)),
-            loss_kind="com" if com else "triplet")
-        runner = (training.train_sdc if method.startswith("sdc")
-                  else training.train_udc)
-        result = runner(dataset, config)
-        evaluation = evaluate_prototypes(result.params, result.encoder_config,
-                                         result.prototypes, x_test, y_test)
-        separation_out = result.prototypes.separation
-    elif method in ("classifier", "classifier-lw"):
-        weighting = INVERSE_FREQUENCY if method == "classifier-lw" else EQUAL
-        model, _ = training.train_classifier(dataset, base, weighting)
-        evaluation = evaluate_classifier(model, x_test, y_test)
-        separation_out = None
-    else:
+    loss = "triplet" if method.endswith("triplet") else "com"
+    config = dataclasses.replace(_sweep_base_config(epochs, batch_size, lr),
+                                 seed=train_seed, loss_kind=loss,
+                                 margin=_margin_spec("adaptive", loss))
+    if method not in SWEEP_METHODS:
         raise ComclustError(f"unknown method {method!r}")
+    result = _fit(method.split("-")[0], dataset, config,
+                  INVERSE_FREQUENCY if method == "classifier-lw" else EQUAL)
+    proto = result.prototypes
+    evaluation = _evaluate(result.params, result.encoder_config, proto,
+                           *dataset.subset(dataio.TEST))
     return {"metrics": evaluation["metrics"],
-            "prototype_separation": separation_out}
+            "prototype_separation": None if proto is None else proto.separation}
 
 
 def cmd_sweep(args) -> None:
@@ -330,6 +310,10 @@ def cmd_sweep(args) -> None:
     seeds = [_parse(s, int, "--seeds entry")
              for s in args.seeds.split(",") if s]
     methods = [m for m in args.methods.split(",") if m]
+    if not seeds or not methods:
+        raise InvalidSpecError("--seeds and --methods each need an entry")
+    if min(seeds) < 0:
+        raise InvalidSpecError(f"seeds must be non-negative, got {min(seeds)}")
     for m in methods:
         if m not in SWEEP_METHODS:
             raise ComclustError(f"unknown method {m!r}")

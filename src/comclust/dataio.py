@@ -127,19 +127,23 @@ def load_csv(path) -> LabeledDataset:
     feature cells finite numbers. Errors name the offending line.
 
     The body is checked as one block; only when a check fails is it scanned
-    line by line, to name the first bad line."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        d = len(header) - 1
-        expected = [f"f{i}" for i in range(d)] + ["label"]
-        if d < 1 or header != expected:
-            raise MissingColumnError(
-                f"{path}: header must be f0,...,f{{D-1}},label, got {header}")
-        body = list(reader)
+    line by line, to name the first bad line. Undecodable text and a cell
+    over csv's field size limit are ParseErrors too."""
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise ParseError(f"{path}: empty file") from None
+            d = len(header) - 1
+            expected = [f"f{i}" for i in range(d)] + ["label"]
+            if d < 1 or header != expected:
+                raise MissingColumnError(f"{path}: header must be "
+                                         f"f0,...,f{{D-1}},label, got {header}")
+            body = list(reader)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ParseError(f"{path}: {exc}") from None
     if not body:
         raise ParseError(f"{path}: no data rows")
     parsed = _parse_body(body, d)

@@ -70,21 +70,20 @@ class ParamStore:
         """Fresh leaf Vars for one forward/backward pass."""
         return [Var(a) for a in self.arrays]
 
-    def copy(self) -> "ParamStore":
-        return ParamStore([a.copy() for a in self.arrays],
-                          [a.copy() for a in self.m],
-                          [a.copy() for a in self.v], self.step)
 
-
-def init_encoder_params(config: EncoderConfig, rng) -> ParamStore:
+def init_encoder_params(config: EncoderConfig, rng,
+                        head_outputs: int = 0) -> ParamStore:
     """He-uniform weights (limit sqrt(6/fan_in)) and zero biases; seeded
-    through ``rng``."""
+    through ``rng``. ``head_outputs`` > 0 appends a head of that many
+    outputs (``init_head_params``), drawn after the encoder."""
     arrays = []
     dims = config.layer_dims
     for d_in, d_out in zip(dims[:-1], dims[1:]):
         limit = np.sqrt(6.0 / d_in)
         arrays.append(rng.uniform(-limit, limit, size=(d_in, d_out)))
         arrays.append(np.zeros(d_out))
+    if head_outputs:
+        arrays += init_head_params(config.embedding_dim, head_outputs, rng)
     return ParamStore(arrays)
 
 

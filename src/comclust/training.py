@@ -56,6 +56,9 @@ class TrainConfig:
 
 @dataclass
 class TrainLog:
+    """Per-iteration losses, plus prototype separations for SDC and UDC and
+    GMM NLLs for UDC (a list a mode does not fill stays empty), and the
+    trained parameters."""
     losses: list = field(default_factory=list)
     separations: list = field(default_factory=list)
     gmm_nlls: list = field(default_factory=list)
@@ -109,9 +112,45 @@ def sample_triplets(labels: np.ndarray, m: int, rng):
     return anchors, positives, negatives
 
 
-def _check_finite(value: float, iteration: int):
-    if not np.isfinite(value):
-        raise NonFiniteLossError(f"loss {value} at iteration {iteration}")
+def _sample_rows(n: int, k: int, rng) -> np.ndarray:
+    """k row indices drawn uniformly, with replacement only when n < k."""
+    return rng.choice(n, size=min(k, n), replace=n < k)
+
+
+def _train(x, y, config: TrainConfig, step, head_outputs: int = 0) -> TrainLog:
+    """The loop every mode shares.
+
+    Each iteration ``step(rng, param_vars, enc_config)`` samples a batch and
+    embeds it, returning (loss, candidate prototype pair or None, GMM NLL or
+    None). The loop checks the loss, takes the Adam step, offers the pair to
+    the running prototypes and logs the iteration. ``head_outputs`` > 0
+    appends a softmax head to the encoder parameters.
+    """
+    t = _iterations(len(y), config)
+    rng = make_rng(config.seed)
+    enc_config = config.encoder_config(x.shape[1])
+    store = enc.init_encoder_params(enc_config, rng, head_outputs)
+
+    result = TrainLog(params=store, encoder_config=enc_config)
+    proto = None
+    for it in range(t):
+        param_vars = store.wrap()
+        loss, pair, gmm_nll = step(rng, param_vars, enc_config)
+        value = loss.item()
+        if not np.isfinite(value):
+            raise NonFiniteLossError(f"loss {value} at iteration {it}")
+        backward(loss)
+        enc.adam_step(store, [grad_of(p) for p in param_vars], config.adam)
+        result.losses.append(value)
+        if pair is not None:
+            proto = update_prototypes(proto, *pair)
+            result.separations.append(proto.separation)
+        if gmm_nll is not None:
+            result.gmm_nlls.append(gmm_nll)
+
+    if proto is not None:
+        result.prototypes = proto.with_feature_mask()
+    return result
 
 
 def train_sdc(dataset: LabeledDataset, config: TrainConfig) -> TrainLog:
@@ -123,40 +162,21 @@ def train_sdc(dataset: LabeledDataset, config: TrainConfig) -> TrainLog:
     separated pair.
     """
     x, y = _training_split(dataset)
-    t = _iterations(len(y), config)
     m = config.batch_size
-    rng = make_rng(config.seed)
-    enc_config = config.encoder_config(x.shape[1])
-    store = enc.init_encoder_params(enc_config, rng)
 
-    result = TrainLog(encoder_config=enc_config)
-    proto = None
-    for it in range(t):
-        a_idx, p_idx, n_idx = sample_triplets(y, m, rng)
-        rows = np.concatenate([a_idx, p_idx, n_idx])
-        param_vars = store.wrap()
+    def step(rng, param_vars, enc_config):
+        rows = np.concatenate(sample_triplets(y, m, rng))
         emb = enc.forward(param_vars, enc_config, x[rows],
                           train_mode=True, rng=rng)
-        e_a = ad.take_rows(emb, np.arange(m))
-        e_p = ad.take_rows(emb, np.arange(m, 2 * m))
-        e_n = ad.take_rows(emb, np.arange(2 * m, 3 * m))
+        e_a, e_p, e_n = (ad.take_rows(emb, np.arange(k * m, (k + 1) * m))
+                         for k in range(3))
         if config.loss_kind == LOSS_COM:
             loss = com_triplet_loss(e_a, e_p, e_n, config.margin)
         else:
             loss = triplet_loss_batch(e_a, e_p, e_n, config.margin.alpha)
-        _check_finite(loss.item(), it)
-        backward(loss)
-        enc.adam_step(store, [grad_of(p) for p in param_vars], config.adam)
+        return loss, batch_centers(emb.value, y[rows]), None
 
-        classes = y[rows]
-        cl_min_cand, cl_maj_cand = batch_centers(emb.value, classes)
-        proto = update_prototypes(proto, cl_min_cand, cl_maj_cand)
-        result.losses.append(loss.item())
-        result.separations.append(proto.separation)
-
-    result.prototypes = proto.with_feature_mask()
-    result.params = store
-    return result
+    return _train(x, y, config, step)
 
 
 def train_udc(dataset: LabeledDataset, config: TrainConfig) -> TrainLog:
@@ -168,20 +188,15 @@ def train_udc(dataset: LabeledDataset, config: TrainConfig) -> TrainLog:
     serve as the candidate prototype pair).
     """
     x, y = _training_split(dataset)
-    t = _iterations(len(y), config)
     m3 = 3 * config.batch_size
     if len(y) < 2 * m3:
         log.warning("training split has %d samples; at least %d recommended "
                     "for UDC batches of %d", len(y), 2 * m3, m3)
-    rng = make_rng(config.seed)
-    enc_config = config.encoder_config(x.shape[1])
-    store = enc.init_encoder_params(enc_config, rng)
+    margin = (config.margin if config.loss_kind == LOSS_COM
+              else MarginSpec("constant", config.margin.alpha))
 
-    result = TrainLog(encoder_config=enc_config)
-    proto = None
-    for it in range(t):
-        rows = rng.choice(len(y), size=min(m3, len(y)), replace=len(y) < m3)
-        param_vars = store.wrap()
+    def step(rng, param_vars, enc_config):
+        rows = _sample_rows(len(y), m3, rng)
         emb = enc.forward(param_vars, enc_config, x[rows],
                           train_mode=True, rng=rng)
         model = gmm_mod.fit_em(emb.value, seed=int(rng.integers(2 ** 31)))
@@ -189,22 +204,10 @@ def train_udc(dataset: LabeledDataset, config: TrainConfig) -> TrainLog:
         k_min = labels.minority_component
         pseudo = np.where(labels.assignments == k_min, C_MIN, C_MAJ)
         mu_min, mu_maj = model.means[k_min], model.means[1 - k_min]
+        loss = udc_com_loss(emb, pseudo, mu_min, mu_maj, margin)
+        return loss, (mu_min, mu_maj), model.nll_trace[-1]
 
-        loss = udc_com_loss(emb, pseudo, mu_min, mu_maj,
-                            config.margin if config.loss_kind == LOSS_COM
-                            else MarginSpec("constant", config.margin.alpha))
-        _check_finite(loss.item(), it)
-        backward(loss)
-        enc.adam_step(store, [grad_of(p) for p in param_vars], config.adam)
-
-        proto = update_prototypes(proto, mu_min, mu_maj)
-        result.losses.append(loss.item())
-        result.separations.append(proto.separation)
-        result.gmm_nlls.append(model.nll_trace[-1])
-
-    result.prototypes = proto.with_feature_mask()
-    result.params = store
-    return result
+    return _train(x, y, config, step)
 
 
 @dataclass
@@ -250,31 +253,18 @@ def train_classifier(dataset: LabeledDataset, config: TrainConfig,
     for c in (C_MAJ, C_MIN):
         if not np.any(y == c):
             raise MissingClassError(f"no samples of class {c}")
-    t = _iterations(len(y), config)
-    m = config.batch_size
-    rng = make_rng(config.seed)
-    enc_config = config.encoder_config(x.shape[1])
-    store = enc.init_encoder_params(enc_config, rng)
-    store.arrays.extend(enc.init_head_params(enc_config.embedding_dim, 2, rng))
-    store = ParamStore(store.arrays)   # reset moments to cover the head
-    n_enc = 2 * (len(enc_config.layer_dims) - 1)
 
-    result = TrainLog(encoder_config=enc_config)
-    for it in range(t):
-        rows = rng.choice(len(y), size=min(m, len(y)), replace=len(y) < m)
+    def step(rng, param_vars, enc_config):
+        rows = _sample_rows(len(y), config.batch_size, rng)
         weights = batch_class_weights(y[rows], weighting)
-        param_vars = store.wrap()
+        n_enc = 2 * (len(enc_config.layer_dims) - 1)
         emb = enc.forward(param_vars[:n_enc], enc_config, x[rows],
                           train_mode=True, rng=rng)
         probs = enc.minority_probability(param_vars[n_enc:], emb)
-        loss = weighted_cross_entropy(y[rows], probs, weights)
-        _check_finite(loss.item(), it)
-        backward(loss)
-        enc.adam_step(store, [grad_of(p) for p in param_vars], config.adam)
-        result.losses.append(loss.item())
+        return weighted_cross_entropy(y[rows], probs, weights), None, None
 
-    result.params = store
-    return ClassifierModel(store, enc_config), result
+    result = _train(x, y, config, step, head_outputs=2)
+    return ClassifierModel(result.params, result.encoder_config), result
 
 
 def evaluate_prototypes(params: ParamStore, enc_config: EncoderConfig,

@@ -109,6 +109,19 @@ class TestTrainCommands:
         assert record["weighting"] == "equal"
         assert record["prototype_separation"] is None
 
+    def test_classifier_log_has_a_row_per_iteration(self, blob_csv,
+                                                    tmp_path):
+        log = tmp_path / "clf_log.csv"
+        assert main(["train-classifier", "--data", str(blob_csv),
+                     "--seed", "2", "--out", str(tmp_path / "clf.json"),
+                     "--epochs", "2", "--log", str(log)]) == 0
+        with open(log) as fh:
+            rows = list(csv.DictReader(fh))
+        n_train = len(split_dataset(load_csv(blob_csv), 2).subset("train")[1])
+        assert len(rows) == 2 * (n_train // 15)
+        assert list(rows[0]) == ["iteration", "loss"]
+        assert [int(r["iteration"]) for r in rows] == list(range(len(rows)))
+
 
 class TestEval:
     def test_self_consistency_with_training_record(self, blob_csv, tmp_path):
@@ -295,14 +308,16 @@ class TestSweep:
 
     @pytest.mark.parametrize("flags", [
         ["--batch-size", "0"], ["--epochs", "0"], ["--dim", "0"],
-        ["--dim", "1"], ["--ratios", "10:20,60:6"],
+        ["--dim", "1"], ["--ratios", "10:20,60:6"], ["--seeds", "-1"],
+        ["--seeds", "0,-1"], ["--seeds", ","], ["--methods", ","],
     ], ids=["--batch-size", "--epochs", "--dim-0", "--dim-1",
-            "--ratios-min-above-maj"])
+            "--ratios-min-above-maj", "--seeds-negative",
+            "--seeds-one-negative", "--seeds-empty", "--methods-empty"])
     def test_bad_shared_flag_fails_before_any_cell(self, flags, tmp_path,
                                                    capsys):
         out = tmp_path / "s.csv"
-        assert main(["sweep-imbalance", *self.FAST, *flags,
-                     "--methods", "classifier", "--out", str(out)]) == 1
+        assert main(["sweep-imbalance", *self.FAST, "--methods", "classifier",
+                     *flags, "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
@@ -320,10 +335,12 @@ class TestBadInput:
         ["sweep-imbalance", "--ratios", "60-10"],
         ["train-sdc", "--hidden", "0"],
         ["train-sdc", "--hidden", "64,0"],
+        ["train-sdc", "--seed", "-1"],
+        ["synth", "--maj", "30", "--min", "10", "--seed", "-1"],
     ], ids=["batch-size-0", "margin-foo", "ratios-60-10", "hidden-0",
-            "hidden-64-0"])
+            "hidden-64-0", "train-seed-negative", "synth-seed-negative"])
     def test_reported_as_error(self, flags, blob_csv, tmp_path, capsys):
-        data = ["--data", str(blob_csv)] if flags[0] != "sweep-imbalance" else []
+        data = ["--data", str(blob_csv)] if flags[0].startswith("train") else []
         assert main([*flags, *data, "--out", str(tmp_path / "o.json")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err

@@ -68,9 +68,14 @@ def reference_jsonable(obj):
     return obj
 
 
-# cell texts that float() or the finite check reject, or that csv unquotes
+# a lone 0xff byte once encoded with surrogateescape, and a cell over csv's
+# default field size limit of 131 072 characters
+UNDECODABLE = "\udcff"
+OVERSIZED = "1" * 131_073
+# cell texts that float() or the finite check reject, that csv unquotes, or
+# that fail while the text is read
 BAD_CELLS = ["abc", "", "nan", "inf", "-inf", "1e400", "-1e400", '"1.5"',
-             '"x"', '"1,5"', " 2.5", "1_0", "0x1"]
+             '"x"', '"1,5"', " 2.5", "1_0", "0x1", UNDECODABLE, OVERSIZED]
 BAD_LABELS = ["1.0", " 1", "1 ", "2", "-0", "01", "", '"1"', '"0"', '"2"']
 # weighted towards the per-cell checks, which a header fault would mask
 CORRUPTIONS = ["cell"] * 3 + ["label"] * 2 + ["ragged", "blank", "header"]
@@ -309,10 +314,19 @@ class TestCsv:
     @example(text="f0,f1,label\n1.0,2.0,2\nabc,1.0,0\n")
     @example(text="f0,label\n1.0,1\nnan,7\n1.0\n")
     @example(text="f0,label\n1.0,\"2\"\n")
+    @example(text=f"f0,label\n1.0,0\n{UNDECODABLE},1\n")
+    @example(text=f"f0,label\n1.0,0\n{OVERSIZED},1\n")
     def test_matches_line_at_a_time_reference(self, text, csv_path):
-        csv_path.write_bytes(text.encode())
-        assert _outcome(load_csv, csv_path) == \
-            _outcome(reference_load_csv, csv_path)
+        csv_path.write_bytes(text.encode("utf-8", "surrogateescape"))
+        got = _outcome(load_csv, csv_path)
+        if UNDECODABLE in text or OVERSIZED in text:
+            # found while the text is read, which may come before or after
+            # a bad line; either way an error naming the file, not a
+            # UnicodeDecodeError or csv.Error
+            assert got[0] in (ParseError, MissingColumnError)
+            assert got[1].startswith(f"{csv_path}: ")
+        else:
+            assert got == _outcome(reference_load_csv, csv_path)
 
 
 @pytest.fixture(scope="module")
