@@ -6,11 +6,12 @@ cycle reproduces inference outputs bit-for-bit."""
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
 from .dataio import canonical_json
-from .encoder import EncoderConfig, ParamStore
+from .encoder import HEAD_OUTPUTS, EncoderConfig, ParamStore, param_shapes
 from .errors import ParseError
 from .prototypes import Prototypes
 
@@ -67,7 +68,7 @@ def load_checkpoint(path) -> dict:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:   # RecursionError: deep nesting
         raise ParseError(f"{path}: not a JSON checkpoint ({exc})") from None
     _check(isinstance(doc, dict), path, "checkpoint is not a JSON object")
     _check("version" in doc, path, "missing version field")
@@ -108,42 +109,30 @@ def _numbers(value, path, what: str) -> np.ndarray:
     """A JSON list of finite numbers as a 1-D float64 array."""
     try:
         arr = np.array(value, dtype=np.float64)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         arr = None
     _check(arr is not None and arr.ndim == 1 and bool(np.all(np.isfinite(arr))),
            path, f"{what} is not a list of finite numbers")
     return arr
 
 
-def _param_shapes(kind: str, config: EncoderConfig) -> list:
-    """Array shapes in save order: (W, b) per layer, then the 2-output head
-    for a classifier."""
-    dims = config.layer_dims
-    shapes = []
-    for d_in, d_out in zip(dims[:-1], dims[1:]):
-        shapes += [(d_in, d_out), (d_out,)]
-    if kind == KIND_CLASSIFIER:
-        shapes += [(config.embedding_dim, 2), (2,)]
-    return shapes
-
-
 def _read_params(entries, path, kind: str, config: EncoderConfig) -> list:
-    _check(isinstance(entries, list), path, "params is not a list")
+    expected = param_shapes(config,
+                            HEAD_OUTPUTS if kind == KIND_CLASSIFIER else 0)
+    _check(isinstance(entries, list) and len(entries) == len(expected), path,
+           f"params is not a list of {len(expected)} arrays, as the "
+           f"encoder's shapes {expected} need")
     arrays = []
-    for i, entry in enumerate(entries):
+    for i, (entry, shape) in enumerate(zip(entries, expected)):
         _check(isinstance(entry, dict) and "shape" in entry and "data" in entry,
                path, f"params[{i}] lacks shape or data")
-        shape = entry["shape"]
-        _check(isinstance(shape, list)
-               and all(isinstance(d, int) and d >= 0 for d in shape),
-               path, f"params[{i}] shape {shape!r} is not a list of sizes")
+        _check(entry["shape"] == list(shape), path,
+               f"params[{i}] shape {entry['shape']!r} does not match the "
+               f"encoder's {list(shape)}")
         data = _numbers(entry["data"], path, f"params[{i}] data")
-        _check(data.size == int(np.prod(shape)), path,
-               f"params[{i}] has {data.size} values for shape {shape}")
+        _check(data.size == math.prod(shape), path,
+               f"params[{i}] has {data.size} values for shape {list(shape)}")
         arrays.append(data.reshape(shape))
-    got, expected = [a.shape for a in arrays], _param_shapes(kind, config)
-    _check(got == expected, path,
-           f"parameter shapes {got} do not match the encoder's {expected}")
     return arrays
 
 
@@ -156,8 +145,7 @@ def _read_prototypes(p, path, embedding_dim: int) -> Prototypes:
         _check(v.size == embedding_dim, path,
                f"prototypes {k} has length {v.size}, embedding_dim is "
                f"{embedding_dim}")
-    separation = p["separation"]
-    _check(isinstance(separation, (int, float)) and np.isfinite(separation),
-           path, "prototypes separation is not a finite number")
+    separation = _numbers([p["separation"]], path,
+                          "prototypes separation")[0]
     return Prototypes(vectors["cl_min"], vectors["cl_maj"], float(separation),
                       vectors["feature_mask"].astype(bool))

@@ -191,15 +191,14 @@ def _fit(mode: str, dataset: LabeledDataset, config: TrainConfig,
         return training.train_sdc(dataset, config)
     if mode == "udc":
         return training.train_udc(dataset, config)
-    return training.train_classifier(dataset, config, weighting)[1]
+    return training.train_classifier(dataset, config, weighting)
 
 
 def _evaluate(params, encoder_config, prototypes, x, y) -> dict:
     """Prototype inference for a clustering model; a classifier, which has
     no prototypes, is scored by its softmax head."""
     if prototypes is None:
-        model = training.ClassifierModel(params, encoder_config)
-        return evaluate_classifier(model, x, y)
+        return evaluate_classifier(params, encoder_config, x, y)
     return evaluate_prototypes(params, encoder_config, prototypes, x, y)
 
 

@@ -60,8 +60,12 @@ class BlobSpec:
     def __post_init__(self):
         if not (self.n_maj >= self.n_min >= 1):
             raise InvalidSpecError("need n_maj >= n_min >= 1")
-        if self.sigma <= 0:
-            raise InvalidSpecError("sigma must be positive")
+        if not 0 < self.sigma < np.inf:     # NaN fails too
+            raise InvalidSpecError(f"sigma must be positive and finite, got "
+                                   f"{self.sigma}")
+        if not np.isfinite(self.separation):
+            raise InvalidSpecError(f"separation must be finite, got "
+                                   f"{self.separation}")
         if self.dim < 2:
             raise InvalidSpecError("need dim >= 2 for two mean directions")
 

@@ -6,13 +6,13 @@ Batches are row-major: inputs are (B, D), embeddings (B, S).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Var
-from .errors import InvalidSpecError, ShapeMismatchError
+from .errors import InvalidSpecError, NonFiniteLossError, ShapeMismatchError
 
 
 @dataclass(frozen=True)
@@ -23,6 +23,12 @@ class EncoderConfig:
     dropout_rate: float = 0.3
 
     def __post_init__(self):
+        sizes = (self.input_dim, *self.hidden, self.embedding_dim)
+        if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+                   for n in sizes):
+            raise InvalidSpecError(f"layer sizes must be integers, got {sizes}")
+        if self.input_dim < 1:
+            raise InvalidSpecError("input_dim must be >= 1")
         if any(width < 1 for width in self.hidden):
             raise InvalidSpecError(f"hidden widths must be >= 1, got "
                                    f"{self.hidden}")
@@ -44,53 +50,67 @@ class AdamConfig:
     eps: float = 1e-7
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise InvalidSpecError("learning_rate must be positive")
+        # written so that NaN fails every check
+        if not 0 < self.learning_rate < np.inf:
+            raise InvalidSpecError(f"learning_rate must be positive and "
+                                   f"finite, got {self.learning_rate}")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise InvalidSpecError("betas must be in [0, 1)")
-        if self.eps <= 0:
-            raise InvalidSpecError("eps must be positive")
+        if not 0 < self.eps < np.inf:
+            raise InvalidSpecError(f"eps must be positive and finite, got "
+                                   f"{self.eps}")
 
 
-@dataclass
 class ParamStore:
-    """Flat list of parameter arrays with per-array Adam moment state."""
-    arrays: list
-    m: list = field(default=None)
-    v: list = field(default=None)
-    step: int = 0
+    """All parameters in one contiguous float64 buffer ``flat``: ``arrays``
+    are per-parameter views into it, in the given order, and Adam's moments
+    ``m`` and ``v`` are buffers of the same length."""
 
-    def __post_init__(self):
-        if self.m is None:
-            self.m = [np.zeros_like(a) for a in self.arrays]
-        if self.v is None:
-            self.v = [np.zeros_like(a) for a in self.arrays]
+    def __init__(self, arrays: list):
+        self.flat = np.concatenate([np.ravel(a) for a in arrays],
+                                   dtype=np.float64)
+        ends = np.cumsum([np.size(a) for a in arrays])
+        self.arrays = [part.reshape(np.shape(a)) for a, part
+                       in zip(arrays, np.split(self.flat, ends[:-1]))]
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
+        self.step = 0
 
     def wrap(self) -> list:
         """Fresh leaf Vars for one forward/backward pass."""
         return [Var(a) for a in self.arrays]
 
 
+HEAD_OUTPUTS = 2    # the classifier head's logits; minority_probability reads two
+
+
+def param_shapes(config: EncoderConfig, head_outputs: int = 0) -> list:
+    """The parameter layout: (W, b) per encoder layer, then (W, b) of a head
+    with ``head_outputs`` outputs if that is > 0."""
+    dims = config.layer_dims + ([head_outputs] if head_outputs else [])
+    return [shape for d_in, d_out in zip(dims[:-1], dims[1:])
+            for shape in ((d_in, d_out), (d_out,))]
+
+
+def _he_uniform(shape: tuple, rng) -> np.ndarray:
+    """He-uniform weights (limit sqrt(6/fan_in)) for a 2-D shape, zeros for a
+    bias."""
+    if len(shape) == 1:
+        return np.zeros(shape)
+    limit = np.sqrt(6.0 / shape[0])
+    return rng.uniform(-limit, limit, size=shape)
+
+
 def init_encoder_params(config: EncoderConfig, rng,
                         head_outputs: int = 0) -> ParamStore:
-    """He-uniform weights (limit sqrt(6/fan_in)) and zero biases; seeded
-    through ``rng``. ``head_outputs`` > 0 appends a head of that many
-    outputs (``init_head_params``), drawn after the encoder."""
-    arrays = []
-    dims = config.layer_dims
-    for d_in, d_out in zip(dims[:-1], dims[1:]):
-        limit = np.sqrt(6.0 / d_in)
-        arrays.append(rng.uniform(-limit, limit, size=(d_in, d_out)))
-        arrays.append(np.zeros(d_out))
-    if head_outputs:
-        arrays += init_head_params(config.embedding_dim, head_outputs, rng)
-    return ParamStore(arrays)
+    """The ``param_shapes`` layout, drawn in order from ``rng``."""
+    return ParamStore([_he_uniform(shape, rng)
+                       for shape in param_shapes(config, head_outputs)])
 
 
 def init_head_params(embedding_dim: int, n_out: int, rng) -> list:
-    limit = np.sqrt(6.0 / embedding_dim)
-    return [rng.uniform(-limit, limit, size=(embedding_dim, n_out)),
-            np.zeros(n_out)]
+    return [_he_uniform(shape, rng)
+            for shape in ((embedding_dim, n_out), (n_out,))]
 
 
 def forward(param_vars: list, config: EncoderConfig, x_batch,
@@ -106,7 +126,7 @@ def forward(param_vars: list, config: EncoderConfig, x_batch,
     if x.value.shape[1] != config.input_dim:
         raise ShapeMismatchError(
             f"input dim {x.value.shape[1]} != config {config.input_dim}")
-    n_layers = len(config.layer_dims) - 1
+    n_layers = len(param_shapes(config)) // 2
     if len(param_vars) != 2 * n_layers:
         raise ShapeMismatchError("parameter count does not match config")
 
@@ -150,20 +170,33 @@ def minority_probability(head_vars: list, embeddings: Var) -> Var:
     return Var(p, (logits,), vjp)
 
 
+def classify(param_vars: list, config: EncoderConfig, x_batch,
+             train_mode: bool = False, rng=None) -> Var:
+    """Encoder then head, with ``param_vars`` in ``param_shapes(config,
+    HEAD_OUTPUTS)`` order: the (B,) minority-class probability Var."""
+    n_enc = len(param_shapes(config))
+    emb = forward(param_vars[:n_enc], config, x_batch, train_mode, rng)
+    return minority_probability(param_vars[n_enc:], emb)
+
+
 def adam_step(store: ParamStore, grads: list, config: AdamConfig) -> None:
-    """Standard bias-corrected Adam update, in place."""
-    if len(grads) != len(store.arrays):
-        raise ShapeMismatchError("gradient list length mismatch")
+    """Standard bias-corrected Adam update of ``store.flat``, in place. A
+    non-finite gradient raises NonFiniteLossError and changes nothing."""
+    shapes = [np.shape(g) for g in grads]
+    if shapes != [a.shape for a in store.arrays]:
+        raise ShapeMismatchError(f"grad shapes {shapes} != param shapes "
+                                 f"{[a.shape for a in store.arrays]}")
+    g = np.concatenate([np.ravel(g) for g in grads], dtype=np.float64)
+    if not np.isfinite(g).all():
+        i = next(i for i, gi in enumerate(grads)
+                 if not np.isfinite(gi).all())
+        raise NonFiniteLossError(
+            f"non-finite gradient for parameter {i} of shape {shapes[i]}")
     store.step += 1
     t = store.step
     b1, b2 = config.beta1, config.beta2
-    for i, g in enumerate(grads):
-        g = np.asarray(g, dtype=np.float64)
-        if g.shape != store.arrays[i].shape:
-            raise ShapeMismatchError(
-                f"grad shape {g.shape} != param shape {store.arrays[i].shape}")
-        store.m[i] = b1 * store.m[i] + (1 - b1) * g
-        store.v[i] = b2 * store.v[i] + (1 - b2) * g * g
-        m_hat = store.m[i] / (1 - b1 ** t)
-        v_hat = store.v[i] / (1 - b2 ** t)
-        store.arrays[i] -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps)
+    store.m = b1 * store.m + (1 - b1) * g
+    store.v = b2 * store.v + (1 - b2) * g * g
+    m_hat = store.m / (1 - b1 ** t)
+    v_hat = store.v / (1 - b2 ** t)
+    store.flat -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps)

@@ -210,20 +210,6 @@ def train_udc(dataset: LabeledDataset, config: TrainConfig) -> TrainLog:
     return _train(x, y, config, step)
 
 
-@dataclass
-class ClassifierModel:
-    params: ParamStore          # encoder arrays followed by head (W, b)
-    encoder_config: EncoderConfig
-
-    def predict_proba(self, x) -> np.ndarray:
-        """Eval-mode minority-class probabilities."""
-        param_vars = self.params.wrap()
-        n_enc = 2 * (len(self.encoder_config.layer_dims) - 1)
-        emb = enc.forward(param_vars[:n_enc], self.encoder_config, x,
-                          train_mode=False)
-        return enc.minority_probability(param_vars[n_enc:], emb).value
-
-
 EQUAL = "equal"
 INVERSE_FREQUENCY = "inverse_frequency"
 
@@ -243,10 +229,11 @@ def batch_class_weights(batch_labels: np.ndarray, weighting: str) -> ClassWeight
 
 
 def train_classifier(dataset: LabeledDataset, config: TrainConfig,
-                     weighting: str = INVERSE_FREQUENCY) -> tuple:
+                     weighting: str = INVERSE_FREQUENCY) -> TrainLog:
     """Direct-classifier baseline: the same encoder topped with a 2-output
     softmax head, trained with (optionally inverse-frequency weighted)
-    cross-entropy. Returns (ClassifierModel, TrainLog)."""
+    cross-entropy. ``params`` of the returned log hold the encoder's arrays
+    followed by the head's."""
     if weighting not in (EQUAL, INVERSE_FREQUENCY):
         raise InvalidSpecError(f"unknown weighting {weighting!r}")
     x, y = _training_split(dataset)
@@ -257,14 +244,11 @@ def train_classifier(dataset: LabeledDataset, config: TrainConfig,
     def step(rng, param_vars, enc_config):
         rows = _sample_rows(len(y), config.batch_size, rng)
         weights = batch_class_weights(y[rows], weighting)
-        n_enc = 2 * (len(enc_config.layer_dims) - 1)
-        emb = enc.forward(param_vars[:n_enc], enc_config, x[rows],
-                          train_mode=True, rng=rng)
-        probs = enc.minority_probability(param_vars[n_enc:], emb)
+        probs = enc.classify(param_vars, enc_config, x[rows],
+                             train_mode=True, rng=rng)
         return weighted_cross_entropy(y[rows], probs, weights), None, None
 
-    result = _train(x, y, config, step, head_outputs=2)
-    return ClassifierModel(result.params, result.encoder_config), result
+    return _train(x, y, config, step, head_outputs=enc.HEAD_OUTPUTS)
 
 
 def evaluate_prototypes(params: ParamStore, enc_config: EncoderConfig,
@@ -278,8 +262,11 @@ def evaluate_prototypes(params: ParamStore, enc_config: EncoderConfig,
     return _aggregate(np.asarray(y, dtype=int), preds, scores)
 
 
-def evaluate_classifier(model: ClassifierModel, x, y) -> dict:
-    probs = model.predict_proba(x)
+def evaluate_classifier(params: ParamStore, enc_config: EncoderConfig,
+                        x, y) -> dict:
+    """Softmax-head inference over a split, scored like
+    ``evaluate_prototypes`` with the minority probability as the score."""
+    probs = enc.classify(params.wrap(), enc_config, x).value
     preds = (probs >= 0.5).astype(int)
     return _aggregate(np.asarray(y, dtype=int), preds, probs)
 

@@ -1,11 +1,15 @@
 import ast
+import contextlib
 import copy
 import csv
+import io
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from comclust import checkpoint as ckpt
 from comclust.cli import main, sweep_cell_seeds
@@ -199,6 +203,14 @@ class TestCheckpointRoundTrip:
                                 for alias in node.names)
         assert not imported & {"training", "cli"}
 
+    def test_only_the_encoder_reads_layer_dims(self):
+        """The parameter layout is stated once, in encoder.param_shapes."""
+        readers = {path.name for path in Path(ckpt.__file__).parent.glob("*.py")
+                   for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, ast.Attribute)
+                   and node.attr == "layer_dims"}
+        assert readers == {"encoder.py"}
+
 
 @pytest.fixture(scope="module")
 def sdc_checkpoint_doc(blob_csv, tmp_path_factory):
@@ -239,6 +251,14 @@ def _long_mask(doc):
     doc["prototypes"]["feature_mask"].append(1)
 
 
+def _huge_int_data(doc):
+    doc["params"][0]["data"][0] = 10 ** 400
+
+
+def _float_input_dim(doc):
+    doc["encoder"]["input_dim"] = float(doc["encoder"]["input_dim"])
+
+
 class TestBadCheckpoint:
     """A malformed checkpoint ends in 'error: <path>: ...' and exit code 1."""
 
@@ -254,10 +274,14 @@ class TestBadCheckpoint:
         _drop("prototypes"),
         _short_prototype,
         _long_mask,
+        "[" * 100000,
+        _huge_int_data,
+        _float_input_dim,
     ], ids=["non-json", "not-object", "no-params", "no-kind", "no-encoder",
             "no-params-key", "no-seed", "unknown-kind", "data-length",
             "bias-shape", "classifier-without-head", "no-prototypes",
-            "prototype-length", "mask-length"])
+            "prototype-length", "mask-length", "deep-nesting",
+            "data-huge-int", "input-dim-float"])
     def test_eval_reports_error(self, corrupt, sdc_checkpoint_doc, blob_csv,
                                 tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -271,6 +295,84 @@ class TestBadCheckpoint:
                      str(blob_csv), "--out", str(tmp_path / "e.json")]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ") and "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def checkpoint_docs(blob_csv, sdc_checkpoint_doc, tmp_path_factory):
+    """One valid checkpoint document of each kind."""
+    out = tmp_path_factory.mktemp("ckpt") / "classifier.json"
+    assert main(["train-classifier", "--data", str(blob_csv), "--seed", "1",
+                 "--epochs", "1", "--hidden", "16", "--embedding-dim", "8",
+                 "--out", str(out)]) == 0
+    return {"clustering": sdc_checkpoint_doc,
+            "classifier": json.loads(out.read_text())}
+
+
+# hypothesis draws early entries most often, so the values most likely to
+# break a loader come first
+JUNK = st.sampled_from([10 ** 400, 2 ** 63, float("nan"), float("inf"), None,
+                        "x", "1.5", True, False, [], {}, 0, -1, 3, 1.5, 1e308,
+                        -1e308, [1.0], {"a": 1}])
+
+
+def _slots(node) -> list:
+    """Every (container, key) slot below ``node``; a long list of numbers
+    offers only its first, middle and last slots."""
+    if isinstance(node, dict):
+        keys = list(node)
+    elif isinstance(node, list):
+        keys = list(range(len(node)))
+        if len(node) > 3 and all(isinstance(v, (int, float)) for v in node):
+            keys = [0, len(node) // 2, len(node) - 1]
+    else:
+        return []
+    return [slot for k in keys
+            for slot in [(node, k), *_slots(node[k])]]
+
+
+def _mutate(data, doc) -> None:
+    """One random edit: drop a slot, retype it, or change a list's length
+    or an integer's value by one (shapes, sizes)."""
+    container, key = data.draw(st.sampled_from(_slots(doc)))
+    value = container[key]
+    op = data.draw(st.sampled_from(["drop", "retype", "grow", "shrink"]))
+    if op == "drop":
+        del container[key]
+    elif op == "retype":
+        container[key] = copy.deepcopy(data.draw(JUNK))
+    elif isinstance(value, list) and value:
+        if op == "grow":
+            value.append(copy.deepcopy(value[-1]))
+        else:
+            del value[len(value) // 2:]
+    elif isinstance(value, int) and not isinstance(value, bool):
+        container[key] = value + (1 if op == "grow" else -1)
+
+
+class TestCheckpointFuzz:
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(data=st.data())
+    def test_eval_succeeds_or_names_the_checkpoint(self, data,
+                                                   checkpoint_docs, blob_csv,
+                                                   tmp_path_factory):
+        kind = data.draw(st.sampled_from(sorted(checkpoint_docs)))
+        doc = copy.deepcopy(checkpoint_docs[kind])
+        for _ in range(data.draw(st.integers(1, 3))):
+            _mutate(data, doc)
+        text = json.dumps(doc)
+        if data.draw(st.booleans()):
+            text = text[:data.draw(st.integers(0, len(text) - 1))]
+        work = tmp_path_factory.getbasetemp()
+        path = work / "fuzzed.json"
+        path.write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main(["eval", "--checkpoint", str(path), "--data",
+                       str(blob_csv), "--out", str(work / "fuzzed-eval.json")])
+        err = err.getvalue()
+        assert ((rc, err) == (0, "")
+                or (rc == 1 and err.startswith(f"error: {path}: ")))
 
 
 class TestSweep:
@@ -310,9 +412,11 @@ class TestSweep:
         ["--batch-size", "0"], ["--epochs", "0"], ["--dim", "0"],
         ["--dim", "1"], ["--ratios", "10:20,60:6"], ["--seeds", "-1"],
         ["--seeds", "0,-1"], ["--seeds", ","], ["--methods", ","],
+        ["--lr", "nan"], ["--separation", "nan"],
     ], ids=["--batch-size", "--epochs", "--dim-0", "--dim-1",
             "--ratios-min-above-maj", "--seeds-negative",
-            "--seeds-one-negative", "--seeds-empty", "--methods-empty"])
+            "--seeds-one-negative", "--seeds-empty", "--methods-empty",
+            "--lr-nan", "--separation-nan"])
     def test_bad_shared_flag_fails_before_any_cell(self, flags, tmp_path,
                                                    capsys):
         out = tmp_path / "s.csv"
@@ -337,8 +441,12 @@ class TestBadInput:
         ["train-sdc", "--hidden", "64,0"],
         ["train-sdc", "--seed", "-1"],
         ["synth", "--maj", "30", "--min", "10", "--seed", "-1"],
+        ["train-sdc", "--lr", "nan"],
+        ["synth", "--maj", "30", "--min", "10", "--separation", "nan"],
+        ["synth", "--maj", "30", "--min", "10", "--sigma", "inf"],
     ], ids=["batch-size-0", "margin-foo", "ratios-60-10", "hidden-0",
-            "hidden-64-0", "train-seed-negative", "synth-seed-negative"])
+            "hidden-64-0", "train-seed-negative", "synth-seed-negative",
+            "train-lr-nan", "synth-separation-nan", "synth-sigma-inf"])
     def test_reported_as_error(self, flags, blob_csv, tmp_path, capsys):
         data = ["--data", str(blob_csv)] if flags[0].startswith("train") else []
         assert main([*flags, *data, "--out", str(tmp_path / "o.json")]) == 1

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from comclust import autodiff as ad
+from comclust import checkpoint as ckpt
 from comclust.autodiff import Var, backward, grad_of, make_rng
-from comclust.encoder import (AdamConfig, EncoderConfig, ParamStore,
-                              adam_step, embed, forward, init_encoder_params,
-                              init_head_params, minority_probability)
-from comclust.errors import ShapeMismatchError
+from comclust.encoder import (HEAD_OUTPUTS, AdamConfig, EncoderConfig,
+                              ParamStore, adam_step, embed, forward,
+                              init_encoder_params, init_head_params,
+                              minority_probability, param_shapes)
+from comclust.errors import NonFiniteLossError, ShapeMismatchError
 from comclust.losses import MarginSpec, com_triplet_loss
 
 
@@ -85,7 +89,109 @@ class TestForward:
             assert np.max(np.abs(analytic.ravel() - num) / denom) < 1e-3
 
 
+def _assert_views_of_flat(store: ParamStore, shapes: list) -> None:
+    """``store.arrays`` are views of ``store.flat`` with ``shapes``, laid
+    out back to back in that order, and the moments match ``flat``."""
+    assert [a.shape for a in store.arrays] == shapes
+    assert store.m.shape == store.v.shape == store.flat.shape
+    store.flat[:] = np.arange(store.flat.size)
+    np.testing.assert_array_equal(
+        np.concatenate([a.ravel() for a in store.arrays]),
+        np.arange(store.flat.size))
+
+
+class TestFlatStore:
+    @pytest.mark.parametrize("hidden", [(), (6,), (6, 5)])
+    @pytest.mark.parametrize("head", [0, HEAD_OUTPUTS])
+    def test_init_draws_the_layout_as_views_of_one_buffer(self, hidden, head):
+        config = EncoderConfig(input_dim=4, hidden=hidden, embedding_dim=3)
+        store = init_encoder_params(config, make_rng(20), head)
+        _assert_views_of_flat(store, param_shapes(config, head))
+
+    def test_layout_is_layers_then_head(self):
+        config = EncoderConfig(input_dim=4, hidden=(6,), embedding_dim=3)
+        assert param_shapes(config) == [(4, 6), (6,), (6, 3), (3,)]
+        assert param_shapes(config, 2) == [(4, 6), (6,), (6, 3), (3,),
+                                           (3, 2), (2,)]
+
+    def test_head_draw_continues_the_encoder_draw(self):
+        config = EncoderConfig(input_dim=4, hidden=(6,), embedding_dim=3)
+        rng = make_rng(21)
+        encoder = init_encoder_params(config, rng).arrays
+        head = init_head_params(3, HEAD_OUTPUTS, rng)
+        joint = init_encoder_params(config, make_rng(21), HEAD_OUTPUTS)
+        for a, b in zip(joint.arrays, encoder + head, strict=True):
+            np.testing.assert_array_equal(a, b)
+
+    def test_loaded_checkpoint_is_views_of_one_buffer(self, tmp_path):
+        config = EncoderConfig(input_dim=4, hidden=(6,), embedding_dim=3)
+        store = init_encoder_params(config, make_rng(22), HEAD_OUTPUTS)
+        path = tmp_path / "clf.json"
+        ckpt.save_checkpoint(path, ckpt.KIND_CLASSIFIER, store, config, None,
+                             0, {})
+        loaded = ckpt.load_checkpoint(path)["params"]
+        for a, b in zip(loaded.arrays, store.arrays, strict=True):
+            np.testing.assert_array_equal(a, b)
+        _assert_views_of_flat(loaded, param_shapes(config, HEAD_OUTPUTS))
+
+
+def reference_adam_step(arrays, m, v, t, grads, config) -> None:
+    """Reference: the per-array Adam loop the flat update replaced; updates
+    the lists ``arrays``, ``m`` and ``v`` in place for step ``t``."""
+    b1, b2 = config.beta1, config.beta2
+    for i, g in enumerate(grads):
+        m[i] = b1 * m[i] + (1 - b1) * g
+        v[i] = b2 * v[i] + (1 - b2) * g * g
+        m_hat = m[i] / (1 - b1 ** t)
+        v_hat = v[i] / (1 - b2 ** t)
+        arrays[i] -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps)
+
+
+SHAPES = st.lists(st.lists(st.integers(1, 4), max_size=2).map(tuple),
+                  min_size=1, max_size=5)
+
+
 class TestAdam:
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              database=None)
+    @given(shapes=SHAPES, steps=st.integers(1, 6), seed=st.integers(0, 999),
+           lr=st.sampled_from([1e-4, 1e-3, 0.1]))
+    def test_flat_update_matches_per_array_loop(self, shapes, steps, seed,
+                                                lr):
+        rng = make_rng(seed)
+        config = AdamConfig(learning_rate=lr)
+        store = ParamStore([rng.normal(size=s) for s in shapes])
+        arrays = [a.copy() for a in store.arrays]
+        m = [np.zeros_like(a) for a in arrays]
+        v = [np.zeros_like(a) for a in arrays]
+        for t in range(1, steps + 1):
+            grads = [rng.normal(scale=10.0 ** rng.integers(-6, 3), size=s)
+                     for s in shapes]
+            adam_step(store, grads, config)
+            reference_adam_step(arrays, m, v, t, grads, config)
+        for a, b in zip(store.arrays, arrays, strict=True):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(
+            store.m, np.concatenate([a.ravel() for a in m]))
+        np.testing.assert_array_equal(
+            store.v, np.concatenate([a.ravel() for a in v]))
+
+    def test_non_finite_gradient_raises_and_changes_nothing(self):
+        config = EncoderConfig(input_dim=3, hidden=(4,), embedding_dim=2)
+        store = init_encoder_params(config, make_rng(23))
+        grads = [np.ones_like(a) for a in store.arrays]
+        adam_step(store, grads, AdamConfig())
+        before = (store.flat.copy(), store.m.copy(), store.v.copy(),
+                  store.step)
+        grads[2] = grads[2].copy()
+        grads[2][1, 0] = np.nan
+        with pytest.raises(NonFiniteLossError, match=r"parameter 2 of shape "
+                                                     r"\(4, 2\)"):
+            adam_step(store, grads, AdamConfig())
+        for got, want in zip((store.flat, store.m, store.v), before[:3]):
+            np.testing.assert_array_equal(got, want)
+        assert store.step == before[3]
+
     def test_zero_gradients_are_noop(self):
         config = EncoderConfig(input_dim=3, hidden=(4,), embedding_dim=2)
         store = init_encoder_params(config, make_rng(12))

@@ -164,9 +164,9 @@ class TestClassWeights:
 class TestTrainClassifier:
     def test_learns_separable_problem(self):
         ds = _dataset(n_maj=400, n_min=40, dim=8, seed=9)
-        model, result = train_classifier(ds, TrainConfig(seed=9, epochs=4))
+        result = train_classifier(ds, TrainConfig(seed=9, epochs=4))
         x, y = ds.subset(TEST)
-        out = evaluate_classifier(model, x, y)
+        out = evaluate_classifier(result.params, result.encoder_config, x, y)
         assert out["metrics"]["accuracy"] >= 0.9
         assert out["metrics"]["auc"] >= 0.95
         assert np.all(np.isfinite(result.losses))
@@ -177,24 +177,26 @@ class TestTrainClassifier:
 
     def test_deterministic(self):
         ds = _dataset(seed=10)
-        _, a = train_classifier(ds, _fast(seed=10))
-        _, b = train_classifier(ds, _fast(seed=10))
+        a = train_classifier(ds, _fast(seed=10))
+        b = train_classifier(ds, _fast(seed=10))
         assert a.losses == b.losses
 
     def test_probabilities_in_unit_interval(self):
         ds = _dataset(seed=11)
-        model, _ = train_classifier(ds, _fast(seed=11))
-        x, _ = ds.subset(TEST)
-        p = model.predict_proba(x)
+        result = train_classifier(ds, _fast(seed=11))
+        x, y = ds.subset(TEST)
+        p = np.array(evaluate_classifier(result.params, result.encoder_config,
+                                         x, y)["scores"])
         assert np.all((p >= 0.0) & (p <= 1.0))
 
 
 class TestEvaluation:
     def test_single_class_split_gives_none_auc(self):
         ds = _dataset(seed=12)
-        model, _ = train_classifier(ds, _fast(seed=12))
+        result = train_classifier(ds, _fast(seed=12))
         x, _ = ds.subset(TEST)
-        out = evaluate_classifier(model, x, np.zeros(len(x), dtype=int))
+        out = evaluate_classifier(result.params, result.encoder_config, x,
+                                  np.zeros(len(x), dtype=int))
         assert out["metrics"]["auc"] is None
 
     def test_prediction_and_score_lengths(self):
