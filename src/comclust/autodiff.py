@@ -6,9 +6,14 @@ leaves. Only the handful of primitives needed by the encoder and the loss
 functions are provided: matmul, broadcast add/subtract/scale, elementwise
 multiply, ReLU, row gather, mean, and a row-wise cosine distance.
 
+The tape rule, applied by ``node`` at the end of every primitive: a
+primitive records a graph node only when an input is a ``Var``, and its
+plain inputs then become constant leaves. Otherwise it returns the plain
+result (a float when 0-d), so inference on plain arrays keeps no tape.
+
 Losses work on batches: an (M, S) array holds one embedding per row, and
 ``row_cosine_distance`` turns two such operands (or one and a constant
-(S,) row) into an (M,) ``Var`` with a single fused vector-Jacobian product,
+(S,) row) into (M,) distances with a single fused vector-Jacobian product,
 so a batch of triplets costs a few graph nodes rather than a few per row.
 
 All arithmetic is float64.
@@ -55,6 +60,19 @@ def as_var(x) -> Var:
     return x if isinstance(x, Var) else Var(x)
 
 
+def value_of(x) -> np.ndarray:
+    """The float64 array behind a ``Var`` or a plain operand."""
+    return x.value if isinstance(x, Var) else np.asarray(x, dtype=np.float64)
+
+
+def node(value, inputs: tuple, vjp):
+    """A primitive's result under the tape rule: a ``Var`` recording
+    ``inputs`` and ``vjp`` if any input is a ``Var``, else plain."""
+    if any(isinstance(x, Var) for x in inputs):
+        return Var(value, tuple(as_var(x) for x in inputs), vjp)
+    return float(value) if np.ndim(value) == 0 else value
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum ``grad`` down to ``shape`` to undo numpy broadcasting."""
     while grad.ndim > len(shape):
@@ -65,82 +83,78 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def add(a: Var, b: Var) -> Var:
-    a, b = as_var(a), as_var(b)
-    out_val = a.value + b.value
+def add(a, b):
+    av, bv = value_of(a), value_of(b)
 
     def vjp(g):
-        return _unbroadcast(g, a.value.shape), _unbroadcast(g, b.value.shape)
+        return _unbroadcast(g, av.shape), _unbroadcast(g, bv.shape)
 
-    return Var(out_val, (a, b), vjp)
+    return node(av + bv, (a, b), vjp)
 
 
-def sub(a: Var, b: Var) -> Var:
-    a, b = as_var(a), as_var(b)
+def sub(a, b):
+    av, bv = value_of(a), value_of(b)
 
     def vjp(g):
-        return _unbroadcast(g, a.value.shape), _unbroadcast(-g, b.value.shape)
+        return _unbroadcast(g, av.shape), _unbroadcast(-g, bv.shape)
 
-    return Var(a.value - b.value, (a, b), vjp)
+    return node(av - bv, (a, b), vjp)
 
 
-def mul(a: Var, b: Var) -> Var:
+def mul(a, b):
     """Elementwise (broadcasting) product; also used for dropout masks."""
-    a, b = as_var(a), as_var(b)
+    av, bv = value_of(a), value_of(b)
 
     def vjp(g):
-        return (_unbroadcast(g * b.value, a.value.shape),
-                _unbroadcast(g * a.value, b.value.shape))
+        return (_unbroadcast(g * bv, av.shape),
+                _unbroadcast(g * av, bv.shape))
 
-    return Var(a.value * b.value, (a, b), vjp)
-
-
-def scale(a: Var, c: float) -> Var:
-    a = as_var(a)
-    return Var(a.value * c, (a,), lambda g: (g * c,))
+    return node(av * bv, (a, b), vjp)
 
 
-def matmul(a: Var, b: Var) -> Var:
-    a, b = as_var(a), as_var(b)
-    if a.value.ndim != 2 or b.value.ndim != 2 or a.value.shape[1] != b.value.shape[0]:
-        raise ShapeMismatchError(
-            f"matmul shapes {a.value.shape} x {b.value.shape}")
+def scale(a, c: float):
+    return node(value_of(a) * c, (a,), lambda g: (g * c,))
+
+
+def matmul(a, b):
+    av, bv = value_of(a), value_of(b)
+    if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
+        raise ShapeMismatchError(f"matmul shapes {av.shape} x {bv.shape}")
 
     def vjp(g):
-        return g @ b.value.T, a.value.T @ g
+        return g @ bv.T, av.T @ g
 
-    return Var(a.value @ b.value, (a, b), vjp)
+    return node(av @ bv, (a, b), vjp)
 
 
-def relu(a: Var) -> Var:
+def relu(a):
     """max(0, x); subgradient at the kink is taken as 0."""
-    a = as_var(a)
-    mask = a.value > 0.0
+    av = value_of(a)
+    mask = av > 0.0
 
     def vjp(g):
         return (g * mask,)
 
-    return Var(np.where(mask, a.value, 0.0), (a,), vjp)
+    return node(np.where(mask, av, 0.0), (a,), vjp)
 
 
-def take_rows(a: Var, idx) -> Var:
+def take_rows(a, idx):
     """Gather rows; the adjoint scatter-adds back (duplicate indices allowed)."""
-    a = as_var(a)
+    av = value_of(a)
     idx = np.asarray(idx, dtype=int)
 
     def vjp(g):
-        full = np.zeros_like(a.value)
+        full = np.zeros_like(av)
         np.add.at(full, idx, g)
         return (full,)
 
-    return Var(a.value[idx], (a,), vjp)
+    return node(av[idx], (a,), vjp)
 
 
-def mean(a: Var) -> Var:
-    """Mean of all entries, as a scalar Var."""
-    a = as_var(a)
-    return Var(a.value.mean(), (a,),
-               lambda g: (np.full(a.value.shape, g / a.value.size),))
+def mean(a):
+    """Mean of all entries: a scalar."""
+    av = value_of(a)
+    return node(av.mean(), (a,), lambda g: (np.full(av.shape, g / av.size),))
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -150,18 +164,17 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("...s,...s->...", a, b)
 
 
-def row_cosine_distance(u, v) -> Var:
+def row_cosine_distance(u, v):
     """Row-wise 1 - (u_i.v_i)/(|u_i||v_i|), each in [0, 2].
 
     Operands are (M, S) arrays or Vars; either one may instead be a single
     (S,) row broadcast over all M rows, and two (S,) rows give a 0-d result.
-    Returns an (M,) Var with one fused vector-Jacobian product for both
+    Returns (M,) distances with one fused vector-Jacobian product for both
     operands. Raises ZeroVectorError when any row norm falls below 1e-12 --
     a collapsed embedding is a bug worth surfacing, not something to clamp
     over.
     """
-    u, v = as_var(u), as_var(v)
-    uval, vval = u.value, v.value
+    uval, vval = value_of(u), value_of(v)
     if (uval.ndim not in (1, 2) or vval.ndim not in (1, 2)
             or uval.shape[-1] != vval.shape[-1] or uval.shape[-1] < 1
             or (uval.ndim == vval.ndim == 2 and uval.shape != vval.shape)):
@@ -182,22 +195,16 @@ def row_cosine_distance(u, v) -> Var:
         gv = (g * cos / (nv * nv))[..., None] * vval - cross * uval
         return _unbroadcast(gu, uval.shape), _unbroadcast(gv, vval.shape)
 
-    return Var(1.0 - cos, (u, v), vjp)
+    return node(1.0 - cos, (u, v), vjp)
 
 
 def cosine_distance(u, v):
-    """1 - (u.v)/(|u||v|) of two 1-D vectors, in [0, 2].
-
-    Plain arrays give a float; if either argument is a Var the result is a
-    scalar Var differentiable w.r.t. both. Raises ZeroVectorError as
-    ``row_cosine_distance`` does.
-    """
-    uval = u.value if isinstance(u, Var) else np.asarray(u, dtype=np.float64)
-    vval = v.value if isinstance(v, Var) else np.asarray(v, dtype=np.float64)
+    """1 - (u.v)/(|u||v|) of two 1-D vectors, in [0, 2]. Raises
+    ZeroVectorError as ``row_cosine_distance`` does."""
+    uval, vval = value_of(u), value_of(v)
     if uval.ndim != 1 or vval.ndim != 1:
         raise ShapeMismatchError(f"cosine_distance shapes {uval.shape}, {vval.shape}")
-    dist = row_cosine_distance(u, v)
-    return dist if isinstance(u, Var) or isinstance(v, Var) else dist.item()
+    return row_cosine_distance(u, v)
 
 
 def backward(loss: Var):

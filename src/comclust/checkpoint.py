@@ -106,12 +106,16 @@ def _check(ok: bool, path, what: str) -> None:
 
 
 def _numbers(value, path, what: str) -> np.ndarray:
-    """A JSON list of finite numbers as a 1-D float64 array."""
-    try:
-        arr = np.array(value, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
-        arr = None
-    _check(arr is not None and arr.ndim == 1 and bool(np.all(np.isfinite(arr))),
+    """A JSON list of finite numbers as a 1-D float64 array. Only JSON
+    integers and floats count: numpy would also parse numeric strings and
+    booleans, which ``save_checkpoint`` never writes."""
+    arr = None
+    if isinstance(value, list) and all(type(v) in (int, float) for v in value):
+        try:
+            arr = np.array(value, dtype=np.float64)
+        except OverflowError:       # an integer beyond float range
+            pass
+    _check(arr is not None and bool(np.all(np.isfinite(arr))),
            path, f"{what} is not a list of finite numbers")
     return arr
 

@@ -18,7 +18,8 @@ from . import checkpoint as ckpt
 from . import dataio, training
 from .dataio import BlobSpec, LabeledDataset, load_csv, save_csv, save_results
 from .encoder import AdamConfig
-from .errors import ComclustError, InvalidSpecError, ShapeMismatchError
+from .errors import (ComclustError, InvalidSpecError, NonFiniteLossError,
+                     ShapeMismatchError)
 from .losses import MarginSpec
 from .training import (EQUAL, INVERSE_FREQUENCY, TrainConfig,
                        evaluate_classifier, evaluate_prototypes)
@@ -242,8 +243,12 @@ def cmd_eval(args) -> None:
         x, y = dataset.features, dataset.labels
     else:
         x, y = dataio.split_dataset(dataset, doc["seed"]).subset(args.split)
-    evaluation = _evaluate(doc["params"], doc["encoder_config"],
-                           doc["prototypes"], x, y)
+    try:
+        evaluation = _evaluate(doc["params"], doc["encoder_config"],
+                               doc["prototypes"], x, y)
+    except NonFiniteLossError as exc:
+        # load_csv admits only finite rows: this checkpoint's weights overflowed
+        raise NonFiniteLossError(f"{args.checkpoint}: {exc}") from None
     record = {"command": "eval", "checkpoint": args.checkpoint,
               "split": args.split, "seed": doc["seed"],
               "config": doc["config"],

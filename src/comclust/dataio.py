@@ -68,6 +68,15 @@ class BlobSpec:
                                    f"{self.separation}")
         if self.dim < 2:
             raise InvalidSpecError("need dim >= 2 for two mean directions")
+        if not np.isfinite(self.radius):
+            raise InvalidSpecError(f"class-mean radius separation * sigma / "
+                                   f"sqrt(2) overflows ({self.separation} * "
+                                   f"{self.sigma})")
+
+    @property
+    def radius(self) -> float:
+        """Distance of each class mean from the origin."""
+        return self.separation * self.sigma / np.sqrt(2.0)
 
 
 def synth_imbalanced(spec: BlobSpec) -> LabeledDataset:
@@ -79,14 +88,17 @@ def synth_imbalanced(spec: BlobSpec) -> LabeledDataset:
     cosine geometry. Deterministic per seed.
     """
     rng = make_rng(spec.seed)
-    radius = spec.separation * spec.sigma / np.sqrt(2.0)
     mu_maj = np.zeros(spec.dim)
-    mu_maj[0] = radius
+    mu_maj[0] = spec.radius
     mu_min = np.zeros(spec.dim)
-    mu_min[-1] = radius
-    x_maj = rng.normal(0.0, spec.sigma, size=(spec.n_maj, spec.dim)) + mu_maj
-    x_min = rng.normal(0.0, spec.sigma, size=(spec.n_min, spec.dim)) + mu_min
+    mu_min[-1] = spec.radius
+    with np.errstate(over="ignore"):
+        x_maj = rng.normal(0.0, spec.sigma, size=(spec.n_maj, spec.dim)) + mu_maj
+        x_min = rng.normal(0.0, spec.sigma, size=(spec.n_min, spec.dim)) + mu_min
     features = np.vstack([x_maj, x_min])
+    if not np.isfinite(features).all():
+        raise InvalidSpecError(f"sigma {spec.sigma} and separation "
+                               f"{spec.separation} overflow a drawn feature")
     labels = np.concatenate([np.zeros(spec.n_maj, dtype=int),
                              np.ones(spec.n_min, dtype=int)])
     return LabeledDataset(features, labels)

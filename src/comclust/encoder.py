@@ -114,18 +114,19 @@ def init_head_params(embedding_dim: int, n_out: int, rng) -> list:
 
 
 def forward(param_vars: list, config: EncoderConfig, x_batch,
-            train_mode: bool = False, rng=None) -> Var:
-    """Run the MLP, returning a (B, S) embedding Var.
+            train_mode: bool = False, rng=None):
+    """Run the MLP, returning (B, S) embeddings.
 
-    ``param_vars`` comes from ``ParamStore.wrap()`` so gradients land back
-    on the store's leaves. Dropout (inverted, scaled by 1/(1-rate)) is
-    applied only in train mode, between the last hidden layer and the
-    embedding layer; eval mode is fully deterministic.
+    ``param_vars`` from ``ParamStore.wrap()`` give a Var whose gradients
+    land on the store's leaves; ``ParamStore.arrays`` give an array. Dropout
+    (inverted, scaled by 1/(1-rate)) is applied only in train mode, between
+    the last hidden layer and the embedding layer; eval mode is fully
+    deterministic.
     """
-    x = ad.as_var(np.atleast_2d(np.asarray(x_batch, dtype=np.float64)))
-    if x.value.shape[1] != config.input_dim:
+    x = np.atleast_2d(np.asarray(x_batch, dtype=np.float64))
+    if x.shape[1] != config.input_dim:
         raise ShapeMismatchError(
-            f"input dim {x.value.shape[1]} != config {config.input_dim}")
+            f"input dim {x.shape[1]} != config {config.input_dim}")
     n_layers = len(param_shapes(config)) // 2
     if len(param_vars) != 2 * n_layers:
         raise ShapeMismatchError("parameter count does not match config")
@@ -138,8 +139,8 @@ def forward(param_vars: list, config: EncoderConfig, x_batch,
             if rng is None:
                 raise ValueError("train-mode dropout needs an rng")
             keep = 1.0 - config.dropout_rate
-            mask = (rng.random(h.value.shape) < keep) / keep
-            h = ad.mul(h, Var(mask))
+            mask = (rng.random(ad.value_of(h).shape) < keep) / keep
+            h = ad.mul(h, mask)
         h = ad.add(ad.matmul(h, w), b)
         if not last:
             h = ad.relu(h)
@@ -148,16 +149,17 @@ def forward(param_vars: list, config: EncoderConfig, x_batch,
 
 def embed(params: ParamStore, config: EncoderConfig, x_batch) -> np.ndarray:
     """Eval-mode embeddings as a plain array (inference path)."""
-    return forward(params.wrap(), config, x_batch, train_mode=False).value
+    return forward(params.arrays, config, x_batch)
 
 
-def minority_probability(head_vars: list, embeddings: Var) -> Var:
+def minority_probability(head_vars: list, embeddings):
     """Softmax over a 2-logit head, returning the minority-class column.
 
     Fused primitive: p = sigmoid(z1 - z0) with its analytic gradient.
     """
     logits = ad.add(ad.matmul(embeddings, head_vars[0]), head_vars[1])
-    zdiff = logits.value[:, 1] - logits.value[:, 0]
+    zs = ad.value_of(logits)
+    zdiff = zs[:, 1] - zs[:, 0]
     p = np.where(zdiff >= 0,
                  1.0 / (1.0 + np.exp(-zdiff)),
                  np.exp(zdiff) / (1.0 + np.exp(zdiff)))
@@ -167,13 +169,14 @@ def minority_probability(head_vars: list, embeddings: Var) -> Var:
         full = np.stack([-dz, dz], axis=1)
         return (full,)
 
-    return Var(p, (logits,), vjp)
+    return ad.node(p, (logits,), vjp)
 
 
 def classify(param_vars: list, config: EncoderConfig, x_batch,
-             train_mode: bool = False, rng=None) -> Var:
+             train_mode: bool = False, rng=None):
     """Encoder then head, with ``param_vars`` in ``param_shapes(config,
-    HEAD_OUTPUTS)`` order: the (B,) minority-class probability Var."""
+    HEAD_OUTPUTS)`` order: the (B,) minority-class probabilities, a Var when
+    the parameters are."""
     n_enc = len(param_shapes(config))
     emb = forward(param_vars[:n_enc], config, x_batch, train_mode, rng)
     return minority_probability(param_vars[n_enc:], emb)

@@ -49,7 +49,8 @@ class DegenerateDistancesError(ComclustError):
 
 
 class NonFiniteLossError(ComclustError):
-    """Training loss became NaN or infinite."""
+    """A training loss, a gradient or an inference score became NaN or
+    infinite."""
 
 
 class InvalidSpecError(ComclustError, ValueError):

@@ -6,10 +6,9 @@ The batch losses take (M, S) operands, one triplet or anchor per row, and
 are built from a few array ops on ``row_cosine_distance``: the per-row
 hinge argument, one ReLU, and a mean. The single-triplet functions
 (``triplet_loss``, ``com_dist_wa``, ...) take 1-D vectors and serve as the
-per-row definitions. Either kind accepts plain numpy arrays (returning a
-float) or ``Var`` nodes (returning a scalar ``Var`` differentiable w.r.t.
-every ``Var`` input). Distances are cosine distances, so all losses are
-invariant to positive rescaling of any embedding.
+per-row definitions. Both kinds follow the tape rule of ``autodiff``.
+Distances are cosine distances, so all losses are invariant to positive
+rescaling of any embedding.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Var, cosine_distance, row_cosine_distance
+from .autodiff import cosine_distance, row_cosine_distance
 from .errors import EmptyBatchError, InvalidSpecError, ShapeMismatchError
 
 PROB_CLAMP = 1e-12
@@ -57,47 +56,36 @@ class ClassWeights:
             raise InvalidSpecError("class weights must be finite and positive")
 
 
-def _result(value: Var, *inputs):
-    """Plain-array inputs get a float back; any Var input keeps the graph."""
-    return value if any(isinstance(x, Var) for x in inputs) else value.item()
-
-
 def _wa(d_own, d_other, d_cc):
     """Within- vs across-cluster term d_own - 0.5 * (d_other + d_cc)."""
     return ad.sub(d_own, ad.scale(ad.add(d_other, d_cc), 0.5))
 
 
-def _triplet_hinge(d_ap, d_an, alpha: float) -> Var:
+def _triplet_hinge(d_ap, d_an, alpha: float):
     return ad.relu(ad.add(ad.sub(d_ap, d_an), alpha))
 
 
-def _com_hinge(d_ap, d_an, d_pn, margin: MarginSpec) -> Var:
+def _com_hinge(d_ap, d_an, d_pn, margin: MarginSpec):
     bound = ad.sub(1.0, d_pn) if margin.mode == "adaptive" else margin.alpha
     return ad.relu(ad.add(_wa(d_ap, d_an, d_pn), bound))
 
 
-def _vector_dist(u, v) -> Var:
-    return ad.as_var(cosine_distance(u, v))
-
-
 def triplet_loss(e_a, e_p, e_n, alpha: float):
     """Classic triplet hinge: max(0, d(A,P) - d(A,N) + alpha)."""
-    hinge = _triplet_hinge(_vector_dist(e_a, e_p), _vector_dist(e_a, e_n),
-                           alpha)
-    return _result(hinge, e_a, e_p, e_n)
+    return _triplet_hinge(cosine_distance(e_a, e_p),
+                          cosine_distance(e_a, e_n), alpha)
 
 
 def com_dist_wa(e_a, e_p, e_n):
     """Within- vs across-cluster term: d(A,P) - 0.5*(d(A,N) + d(P,N))."""
-    wa = _wa(_vector_dist(e_a, e_p), _vector_dist(e_a, e_n),
-             _vector_dist(e_p, e_n))
-    return _result(wa, e_a, e_p, e_n)
+    return _wa(cosine_distance(e_a, e_p), cosine_distance(e_a, e_n),
+               cosine_distance(e_p, e_n))
 
 
 def com_adaptive_margin(e_p, e_n):
     """Adaptive margin 1 - d(P,N); negative once the pair is separated
     past orthogonality, which relaxes the constraint."""
-    return _result(ad.sub(1.0, _vector_dist(e_p, e_n)), e_p, e_n)
+    return ad.sub(1.0, cosine_distance(e_p, e_n))
 
 
 def com_triplet_loss(anchors, positives, negatives, margin: MarginSpec):
@@ -110,7 +98,7 @@ def com_triplet_loss(anchors, positives, negatives, margin: MarginSpec):
     hinge = _com_hinge(row_cosine_distance(anchors, positives),
                        row_cosine_distance(anchors, negatives),
                        row_cosine_distance(positives, negatives), margin)
-    return _result(ad.mean(hinge), anchors, positives, negatives)
+    return ad.mean(hinge)
 
 
 def triplet_loss_batch(anchors, positives, negatives, alpha: float):
@@ -118,7 +106,7 @@ def triplet_loss_batch(anchors, positives, negatives, alpha: float):
     _batch_len(anchors, positives, negatives)
     hinge = _triplet_hinge(row_cosine_distance(anchors, positives),
                            row_cosine_distance(anchors, negatives), alpha)
-    return _result(ad.mean(hinge), anchors, positives, negatives)
+    return ad.mean(hinge)
 
 
 def udc_adaptive_margin(mu_min, mu_maj):
@@ -133,9 +121,8 @@ def udc_dist_wa(e_a, mu_min, mu_maj, pseudo_class: int):
     center the negative role, per the anchor's pseudo-class.
     """
     own, other = (mu_min, mu_maj) if pseudo_class == C_MIN else (mu_maj, mu_min)
-    wa = _wa(_vector_dist(e_a, own), _vector_dist(e_a, other),
-             _vector_dist(mu_min, mu_maj))
-    return _result(wa, e_a, mu_min, mu_maj)
+    return _wa(cosine_distance(e_a, own), cosine_distance(e_a, other),
+               cosine_distance(mu_min, mu_maj))
 
 
 def udc_com_loss(anchors, pseudo_classes, mu_min, mu_maj, margin: MarginSpec):
@@ -161,7 +148,7 @@ def udc_com_loss(anchors, pseudo_classes, mu_min, mu_maj, margin: MarginSpec):
                            margin)
     else:
         hinge = _triplet_hinge(d_own, d_other, margin.alpha)
-    return _result(ad.mean(hinge), anchors)
+    return ad.mean(hinge)
 
 
 def weighted_cross_entropy(labels, probs, weights: ClassWeights):
@@ -169,8 +156,7 @@ def weighted_cross_entropy(labels, probs, weights: ClassWeights):
     probabilities. Probabilities are clamped to [1e-12, 1 - 1e-12] before
     the log."""
     labels = np.asarray(labels, dtype=np.float64)
-    graph = isinstance(probs, Var)
-    pvals = probs.value if graph else np.asarray(probs, dtype=np.float64)
+    pvals = ad.value_of(probs)
     if labels.shape != pvals.shape or labels.ndim != 1:
         raise ShapeMismatchError(
             f"labels {labels.shape} vs probs {pvals.shape}")
@@ -180,9 +166,6 @@ def weighted_cross_entropy(labels, probs, weights: ClassWeights):
     p = np.clip(pvals, PROB_CLAMP, 1.0 - PROB_CLAMP)
     per = -(weights.w_min * labels * np.log(p)
             + weights.w_maj * (1.0 - labels) * np.log(1.0 - p))
-    value = float(per.mean())
-    if not graph:
-        return value
 
     def vjp(g):
         g = float(g)
@@ -191,13 +174,12 @@ def weighted_cross_entropy(labels, probs, weights: ClassWeights):
               + weights.w_maj * (1.0 - labels) / (1.0 - p)) / n
         return (g * np.where(inside, dp, 0.0),)
 
-    return Var(value, (probs,), vjp)
+    return ad.node(float(per.mean()), (probs,), vjp)
 
 
 def _batch_len(*xs) -> int:
     """Rows M shared by the (M, S) batches ``xs``."""
-    shapes = [(x.value if isinstance(x, Var) else np.asarray(x)).shape
-              for x in xs]
+    shapes = [ad.value_of(x).shape for x in xs]
     if len(shapes[0]) != 2 or shapes[0][0] < 1:
         raise EmptyBatchError(f"expected non-empty (M, S) batch, got {shapes[0]}")
     if any(shape != shapes[0] for shape in shapes):

@@ -103,8 +103,8 @@ def prototype_distances(e_test, proto: Prototypes):
         # compress keeps rows C-contiguous, which row-wise sums rely on
         rows = rows.compress(mask, axis=1)
         cl_min, cl_maj = cl_min[mask], cl_maj[mask]
-    d_min = row_cosine_distance(rows, cl_min).value
-    d_maj = row_cosine_distance(rows, cl_maj).value
+    d_min = row_cosine_distance(rows, cl_min)
+    d_maj = row_cosine_distance(rows, cl_maj)
     if e_test.ndim == 1:
         return float(d_min[0]), float(d_maj[0])
     return d_min, d_maj

@@ -266,12 +266,18 @@ def evaluate_classifier(params: ParamStore, enc_config: EncoderConfig,
                         x, y) -> dict:
     """Softmax-head inference over a split, scored like
     ``evaluate_prototypes`` with the minority probability as the score."""
-    probs = enc.classify(params.wrap(), enc_config, x).value
+    probs = enc.classify(params.arrays, enc_config, x)
     preds = (probs >= 0.5).astype(int)
     return _aggregate(np.asarray(y, dtype=int), preds, probs)
 
 
 def _aggregate(y: np.ndarray, preds: np.ndarray, scores: np.ndarray) -> dict:
+    """Score one split; a non-finite score (an embedding or logit that
+    overflowed) raises NonFiniteLossError rather than being ranked."""
+    bad = int(np.count_nonzero(~np.isfinite(scores)))
+    if bad:
+        raise NonFiniteLossError(f"{bad} of {len(scores)} scores are not "
+                                 f"finite")
     out = weighted_metrics(y, preds)
     out["auc"] = (roc_auc(y, scores)
                   if len(np.unique(y)) == 2 else None)

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from comclust import autodiff as ad
+from comclust import encoder as enc
 from comclust.autodiff import Var, backward, cosine_distance, grad_of, make_rng
 from comclust.errors import NotScalarError, ShapeMismatchError, ZeroVectorError
+from comclust.losses import ClassWeights, weighted_cross_entropy
 
 
 def test_cosine_distance_identical_orthogonal_antipodal():
@@ -160,18 +165,18 @@ class TestRowCosineDistance:
         vc = Var(c.copy())
         backward(ad.mean(ad.row_cosine_distance(u, vc)))
         num = central_diff(
-            lambda: ad.mean(ad.row_cosine_distance(u, c)).item(), c)
+            lambda: ad.mean(ad.row_cosine_distance(u, c)), c)
         assert np.max(_rel_err(grad_of(vc), num)) < 1e-3
 
     def test_rows_match_one_dimensional_distance(self):
         rng = make_rng(53)
         u, v = rng.normal(size=(2, 7, 5))
-        d = ad.row_cosine_distance(u, v).value
+        d = ad.row_cosine_distance(u, v)
         assert d.shape == (7,)
         for i in range(7):
             assert d[i] == pytest.approx(cosine_distance(u[i], v[i]), abs=1e-15)
-            single = ad.row_cosine_distance(u[i:i + 1], v[i]).value[0]
-            assert single == ad.row_cosine_distance(u, v[i]).value[i]
+            single = ad.row_cosine_distance(u[i:i + 1], v[i])[0]
+            assert single == ad.row_cosine_distance(u, v[i])[i]
 
     @pytest.mark.parametrize("swap", [False, True])
     def test_zero_row_raises(self, swap):
@@ -195,3 +200,71 @@ class TestRowCosineDistance:
         assert m.item() == pytest.approx(2.5)
         backward(m)
         np.testing.assert_allclose(x.grad, np.full((2, 3), 1 / 6))
+
+
+def _array(draw, *shape, low=-10.0, high=10.0):
+    return draw(hnp.arrays(np.float64, shape, elements=st.floats(
+        low, high, allow_subnormal=False)))
+
+
+def _rows(draw, *shape):
+    """An array whose last-axis rows all have a usable norm."""
+    a = _array(draw, *shape)
+    assume(np.all(np.linalg.norm(np.atleast_2d(a), axis=1) > 1e-3))
+    return a
+
+
+def _scale_case(d, m, s):
+    c = d(st.floats(-3.0, 3.0))
+    return (lambda a: ad.scale(a, c)), [_array(d, m, s)]
+
+
+def _take_rows_case(d, m, s):
+    idx = d(st.lists(st.integers(0, m - 1), min_size=1))
+    return (lambda a: ad.take_rows(a, idx)), [_array(d, m, s)]
+
+
+def _cross_entropy_case(d, m, s):
+    labels = d(hnp.arrays(np.float64, m, elements=st.sampled_from([0.0, 1.0])))
+    return ((lambda p: weighted_cross_entropy(labels, p, ClassWeights(2.0, 0.5))),
+            [_array(d, m, low=0.0, high=1.0)])
+
+
+# primitive -> (draw, m, s) -> (call, inputs): call(*inputs) is one call of
+# the primitive and each input may be wrapped in a Var
+TAPE_CASES = {
+    "add": lambda d, m, s: (ad.add, [_array(d, m, s), _array(d, s)]),
+    "sub": lambda d, m, s: (ad.sub, [_array(d, m, s), _array(d, m, s)]),
+    "mul": lambda d, m, s: (ad.mul, [_array(d, m, s), _array(d, m, 1)]),
+    "scale": _scale_case,
+    "matmul": lambda d, m, s: (ad.matmul, [_array(d, m, s), _array(d, s, 3)]),
+    "relu": lambda d, m, s: (ad.relu, [_array(d, m, s)]),
+    "take_rows": _take_rows_case,
+    "mean": lambda d, m, s: (ad.mean, [_array(d, m, s)]),
+    "row_cosine_distance": lambda d, m, s: (
+        ad.row_cosine_distance, [_rows(d, m, s), _rows(d, s)]),
+    "row_cosine_distance-1d": lambda d, m, s: (
+        ad.row_cosine_distance, [_rows(d, s), _rows(d, s)]),
+    "minority_probability": lambda d, m, s: (
+        lambda w, b, e: enc.minority_probability([w, b], e),
+        [_array(d, s, 2, low=-1.0, high=1.0), _array(d, 2), _array(d, m, s)]),
+    "weighted_cross_entropy": _cross_entropy_case,
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAPE_CASES))
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_plain_inputs_give_the_recorded_value_untaped(name, data):
+    """The tape rule: plain inputs record nothing and give the bits the
+    recorded call holds; a 0-d plain result is a Python float."""
+    m, s = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 4))
+    call, inputs = TAPE_CASES[name](data.draw, m, s)
+    recorded = call(*[Var(x) for x in inputs])
+    plain = call(*inputs)
+    assert isinstance(recorded, Var)
+    if recorded.value.ndim == 0:
+        assert type(plain) is float
+    else:
+        assert type(plain) is np.ndarray
+    assert np.array_equal(plain, recorded.value)

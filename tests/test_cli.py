@@ -211,6 +211,22 @@ class TestCheckpointRoundTrip:
                    and node.attr == "layer_dims"}
         assert readers == {"encoder.py"}
 
+    def test_only_autodiff_decides_what_is_recorded(self):
+        """The tape rule lives in autodiff.node: no other module tests for a
+        Var or builds an interior Var (one with parents)."""
+        def decides(call):
+            name = ast.unparse(call.func)
+            return ((name == "isinstance"
+                     and "Var" in ast.unparse(call.args[-1]))
+                    or (name.split(".")[-1] == "Var"
+                        and len(call.args) + len(call.keywords) > 1))
+
+        offenders = [(path.name, ast.unparse(node))
+                     for path in Path(ckpt.__file__).parent.glob("*.py")
+                     for node in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(node, ast.Call) and decides(node)]
+        assert {name for name, _ in offenders} <= {"autodiff.py"}, offenders
+
 
 @pytest.fixture(scope="module")
 def sdc_checkpoint_doc(blob_csv, tmp_path_factory):
@@ -259,6 +275,14 @@ def _float_input_dim(doc):
     doc["encoder"]["input_dim"] = float(doc["encoder"]["input_dim"])
 
 
+def _numeric_string_data(doc):
+    doc["params"][0]["data"] = [str(v) for v in doc["params"][0]["data"]]
+
+
+def _bool_data(doc):
+    doc["params"][1]["data"] = [True] * len(doc["params"][1]["data"])
+
+
 class TestBadCheckpoint:
     """A malformed checkpoint ends in 'error: <path>: ...' and exit code 1."""
 
@@ -277,11 +301,14 @@ class TestBadCheckpoint:
         "[" * 100000,
         _huge_int_data,
         _float_input_dim,
+        _numeric_string_data,
+        _bool_data,
     ], ids=["non-json", "not-object", "no-params", "no-kind", "no-encoder",
             "no-params-key", "no-seed", "unknown-kind", "data-length",
             "bias-shape", "classifier-without-head", "no-prototypes",
             "prototype-length", "mask-length", "deep-nesting",
-            "data-huge-int", "input-dim-float"])
+            "data-huge-int", "input-dim-float", "data-numeric-string",
+            "data-bool"])
     def test_eval_reports_error(self, corrupt, sdc_checkpoint_doc, blob_csv,
                                 tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -347,6 +374,22 @@ def _mutate(data, doc) -> None:
             del value[len(value) // 2:]
     elif isinstance(value, int) and not isinstance(value, bool):
         container[key] = value + (1 if op == "grow" else -1)
+
+
+@pytest.mark.parametrize("kind", ["clustering", "classifier"])
+def test_eval_rejects_weights_that_overflow(kind, checkpoint_docs, blob_csv,
+                                            tmp_path, capsys):
+    """Finite weights whose forward pass overflows give non-finite scores,
+    which eval reports instead of ranking."""
+    doc = copy.deepcopy(checkpoint_docs[kind])
+    doc["params"][0]["data"] = [1e308] * len(doc["params"][0]["data"])
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    assert main(["eval", "--checkpoint", str(path), "--data", str(blob_csv),
+                 "--split", "all", "--out", str(tmp_path / "e.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and "not finite" in err
+    assert not (tmp_path / "e.json").exists()
 
 
 class TestCheckpointFuzz:
@@ -444,9 +487,17 @@ class TestBadInput:
         ["train-sdc", "--lr", "nan"],
         ["synth", "--maj", "30", "--min", "10", "--separation", "nan"],
         ["synth", "--maj", "30", "--min", "10", "--sigma", "inf"],
+        ["synth", "--maj", "20", "--min", "10", "--sigma", "1e308",
+         "--separation", "6"],
+        ["synth", "--maj", "20", "--min", "10", "--sigma", "1e300",
+         "--separation", "1e10"],
+        ["synth", "--maj", "20", "--min", "10", "--sigma", "1e308",
+         "--separation", "1"],
     ], ids=["batch-size-0", "margin-foo", "ratios-60-10", "hidden-0",
             "hidden-64-0", "train-seed-negative", "synth-seed-negative",
-            "train-lr-nan", "synth-separation-nan", "synth-sigma-inf"])
+            "train-lr-nan", "synth-separation-nan", "synth-sigma-inf",
+            "synth-sigma-overflow", "synth-separation-overflow",
+            "synth-draw-overflow"])
     def test_reported_as_error(self, flags, blob_csv, tmp_path, capsys):
         data = ["--data", str(blob_csv)] if flags[0].startswith("train") else []
         assert main([*flags, *data, "--out", str(tmp_path / "o.json")]) == 1

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from comclust import autodiff as ad
+from comclust import training
 from comclust.autodiff import make_rng
 from comclust.dataio import TEST, TRAIN, BlobSpec, LabeledDataset, \
     split_dataset, synth_imbalanced
-from comclust.encoder import AdamConfig
-from comclust.errors import MissingClassError, TooFewSamplesError
+from comclust.encoder import AdamConfig, embed
+from comclust.errors import (MissingClassError, NonFiniteLossError,
+                             TooFewSamplesError)
 from comclust.losses import C_MAJ, C_MIN, ClassWeights
 from comclust.training import (EQUAL, INVERSE_FREQUENCY, TrainConfig,
                                batch_class_weights, best_permutation_accuracy,
@@ -206,6 +209,34 @@ class TestEvaluation:
         out = evaluate_prototypes(result.params, result.encoder_config,
                                   result.prototypes, x, y)
         assert len(out["predictions"]) == len(out["scores"]) == len(x)
+
+    def test_inference_builds_no_graph(self, monkeypatch):
+        ds = _dataset(seed=14)
+        sdc = train_sdc(ds, _fast(seed=14, batch_size=10))
+        clf = train_classifier(ds, _fast(seed=14))
+        x, y = ds.subset(TEST)
+        built = []
+        init = ad.Var.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ad.Var, "__init__", counting_init)
+        embed(sdc.params, sdc.encoder_config, x)
+        evaluate_prototypes(sdc.params, sdc.encoder_config, sdc.prototypes,
+                            x, y)
+        evaluate_classifier(clf.params, clf.encoder_config, x, y)
+        assert built == []
+        ad.Var(np.zeros(1))     # the counter itself is live
+        assert built == [1]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_score_raises(self, bad):
+        y = np.array([0, 1, 1])
+        with pytest.raises(NonFiniteLossError, match="1 of 3 scores"):
+            training._aggregate(y, np.array([0, 1, 1]),
+                                np.array([0.2, bad, 0.9]))
 
 
 class TestBestPermutationAccuracy:
