@@ -346,8 +346,10 @@ def cmd_sweep(args) -> None:
                     row.update(status=f"error: {exc}")
                 else:
                     metrics = cell["metrics"]
+                    # a test split with one class has no AUC
                     row.update(status="ok",
-                               auc=repr(metrics["auc"]),
+                               auc=("" if metrics["auc"] is None
+                                    else repr(metrics["auc"])),
                                prototype_separation=(
                                    "" if cell["prototype_separation"] is None
                                    else repr(cell["prototype_separation"])))

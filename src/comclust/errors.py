@@ -49,8 +49,8 @@ class DegenerateDistancesError(ComclustError):
 
 
 class NonFiniteLossError(ComclustError):
-    """A training loss, a gradient or an inference score became NaN or
-    infinite."""
+    """A training loss, a gradient, an inference score or the embeddings
+    handed to the pseudo-labelling GMM became NaN or infinite."""
 
 
 class InvalidSpecError(ComclustError, ValueError):

@@ -4,7 +4,13 @@ k-means(++) init, EM fitting, responsibilities, and pseudo-label extraction.
 The fit settings are module constants: ``EM_MAX_ITER`` EM iterations with
 convergence tolerance ``EM_TOL``, variances floored at ``COV_FLOOR``,
 ``KMEANS_RESTARTS`` k-means++ restarts of up to ``KMEANS_MAX_ITER`` Lloyd
-steps each, and ``EM_RESTARTS`` attempts on degeneracy."""
+steps each, and ``EM_RESTARTS`` attempts on degeneracy.
+
+``kmeans`` runs its restarts together, and EM updates both components in
+one set of array operations. Both give the bits of the plain loops over
+restarts and components (``tests/test_gmm.py`` keeps those loops as its
+oracle), so a seeded run's pseudo-labels do not depend on the batching;
+``kmeans`` states the rules that keep it so."""
 
 from __future__ import annotations
 
@@ -14,7 +20,8 @@ import numpy as np
 
 from .autodiff import make_rng
 from .errors import (DegenerateComponentError, EmptyBatchError,
-                     SingularCovarianceError, TooFewSamplesError)
+                     NonFiniteLossError, SingularCovarianceError,
+                     TooFewSamplesError)
 
 EM_MAX_ITER = 100
 EM_TOL = 1e-3                # NLL change convergence threshold
@@ -68,8 +75,8 @@ def _component_log_probs(model: GaussianMixture, x: np.ndarray) -> np.ndarray:
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    amax = np.max(a, axis=axis, keepdims=True)
-    return np.squeeze(amax, axis) + np.log(np.sum(np.exp(a - amax), axis=axis))
+    amax = a.max(axis=axis, keepdims=True)
+    return amax.squeeze(axis) + np.log(np.exp(a - amax).sum(axis=axis))
 
 
 def mixture_nll(model: GaussianMixture, batch) -> float:
@@ -112,56 +119,114 @@ def kmeans(points, k: int, restarts: int = KMEANS_RESTARTS,
     """Lloyd's algorithm with k-means++ seeding, best of ``restarts`` by
     within-cluster sum of squares.
 
+    The restarts run together, and give the bits that running them one
+    after another gives:
+
+    - every seed is drawn before the first Lloyd step, restart by restart,
+      in that order: ``rng.integers(n)``, then one ``rng.choice(n, p=...)``
+      per further centre (a duplicate of the first centre when every point
+      sits on a chosen one);
+    - each Lloyd step measures all live restarts in one (R, N, k) distance
+      tensor, and a restart drops out at the first step that leaves its
+      assignment unchanged;
+    - a centre is the mean of its members, summed in row order; an empty
+      cluster is re-seeded at the point farthest from its nearest centre;
+    - at S = 1 the centres are summed restart by restart instead: numpy
+      sums a one-column block of members pairwise, not in row order;
+    - the first restart wins unless a later one beats its wcss by more
+      than 1e-15.
+
     Returns (centers (k, S), assignments (N,), wcss).
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     n = points.shape[0]
     if n < k:
         raise TooFewSamplesError(f"{n} points for k={k}")
+    if not np.isfinite(points).all():
+        raise NonFiniteLossError(
+            "non-finite value among the points to cluster")
     rng = make_rng(seed)
-    best = None
-    for _ in range(max(1, restarts)):
-        centers = _kmeans_pp_init(points, k, rng)
-        assign = None
-        for _ in range(max_iter):
-            d2 = _sq_dists(points, centers)
-            new_assign = np.argmin(d2, axis=1)
-            if assign is not None and np.array_equal(new_assign, assign):
+    centers = _kmeans_pp_init(points, k, max(1, restarts), rng)
+    assign = np.zeros((len(centers), n), dtype=np.intp)
+    dist = np.empty((len(centers), n, k))
+    live = np.arange(len(centers))
+    for step in range(max_iter):
+        d2 = _sq_dists(points, centers[live])
+        dist[live] = d2
+        new_assign = d2.argmin(axis=2)
+        if step:
+            moved = (new_assign != assign[live]).any(axis=1)
+            live, d2, new_assign = live[moved], d2[moved], new_assign[moved]
+            if not live.size:
                 break
-            assign = new_assign
-            for j in range(k):
-                members = points[assign == j]
-                if len(members) == 0:
-                    # re-seed an empty cluster at the farthest point
-                    centers[j] = points[np.argmax(np.min(d2, axis=1))]
-                else:
-                    centers[j] = members.mean(axis=0)
-        d2 = _sq_dists(points, centers)
-        assign = np.argmin(d2, axis=1)
-        wcss = float(np.sum(d2[np.arange(n), assign]))
-        if best is None or wcss < best[2] - 1e-15:
-            best = (centers.copy(), assign.copy(), wcss)
-    return best
+        assign[live] = new_assign
+        centers[live] = _lloyd_centers(points, d2, new_assign, k)
+    else:
+        # out of steps: these centres moved after their last distances
+        dist[live] = _sq_dists(points, centers[live])
+    assign = dist.argmin(axis=2)
+    wcss = np.take_along_axis(dist, assign[..., None], axis=2)[..., 0].sum(
+        axis=1).tolist()
+    best = 0
+    for r in range(1, len(wcss)):
+        if wcss[r] < wcss[best] - 1e-15:
+            best = r
+    return centers[best], assign[best], wcss[best]
 
 
-def _kmeans_pp_init(points: np.ndarray, k: int, rng) -> np.ndarray:
+def _kmeans_pp_init(points: np.ndarray, k: int, restarts: int,
+                    rng) -> np.ndarray:
+    """(restarts, k, S) k-means++ seed centres, drawn restart by restart."""
     n = points.shape[0]
-    centers = [points[rng.integers(n)]]
-    for _ in range(1, k):
-        d2 = np.min(_sq_dists(points, np.array(centers)), axis=1)
-        total = d2.sum()
-        if total <= 0:
-            # all points coincide with a chosen center: duplicate it and let
-            # the covariance floor handle the degeneracy downstream
-            centers.append(centers[0].copy())
-            continue
-        centers.append(points[rng.choice(n, p=d2 / total)])
-    return np.array(centers, dtype=np.float64)
+    seeds = np.empty((restarts, k), dtype=np.intp)
+    for r in range(restarts):
+        seeds[r, 0] = rng.integers(n)
+        for c in range(1, k):
+            d2 = _sq_dists(points, points[seeds[r, :c]]).min(axis=1)
+            total = d2.sum()
+            if total <= 0:
+                # all points coincide with a chosen center: duplicate it and
+                # let the covariance floor handle the degeneracy downstream
+                seeds[r, c] = seeds[r, 0]
+            else:
+                seeds[r, c] = rng.choice(n, p=d2 / total)
+    return points[seeds]
+
+
+def _lloyd_centers(points: np.ndarray, d2: np.ndarray, assign: np.ndarray,
+                   k: int) -> np.ndarray:
+    """(R, k, S) centres of one Lloyd step from its (R, N, k) distances and
+    (R, N) assignments."""
+    n, s = points.shape
+    member = assign[..., None] == np.arange(k)
+    if s == 1:
+        # numpy sums a one-column block of members pairwise, not in row
+        # order, so the scattered sum below would round differently
+        sums = np.array([[points[m].sum(axis=0) for m in mr.T]
+                         for mr in member])
+    else:
+        # each point lands in its cluster's slot; -0.0 is the exact
+        # additive identity, so the sum over points adds the members in
+        # row order, as the sum over the members alone does
+        slots = np.full((n, len(assign), k, s), -0.0)
+        slots[np.arange(n)[:, None], np.arange(len(assign)), assign.T] = \
+            points[:, None, :]
+        sums = slots.sum(axis=0)
+    counts = member.sum(axis=1)
+    centers = sums / np.maximum(counts, 1)[..., None]
+    empty = counts == 0
+    if empty.any():
+        farthest = points[np.argmax(np.min(d2, axis=2), axis=1)]
+        centers = np.where(empty[..., None], farthest[:, None, :], centers)
+    return centers
 
 
 def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    diff = points[:, None, :] - centers[None, :, :]
-    return np.sum(diff * diff, axis=2)
+    """(..., N, k) squared distances from the (N, S) points to the
+    (..., k, S) centres."""
+    diff = points[:, None, :] - centers[..., None, :, :]
+    diff *= diff
+    return diff.sum(axis=-1)
 
 
 def fit_em(batch, seed: int = 0) -> GaussianMixture:
@@ -201,31 +266,40 @@ def _fit_em_once(batch: np.ndarray, seed: int) -> GaussianMixture:
         var = members.var(axis=0) if len(members) else np.ones(s)
         covs[j] = np.maximum(var, COV_FLOOR)
 
-    model = GaussianMixture(weights, means, covs, nll_trace=[])
+    nll_trace = []
     prev_nll = None
     for _ in range(EM_MAX_ITER):
-        log_p = _component_log_probs(model, batch)
+        # the log-densities of _component_log_probs, without its check for
+        # positive variances: here they never fall below COV_FLOOR
+        sq = batch[:, None, :] - means
+        sq *= sq
+        sq /= covs
+        log_p = -0.5 * (s * LOG_2PI + np.log(covs).sum(axis=1)
+                        + sq.sum(axis=2))
+        log_p += np.log(weights)
         lse = _logsumexp(log_p, axis=1)
-        nll = float(-np.sum(lse))
-        model.nll_trace.append(nll)
+        nll = float(-lse.sum())
+        nll_trace.append(nll)
         if prev_nll is not None and abs(prev_nll - nll) < EM_TOL:
             break
         prev_nll = nll
 
-        r = np.exp(log_p - lse[:, None])
+        log_p -= lse[:, None]
+        r = np.exp(log_p, out=log_p)
         nk = r.sum(axis=0)
-        if np.any(nk < 1.0):
+        if (nk < 1.0).any():
             raise DegenerateComponentError(
                 f"effective counts {nk} below 1")
-        model.weights = nk / n
-        model.means = (r.T @ batch) / nk[:, None]
-        for j in range(2):
-            diff = batch - model.means[j]
-            var = (r[:, j] @ (diff * diff)) / nk[j]
-            model.covariances[j] = np.maximum(var, COV_FLOOR)
+        weights = nk / n
+        means = (r.T @ batch) / nk[:, None]
+        sq = batch - means[:, None, :]
+        sq *= sq
+        covs = np.maximum(np.matmul(r.T[:, None, :], sq)[:, 0] / nk[:, None],
+                          COV_FLOOR)
 
-    collapsed = (np.allclose(model.means[0], model.means[1], atol=1e-9)
-                 and np.all(model.covariances <= COV_FLOOR * (1 + 1e-9)))
+    model = GaussianMixture(weights, means, covs, nll_trace)
+    collapsed = (np.all(model.covariances <= COV_FLOOR * (1 + 1e-9))
+                 and np.allclose(model.means[0], model.means[1], atol=1e-9))
     if collapsed:
         raise DegenerateComponentError(
             "both components collapsed onto a single point")

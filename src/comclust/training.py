@@ -251,14 +251,20 @@ def train_classifier(dataset: LabeledDataset, config: TrainConfig,
     return _train(x, y, config, step, head_outputs=enc.HEAD_OUTPUTS)
 
 
+# Weights that overflow in inference give non-finite scores, which _aggregate
+# reports as an error; numpy's warnings on the way there would only repeat it.
+_OVERFLOW_TO_AGGREGATE = dict(over="ignore", invalid="ignore", divide="ignore")
+
+
 def evaluate_prototypes(params: ParamStore, enc_config: EncoderConfig,
                         proto: Prototypes, x, y) -> dict:
     """Prototype-distance inference over a split: per-sample labels and
     scores plus aggregate weighted metrics and AUC (when both classes are
     present)."""
-    emb = enc.embed(params, enc_config, x)
-    preds, _, _ = infer_label(emb, proto)
-    scores = malignancy_score(emb, proto)
+    with np.errstate(**_OVERFLOW_TO_AGGREGATE):
+        emb = enc.embed(params, enc_config, x)
+        preds, _, _ = infer_label(emb, proto)
+        scores = malignancy_score(emb, proto)
     return _aggregate(np.asarray(y, dtype=int), preds, scores)
 
 
@@ -266,7 +272,8 @@ def evaluate_classifier(params: ParamStore, enc_config: EncoderConfig,
                         x, y) -> dict:
     """Softmax-head inference over a split, scored like
     ``evaluate_prototypes`` with the minority probability as the score."""
-    probs = enc.classify(params.arrays, enc_config, x)
+    with np.errstate(**_OVERFLOW_TO_AGGREGATE):
+        probs = enc.classify(params.arrays, enc_config, x)
     preds = (probs >= 0.5).astype(int)
     return _aggregate(np.asarray(y, dtype=int), preds, probs)
 

@@ -4,6 +4,7 @@ import copy
 import csv
 import io
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -392,6 +393,24 @@ def test_eval_rejects_weights_that_overflow(kind, checkpoint_docs, blob_csv,
     assert not (tmp_path / "e.json").exists()
 
 
+@pytest.mark.parametrize("kind", ["clustering", "classifier"])
+def test_eval_overflow_gives_the_error_line_alone(kind, checkpoint_docs,
+                                                  blob_csv, tmp_path, capsys):
+    """The overflow is reported once, by the error line: no numpy warning
+    comes ahead of it (each would be an exception under this filter)."""
+    doc = copy.deepcopy(checkpoint_docs[kind])
+    doc["params"][0]["data"] = [1e308] * len(doc["params"][0]["data"])
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["eval", "--checkpoint", str(path), "--data", str(blob_csv),
+                   "--split", "all", "--out", str(tmp_path / "e.json")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+
 class TestCheckpointFuzz:
     @settings(max_examples=200, deadline=None, derandomize=True,
               database=None)
@@ -442,6 +461,22 @@ class TestSweep:
         assert main(flags + ["--out", str(a)]) == 0
         assert main(flags + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_one_class_test_split_leaves_auc_empty(self, tmp_path):
+        """At 30:5 the test split of seed 0 holds no minority row: the cell
+        is scored without an AUC, and the summary skips it."""
+        out = tmp_path / "s.csv"
+        assert main(["sweep-imbalance", "--ratios", "30:10,30:5", "--seeds",
+                     "0", "--dim", "4", "--epochs", "1", "--batch-size", "16",
+                     "--separation", "16", "--out", str(out)]) == 0
+        with open(out) as fh:
+            rows = [r for r in csv.DictReader(fh) if r["ratio"] == "30:5"]
+        assert rows and all(r["status"] == "ok" and r["auc"] == ""
+                            for r in rows)
+        with open(str(out) + ".summary.csv") as fh:
+            summary = [r for r in csv.DictReader(fh) if r["ratio"] == "30:5"]
+        assert all(r["median_auc"] == "" and r["n_ok"] == "0"
+                   for r in summary)
 
     def test_single_ratio_rejected(self, tmp_path):
         assert main(["sweep-imbalance", "--ratios", "60:20",
@@ -503,3 +538,110 @@ class TestBadInput:
         assert main([*flags, *data, "--out", str(tmp_path / "o.json")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def tiny_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("tiny") / "tiny.csv"
+    assert main(["synth", "--maj", "40", "--min", "12", "--dim", "4",
+                 "--seed", "1", "--out", str(path)]) == 0
+    return path
+
+
+def test_udc_overflow_into_the_gmm_is_an_error(tiny_csv, tmp_path, capsys):
+    """A step this large overflows the embeddings before any loss is
+    formed, so the GMM fit is the first to see them."""
+    assert main(["train-udc", "--data", str(tiny_csv), "--lr", "1e308",
+                 "--epochs", "1", "--out", str(tmp_path / "m.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith("error: ") and "finite" in err
+
+
+# Flag values for the argument fuzz. Sizes stay small (widths, dims and
+# batch sizes up to 64, class counts up to 200), so no case allocates more
+# than a few MB; very large sizes are left untested.
+FUZZ_VALUES = ["0", "-1", "-7", "1", "2", "3", "5", "16", "64", "nan", "inf",
+               "-inf", "", "abc", "1e308", "-0", "0.5", "1.5"]
+_VALUE = st.sampled_from(FUZZ_VALUES)
+_LIST = st.lists(_VALUE, max_size=3).map(",".join)
+_EPOCHS = st.sampled_from(["0", "-1", "1", "nan", "", "x"])
+# flag -> (what parses: a type or the allowed choices, values to draw)
+_TRAIN_FLAGS = {
+    "--seed": (int, _VALUE), "--epochs": (int, _EPOCHS),
+    "--batch-size": (int, _VALUE), "--lr": (float, _VALUE),
+    "--margin": (str, st.sampled_from(["adaptive", *FUZZ_VALUES])),
+    "--loss": (("com", "triplet"), st.sampled_from(["com", "triplet", "x"])),
+    "--hidden": (str, _LIST), "--embedding-dim": (int, _VALUE),
+    "--dropout": (float, _VALUE)}
+_COUNT = st.sampled_from([*FUZZ_VALUES, "200"])
+FUZZ_FLAGS = {
+    "synth": {"--maj": (int, _COUNT), "--min": (int, _COUNT),
+              "--dim": (int, _VALUE), "--separation": (float, _VALUE),
+              "--sigma": (float, _VALUE), "--seed": (int, _VALUE)},
+    "train-sdc": _TRAIN_FLAGS,
+    "train-udc": _TRAIN_FLAGS,
+    "sweep-imbalance": {
+        "--ratios": (str, st.lists(st.tuples(_VALUE, _VALUE).map(":".join),
+                                   max_size=3).map(",".join)),
+        "--seeds": (str, st.lists(_VALUE, max_size=2).map(",".join)),
+        "--methods": (str, st.lists(st.sampled_from(
+            ["sdc-com", "udc-com", "udc-triplet", "classifier-lw", "x", ""]),
+            max_size=2, unique=True).map(",".join)),
+        "--dim": (int, _VALUE), "--separation": (float, _VALUE),
+        "--epochs": (int, _EPOCHS), "--batch-size": (int, _VALUE),
+        "--lr": (float, _VALUE)},
+}
+# values a case gets for the flags it does not draw: one epoch, small data
+FUZZ_DEFAULTS = {
+    "synth": {"--maj": "20", "--min": "20"},
+    "train-sdc": {"--epochs": "1"},
+    "train-udc": {"--epochs": "1"},
+    "sweep-imbalance": {"--epochs": "1", "--ratios": "30:10,30:5",
+                        "--seeds": "0", "--dim": "4"},
+}
+
+
+def _parses(kind, text: str) -> bool:
+    if isinstance(kind, tuple):
+        return text in kind
+    try:
+        kind(text)
+    except ValueError:
+        return False
+    return True
+
+
+class TestArgumentFuzz:
+    @pytest.mark.parametrize("command", sorted(FUZZ_FLAGS))
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              database=None)
+    @given(data=st.data())
+    def test_exit_0_or_error_line(self, command, data, tiny_csv,
+                                  tmp_path_factory):
+        """Random flag values end in exit 0, or in exit 1 whose last
+        stderr line is 'error: ...', never a traceback; argparse's usage
+        exit (2) only for a value that does not parse as its flag's type."""
+        flags = FUZZ_FLAGS[command]
+        values = dict(FUZZ_DEFAULTS[command])
+        parses = True
+        for flag in data.draw(st.lists(st.sampled_from(sorted(flags)),
+                                       min_size=1, unique=True)):
+            kind, strategy = flags[flag]
+            values[flag] = data.draw(strategy)
+            parses &= _parses(kind, values[flag])
+        work = tmp_path_factory.getbasetemp()
+        argv = [command, *(f"{flag}={v}" for flag, v in values.items()),
+                "--out", str(work / "fuzzed.out")]
+        if command.startswith("train"):
+            argv += ["--data", str(tiny_csv)]
+        err = io.StringIO()
+        try:
+            with contextlib.redirect_stderr(err):
+                rc = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2 and not parses, argv
+            return
+        err = err.getvalue()
+        assert rc in (0, 1) and "Traceback" not in err, argv
+        if rc == 1:
+            assert err.splitlines()[-1].startswith("error: "), (argv, err)

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from comclust import gmm
 from comclust.autodiff import make_rng
 from comclust.errors import (DegenerateComponentError, EmptyBatchError,
-                             SingularCovarianceError, TooFewSamplesError)
+                             NonFiniteLossError, SingularCovarianceError,
+                             TooFewSamplesError)
 from comclust.gmm import (GaussianMixture, _component_log_probs, fit_em,
                           gaussian_log_pdf, identify_minority, kmeans,
                           mixture_nll, responsibilities)
@@ -176,6 +178,15 @@ class TestKmeans:
         with pytest.raises(TooFewSamplesError):
             kmeans(np.ones((1, 2)), 2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_is_an_error(self, bad):
+        pts = make_rng(4).normal(size=(10, 3))
+        pts[7, 1] = bad
+        with pytest.raises(NonFiniteLossError):
+            kmeans(pts, 2)
+        with pytest.raises(NonFiniteLossError):
+            fit_em(pts)
+
     def test_wcss_never_worse_than_single_restart(self):
         rng = make_rng(3)
         pts = rng.normal(size=(40, 2))
@@ -252,3 +263,167 @@ class TestIdentifyMinority:
         model = _two_component([0.0], [1.0], weights=(0.5, 0.5))
         assignments = np.array([0] * 10 + [1] * 10)
         assert identify_minority(model, assignments) == 0
+
+
+# --- Oracle: the per-restart k-means and the per-component EM loop that the
+# restart-batched versions replaced. The batched code must give their bits.
+
+def _oracle_sq_dists(points, centers):
+    diff = points[:, None, :] - centers[None, :, :]
+    return np.sum(diff * diff, axis=2)
+
+
+def _oracle_kmeans_pp_init(points, k, rng):
+    n = points.shape[0]
+    centers = [points[rng.integers(n)]]
+    for _ in range(1, k):
+        d2 = np.min(_oracle_sq_dists(points, np.array(centers)), axis=1)
+        total = d2.sum()
+        if total <= 0:
+            centers.append(centers[0].copy())
+            continue
+        centers.append(points[rng.choice(n, p=d2 / total)])
+    return np.array(centers, dtype=np.float64)
+
+
+def _oracle_kmeans(points, k, restarts=gmm.KMEANS_RESTARTS,
+                   max_iter=gmm.KMEANS_MAX_ITER, seed=0):
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    n = points.shape[0]
+    if n < k:
+        raise TooFewSamplesError(f"{n} points for k={k}")
+    rng = make_rng(seed)
+    best = None
+    for _ in range(max(1, restarts)):
+        centers = _oracle_kmeans_pp_init(points, k, rng)
+        assign = None
+        for _ in range(max_iter):
+            d2 = _oracle_sq_dists(points, centers)
+            new_assign = np.argmin(d2, axis=1)
+            if assign is not None and np.array_equal(new_assign, assign):
+                break
+            assign = new_assign
+            for j in range(k):
+                members = points[assign == j]
+                if len(members) == 0:
+                    centers[j] = points[np.argmax(np.min(d2, axis=1))]
+                else:
+                    centers[j] = members.mean(axis=0)
+        d2 = _oracle_sq_dists(points, centers)
+        assign = np.argmin(d2, axis=1)
+        wcss = float(np.sum(d2[np.arange(n), assign]))
+        if best is None or wcss < best[2] - 1e-15:
+            best = (centers.copy(), assign.copy(), wcss)
+    return best
+
+
+def _oracle_logsumexp(a, axis):
+    amax = np.max(a, axis=axis, keepdims=True)
+    return np.squeeze(amax, axis) + np.log(np.sum(np.exp(a - amax),
+                                                  axis=axis))
+
+
+def _oracle_fit_em_once(batch, seed):
+    n, s = batch.shape
+    centers, assign, _ = _oracle_kmeans(batch, 2, seed=seed)
+    weights = np.bincount(assign, minlength=2).astype(np.float64)
+    weights = np.clip(weights, 1.0, None)
+    weights /= weights.sum()
+    means = centers.copy()
+    covs = np.empty((2, s))
+    for j in range(2):
+        members = batch[assign == j]
+        var = members.var(axis=0) if len(members) else np.ones(s)
+        covs[j] = np.maximum(var, gmm.COV_FLOOR)
+    model = GaussianMixture(weights, means, covs, nll_trace=[])
+    prev_nll = None
+    for _ in range(gmm.EM_MAX_ITER):
+        log_p = _component_log_probs(model, batch)
+        lse = _oracle_logsumexp(log_p, axis=1)
+        nll = float(-np.sum(lse))
+        model.nll_trace.append(nll)
+        if prev_nll is not None and abs(prev_nll - nll) < gmm.EM_TOL:
+            break
+        prev_nll = nll
+        r = np.exp(log_p - lse[:, None])
+        nk = r.sum(axis=0)
+        if np.any(nk < 1.0):
+            raise DegenerateComponentError(f"effective counts {nk} below 1")
+        model.weights = nk / n
+        model.means = (r.T @ batch) / nk[:, None]
+        for j in range(2):
+            diff = batch - model.means[j]
+            var = (r[:, j] @ (diff * diff)) / nk[j]
+            model.covariances[j] = np.maximum(var, gmm.COV_FLOOR)
+    if (np.allclose(model.means[0], model.means[1], atol=1e-9)
+            and np.all(model.covariances <= gmm.COV_FLOOR * (1 + 1e-9))):
+        raise DegenerateComponentError("both components collapsed")
+    return model
+
+
+def _oracle_fit_em(batch, seed):
+    batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
+    if batch.shape[0] < 4:
+        raise TooFewSamplesError("too few samples")
+    for attempt in range(gmm.EM_RESTARTS):
+        try:
+            return _oracle_fit_em_once(batch, seed + 1000 * attempt)
+        except DegenerateComponentError:
+            pass
+    raise DegenerateComponentError("degenerate after restarts")
+
+
+@st.composite
+def kmeans_batches(draw):
+    """Two shifted normal blobs at scale 1e-3, 1 or 1e3; optionally with the
+    second half repeating the first (duplicate points, wcss ties) and
+    rounded to integers (coinciding points, -0.0 coordinates)."""
+    n = draw(st.integers(2, 60))
+    s = draw(st.integers(1, 20))
+    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+    points = rng.normal(size=(n, s))
+    points[: n // 3] += draw(st.floats(0.0, 6.0))
+    points *= draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    if draw(st.booleans()):
+        points[n // 2:] = points[: n - n // 2]
+    if draw(st.booleans()):
+        points = np.round(points)
+    return points
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:  # noqa: BLE001 - the type is the outcome
+        return type(exc)
+
+
+class TestRestartBatchedOracle:
+    @settings(max_examples=250, deadline=None, derandomize=True,
+              database=None)
+    @given(kmeans_batches(), st.sampled_from([1, 2]), st.integers(1, 11),
+           st.sampled_from([gmm.KMEANS_MAX_ITER, 0, 1, 2, 3]),
+           st.integers(0, 2**16))
+    def test_kmeans_matches_per_restart_loop(self, points, k, restarts,
+                                             max_iter, seed):
+        got = kmeans(points, k, restarts=restarts, max_iter=max_iter,
+                     seed=seed)
+        want = _oracle_kmeans(points, k, restarts=restarts,
+                              max_iter=max_iter, seed=seed)
+        assert got[0].tobytes() == want[0].tobytes()
+        np.testing.assert_array_equal(got[1], want[1])
+        assert got[2] == want[2]
+
+    @settings(max_examples=250, deadline=None, derandomize=True,
+              database=None)
+    @given(kmeans_batches(), st.integers(0, 2**16))
+    def test_fit_em_matches_per_component_loop(self, batch, seed):
+        got = _outcome(fit_em, batch, seed=seed)
+        want = _outcome(_oracle_fit_em, batch, seed)
+        if isinstance(want, type):
+            assert got is want
+            return
+        for name in ("weights", "means", "covariances"):
+            assert (getattr(got, name).tobytes()
+                    == getattr(want, name).tobytes()), name
+        assert got.nll_trace == want.nll_trace
