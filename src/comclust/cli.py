@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import sys
+from collections import defaultdict
 
 import numpy as np
 
@@ -21,20 +21,30 @@ from .encoder import AdamConfig
 from .errors import (ComclustError, InvalidSpecError, NonFiniteLossError,
                      ShapeMismatchError)
 from .losses import MarginSpec
-from .training import (EQUAL, INVERSE_FREQUENCY, TrainConfig,
-                       evaluate_classifier, evaluate_prototypes)
+from .training import (EQUAL, INVERSE_FREQUENCY, LOSS_COM, LOSS_TRIPLET,
+                       TrainConfig, evaluate_classifier, evaluate_prototypes)
 
 DEFAULT_RATIOS = "900:900,900:450,900:225,900:60,900:25,900:15"
-SWEEP_METHODS = ("sdc-com", "sdc-triplet", "classifier", "classifier-lw",
-                 "udc-com", "udc-triplet")
-WEIGHTINGS = {"equal": EQUAL, "inverse-frequency": INVERSE_FREQUENCY}
+# method -> (training mode, loss kind, class weighting, which only a
+# classifier reads)
+SWEEP_METHODS = {
+    "sdc-com": ("sdc", LOSS_COM, EQUAL),
+    "sdc-triplet": ("sdc", LOSS_TRIPLET, EQUAL),
+    "classifier": ("classifier", LOSS_COM, EQUAL),
+    "classifier-lw": ("classifier", LOSS_COM, INVERSE_FREQUENCY),
+    "udc-com": ("udc", LOSS_COM, EQUAL),
+    "udc-triplet": ("udc", LOSS_TRIPLET, EQUAL),
+}
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.func(args)
+        # weights that overflow end in a non-finite loss, gradient, GMM input
+        # or score, each an error; numpy's warnings would only repeat it
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            args.func(args)
     except (ComclustError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -62,8 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"run {name.replace('-', ' ')}")
         _add_train_flags(p)
         if name == "train-classifier":
-            p.add_argument("--weighting", choices=tuple(WEIGHTINGS),
-                           default="inverse-frequency")
+            p.add_argument("--weighting", choices=(EQUAL, INVERSE_FREQUENCY),
+                           default=INVERSE_FREQUENCY)
         p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
@@ -120,11 +130,8 @@ def _parse(text: str, convert, what: str):
         raise InvalidSpecError(f"bad {what}: {text!r}") from None
 
 
-def _margin_spec(text: str, loss_kind: str) -> MarginSpec:
+def _margin_spec(text: str) -> MarginSpec:
     if text == "adaptive":
-        if loss_kind == "triplet":
-            # the traditional triplet baseline needs a constant margin
-            return MarginSpec("constant", 0.2)
         return MarginSpec("adaptive")
     alpha = _parse(text, float, "--margin (want 'adaptive' or a number)")
     return MarginSpec("constant", alpha)
@@ -136,7 +143,7 @@ def _train_config(args) -> TrainConfig:
     return TrainConfig(
         batch_size=args.batch_size,
         epochs=args.epochs,
-        margin=_margin_spec(args.margin, args.loss),
+        margin=_margin_spec(args.margin),
         loss_kind=args.loss,
         seed=args.seed,
         adam=AdamConfig(learning_rate=args.lr),
@@ -203,30 +210,36 @@ def _evaluate(params, encoder_config, prototypes, x, y) -> dict:
     return evaluate_prototypes(params, encoder_config, prototypes, x, y)
 
 
+def _score(result: training.TrainLog, dataset: LabeledDataset,
+           splits: tuple) -> tuple:
+    """The metrics of each of ``splits`` by name, and the prototype
+    separation (None for a classifier)."""
+    proto = result.prototypes
+    metrics = {split: _evaluate(result.params, result.encoder_config, proto,
+                                *dataset.subset(split))["metrics"]
+               for split in splits}
+    return metrics, None if proto is None else proto.separation
+
+
 def cmd_train(args) -> None:
     """train-sdc, train-udc and train-classifier: train, save the
     checkpoint, evaluate val and test, write the results record and the
     optional per-iteration log."""
     dataset = _load_split(args.data, args.seed)
     config = _train_config(args)
-    mode = args.command[len("train-"):]
     record = {"command": args.command, "config": _config_echo(config),
               "seed": args.seed}
-    weighting = INVERSE_FREQUENCY
-    if mode == "classifier":
-        record["weighting"] = args.weighting
-        weighting = WEIGHTINGS[args.weighting]
-    result = _fit(mode, dataset, config, weighting)
+    weighting = getattr(args, "weighting", None)   # train-classifier's alone
+    if weighting is not None:
+        record["weighting"] = weighting
+    result = _fit(args.command[len("train-"):], dataset, config, weighting)
     proto = result.prototypes
     ckpt.save_checkpoint(args.out, (ckpt.KIND_CLASSIFIER if proto is None
                                     else ckpt.KIND_CLUSTERING),
                          result.params, result.encoder_config, proto,
                          args.seed, record["config"])
-    record["metrics"] = {
-        split: _evaluate(result.params, result.encoder_config, proto,
-                         *dataset.subset(split))["metrics"]
-        for split in (dataio.VAL, dataio.TEST)}
-    record["prototype_separation"] = None if proto is None else proto.separation
+    record["metrics"], record["prototype_separation"] = _score(
+        result, dataset, (dataio.VAL, dataio.TEST))
     save_results(args.results or args.out + ".results.json", record)
     if args.log:
         _write_train_log(args.log, result)
@@ -278,11 +291,15 @@ def sweep_cell_seeds(run_seed: int, ratio_index: int) -> tuple:
     return tuple(int(s) for s in state)
 
 
-def _sweep_base_config(epochs: int, batch_size: int, lr: float) -> TrainConfig:
-    """The training settings shared by every sweep cell; each cell sets its
-    own seed, loss and margin on top."""
-    return TrainConfig(batch_size=batch_size, epochs=epochs,
-                       adam=AdamConfig(learning_rate=lr))
+def _sweep_config(method: str, seed: int, epochs: int, batch_size: int,
+                  lr: float) -> tuple:
+    """The training mode, config and class weighting of one sweep method."""
+    if method not in SWEEP_METHODS:
+        raise InvalidSpecError(f"unknown method {method!r}")
+    mode, loss, weighting = SWEEP_METHODS[method]
+    config = TrainConfig(batch_size=batch_size, epochs=epochs, loss_kind=loss,
+                         seed=seed, adam=AdamConfig(learning_rate=lr))
+    return mode, config, weighting
 
 
 def run_sweep_cell(n_maj: int, n_min: int, method: str, seed: int,
@@ -294,19 +311,12 @@ def run_sweep_cell(n_maj: int, n_min: int, method: str, seed: int,
     spec = BlobSpec(n_maj=n_maj, n_min=n_min, dim=dim,
                     separation=separation, seed=data_seed)
     dataset = dataio.split_dataset(dataio.synth_imbalanced(spec), split_seed)
-    loss = "triplet" if method.endswith("triplet") else "com"
-    config = dataclasses.replace(_sweep_base_config(epochs, batch_size, lr),
-                                 seed=train_seed, loss_kind=loss,
-                                 margin=_margin_spec("adaptive", loss))
-    if method not in SWEEP_METHODS:
-        raise ComclustError(f"unknown method {method!r}")
-    result = _fit(method.split("-")[0], dataset, config,
-                  INVERSE_FREQUENCY if method == "classifier-lw" else EQUAL)
-    proto = result.prototypes
-    evaluation = _evaluate(result.params, result.encoder_config, proto,
-                           *dataset.subset(dataio.TEST))
-    return {"metrics": evaluation["metrics"],
-            "prototype_separation": None if proto is None else proto.separation}
+    mode, config, weighting = _sweep_config(method, train_seed, epochs,
+                                            batch_size, lr)
+    metrics, proto_separation = _score(_fit(mode, dataset, config, weighting),
+                                       dataset, (dataio.TEST,))
+    return {"metrics": metrics[dataio.TEST],
+            "prototype_separation": proto_separation}
 
 
 def cmd_sweep(args) -> None:
@@ -318,11 +328,10 @@ def cmd_sweep(args) -> None:
         raise InvalidSpecError("--seeds and --methods each need an entry")
     if min(seeds) < 0:
         raise InvalidSpecError(f"seeds must be non-negative, got {min(seeds)}")
-    for m in methods:
-        if m not in SWEEP_METHODS:
-            raise ComclustError(f"unknown method {m!r}")
-    # a bad shared setting or ratio fails here, before any cell runs
-    _sweep_base_config(args.epochs, args.batch_size, args.lr)
+    # an unknown method, a bad shared setting or a bad ratio fails here,
+    # before any cell runs
+    for method in methods:
+        _sweep_config(method, 0, args.epochs, args.batch_size, args.lr)
     for n_maj, n_min in ratios:
         BlobSpec(n_maj=n_maj, n_min=n_min, dim=args.dim,
                  separation=args.separation)
@@ -331,6 +340,7 @@ def cmd_sweep(args) -> None:
                   "precision", "specificity", "accuracy", "f1",
                   "prototype_separation"]
     rows = []
+    ok_aucs = defaultdict(list)   # (ratio, method) -> AUC or None per ok cell
     for ratio_index, (n_maj, n_min) in enumerate(ratios):
         for method in methods:
             for seed in seeds:
@@ -345,17 +355,13 @@ def cmd_sweep(args) -> None:
                     # one diverging cell must not kill the whole sweep
                     row.update(status=f"error: {exc}")
                 else:
-                    metrics = cell["metrics"]
-                    # a test split with one class has no AUC
-                    row.update(status="ok",
-                               auc=("" if metrics["auc"] is None
-                                    else repr(metrics["auc"])),
-                               prototype_separation=(
-                                   "" if cell["prototype_separation"] is None
-                                   else repr(cell["prototype_separation"])))
-                    for k in ("recall", "precision", "specificity",
-                              "accuracy", "f1"):
-                        row[k] = repr(metrics[k])
+                    ok_aucs[row["ratio"], method].append(cell["metrics"]["auc"])
+                    values = {**cell["metrics"], "prototype_separation":
+                              cell["prototype_separation"]}
+                    # a test split with one class has no AUC, a classifier
+                    # no prototypes: their cells stay empty
+                    row.update({k: "" if v is None else repr(v)
+                                for k, v in values.items()}, status="ok")
                 rows.append(row)
 
     with open(args.out, "w", newline="") as fh:
@@ -370,11 +376,10 @@ def cmd_sweep(args) -> None:
         for n_maj, n_min in ratios:
             label = f"{n_maj}:{n_min}"
             for method in methods:
-                aucs = [float(r["auc"]) for r in rows
-                        if r["ratio"] == label and r["method"] == method
-                        and r["status"] == "ok" and r.get("auc")]
+                cells = ok_aucs[label, method]
+                aucs = [auc for auc in cells if auc is not None]
                 median = repr(float(np.median(aucs))) if aucs else ""
-                writer.writerow([label, method, median, len(aucs)])
+                writer.writerow([label, method, median, len(cells)])
 
 
 if __name__ == "__main__":

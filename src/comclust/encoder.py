@@ -160,9 +160,8 @@ def minority_probability(head_vars: list, embeddings):
     logits = ad.add(ad.matmul(embeddings, head_vars[0]), head_vars[1])
     zs = ad.value_of(logits)
     zdiff = zs[:, 1] - zs[:, 0]
-    p = np.where(zdiff >= 0,
-                 1.0 / (1.0 + np.exp(-zdiff)),
-                 np.exp(zdiff) / (1.0 + np.exp(zdiff)))
+    e = np.exp(-np.abs(zdiff))    # <= 1: neither branch below can overflow
+    p = np.where(zdiff >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def vjp(g):
         dz = g * p * (1.0 - p)

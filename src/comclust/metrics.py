@@ -47,19 +47,17 @@ def weighted_metrics(labels, predictions) -> dict:
 
     Support weighting makes weighted recall equal accuracy identically.
     """
-    labels, predictions = _check_binary(labels, predictions)
-    n = len(labels)
+    c = confusion(labels, predictions)
+    n = c.total
     out = {name: 0.0 for name in METRIC_NAMES}
-    out["accuracy"] = _safe_div(float(np.sum(labels == predictions)), n)
-    for cls in (0, 1):
-        support = int(np.sum(labels == cls))
+    out["accuracy"] = _safe_div(c.tp + c.tn, n)
+    # each class in turn as the positive one: (tp, fp, tn, fn) of class 0,
+    # then of class 1
+    for tp, fp, tn, fn in ((c.tn, c.fn, c.tp, c.fp), (c.tp, c.fp, c.tn, c.fn)):
+        support = tp + fn
         if support == 0:
             continue
         w = support / n
-        tp = float(np.sum((labels == cls) & (predictions == cls)))
-        fp = float(np.sum((labels != cls) & (predictions == cls)))
-        tn = float(np.sum((labels != cls) & (predictions != cls)))
-        fn = float(np.sum((labels == cls) & (predictions != cls)))
         recall = _safe_div(tp, tp + fn)
         precision = _safe_div(tp, tp + fp)
         out["recall"] += w * recall

@@ -48,6 +48,11 @@ class TrainConfig:
             raise InvalidSpecError("epochs must be >= 1")
         if self.loss_kind not in (LOSS_COM, LOSS_TRIPLET):
             raise InvalidSpecError(f"unknown loss kind {self.loss_kind!r}")
+        if self.loss_kind == LOSS_TRIPLET and self.margin.mode != "constant":
+            # the traditional triplet loss has no adaptive margin: it keeps
+            # the spec's alpha as its constant one
+            object.__setattr__(self, "margin",
+                               MarginSpec("constant", self.margin.alpha))
 
     def encoder_config(self, input_dim: int) -> EncoderConfig:
         return EncoderConfig(input_dim, tuple(self.hidden),
@@ -192,8 +197,6 @@ def train_udc(dataset: LabeledDataset, config: TrainConfig) -> TrainLog:
     if len(y) < 2 * m3:
         log.warning("training split has %d samples; at least %d recommended "
                     "for UDC batches of %d", len(y), 2 * m3, m3)
-    margin = (config.margin if config.loss_kind == LOSS_COM
-              else MarginSpec("constant", config.margin.alpha))
 
     def step(rng, param_vars, enc_config):
         rows = _sample_rows(len(y), m3, rng)
@@ -204,18 +207,18 @@ def train_udc(dataset: LabeledDataset, config: TrainConfig) -> TrainLog:
         k_min = labels.minority_component
         pseudo = np.where(labels.assignments == k_min, C_MIN, C_MAJ)
         mu_min, mu_maj = model.means[k_min], model.means[1 - k_min]
-        loss = udc_com_loss(emb, pseudo, mu_min, mu_maj, margin)
+        loss = udc_com_loss(emb, pseudo, mu_min, mu_maj, config.margin)
         return loss, (mu_min, mu_maj), model.nll_trace[-1]
 
     return _train(x, y, config, step)
 
 
 EQUAL = "equal"
-INVERSE_FREQUENCY = "inverse_frequency"
+INVERSE_FREQUENCY = "inverse-frequency"
 
 
 def batch_class_weights(batch_labels: np.ndarray, weighting: str) -> ClassWeights:
-    """Per-iteration class weights. inverse_frequency sets w_c proportional
+    """Per-iteration class weights. inverse-frequency sets w_c proportional
     to batch_size / (2 * count_c); a batch missing a class falls back to
     equal weights."""
     if weighting == EQUAL:
@@ -251,20 +254,14 @@ def train_classifier(dataset: LabeledDataset, config: TrainConfig,
     return _train(x, y, config, step, head_outputs=enc.HEAD_OUTPUTS)
 
 
-# Weights that overflow in inference give non-finite scores, which _aggregate
-# reports as an error; numpy's warnings on the way there would only repeat it.
-_OVERFLOW_TO_AGGREGATE = dict(over="ignore", invalid="ignore", divide="ignore")
-
-
 def evaluate_prototypes(params: ParamStore, enc_config: EncoderConfig,
                         proto: Prototypes, x, y) -> dict:
     """Prototype-distance inference over a split: per-sample labels and
     scores plus aggregate weighted metrics and AUC (when both classes are
     present)."""
-    with np.errstate(**_OVERFLOW_TO_AGGREGATE):
-        emb = enc.embed(params, enc_config, x)
-        preds, _, _ = infer_label(emb, proto)
-        scores = malignancy_score(emb, proto)
+    emb = enc.embed(params, enc_config, x)
+    preds, _, _ = infer_label(emb, proto)
+    scores = malignancy_score(emb, proto)
     return _aggregate(np.asarray(y, dtype=int), preds, scores)
 
 
@@ -272,8 +269,7 @@ def evaluate_classifier(params: ParamStore, enc_config: EncoderConfig,
                         x, y) -> dict:
     """Softmax-head inference over a split, scored like
     ``evaluate_prototypes`` with the minority probability as the score."""
-    with np.errstate(**_OVERFLOW_TO_AGGREGATE):
-        probs = enc.classify(params.arrays, enc_config, x)
+    probs = enc.classify(params.arrays, enc_config, x)
     preds = (probs >= 0.5).astype(int)
     return _aggregate(np.asarray(y, dtype=int), preds, probs)
 

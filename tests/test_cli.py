@@ -13,9 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from comclust import checkpoint as ckpt
-from comclust.cli import main, sweep_cell_seeds
+from comclust import training
+from comclust.cli import main, run_sweep_cell, sweep_cell_seeds
 from comclust.dataio import load_csv, load_results, split_dataset
 from comclust.encoder import embed
+from comclust.losses import MarginSpec
 from comclust.prototypes import malignancy_score
 from comclust.training import evaluate_prototypes
 
@@ -464,7 +466,8 @@ class TestSweep:
 
     def test_one_class_test_split_leaves_auc_empty(self, tmp_path):
         """At 30:5 the test split of seed 0 holds no minority row: the cell
-        is scored without an AUC, and the summary skips it."""
+        is scored without an AUC, which the median skips; it still counts
+        as ok."""
         out = tmp_path / "s.csv"
         assert main(["sweep-imbalance", "--ratios", "30:10,30:5", "--seeds",
                      "0", "--dim", "4", "--epochs", "1", "--batch-size", "16",
@@ -475,7 +478,7 @@ class TestSweep:
                             for r in rows)
         with open(str(out) + ".summary.csv") as fh:
             summary = [r for r in csv.DictReader(fh) if r["ratio"] == "30:5"]
-        assert all(r["median_auc"] == "" and r["n_ok"] == "0"
+        assert all(r["median_auc"] == "" and r["n_ok"] == "1"
                    for r in summary)
 
     def test_single_ratio_rejected(self, tmp_path):
@@ -502,6 +505,47 @@ class TestSweep:
                      *flags, "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("method, train, loss, margin, weighting", [
+        ("sdc-com", "train_sdc", "com", MarginSpec("adaptive"), None),
+        ("sdc-triplet", "train_sdc", "triplet", MarginSpec("constant", 0.2),
+         None),
+        ("classifier", "train_classifier", "com", MarginSpec("adaptive"),
+         training.EQUAL),
+        ("classifier-lw", "train_classifier", "com", MarginSpec("adaptive"),
+         training.INVERSE_FREQUENCY),
+        ("udc-com", "train_udc", "com", MarginSpec("adaptive"), None),
+        ("udc-triplet", "train_udc", "triplet", MarginSpec("constant", 0.2),
+         None),
+    ])
+    def test_cell_trains_its_method(self, method, train, loss, margin,
+                                    weighting, monkeypatch):
+        """Each sweep method reaches its training mode with its loss,
+        margin and class weighting, and the cell's shared settings."""
+        calls = []
+
+        class Stop(Exception):
+            pass
+
+        def capture(name):
+            def fake(dataset, config, *rest):
+                calls.append((name, config, *rest))
+                raise Stop
+            return fake
+
+        for name in ("train_sdc", "train_udc", "train_classifier"):
+            monkeypatch.setattr(training, name, capture(name))
+        with pytest.raises(Stop):
+            run_sweep_cell(n_maj=60, n_min=20, method=method, seed=3,
+                           ratio_index=1, dim=4, separation=2.5, epochs=2,
+                           batch_size=10, lr=1e-3)
+        [(name, config, *rest)] = calls
+        assert (name, config.loss_kind, config.margin) == (train, loss,
+                                                          margin)
+        assert rest == ([] if weighting is None else [weighting])
+        assert (config.seed, config.epochs, config.batch_size,
+                config.adam.learning_rate) == (sweep_cell_seeds(3, 1)[2], 2,
+                                               10, 1e-3)
 
     def test_cell_seeds_differ_across_ratios(self):
         assert sweep_cell_seeds(0, 0) != sweep_cell_seeds(0, 1)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -234,6 +236,23 @@ class TestHead:
         logits = emb @ head[0] + head[1]
         expected = np.exp(logits[:, 1]) / np.exp(logits).sum(axis=1)
         np.testing.assert_allclose(p, expected, atol=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True),
+                    min_size=1, max_size=20))
+    def test_minority_probability_bit_equal_to_two_exp_form(self, zdiff):
+        """Logits (-z/2, z/2) give zdiff = z exactly, +-inf and NaN
+        included; the result matches the form that evaluated exp(-z) and
+        exp(z) for every row, and raises no numpy warning."""
+        z = np.array(zdiff)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = minority_probability([np.array([[-0.5, 0.5]]), np.zeros(2)],
+                                     z[:, None])
+        with np.errstate(all="ignore"):
+            reference = np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)),
+                                 np.exp(z) / (1.0 + np.exp(z)))
+        assert np.array_equal(p, reference, equal_nan=True)
 
     def test_probability_gradient(self):
         rng = make_rng(14)

@@ -35,6 +35,33 @@ def loop_midranks(x):
     return ranks
 
 
+def count_loop_metrics(labels, predictions):
+    """Reference: the support-weighted metrics with each class's counts
+    taken by its own four sums, in the same order of operations as the
+    library."""
+    n = len(labels)
+    out = dict.fromkeys(("recall", "precision", "specificity", "accuracy",
+                         "f1"), 0.0)
+    out["accuracy"] = float(np.sum(labels == predictions)) / n
+    for cls in (0, 1):
+        support = int(np.sum(labels == cls))
+        if support == 0:
+            continue
+        w = support / n
+        tp = float(np.sum((labels == cls) & (predictions == cls)))
+        fp = float(np.sum((labels != cls) & (predictions == cls)))
+        tn = float(np.sum((labels != cls) & (predictions != cls)))
+        fn = float(np.sum((labels == cls) & (predictions != cls)))
+        recall = tp / (tp + fn) if tp + fn > 0 else 0.0
+        precision = tp / (tp + fp) if tp + fp > 0 else 0.0
+        out["recall"] += w * recall
+        out["precision"] += w * precision
+        out["specificity"] += w * (tn / (tn + fp) if tn + fp > 0 else 0.0)
+        out["f1"] += w * (2 * precision * recall / (precision + recall)
+                          if precision + recall > 0 else 0.0)
+    return out
+
+
 # few distinct values, so most draws are full of ties
 FEW_SCORES = st.sampled_from([-1.5, -0.0, 0.0, 0.25, 0.5, 1.0, 3.0])
 
@@ -115,6 +142,14 @@ class TestWeightedMetrics:
             oracle = per_class_oracle(labels, preds)
             for key in oracle:
                 assert got[key] == pytest.approx(oracle[key], abs=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)),
+                    min_size=1, max_size=80))
+    def test_bit_equal_to_per_class_count_loop(self, pairs):
+        labels, preds = (np.array(column) for column in zip(*pairs))
+        assert weighted_metrics(labels, preds) == count_loop_metrics(labels,
+                                                                     preds)
 
     def test_empty_input(self):
         with pytest.raises(EmptyBatchError):

@@ -9,7 +9,7 @@ from comclust.dataio import TEST, TRAIN, BlobSpec, LabeledDataset, \
 from comclust.encoder import AdamConfig, embed
 from comclust.errors import (MissingClassError, NonFiniteLossError,
                              TooFewSamplesError)
-from comclust.losses import C_MAJ, C_MIN, ClassWeights
+from comclust.losses import C_MAJ, C_MIN, ClassWeights, MarginSpec
 from comclust.training import (EQUAL, INVERSE_FREQUENCY, TrainConfig,
                                batch_class_weights, best_permutation_accuracy,
                                evaluate_classifier, evaluate_prototypes,
@@ -38,6 +38,14 @@ class TestTrainConfig:
     def test_zero_epochs_rejected(self):
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
+
+    def test_triplet_margin_is_constant_with_the_spec_alpha(self):
+        config = TrainConfig(loss_kind="triplet",
+                             margin=MarginSpec("adaptive", 0.3))
+        assert config.margin == MarginSpec("constant", 0.3)
+        assert TrainConfig(loss_kind="triplet").margin == MarginSpec(
+            "constant", 0.2)
+        assert TrainConfig().margin == MarginSpec("adaptive")
 
 
 class TestSampleTriplets:
