@@ -20,20 +20,19 @@ from .dataio import BlobSpec, LabeledDataset, load_csv, save_csv, save_results
 from .encoder import AdamConfig
 from .errors import (ComclustError, InvalidSpecError, NonFiniteLossError,
                      ShapeMismatchError)
-from .losses import MarginSpec
 from .training import (EQUAL, INVERSE_FREQUENCY, LOSS_COM, LOSS_TRIPLET,
                        TrainConfig, evaluate_classifier, evaluate_prototypes)
 
 DEFAULT_RATIOS = "900:900,900:450,900:225,900:60,900:25,900:15"
-# method -> (training mode, loss kind, class weighting, which only a
-# classifier reads)
+# method -> (training mode, loss kind, class weighting); SDC and UDC have
+# no weighting and a classifier no loss kind
 SWEEP_METHODS = {
-    "sdc-com": ("sdc", LOSS_COM, EQUAL),
-    "sdc-triplet": ("sdc", LOSS_TRIPLET, EQUAL),
-    "classifier": ("classifier", LOSS_COM, EQUAL),
-    "classifier-lw": ("classifier", LOSS_COM, INVERSE_FREQUENCY),
-    "udc-com": ("udc", LOSS_COM, EQUAL),
-    "udc-triplet": ("udc", LOSS_TRIPLET, EQUAL),
+    "sdc-com": ("sdc", LOSS_COM, None),
+    "sdc-triplet": ("sdc", LOSS_TRIPLET, None),
+    "classifier": ("classifier", None, EQUAL),
+    "classifier-lw": ("classifier", None, INVERSE_FREQUENCY),
+    "udc-com": ("udc", LOSS_COM, None),
+    "udc-triplet": ("udc", LOSS_TRIPLET, None),
 }
 
 
@@ -74,6 +73,11 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "train-classifier":
             p.add_argument("--weighting", choices=(EQUAL, INVERSE_FREQUENCY),
                            default=INVERSE_FREQUENCY)
+        else:
+            p.add_argument("--loss", choices=(LOSS_COM, LOSS_TRIPLET),
+                           default=LOSS_COM,
+                           help="margin-free COM-triplet, or the traditional "
+                                "triplet with a constant 0.2 margin")
         p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
@@ -113,9 +117,6 @@ def _add_train_flags(p):
     p.add_argument("--log", default=None, help="per-iteration log path")
     p.add_argument("--epochs", type=int, default=15)
     p.add_argument("--batch-size", type=int, default=15)
-    p.add_argument("--margin", default="adaptive",
-                   help="'adaptive' or a constant value in [0, 2]")
-    p.add_argument("--loss", choices=("com", "triplet"), default="com")
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--hidden", default="64,64")
     p.add_argument("--embedding-dim", type=int, default=32)
@@ -130,36 +131,19 @@ def _parse(text: str, convert, what: str):
         raise InvalidSpecError(f"bad {what}: {text!r}") from None
 
 
-def _margin_spec(text: str) -> MarginSpec:
-    if text == "adaptive":
-        return MarginSpec("adaptive")
-    alpha = _parse(text, float, "--margin (want 'adaptive' or a number)")
-    return MarginSpec("constant", alpha)
+def _train_config(loss, **settings) -> TrainConfig:
+    """TrainConfig(**settings) with ``loss``, None for a classifier."""
+    if loss is not None:
+        settings["loss_kind"] = loss
+    return TrainConfig(**settings)
 
 
-def _train_config(args) -> TrainConfig:
-    hidden = tuple(_parse(h, int, "--hidden width")
-                   for h in args.hidden.split(",") if h)
-    return TrainConfig(
-        batch_size=args.batch_size,
-        epochs=args.epochs,
-        margin=_margin_spec(args.margin),
-        loss_kind=args.loss,
-        seed=args.seed,
-        adam=AdamConfig(learning_rate=args.lr),
-        hidden=hidden,
-        embedding_dim=args.embedding_dim,
-        dropout_rate=args.dropout,
-    )
-
-
-def _config_echo(config: TrainConfig) -> dict:
+def _config_echo(config: TrainConfig, loss) -> dict:
+    """The settings a run read, with ``loss`` None for a classifier."""
     return {
         "batch_size": config.batch_size,
         "epochs": config.epochs,
-        "margin": ({"mode": "adaptive"} if config.margin.mode == "adaptive"
-                   else {"mode": "constant", "alpha": config.margin.alpha}),
-        "loss": config.loss_kind,
+        **({} if loss is None else {"loss": loss}),
         "learning_rate": config.adam.learning_rate,
         "hidden": list(config.hidden),
         "embedding_dim": config.embedding_dim,
@@ -226,8 +210,15 @@ def cmd_train(args) -> None:
     checkpoint, evaluate val and test, write the results record and the
     optional per-iteration log."""
     dataset = _load_split(args.data, args.seed)
-    config = _train_config(args)
-    record = {"command": args.command, "config": _config_echo(config),
+    loss = getattr(args, "loss", None)             # train-sdc's and train-udc's
+    hidden = tuple(_parse(h, int, "--hidden width")
+                   for h in args.hidden.split(",") if h)
+    config = _train_config(loss, batch_size=args.batch_size,
+                           epochs=args.epochs, seed=args.seed,
+                           adam=AdamConfig(learning_rate=args.lr),
+                           hidden=hidden, embedding_dim=args.embedding_dim,
+                           dropout_rate=args.dropout)
+    record = {"command": args.command, "config": _config_echo(config, loss),
               "seed": args.seed}
     weighting = getattr(args, "weighting", None)   # train-classifier's alone
     if weighting is not None:
@@ -297,8 +288,8 @@ def _sweep_config(method: str, seed: int, epochs: int, batch_size: int,
     if method not in SWEEP_METHODS:
         raise InvalidSpecError(f"unknown method {method!r}")
     mode, loss, weighting = SWEEP_METHODS[method]
-    config = TrainConfig(batch_size=batch_size, epochs=epochs, loss_kind=loss,
-                         seed=seed, adam=AdamConfig(learning_rate=lr))
+    config = _train_config(loss, batch_size=batch_size, epochs=epochs,
+                           seed=seed, adam=AdamConfig(learning_rate=lr))
     return mode, config, weighting
 
 
@@ -328,6 +319,11 @@ def cmd_sweep(args) -> None:
         raise InvalidSpecError("--seeds and --methods each need an entry")
     if min(seeds) < 0:
         raise InvalidSpecError(f"seeds must be non-negative, got {min(seeds)}")
+    # a repeat would run a cell twice and pool its results under one label
+    for flag, entries in (("--ratios", ratios), ("--seeds", seeds),
+                          ("--methods", methods)):
+        if len(set(entries)) < len(entries):
+            raise InvalidSpecError(f"{flag} repeats an entry")
     # an unknown method, a bad shared setting or a bad ratio fails here,
     # before any cell runs
     for method in methods:

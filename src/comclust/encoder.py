@@ -14,6 +14,8 @@ from . import autodiff as ad
 from .autodiff import Var
 from .errors import InvalidSpecError, NonFiniteLossError, ShapeMismatchError
 
+MAX_PARAMETERS = 10 ** 7   # weights and biases; the sweep's encoder has 8352
+
 
 @dataclass(frozen=True)
 class EncoderConfig:
@@ -36,6 +38,10 @@ class EncoderConfig:
             raise InvalidSpecError("embedding_dim must be >= 2")
         if not (0.0 <= self.dropout_rate < 1.0):
             raise InvalidSpecError("dropout_rate must be in [0, 1)")
+        count = sum((int(a) + 1) * int(b) for a, b in zip(sizes, sizes[1:]))
+        if count > MAX_PARAMETERS:
+            raise InvalidSpecError(f"layer sizes {sizes} give {count} "
+                                   f"parameters, above {MAX_PARAMETERS}")
 
     @property
     def layer_dims(self) -> list:

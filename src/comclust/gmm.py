@@ -52,20 +52,27 @@ class PseudoLabels:
 def gaussian_log_pdf(x, mean, cov):
     """Log-density of a diagonal-covariance normal, evaluated in log space.
 
-    ``cov`` holds the diagonal variances; ``mean`` and ``cov`` may carry
-    leading axes that broadcast against ``x``, the density being taken over
-    the last axis. A single point gives a float.
+    ``cov`` holds the diagonal variances, in the shape of ``mean``; both
+    may carry leading axes that broadcast against ``x``, the density being
+    taken over the last axis. A single point gives a float.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     mean = np.asarray(mean, dtype=np.float64)
     cov = np.asarray(cov, dtype=np.float64)
     if np.any(cov <= 0):
         raise SingularCovarianceError("non-positive diagonal variance")
-    diff = x - mean
-    logdet = np.sum(np.log(cov), axis=-1)
-    maha = np.sum(diff * diff / cov, axis=-1)
-    out = -0.5 * (mean.shape[-1] * LOG_2PI + logdet + maha)
+    out = _log_pdf(x, mean, cov)
     return out if out.size > 1 else float(out[0])
+
+
+def _log_pdf(x: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """``gaussian_log_pdf`` without its checks, which EM skips: its
+    variances never fall below COV_FLOOR. Squares ``x - mean`` in place."""
+    sq = x - mean
+    sq *= sq
+    sq /= cov
+    return -0.5 * (mean.shape[-1] * LOG_2PI + np.log(cov).sum(axis=-1)
+                   + sq.sum(axis=-1))
 
 
 def _component_log_probs(model: GaussianMixture, x: np.ndarray) -> np.ndarray:
@@ -269,13 +276,8 @@ def _fit_em_once(batch: np.ndarray, seed: int) -> GaussianMixture:
     nll_trace = []
     prev_nll = None
     for _ in range(EM_MAX_ITER):
-        # the log-densities of _component_log_probs, without its check for
-        # positive variances: here they never fall below COV_FLOOR
-        sq = batch[:, None, :] - means
-        sq *= sq
-        sq /= covs
-        log_p = -0.5 * (s * LOG_2PI + np.log(covs).sum(axis=1)
-                        + sq.sum(axis=2))
+        # _component_log_probs, unchecked
+        log_p = _log_pdf(batch[:, None, :], means, covs)
         log_p += np.log(weights)
         lse = _logsumexp(log_p, axis=1)
         nll = float(-lse.sum())

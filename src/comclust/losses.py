@@ -1,5 +1,5 @@
 """Training objectives: traditional triplet, center-oriented margin-free
-(COM) triplet, its cluster-center variant for pseudo-labeled training, and
+(COM) triplet, its cluster-center form for pseudo-labeled training, and
 weighted cross-entropy.
 
 The batch losses take (M, S) operands, one triplet or anchor per row, and
@@ -22,6 +22,7 @@ from .autodiff import cosine_distance, row_cosine_distance
 from .errors import EmptyBatchError, InvalidSpecError, ShapeMismatchError
 
 PROB_CLAMP = 1e-12
+TRIPLET_MARGIN = 0.2        # the traditional triplet loss's constant margin
 
 C_MAJ = 0
 C_MIN = 1
@@ -35,7 +36,7 @@ class MarginSpec:
     margin from the positive-negative separation of each triplet.
     """
     mode: str = "adaptive"
-    alpha: float = 0.2
+    alpha: float = TRIPLET_MARGIN
 
     def __post_init__(self):
         if self.mode not in ("constant", "adaptive"):
@@ -65,11 +66,6 @@ def _triplet_hinge(d_ap, d_an, alpha: float):
     return ad.relu(ad.add(ad.sub(d_ap, d_an), alpha))
 
 
-def _com_hinge(d_ap, d_an, d_pn, margin: MarginSpec):
-    bound = ad.sub(1.0, d_pn) if margin.mode == "adaptive" else margin.alpha
-    return ad.relu(ad.add(_wa(d_ap, d_an, d_pn), bound))
-
-
 def triplet_loss(e_a, e_p, e_n, alpha: float):
     """Classic triplet hinge: max(0, d(A,P) - d(A,N) + alpha)."""
     return _triplet_hinge(cosine_distance(e_a, e_p),
@@ -95,10 +91,11 @@ def com_triplet_loss(anchors, positives, negatives, margin: MarginSpec):
     of each forms one triplet.
     """
     _batch_len(anchors, positives, negatives)
-    hinge = _com_hinge(row_cosine_distance(anchors, positives),
-                       row_cosine_distance(anchors, negatives),
-                       row_cosine_distance(positives, negatives), margin)
-    return ad.mean(hinge)
+    d_ap = row_cosine_distance(anchors, positives)
+    d_an = row_cosine_distance(anchors, negatives)
+    d_pn = row_cosine_distance(positives, negatives)
+    bound = ad.sub(1.0, d_pn) if margin.mode == "adaptive" else margin.alpha
+    return ad.mean(ad.relu(ad.add(_wa(d_ap, d_an, d_pn), bound)))
 
 
 def triplet_loss_batch(anchors, positives, negatives, alpha: float):
@@ -125,30 +122,23 @@ def udc_dist_wa(e_a, mu_min, mu_maj, pseudo_class: int):
                cosine_distance(mu_min, mu_maj))
 
 
-def udc_com_loss(anchors, pseudo_classes, mu_min, mu_maj, margin: MarginSpec):
-    """Mean hinge of the center-based COM term over a pseudo-labeled batch.
+def center_rows(pseudo_classes, mu_min, mu_maj):
+    """(M, S) rows of each anchor's own cluster center and of the other
+    center, per the anchors' pseudo-classes."""
+    minority = (np.asarray(pseudo_classes, dtype=int) == C_MIN)[:, None]
+    return (np.where(minority, mu_min, mu_maj),
+            np.where(minority, mu_maj, mu_min))
 
-    ``anchors`` is an (M, S) array or Var; the centers ``mu_min``/``mu_maj``
-    are constant (S,) arrays. With mode="adaptive" the margin is
-    1 - d(mu_min, mu_maj); with mode="constant" the traditional triplet form
-    on cluster centers is used (d(A, own) - d(A, other) + alpha), matching
-    the ablation baseline.
+
+def udc_com_loss(anchors, pseudo_classes, mu_min, mu_maj, margin: MarginSpec):
+    """``com_triplet_loss`` over a pseudo-labeled batch, with each anchor's
+    own cluster center as its positive and the other center as its negative
+    (``center_rows``). The centers ``mu_min``/``mu_maj`` are constant (S,)
+    arrays; with mode="adaptive" the margin is 1 - d(mu_min, mu_maj).
     """
-    m = _batch_len(anchors)
-    pseudo_classes = np.asarray(pseudo_classes, dtype=int)
-    if len(pseudo_classes) != m:
-        raise ShapeMismatchError("pseudo_classes length != batch size")
-    mu_min = np.asarray(mu_min, dtype=np.float64)
-    mu_maj = np.asarray(mu_maj, dtype=np.float64)
-    minority = (pseudo_classes == C_MIN)[:, None]
-    d_own = row_cosine_distance(anchors, np.where(minority, mu_min, mu_maj))
-    d_other = row_cosine_distance(anchors, np.where(minority, mu_maj, mu_min))
-    if margin.mode == "adaptive":
-        hinge = _com_hinge(d_own, d_other, cosine_distance(mu_min, mu_maj),
-                           margin)
-    else:
-        hinge = _triplet_hinge(d_own, d_other, margin.alpha)
-    return ad.mean(hinge)
+    return com_triplet_loss(anchors,
+                            *center_rows(pseudo_classes, mu_min, mu_maj),
+                            margin)
 
 
 def weighted_cross_entropy(labels, probs, weights: ClassWeights):

@@ -17,8 +17,10 @@ from .dataio import TRAIN, LabeledDataset
 from .encoder import AdamConfig, EncoderConfig, ParamStore
 from .errors import (InvalidSpecError, MissingClassError,
                      NonFiniteLossError, TooFewSamplesError)
-from .losses import (C_MAJ, C_MIN, ClassWeights, MarginSpec, com_triplet_loss,
-                     triplet_loss_batch, udc_com_loss, weighted_cross_entropy)
+# udc_com_loss goes unused: perfbench's layer trace hooks it by this name
+from .losses import (C_MAJ, C_MIN, TRIPLET_MARGIN, ClassWeights, MarginSpec,
+                     center_rows, com_triplet_loss, triplet_loss_batch,
+                     udc_com_loss, weighted_cross_entropy)
 from .metrics import roc_auc, weighted_metrics
 from .prototypes import (Prototypes, batch_centers, infer_label,
                          malignancy_score, update_prototypes)
@@ -33,8 +35,7 @@ LOSS_TRIPLET = "triplet"
 class TrainConfig:
     batch_size: int = 15
     epochs: int = 15
-    margin: MarginSpec = MarginSpec("adaptive")
-    loss_kind: str = LOSS_COM            # "com" or "triplet"
+    loss_kind: str = LOSS_COM            # "com" or "triplet", for SDC and UDC
     seed: int = 0
     adam: AdamConfig = AdamConfig()
     hidden: tuple = (64, 64)
@@ -48,11 +49,6 @@ class TrainConfig:
             raise InvalidSpecError("epochs must be >= 1")
         if self.loss_kind not in (LOSS_COM, LOSS_TRIPLET):
             raise InvalidSpecError(f"unknown loss kind {self.loss_kind!r}")
-        if self.loss_kind == LOSS_TRIPLET and self.margin.mode != "constant":
-            # the traditional triplet loss has no adaptive margin: it keeps
-            # the spec's alpha as its constant one
-            object.__setattr__(self, "margin",
-                               MarginSpec("constant", self.margin.alpha))
 
     def encoder_config(self, input_dim: int) -> EncoderConfig:
         return EncoderConfig(input_dim, tuple(self.hidden),
@@ -122,6 +118,15 @@ def _sample_rows(n: int, k: int, rng) -> np.ndarray:
     return rng.choice(n, size=min(k, n), replace=n < k)
 
 
+def _batch_loss(loss_kind: str, anchors, positives, negatives):
+    """Mean margin-free COM-triplet loss, or traditional triplet loss with
+    its constant margin, over (M, S) triplet rows."""
+    if loss_kind == LOSS_COM:
+        return com_triplet_loss(anchors, positives, negatives,
+                                MarginSpec("adaptive"))
+    return triplet_loss_batch(anchors, positives, negatives, TRIPLET_MARGIN)
+
+
 def _train(x, y, config: TrainConfig, step, head_outputs: int = 0) -> TrainLog:
     """The loop every mode shares.
 
@@ -175,11 +180,8 @@ def train_sdc(dataset: LabeledDataset, config: TrainConfig) -> TrainLog:
                           train_mode=True, rng=rng)
         e_a, e_p, e_n = (ad.take_rows(emb, np.arange(k * m, (k + 1) * m))
                          for k in range(3))
-        if config.loss_kind == LOSS_COM:
-            loss = com_triplet_loss(e_a, e_p, e_n, config.margin)
-        else:
-            loss = triplet_loss_batch(e_a, e_p, e_n, config.margin.alpha)
-        return loss, batch_centers(emb.value, y[rows]), None
+        return (_batch_loss(config.loss_kind, e_a, e_p, e_n),
+                batch_centers(emb.value, y[rows]), None)
 
     return _train(x, y, config, step)
 
@@ -189,8 +191,9 @@ def train_udc(dataset: LabeledDataset, config: TrainConfig) -> TrainLog:
 
     Per iteration a batch of 3M samples is embedded, a fresh two-component
     GMM is fitted on those embeddings to produce pseudo-labels, and each
-    sample acts as an anchor against the two component means (which also
-    serve as the candidate prototype pair).
+    sample is an anchor whose own component mean is its positive and the
+    other mean its negative, under the loss SDC uses. The two means are
+    also the candidate prototype pair.
     """
     x, y = _training_split(dataset)
     m3 = 3 * config.batch_size
@@ -207,7 +210,8 @@ def train_udc(dataset: LabeledDataset, config: TrainConfig) -> TrainLog:
         k_min = labels.minority_component
         pseudo = np.where(labels.assignments == k_min, C_MIN, C_MAJ)
         mu_min, mu_maj = model.means[k_min], model.means[1 - k_min]
-        loss = udc_com_loss(emb, pseudo, mu_min, mu_maj, config.margin)
+        loss = _batch_loss(config.loss_kind, emb,
+                           *center_rows(pseudo, mu_min, mu_maj))
         return loss, (mu_min, mu_maj), model.nll_trace[-1]
 
     return _train(x, y, config, step)

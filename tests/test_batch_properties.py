@@ -46,11 +46,9 @@ def _com_row(a, p, n, margin):
 
 
 def _udc_row(a, cls, mu_min, mu_maj, margin):
-    if margin.mode == "adaptive":
-        return max(0.0, udc_dist_wa(a, mu_min, mu_maj, cls)
-                   + udc_adaptive_margin(mu_min, mu_maj))
-    own, other = (mu_min, mu_maj) if cls == C_MIN else (mu_maj, mu_min)
-    return triplet_loss(a, own, other, margin.alpha)
+    bound = (udc_adaptive_margin(mu_min, mu_maj) if margin.mode == "adaptive"
+             else margin.alpha)
+    return max(0.0, udc_dist_wa(a, mu_min, mu_maj, cls) + bound)
 
 
 @PROPERTY
@@ -97,6 +95,21 @@ def test_udc_com_loss_is_mean_of_rows(anchors, margin, data):
     scaled = udc_com_loss(a * data.draw(row_scales(m)), classes,
                           2.5 * mu_min, 0.3 * mu_maj, margin)
     assert scaled == pytest.approx(loss, abs=1e-12)
+
+
+@PROPERTY
+@given(batches(1), MARGINS, st.data())
+def test_udc_com_loss_is_com_triplet_on_center_rows(anchors, margin, data):
+    """Each anchor's own center is its positive, the other its negative."""
+    (a,) = anchors
+    m, s = a.shape
+    mu_min, mu_maj = data.draw(hnp.arrays(np.float64, (2, s), elements=ENTRY))
+    classes = data.draw(hnp.arrays(np.int64, m,
+                                   elements=st.sampled_from([C_MAJ, C_MIN])))
+    own = np.array([mu_min if c == C_MIN else mu_maj for c in classes])
+    other = np.array([mu_maj if c == C_MIN else mu_min for c in classes])
+    assert (udc_com_loss(a, classes, mu_min, mu_maj, margin)
+            == com_triplet_loss(a, own, other, margin))
 
 
 @st.composite

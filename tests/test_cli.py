@@ -16,8 +16,8 @@ from comclust import checkpoint as ckpt
 from comclust import training
 from comclust.cli import main, run_sweep_cell, sweep_cell_seeds
 from comclust.dataio import load_csv, load_results, split_dataset
-from comclust.encoder import embed
-from comclust.losses import MarginSpec
+from comclust.encoder import MAX_PARAMETERS, embed
+from comclust.errors import ParseError
 from comclust.prototypes import malignancy_score
 from comclust.training import evaluate_prototypes
 
@@ -115,6 +115,30 @@ class TestTrainCommands:
         record = load_results(str(out) + ".results.json")
         assert record["weighting"] == "equal"
         assert record["prototype_separation"] is None
+
+    @pytest.mark.parametrize("flags", [
+        ["train-sdc", "--margin", "0.2"],
+        ["train-udc", "--margin", "adaptive"],
+        ["train-classifier", "--loss", "triplet"],
+    ], ids=["sdc-margin", "udc-margin", "classifier-loss"])
+    def test_loss_flag_is_sdc_and_udc_only(self, flags, blob_csv, tmp_path):
+        """--loss alone picks the loss, and the classifier has none."""
+        with pytest.raises(SystemExit) as err:
+            main([*flags, "--data", str(blob_csv),
+                  "--out", str(tmp_path / "m.json")])
+        assert err.value.code == 2
+        assert not (tmp_path / "m.json").exists()
+
+    def test_config_echo_holds_what_the_mode_reads(self, blob_csv, tmp_path):
+        sdc = _train_sdc(blob_csv, tmp_path, loss="triplet", epochs=1)
+        clf = tmp_path / "clf.json"
+        assert main(["train-classifier", "--data", str(blob_csv),
+                     "--out", str(clf), "--epochs", "1"]) == 0
+        for path, loss in ((sdc, "triplet"), (clf, None)):
+            for doc in (load_results(path),
+                        load_results(str(path) + ".results.json")):
+                assert "margin" not in doc["config"]
+                assert doc["config"].get("loss") == loss
 
     def test_classifier_log_has_a_row_per_iteration(self, blob_csv,
                                                     tmp_path):
@@ -229,6 +253,28 @@ class TestCheckpointRoundTrip:
                      for node in ast.walk(ast.parse(path.read_text()))
                      if isinstance(node, ast.Call) and decides(node)]
         assert {name for name, _ in offenders} <= {"autodiff.py"}, offenders
+
+
+class TestEncoderSizeCap:
+    """An encoder above MAX_PARAMETERS is refused before anything is
+    allocated for it."""
+
+    def test_train_reports_error(self, blob_csv, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        assert main(["train-sdc", "--data", str(blob_csv), "--hidden",
+                     "1000000000", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(MAX_PARAMETERS) in err
+        assert not out.exists()
+
+    def test_checkpoint_claiming_a_huge_width_is_a_parse_error(
+            self, sdc_checkpoint_doc, tmp_path):
+        doc = copy.deepcopy(sdc_checkpoint_doc)
+        doc["encoder"]["hidden"] = [1000000000]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=str(MAX_PARAMETERS)):
+            ckpt.load_checkpoint(path)
 
 
 @pytest.fixture(scope="module")
@@ -494,10 +540,13 @@ class TestSweep:
         ["--dim", "1"], ["--ratios", "10:20,60:6"], ["--seeds", "-1"],
         ["--seeds", "0,-1"], ["--seeds", ","], ["--methods", ","],
         ["--lr", "nan"], ["--separation", "nan"],
+        ["--ratios", "60:20,60:20"], ["--seeds", "0,0"],
+        ["--methods", "classifier,classifier"],
     ], ids=["--batch-size", "--epochs", "--dim-0", "--dim-1",
             "--ratios-min-above-maj", "--seeds-negative",
             "--seeds-one-negative", "--seeds-empty", "--methods-empty",
-            "--lr-nan", "--separation-nan"])
+            "--lr-nan", "--separation-nan", "--ratios-repeated",
+            "--seeds-repeated", "--methods-repeated"])
     def test_bad_shared_flag_fails_before_any_cell(self, flags, tmp_path,
                                                    capsys):
         out = tmp_path / "s.csv"
@@ -506,22 +555,23 @@ class TestSweep:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
-    @pytest.mark.parametrize("method, train, loss, margin, weighting", [
-        ("sdc-com", "train_sdc", "com", MarginSpec("adaptive"), None),
-        ("sdc-triplet", "train_sdc", "triplet", MarginSpec("constant", 0.2),
-         None),
-        ("classifier", "train_classifier", "com", MarginSpec("adaptive"),
-         training.EQUAL),
-        ("classifier-lw", "train_classifier", "com", MarginSpec("adaptive"),
+    METHOD_CASES = [
+        ("sdc-com", "train_sdc", "com", None),
+        ("sdc-triplet", "train_sdc", "triplet", None),
+        ("classifier", "train_classifier", None, training.EQUAL),
+        ("classifier-lw", "train_classifier", None,
          training.INVERSE_FREQUENCY),
-        ("udc-com", "train_udc", "com", MarginSpec("adaptive"), None),
-        ("udc-triplet", "train_udc", "triplet", MarginSpec("constant", 0.2),
-         None),
-    ])
-    def test_cell_trains_its_method(self, method, train, loss, margin,
-                                    weighting, monkeypatch):
-        """Each sweep method reaches its training mode with its loss,
-        margin and class weighting, and the cell's shared settings."""
+        ("udc-com", "train_udc", "com", None),
+        ("udc-triplet", "train_udc", "triplet", None),
+    ]
+
+    @pytest.mark.parametrize("method, train, loss, weighting", METHOD_CASES,
+                             ids=[case[0] for case in METHOD_CASES])
+    def test_cell_trains_its_method(self, method, train, loss, weighting,
+                                    monkeypatch):
+        """Each sweep method reaches its training mode with its loss kind
+        (a classifier has none to set) or class weighting, and the cell's
+        shared settings."""
         calls = []
 
         class Stop(Exception):
@@ -540,8 +590,9 @@ class TestSweep:
                            ratio_index=1, dim=4, separation=2.5, epochs=2,
                            batch_size=10, lr=1e-3)
         [(name, config, *rest)] = calls
-        assert (name, config.loss_kind, config.margin) == (train, loss,
-                                                          margin)
+        assert name == train
+        if loss is not None:
+            assert config.loss_kind == loss
         assert rest == ([] if weighting is None else [weighting])
         assert (config.seed, config.epochs, config.batch_size,
                 config.adam.learning_rate) == (sweep_cell_seeds(3, 1)[2], 2,
@@ -557,7 +608,7 @@ class TestBadInput:
 
     @pytest.mark.parametrize("flags", [
         ["train-sdc", "--batch-size", "0"],
-        ["train-sdc", "--margin", "foo"],
+        ["train-sdc", "--hidden", "64,x"],
         ["sweep-imbalance", "--ratios", "60-10"],
         ["train-sdc", "--hidden", "0"],
         ["train-sdc", "--hidden", "64,0"],
@@ -572,7 +623,7 @@ class TestBadInput:
          "--separation", "1e10"],
         ["synth", "--maj", "20", "--min", "10", "--sigma", "1e308",
          "--separation", "1"],
-    ], ids=["batch-size-0", "margin-foo", "ratios-60-10", "hidden-0",
+    ], ids=["batch-size-0", "hidden-64-x", "ratios-60-10", "hidden-0",
             "hidden-64-0", "train-seed-negative", "synth-seed-negative",
             "train-lr-nan", "synth-separation-nan", "synth-sigma-inf",
             "synth-sigma-overflow", "synth-separation-overflow",
@@ -613,7 +664,6 @@ _EPOCHS = st.sampled_from(["0", "-1", "1", "nan", "", "x"])
 _TRAIN_FLAGS = {
     "--seed": (int, _VALUE), "--epochs": (int, _EPOCHS),
     "--batch-size": (int, _VALUE), "--lr": (float, _VALUE),
-    "--margin": (str, st.sampled_from(["adaptive", *FUZZ_VALUES])),
     "--loss": (("com", "triplet"), st.sampled_from(["com", "triplet", "x"])),
     "--hidden": (str, _LIST), "--embedding-dim": (int, _VALUE),
     "--dropout": (float, _VALUE)}

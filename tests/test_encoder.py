@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 from comclust import autodiff as ad
 from comclust import checkpoint as ckpt
 from comclust.autodiff import Var, backward, grad_of, make_rng
-from comclust.encoder import (HEAD_OUTPUTS, AdamConfig, EncoderConfig,
-                              ParamStore, adam_step, embed, forward,
-                              init_encoder_params, init_head_params,
+from comclust.encoder import (HEAD_OUTPUTS, MAX_PARAMETERS, AdamConfig,
+                              EncoderConfig, ParamStore, adam_step, embed,
+                              forward, init_encoder_params, init_head_params,
                               minority_probability, param_shapes)
-from comclust.errors import NonFiniteLossError, ShapeMismatchError
+from comclust.errors import (InvalidSpecError, NonFiniteLossError,
+                             ShapeMismatchError)
 from comclust.losses import MarginSpec, com_triplet_loss
 
 
@@ -100,6 +101,23 @@ def _assert_views_of_flat(store: ParamStore, shapes: list) -> None:
     np.testing.assert_array_equal(
         np.concatenate([a.ravel() for a in store.arrays]),
         np.arange(store.flat.size))
+
+
+class TestSizeCap:
+    def test_cap_counts_weights_and_biases(self):
+        """(9999 + 1) * 1000 parameters is the cap exactly; one more input
+        passes it. Only the config is built, nothing is allocated."""
+        at_cap = EncoderConfig(9999, (), 1000)
+        assert sum(int(np.prod(shape))
+                   for shape in param_shapes(at_cap)) == MAX_PARAMETERS
+        with pytest.raises(InvalidSpecError, match="parameters"):
+            EncoderConfig(10000, (), 1000)
+
+    @pytest.mark.parametrize("hidden", [(10 ** 9,), (64, 10 ** 9),
+                                        (2 ** 62, 2 ** 62)])
+    def test_huge_widths_rejected(self, hidden):
+        with pytest.raises(InvalidSpecError, match=str(MAX_PARAMETERS)):
+            EncoderConfig(8, hidden, 32)
 
 
 class TestFlatStore:

@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from comclust import autodiff as ad
-from comclust import training
+from comclust import gmm, losses, training
 from comclust.autodiff import make_rng
 from comclust.dataio import TEST, TRAIN, BlobSpec, LabeledDataset, \
     split_dataset, synth_imbalanced
 from comclust.encoder import AdamConfig, embed
 from comclust.errors import (MissingClassError, NonFiniteLossError,
                              TooFewSamplesError)
-from comclust.losses import C_MAJ, C_MIN, ClassWeights, MarginSpec
+from comclust.losses import (C_MAJ, C_MIN, TRIPLET_MARGIN, ClassWeights,
+                             MarginSpec)
 from comclust.training import (EQUAL, INVERSE_FREQUENCY, TrainConfig,
                                batch_class_weights, best_permutation_accuracy,
                                evaluate_classifier, evaluate_prototypes,
@@ -38,14 +39,6 @@ class TestTrainConfig:
     def test_zero_epochs_rejected(self):
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
-
-    def test_triplet_margin_is_constant_with_the_spec_alpha(self):
-        config = TrainConfig(loss_kind="triplet",
-                             margin=MarginSpec("adaptive", 0.3))
-        assert config.margin == MarginSpec("constant", 0.3)
-        assert TrainConfig(loss_kind="triplet").margin == MarginSpec(
-            "constant", 0.2)
-        assert TrainConfig().margin == MarginSpec("adaptive")
 
 
 class TestSampleTriplets:
@@ -98,10 +91,8 @@ class TestTrainSdc:
             np.testing.assert_array_equal(pa, pb)
 
     def test_traditional_triplet_variant_runs(self):
-        from comclust.losses import MarginSpec
         ds = _dataset()
-        result = train_sdc(ds, _fast(batch_size=10, loss_kind="triplet",
-                                     margin=MarginSpec("constant", 0.2)))
+        result = train_sdc(ds, _fast(batch_size=10, loss_kind="triplet"))
         assert np.all(np.isfinite(result.losses))
 
     def test_zero_iterations_rejected(self):
@@ -143,6 +134,43 @@ class TestTrainUdc:
         a = train_udc(ds, _fast(seed=6, batch_size=5))
         b = train_udc(ds, _fast(seed=6, batch_size=5))
         assert a.losses == b.losses
+
+    @pytest.mark.parametrize("loss_kind, called, margin", [
+        ("com", "com_triplet_loss", MarginSpec("adaptive")),
+        ("triplet", "triplet_loss_batch", TRIPLET_MARGIN),
+    ])
+    def test_step_takes_the_batch_loss_on_center_rows(
+            self, loss_kind, called, margin, monkeypatch):
+        """Each anchor's own GMM mean is its positive and the other mean
+        its negative, under the loss that SDC takes for the same kind."""
+        fits, labels, calls = [], [], []
+
+        def recording(fn, into):
+            def wrapped(*args, **kwargs):
+                into.append(fn(*args, **kwargs))
+                return into[-1]
+            return wrapped
+
+        def capture(*args):
+            calls.append(args)
+            return getattr(losses, called)(*args)
+
+        monkeypatch.setattr(gmm, "fit_em", recording(gmm.fit_em, fits))
+        monkeypatch.setattr(gmm, "responsibilities",
+                            recording(gmm.responsibilities, labels))
+        for name in ("com_triplet_loss", "triplet_loss_batch"):
+            monkeypatch.setattr(training, name, capture if name == called
+                                else None)
+        result = train_udc(_dataset(seed=4),
+                           _fast(seed=4, batch_size=5, loss_kind=loss_kind))
+        assert len(calls) == len(fits) == len(result.losses)
+        for (anchors, own, other, got), model, label in zip(calls, fits,
+                                                            labels):
+            assert ad.value_of(anchors).shape == own.shape == (15, 8)
+            np.testing.assert_array_equal(own, model.means[label.assignments])
+            np.testing.assert_array_equal(other,
+                                          model.means[1 - label.assignments])
+            assert got == margin
 
 
 class TestClassWeights:
