@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 
+from .autodiff import NORM_FLOOR
 from .dataio import canonical_json
 from .encoder import HEAD_OUTPUTS, EncoderConfig, ParamStore, param_shapes
 from .errors import ParseError
@@ -33,13 +34,14 @@ def _encoder_from(d: dict) -> EncoderConfig:
                          d["embedding_dim"], d["dropout_rate"])
 
 
-def save_checkpoint(path, kind: str, params: ParamStore,
-                    encoder_config: EncoderConfig,
+def save_checkpoint(path, params: ParamStore, encoder_config: EncoderConfig,
                     prototypes: Prototypes | None,
                     seed: int, config_echo: dict) -> None:
+    """Write a clustering checkpoint when given prototypes, else a
+    classifier checkpoint."""
     doc = {
         "version": FORMAT_VERSION,
-        "kind": kind,
+        "kind": KIND_CLASSIFIER if prototypes is None else KIND_CLUSTERING,
         "encoder": _encoder_dict(encoder_config),
         "params": [{"shape": list(a.shape), "data": a.ravel().tolist()}
                    for a in params.arrays],
@@ -62,8 +64,10 @@ def load_checkpoint(path) -> dict:
     prototypes is None for a classifier.
 
     The document is checked against its own encoder config: a file that is
-    not a checkpoint, a missing field, or an array whose shape or length
-    does not fit raises ParseError naming ``path``.
+    not a checkpoint, a missing field, an array whose shape or length does
+    not fit, or prototypes that inference cannot use (a mask entry other
+    than 0 or 1, a mask selecting nothing, a prototype with zero norm on
+    the selected features) raises ParseError naming ``path``.
     """
     try:
         with open(path) as fh:
@@ -151,5 +155,15 @@ def _read_prototypes(p, path, embedding_dim: int) -> Prototypes:
                f"{embedding_dim}")
     separation = _numbers([p["separation"]], path,
                           "prototypes separation")[0]
+    mask = vectors["feature_mask"]
+    _check(bool(np.all((mask == 0) | (mask == 1))), path,
+           "prototypes feature_mask entries must be 0 or 1")
+    mask = mask.astype(bool)
+    _check(bool(mask.any()), path,
+           "prototypes feature_mask selects no feature")
+    for k in ("cl_min", "cl_maj"):
+        _check(np.linalg.norm(vectors[k][mask]) >= NORM_FLOOR, path,
+               f"prototypes {k} has norm below {NORM_FLOOR:g} on the "
+               f"selected features")
     return Prototypes(vectors["cl_min"], vectors["cl_maj"], float(separation),
-                      vectors["feature_mask"].astype(bool))
+                      mask)

@@ -123,12 +123,17 @@ def _add_train_flags(p):
     p.add_argument("--dropout", type=float, default=0.3)
 
 
-def _parse(text: str, convert, what: str):
-    """convert(text), reporting malformed flag text as InvalidSpecError."""
+def _comma_list(text: str, flag: str, convert=str) -> list:
+    """The entries of a comma-list flag, each through ``convert``. Empty
+    text gives no entries; an empty or malformed entry is an
+    InvalidSpecError naming ``flag``."""
+    entries = text.split(",") if text else []
     try:
-        return convert(text)
+        if "" in entries:
+            raise ValueError("empty entry")
+        return [convert(entry) for entry in entries]
     except ValueError:
-        raise InvalidSpecError(f"bad {what}: {text!r}") from None
+        raise InvalidSpecError(f"bad {flag} entry in {text!r}") from None
 
 
 def _train_config(loss, **settings) -> TrainConfig:
@@ -211,8 +216,7 @@ def cmd_train(args) -> None:
     optional per-iteration log."""
     dataset = _load_split(args.data, args.seed)
     loss = getattr(args, "loss", None)             # train-sdc's and train-udc's
-    hidden = tuple(_parse(h, int, "--hidden width")
-                   for h in args.hidden.split(",") if h)
+    hidden = tuple(_comma_list(args.hidden, "--hidden", int))
     config = _train_config(loss, batch_size=args.batch_size,
                            epochs=args.epochs, seed=args.seed,
                            adam=AdamConfig(learning_rate=args.lr),
@@ -224,11 +228,8 @@ def cmd_train(args) -> None:
     if weighting is not None:
         record["weighting"] = weighting
     result = _fit(args.command[len("train-"):], dataset, config, weighting)
-    proto = result.prototypes
-    ckpt.save_checkpoint(args.out, (ckpt.KIND_CLASSIFIER if proto is None
-                                    else ckpt.KIND_CLUSTERING),
-                         result.params, result.encoder_config, proto,
-                         args.seed, record["config"])
+    ckpt.save_checkpoint(args.out, result.params, result.encoder_config,
+                         result.prototypes, args.seed, record["config"])
     record["metrics"], record["prototype_separation"] = _score(
         result, dataset, (dataio.VAL, dataio.TEST))
     save_results(args.results or args.out + ".results.json", record)
@@ -264,16 +265,9 @@ def cmd_eval(args) -> None:
 
 
 def _ratio(part: str) -> tuple:
+    """A MAJ:MIN --ratios entry as (maj, min)."""
     maj, minc = part.split(":")
     return int(maj), int(minc)
-
-
-def _parse_ratios(text: str) -> list:
-    ratios = [_parse(part, _ratio, "--ratios entry (want MAJ:MIN)")
-              for part in text.split(",")]
-    if len(ratios) < 2:
-        raise ComclustError("sweep needs at least two ratios")
-    return ratios
 
 
 def sweep_cell_seeds(run_seed: int, ratio_index: int) -> tuple:
@@ -311,10 +305,11 @@ def run_sweep_cell(n_maj: int, n_min: int, method: str, seed: int,
 
 
 def cmd_sweep(args) -> None:
-    ratios = _parse_ratios(args.ratios)
-    seeds = [_parse(s, int, "--seeds entry")
-             for s in args.seeds.split(",") if s]
-    methods = [m for m in args.methods.split(",") if m]
+    ratios = _comma_list(args.ratios, "--ratios", _ratio)
+    seeds = _comma_list(args.seeds, "--seeds", int)
+    methods = _comma_list(args.methods, "--methods")
+    if len(ratios) < 2:
+        raise InvalidSpecError("sweep needs at least two ratios")
     if not seeds or not methods:
         raise InvalidSpecError("--seeds and --methods each need an entry")
     if min(seeds) < 0:

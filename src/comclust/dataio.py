@@ -37,7 +37,7 @@ class LabeledDataset:
 
     def subset(self, split: str) -> tuple:
         if self.splits is None:
-            raise ValueError("dataset has not been split")
+            raise InvalidSpecError("dataset has not been split")
         idx = np.flatnonzero(self.splits == split)
         return self.features[idx], self.labels[idx]
 
@@ -220,6 +220,7 @@ def load_results(path) -> dict:
 def canonical_json(obj) -> str:
     """The text of ``json.dump(obj, indent=2, sort_keys=True)`` with numpy
     arrays written as (nested) lists and numpy numbers as Python numbers.
+    Every dict key must be a str; any other key raises TypeError.
 
     A list of only ints, or of only finite floats, such as a column of
     scores, is written with one join of their reprs instead of json's
@@ -243,8 +244,9 @@ def _encode(obj, newline: str, out: list) -> None:
         inner = newline + "  "
         out.append("{")
         for n, (key, value) in enumerate(sorted(obj.items())):
-            out.append(("," if n else "") + inner
-                       + json.dumps(_key_text(key)) + ": ")
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(("," if n else "") + inner + json.dumps(key) + ": ")
             _encode(value, inner, out)
         out.append(newline + "}")
     elif isinstance(obj, (list, tuple)):
@@ -266,13 +268,3 @@ def _encode(obj, newline: str, out: list) -> None:
     else:
         out.append(json.dumps(obj))
 
-
-def _key_text(key) -> str:
-    """json's text for a dict key: a str as is, a number, bool or None in
-    its JSON spelling."""
-    if isinstance(key, str):
-        return key
-    if key is None or isinstance(key, (int, float)):
-        return json.dumps(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, "
-                    f"not {type(key).__name__}")

@@ -54,15 +54,15 @@ def gaussian_log_pdf(x, mean, cov):
 
     ``cov`` holds the diagonal variances, in the shape of ``mean``; both
     may carry leading axes that broadcast against ``x``, the density being
-    taken over the last axis. A single point gives a float.
+    taken over the last axis. A 1-D point is a batch of one: the result is
+    always an array.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     mean = np.asarray(mean, dtype=np.float64)
     cov = np.asarray(cov, dtype=np.float64)
     if np.any(cov <= 0):
         raise SingularCovarianceError("non-positive diagonal variance")
-    out = _log_pdf(x, mean, cov)
-    return out if out.size > 1 else float(out[0])
+    return _log_pdf(x, mean, cov)
 
 
 def _log_pdf(x: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:

@@ -30,20 +30,15 @@ C_MIN = 1
 
 @dataclass(frozen=True)
 class MarginSpec:
-    """Margin policy for triplet-style losses.
-
-    mode="constant" uses the fixed ``alpha``; mode="adaptive" derives the
-    margin from the positive-negative separation of each triplet.
+    """COM-triplet's margin policy. "adaptive", the bound 1 - d(P, N) of
+    each triplet, is the only mode: COM-triplet is margin-free. The
+    traditional triplet loss's constant margin is ``TRIPLET_MARGIN``.
     """
     mode: str = "adaptive"
-    alpha: float = TRIPLET_MARGIN
 
     def __post_init__(self):
-        if self.mode not in ("constant", "adaptive"):
+        if self.mode != "adaptive":
             raise InvalidSpecError(f"unknown margin mode {self.mode!r}")
-        if self.mode == "constant" and not (0.0 <= self.alpha <= 2.0):
-            raise InvalidSpecError(
-                f"constant margin {self.alpha} outside [0, 2]")
 
 
 @dataclass(frozen=True)
@@ -84,8 +79,10 @@ def com_adaptive_margin(e_p, e_n):
     return ad.sub(1.0, cosine_distance(e_p, e_n))
 
 
-def com_triplet_loss(anchors, positives, negatives, margin: MarginSpec):
-    """Mean COM-triplet hinge over a batch of M triplets.
+def com_triplet_loss(anchors, positives, negatives,
+                     margin: MarginSpec = MarginSpec()):
+    """Mean COM-triplet hinge over a batch of M triplets, with the adaptive
+    bound 1 - d(P, N) of each triplet (``margin``'s only mode).
 
     ``anchors``/``positives``/``negatives`` are (M, S) arrays or Vars; row i
     of each forms one triplet.
@@ -94,7 +91,7 @@ def com_triplet_loss(anchors, positives, negatives, margin: MarginSpec):
     d_ap = row_cosine_distance(anchors, positives)
     d_an = row_cosine_distance(anchors, negatives)
     d_pn = row_cosine_distance(positives, negatives)
-    bound = ad.sub(1.0, d_pn) if margin.mode == "adaptive" else margin.alpha
+    bound = ad.sub(1.0, d_pn)
     return ad.mean(ad.relu(ad.add(_wa(d_ap, d_an, d_pn), bound)))
 
 
@@ -130,11 +127,12 @@ def center_rows(pseudo_classes, mu_min, mu_maj):
             np.where(minority, mu_maj, mu_min))
 
 
-def udc_com_loss(anchors, pseudo_classes, mu_min, mu_maj, margin: MarginSpec):
+def udc_com_loss(anchors, pseudo_classes, mu_min, mu_maj,
+                 margin: MarginSpec = MarginSpec()):
     """``com_triplet_loss`` over a pseudo-labeled batch, with each anchor's
     own cluster center as its positive and the other center as its negative
     (``center_rows``). The centers ``mu_min``/``mu_maj`` are constant (S,)
-    arrays; with mode="adaptive" the margin is 1 - d(mu_min, mu_maj).
+    arrays, so the margin is 1 - d(mu_min, mu_maj).
     """
     return com_triplet_loss(anchors,
                             *center_rows(pseudo_classes, mu_min, mu_maj),

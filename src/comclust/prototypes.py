@@ -91,41 +91,32 @@ def feature_mask(cl_min, cl_maj) -> np.ndarray:
 
 
 def prototype_distances(e_test, proto: Prototypes):
-    """(d_min, d_maj): cosine distances to the two prototypes on
-    mask-selected coordinates, as floats for one 1-D embedding or as (N,)
-    arrays for an (N, S) batch. A row gives the same bits alone as in any
-    batch."""
-    e_test = np.asarray(e_test, dtype=np.float64)
-    rows = np.atleast_2d(e_test)
+    """(d_min, d_maj): (N,) cosine distances of the rows of an (N, S) batch
+    to the two prototypes, on mask-selected coordinates; a 1-D embedding is
+    a batch of one. A row gives the same bits alone as in any batch."""
+    rows = np.atleast_2d(np.asarray(e_test, dtype=np.float64))
     cl_min, cl_maj = proto.cl_min, proto.cl_maj
     mask = proto.feature_mask
     if not mask.all():
         # compress keeps rows C-contiguous, which row-wise sums rely on
         rows = rows.compress(mask, axis=1)
         cl_min, cl_maj = cl_min[mask], cl_maj[mask]
-    d_min = row_cosine_distance(rows, cl_min)
-    d_maj = row_cosine_distance(rows, cl_maj)
-    if e_test.ndim == 1:
-        return float(d_min[0]), float(d_maj[0])
-    return d_min, d_maj
+    return row_cosine_distance(rows, cl_min), row_cosine_distance(rows, cl_maj)
 
 
 def infer_label(e_test, proto: Prototypes):
     """Assign by nearest prototype. An exact tie goes to the minority class,
     favoring sensitivity for the rare class.
 
-    Returns (label, d_min, d_maj): an int and two floats for a 1-D
-    embedding, (N,) arrays for an (N, S) batch.
+    Returns (labels, d_min, d_maj), (N,) arrays for an (N, S) batch.
     """
     d_min, d_maj = prototype_distances(e_test, proto)
-    label = np.where(d_maj < d_min, C_MAJ, C_MIN)
-    return (int(label) if label.ndim == 0 else label), d_min, d_maj
+    return np.where(d_maj < d_min, C_MAJ, C_MIN), d_min, d_maj
 
 
 def malignancy_score(e_test, proto: Prototypes):
-    """Continuous score d_maj / (d_maj + d_min) in [0, 1]; above 0.5 exactly
-    when infer_label assigns the minority class. A float for a 1-D
-    embedding, an (N,) array for an (N, S) batch."""
+    """(N,) continuous scores d_maj / (d_maj + d_min) in [0, 1]; above 0.5
+    exactly when infer_label assigns the minority class."""
     d_min, d_maj = prototype_distances(e_test, proto)
     total = d_maj + d_min
     if np.any(total < 1e-12):

@@ -18,9 +18,9 @@ from .encoder import AdamConfig, EncoderConfig, ParamStore
 from .errors import (InvalidSpecError, MissingClassError,
                      NonFiniteLossError, TooFewSamplesError)
 # udc_com_loss goes unused: perfbench's layer trace hooks it by this name
-from .losses import (C_MAJ, C_MIN, TRIPLET_MARGIN, ClassWeights, MarginSpec,
-                     center_rows, com_triplet_loss, triplet_loss_batch,
-                     udc_com_loss, weighted_cross_entropy)
+from .losses import (C_MAJ, C_MIN, TRIPLET_MARGIN, ClassWeights, center_rows,
+                     com_triplet_loss, triplet_loss_batch, udc_com_loss,
+                     weighted_cross_entropy)
 from .metrics import roc_auc, weighted_metrics
 from .prototypes import (Prototypes, batch_centers, infer_label,
                          malignancy_score, update_prototypes)
@@ -66,12 +66,6 @@ class TrainLog:
     prototypes: Prototypes = None
     params: ParamStore = None
     encoder_config: EncoderConfig = None
-
-
-def _training_split(dataset: LabeledDataset):
-    if dataset.splits is None:
-        return dataset.features, dataset.labels
-    return dataset.subset(TRAIN)
 
 
 def _iterations(n_train: int, config: TrainConfig) -> int:
@@ -122,8 +116,7 @@ def _batch_loss(loss_kind: str, anchors, positives, negatives):
     """Mean margin-free COM-triplet loss, or traditional triplet loss with
     its constant margin, over (M, S) triplet rows."""
     if loss_kind == LOSS_COM:
-        return com_triplet_loss(anchors, positives, negatives,
-                                MarginSpec("adaptive"))
+        return com_triplet_loss(anchors, positives, negatives)
     return triplet_loss_batch(anchors, positives, negatives, TRIPLET_MARGIN)
 
 
@@ -171,7 +164,7 @@ def train_sdc(dataset: LabeledDataset, config: TrainConfig) -> TrainLog:
     centers to the running prototype pair, which only ever moves to a more
     separated pair.
     """
-    x, y = _training_split(dataset)
+    x, y = dataset.subset(TRAIN)
     m = config.batch_size
 
     def step(rng, param_vars, enc_config):
@@ -195,7 +188,7 @@ def train_udc(dataset: LabeledDataset, config: TrainConfig) -> TrainLog:
     other mean its negative, under the loss SDC uses. The two means are
     also the candidate prototype pair.
     """
-    x, y = _training_split(dataset)
+    x, y = dataset.subset(TRAIN)
     m3 = 3 * config.batch_size
     if len(y) < 2 * m3:
         log.warning("training split has %d samples; at least %d recommended "
@@ -243,7 +236,7 @@ def train_classifier(dataset: LabeledDataset, config: TrainConfig,
     followed by the head's."""
     if weighting not in (EQUAL, INVERSE_FREQUENCY):
         raise InvalidSpecError(f"unknown weighting {weighting!r}")
-    x, y = _training_split(dataset)
+    x, y = dataset.subset(TRAIN)
     for c in (C_MAJ, C_MIN):
         if not np.any(y == c):
             raise MissingClassError(f"no samples of class {c}")

@@ -21,8 +21,8 @@ PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
 
 # entries bounded away from zero, so no row can have a vanishing norm
 ENTRY = st.one_of(st.floats(-5.0, -0.05), st.floats(0.05, 5.0))
-MARGINS = st.one_of(st.just(MarginSpec("adaptive")),
-                    st.floats(0.0, 2.0).map(lambda a: MarginSpec("constant", a)))
+# COM-triplet's margin is adaptive, its only mode
+MARGINS = st.just(MarginSpec("adaptive"))
 
 
 @st.composite
@@ -39,16 +39,13 @@ def row_scales(draw, m):
                            elements=st.floats(0.01, 100.0)))
 
 
-def _com_row(a, p, n, margin):
-    bound = (com_adaptive_margin(p, n) if margin.mode == "adaptive"
-             else margin.alpha)
-    return max(0.0, com_dist_wa(a, p, n) + bound)
+def _com_row(a, p, n):
+    return max(0.0, com_dist_wa(a, p, n) + com_adaptive_margin(p, n))
 
 
-def _udc_row(a, cls, mu_min, mu_maj, margin):
-    bound = (udc_adaptive_margin(mu_min, mu_maj) if margin.mode == "adaptive"
-             else margin.alpha)
-    return max(0.0, udc_dist_wa(a, mu_min, mu_maj, cls) + bound)
+def _udc_row(a, cls, mu_min, mu_maj):
+    return max(0.0, udc_dist_wa(a, mu_min, mu_maj, cls)
+               + udc_adaptive_margin(mu_min, mu_maj))
 
 
 @PROPERTY
@@ -57,7 +54,7 @@ def test_com_triplet_loss_is_mean_of_rows(abn, margin, data):
     a, p, n = abn
     loss = com_triplet_loss(a, p, n, margin)
     assert isinstance(loss, float)
-    expected = np.mean([_com_row(a[i], p[i], n[i], margin)
+    expected = np.mean([_com_row(a[i], p[i], n[i])
                         for i in range(len(a))])
     assert loss == pytest.approx(expected, abs=1e-12)
     k = data.draw(st.integers(0, 2))
@@ -89,7 +86,7 @@ def test_udc_com_loss_is_mean_of_rows(anchors, margin, data):
     classes = data.draw(hnp.arrays(np.int64, m,
                                    elements=st.sampled_from([C_MAJ, C_MIN])))
     loss = udc_com_loss(a, classes, mu_min, mu_maj, margin)
-    expected = np.mean([_udc_row(a[i], classes[i], mu_min, mu_maj, margin)
+    expected = np.mean([_udc_row(a[i], classes[i], mu_min, mu_maj)
                         for i in range(m)])
     assert loss == pytest.approx(expected, abs=1e-12)
     scaled = udc_com_loss(a * data.draw(row_scales(m)), classes,
@@ -142,14 +139,15 @@ def test_batched_inference_equals_per_row(case):
         scores = malignancy_score(emb, proto)
     except DegenerateDistancesError:   # then some row alone raises too
         with pytest.raises(DegenerateDistancesError):
-            for e in emb:
-                malignancy_score(e, proto)
+            for i in range(len(emb)):
+                malignancy_score(emb[i:i + 1], proto)
         return
-    for i, e in enumerate(emb):
-        label, dmin_i, dmaj_i = infer_label(e, proto)
-        assert isinstance(label, int)
-        assert (label, dmin_i, dmaj_i) == (labels[i], d_min[i], d_maj[i])
-        assert malignancy_score(e, proto) == scores[i]
+    for i in range(len(emb)):
+        row = emb[i:i + 1]
+        label, dmin_i, dmaj_i = infer_label(row, proto)
+        assert label == labels[i:i + 1]
+        assert dmin_i == d_min[i:i + 1] and dmaj_i == d_maj[i:i + 1]
+        assert malignancy_score(row, proto) == scores[i:i + 1]
         if dmin_i == dmaj_i:
             assert label == C_MIN and scores[i] == 0.5
         else:

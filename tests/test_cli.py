@@ -316,6 +316,24 @@ def _long_mask(doc):
     doc["prototypes"]["feature_mask"].append(1)
 
 
+def _set_mask(values):
+    def mutate(doc):
+        doc["prototypes"]["feature_mask"] = values
+    return mutate
+
+
+def _zero_cl_min(selected_only):
+    """cl_min zero in full, or zero on the one feature the mask keeps."""
+    def mutate(doc):
+        proto = doc["prototypes"]
+        if selected_only:
+            proto["feature_mask"] = [1] + [0] * (len(proto["cl_min"]) - 1)
+            proto["cl_min"][0] = 0.0
+        else:
+            proto["cl_min"] = [0.0] * len(proto["cl_min"])
+    return mutate
+
+
 def _huge_int_data(doc):
     doc["params"][0]["data"][0] = 10 ** 400
 
@@ -352,12 +370,18 @@ class TestBadCheckpoint:
         _float_input_dim,
         _numeric_string_data,
         _bool_data,
+        _set_mask([0.5] * 8),
+        _set_mask([7] * 8),
+        _set_mask([0] * 8),
+        _zero_cl_min(selected_only=False),
+        _zero_cl_min(selected_only=True),
     ], ids=["non-json", "not-object", "no-params", "no-kind", "no-encoder",
             "no-params-key", "no-seed", "unknown-kind", "data-length",
             "bias-shape", "classifier-without-head", "no-prototypes",
             "prototype-length", "mask-length", "deep-nesting",
             "data-huge-int", "input-dim-float", "data-numeric-string",
-            "data-bool"])
+            "data-bool", "mask-half", "mask-seven", "mask-empty",
+            "cl-min-zero", "cl-min-zero-on-selected"])
     def test_eval_reports_error(self, corrupt, sdc_checkpoint_doc, blob_csv,
                                 tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -603,6 +627,10 @@ class TestSweep:
         assert sweep_cell_seeds(0, 0) == sweep_cell_seeds(0, 0)
 
 
+# a small sweep, so a flag that is wrongly accepted costs seconds
+SWEEP_FAST = ["--ratios", "60:20,60:6", "--dim", "4", "--epochs", "1"]
+
+
 class TestBadInput:
     """Malformed flag values end in 'error: ...' and exit code 1."""
 
@@ -623,16 +651,25 @@ class TestBadInput:
          "--separation", "1e10"],
         ["synth", "--maj", "20", "--min", "10", "--sigma", "1e308",
          "--separation", "1"],
+        ["train-sdc", "--hidden", "16,,16"],
+        ["sweep-imbalance", *SWEEP_FAST, "--seeds", "0,,1"],
+        ["sweep-imbalance", *SWEEP_FAST, "--methods", "classifier,,"],
+        ["sweep-imbalance", *SWEEP_FAST[2:], "--ratios", "60:20,60:6,"],
     ], ids=["batch-size-0", "hidden-64-x", "ratios-60-10", "hidden-0",
             "hidden-64-0", "train-seed-negative", "synth-seed-negative",
             "train-lr-nan", "synth-separation-nan", "synth-sigma-inf",
             "synth-sigma-overflow", "synth-separation-overflow",
-            "synth-draw-overflow"])
+            "synth-draw-overflow", "hidden-empty-entry", "seeds-empty-entry",
+            "methods-empty-entry", "ratios-empty-entry"])
     def test_reported_as_error(self, flags, blob_csv, tmp_path, capsys):
         data = ["--data", str(blob_csv)] if flags[0].startswith("train") else []
         assert main([*flags, *data, "--out", str(tmp_path / "o.json")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_empty_hidden_means_no_hidden_layer(self, blob_csv, tmp_path):
+        out = _train_sdc(blob_csv, tmp_path, hidden="", epochs=1)
+        assert json.loads(out.read_text())["encoder"]["hidden"] == []
 
 
 @pytest.fixture(scope="module")

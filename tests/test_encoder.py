@@ -147,8 +147,7 @@ class TestFlatStore:
         config = EncoderConfig(input_dim=4, hidden=(6,), embedding_dim=3)
         store = init_encoder_params(config, make_rng(22), HEAD_OUTPUTS)
         path = tmp_path / "clf.json"
-        ckpt.save_checkpoint(path, ckpt.KIND_CLASSIFIER, store, config, None,
-                             0, {})
+        ckpt.save_checkpoint(path, store, config, None, 0, {})
         loaded = ckpt.load_checkpoint(path)["params"]
         for a, b in zip(loaded.arrays, store.arrays, strict=True):
             np.testing.assert_array_equal(a, b)

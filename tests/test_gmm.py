@@ -29,6 +29,11 @@ class TestLogPdf:
         got = gaussian_log_pdf([0.0], [0.0], [1.0])
         assert got == pytest.approx(np.log(1 / np.sqrt(2 * np.pi)), abs=1e-12)
 
+    def test_one_row_batch_gives_an_array_of_one(self):
+        for x in ([[0.5, -1.0]], [0.5, -1.0]):
+            got = gaussian_log_pdf(x, [0.0, 0.0], [1.0, 2.0])
+            assert isinstance(got, np.ndarray) and got.shape == (1,)
+
     def test_at_mean_exponent_vanishes(self):
         var = np.array([0.5, 2.0, 1.3])
         mu = np.array([1.0, -2.0, 0.3])
@@ -71,8 +76,7 @@ class TestComponentLogProbs:
         component on its own."""
         model, x = case
         per_component = np.stack(
-            [np.atleast_1d(gaussian_log_pdf(x, model.means[k],
-                                            model.covariances[k]))
+            [gaussian_log_pdf(x, model.means[k], model.covariances[k])
              + np.log(model.weights[k]) for k in range(2)], axis=1)
         assert np.array_equal(_component_log_probs(model, x), per_component)
 

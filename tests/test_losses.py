@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from comclust.autodiff import Var, backward, cosine_distance, make_rng
-from comclust.errors import EmptyBatchError, ShapeMismatchError
+from comclust.errors import (EmptyBatchError, InvalidSpecError,
+                             ShapeMismatchError)
 from comclust.losses import (C_MAJ, C_MIN, ClassWeights, MarginSpec,
                              com_adaptive_margin, com_dist_wa,
                              com_triplet_loss, triplet_loss,
@@ -57,6 +58,17 @@ class TestAdaptiveMargin:
 
 
 class TestComTripletLoss:
+    def test_margin_is_adaptive_only(self):
+        with pytest.raises(InvalidSpecError):
+            MarginSpec("constant")
+        with pytest.raises(TypeError):      # there is no constant to pass
+            MarginSpec("constant", 0.2)
+
+    def test_margin_argument_is_optional(self):
+        a, p, n = make_rng(3).normal(size=(3, 4, 5))
+        assert com_triplet_loss(a, p, n) == com_triplet_loss(
+            a, p, n, MarginSpec("adaptive"))
+
     def test_collapsed_triple_adaptive(self):
         loss = com_triplet_loss(E1[None], E1[None], E1[None], MarginSpec("adaptive"))
         assert loss == pytest.approx(1.0, abs=1e-12)

@@ -110,6 +110,12 @@ class TestInference:
         assert d_min == pytest.approx(d_maj, abs=1e-12)
         assert label == C_MIN
 
+    def test_one_embedding_gives_arrays_of_one(self):
+        proto = _proto([0.0, 1.0], [1.0, 0.0])
+        label, d_min, d_maj = infer_label([1.0, 0.1], proto)
+        for out in (label, d_min, d_maj, malignancy_score([1.0, 0.1], proto)):
+            assert isinstance(out, np.ndarray) and out.shape == (1,)
+
     def test_zero_masked_vector_raises(self):
         proto = Prototypes(np.array([0.0, 1.0]), np.array([1.0, 0.0]),
                            2.0, np.array([True, False]))

@@ -7,10 +7,9 @@ from comclust.autodiff import make_rng
 from comclust.dataio import TEST, TRAIN, BlobSpec, LabeledDataset, \
     split_dataset, synth_imbalanced
 from comclust.encoder import AdamConfig, embed
-from comclust.errors import (MissingClassError, NonFiniteLossError,
-                             TooFewSamplesError)
-from comclust.losses import (C_MAJ, C_MIN, TRIPLET_MARGIN, ClassWeights,
-                             MarginSpec)
+from comclust.errors import (InvalidSpecError, MissingClassError,
+                             NonFiniteLossError, TooFewSamplesError)
+from comclust.losses import C_MAJ, C_MIN, TRIPLET_MARGIN, ClassWeights
 from comclust.training import (EQUAL, INVERSE_FREQUENCY, TrainConfig,
                                batch_class_weights, best_permutation_accuracy,
                                evaluate_classifier, evaluate_prototypes,
@@ -39,6 +38,13 @@ class TestTrainConfig:
     def test_zero_epochs_rejected(self):
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
+
+
+@pytest.mark.parametrize("train", [train_sdc, train_udc, train_classifier])
+def test_training_needs_a_split(train):
+    unsplit = synth_imbalanced(BlobSpec(n_maj=40, n_min=12, dim=4, seed=0))
+    with pytest.raises(InvalidSpecError, match="not been split"):
+        train(unsplit, _fast())
 
 
 class TestSampleTriplets:
@@ -136,8 +142,8 @@ class TestTrainUdc:
         assert a.losses == b.losses
 
     @pytest.mark.parametrize("loss_kind, called, margin", [
-        ("com", "com_triplet_loss", MarginSpec("adaptive")),
-        ("triplet", "triplet_loss_batch", TRIPLET_MARGIN),
+        ("com", "com_triplet_loss", ()),
+        ("triplet", "triplet_loss_batch", (TRIPLET_MARGIN,)),
     ])
     def test_step_takes_the_batch_loss_on_center_rows(
             self, loss_kind, called, margin, monkeypatch):
@@ -164,13 +170,13 @@ class TestTrainUdc:
         result = train_udc(_dataset(seed=4),
                            _fast(seed=4, batch_size=5, loss_kind=loss_kind))
         assert len(calls) == len(fits) == len(result.losses)
-        for (anchors, own, other, got), model, label in zip(calls, fits,
-                                                            labels):
+        for (anchors, own, other, *got), model, label in zip(calls, fits,
+                                                             labels):
             assert ad.value_of(anchors).shape == own.shape == (15, 8)
             np.testing.assert_array_equal(own, model.means[label.assignments])
             np.testing.assert_array_equal(other,
                                           model.means[1 - label.assignments])
-            assert got == margin
+            assert tuple(got) == margin
 
 
 class TestClassWeights:
