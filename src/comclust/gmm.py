@@ -8,9 +8,14 @@ steps each, and ``EM_RESTARTS`` attempts on degeneracy.
 
 ``kmeans`` runs its restarts together, and EM updates both components in
 one set of array operations. Both give the bits of the plain loops over
-restarts and components (``tests/test_gmm.py`` keeps those loops as its
-oracle), so a seeded run's pseudo-labels do not depend on the batching;
-``kmeans`` states the rules that keep it so."""
+restarts and components (``tests/test_gmm.py`` keeps those loops, and
+``rng.choice`` for the seeds, as its oracle), so a seeded run's
+pseudo-labels do not depend on the batching; ``kmeans`` states the rules
+that keep it so. Each k-means++ seed after the first is the draw that
+``rng.choice(n, p=d2 / total)`` makes: one ``rng.random()`` placed by
+``searchsorted`` in the normalised cumulative sum of ``p``. Squared
+distances that overflow make that draw undefined, and ``kmeans`` raises
+NonFiniteLossError instead."""
 
 from __future__ import annotations
 
@@ -60,19 +65,19 @@ def gaussian_log_pdf(x, mean, cov):
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     mean = np.asarray(mean, dtype=np.float64)
     cov = np.asarray(cov, dtype=np.float64)
-    if np.any(cov <= 0):
-        raise SingularCovarianceError("non-positive diagonal variance")
-    return _log_pdf(x, mean, cov)
-
-
-def _log_pdf(x: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """``gaussian_log_pdf`` without its checks, which EM skips: its
-    variances never fall below COV_FLOOR. Squares ``x - mean`` in place."""
+    if not (cov > 0).all():
+        raise SingularCovarianceError("non-positive or NaN diagonal variance")
     sq = x - mean
     sq *= sq
     sq /= cov
-    return -0.5 * (mean.shape[-1] * LOG_2PI + np.log(cov).sum(axis=-1)
-                   + sq.sum(axis=-1))
+    return _log_pdf(sq, cov)
+
+
+def _log_pdf(scaled_sq: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """``gaussian_log_pdf`` from its ``(x - mean)**2 / cov`` terms, without
+    the checks, which EM skips: its variances never fall below COV_FLOOR."""
+    return -0.5 * (scaled_sq.shape[-1] * LOG_2PI + np.log(cov).sum(axis=-1)
+                   + scaled_sq.sum(axis=-1))
 
 
 def _component_log_probs(model: GaussianMixture, x: np.ndarray) -> np.ndarray:
@@ -130,9 +135,15 @@ def kmeans(points, k: int, restarts: int = KMEANS_RESTARTS,
     after another gives:
 
     - every seed is drawn before the first Lloyd step, restart by restart,
-      in that order: ``rng.integers(n)``, then one ``rng.choice(n, p=...)``
-      per further centre (a duplicate of the first centre when every point
-      sits on a chosen one);
+      in that order: ``rng.integers(n)``, then one ``rng.random()`` per
+      further centre, placed by ``searchsorted(..., side="right")`` in the
+      cumulative sum of ``p = d2 / total`` divided by its last entry, which
+      is the draw ``rng.choice(n, p=p)`` makes (a duplicate of the first
+      centre, and no draw, when every point sits on a chosen one);
+    - at k = 2 all restarts' draws come first and the second seeds are
+      placed together; when some restart's ``total`` is 0 the generator is
+      rewound and the seeds are drawn restart by restart, as above;
+    - a ``total`` that overflows raises NonFiniteLossError;
     - each Lloyd step measures all live restarts in one (R, N, k) distance
       tensor, and a restart drops out at the first step that leaves its
       assignment unchanged;
@@ -185,18 +196,42 @@ def _kmeans_pp_init(points: np.ndarray, k: int, restarts: int,
                     rng) -> np.ndarray:
     """(restarts, k, S) k-means++ seed centres, drawn restart by restart."""
     n = points.shape[0]
+    if k == 2:
+        state = rng.bit_generator.state
+        first = np.empty(restarts, dtype=np.intp)
+        u = np.empty(restarts)
+        for r in range(restarts):
+            first[r] = rng.integers(n)
+            u[r] = rng.random()
+        d2 = _sq_dists(points, points[first][:, None, :])[..., 0]
+        total = d2.sum(axis=1)
+        if ((total > 0) & (total < np.inf)).all():
+            cdf = (d2 / total[:, None]).cumsum(axis=1)
+            cdf /= cdf[:, -1:]
+            # searchsorted(cdf[r], u[r], side="right"), row by row
+            second = (cdf <= u[:, None]).sum(axis=1)
+            return points[np.stack([first, second], axis=1)]
+        # a restart with a total of 0 draws no second seed, which shifts
+        # every later draw; one that overflows raises below
+        rng.bit_generator.state = state
     seeds = np.empty((restarts, k), dtype=np.intp)
     for r in range(restarts):
         seeds[r, 0] = rng.integers(n)
         for c in range(1, k):
             d2 = _sq_dists(points, points[seeds[r, :c]]).min(axis=1)
             total = d2.sum()
+            if not np.isfinite(total):
+                raise NonFiniteLossError(
+                    "squared distances between the points to cluster "
+                    "overflow")
             if total <= 0:
                 # all points coincide with a chosen center: duplicate it and
                 # let the covariance floor handle the degeneracy downstream
                 seeds[r, c] = seeds[r, 0]
             else:
-                seeds[r, c] = rng.choice(n, p=d2 / total)
+                cdf = (d2 / total).cumsum()
+                cdf /= cdf[-1]
+                seeds[r, c] = cdf.searchsorted(rng.random(), side="right")
     return points[seeds]
 
 
@@ -205,21 +240,23 @@ def _lloyd_centers(points: np.ndarray, d2: np.ndarray, assign: np.ndarray,
     """(R, k, S) centres of one Lloyd step from its (R, N, k) distances and
     (R, N) assignments."""
     n, s = points.shape
-    member = assign[..., None] == np.arange(k)
+    restarts = len(assign)
+    slot = assign + k * np.arange(restarts)[:, None]
+    counts = np.bincount(slot.ravel(), minlength=restarts * k).reshape(
+        restarts, k)
     if s == 1:
         # numpy sums a one-column block of members pairwise, not in row
         # order, so the scattered sum below would round differently
+        member = assign[..., None] == np.arange(k)
         sums = np.array([[points[m].sum(axis=0) for m in mr.T]
                          for mr in member])
     else:
         # each point lands in its cluster's slot; -0.0 is the exact
         # additive identity, so the sum over points adds the members in
         # row order, as the sum over the members alone does
-        slots = np.full((n, len(assign), k, s), -0.0)
-        slots[np.arange(n)[:, None], np.arange(len(assign)), assign.T] = \
-            points[:, None, :]
-        sums = slots.sum(axis=0)
-    counts = member.sum(axis=1)
+        slots = np.full((n, restarts * k, s), -0.0)
+        slots[np.arange(n)[:, None], slot.T] = points[:, None, :]
+        sums = slots.sum(axis=0).reshape(restarts, k, s)
     centers = sums / np.maximum(counts, 1)[..., None]
     empty = counts == 0
     if empty.any():
@@ -273,11 +310,19 @@ def _fit_em_once(batch: np.ndarray, seed: int) -> GaussianMixture:
         var = members.var(axis=0) if len(members) else np.ones(s)
         covs[j] = np.maximum(var, COV_FLOOR)
 
+    # sq holds the (2, N, S) squared deviations from the current means,
+    # which the M-step's variances need too; the E-step scales them into
+    # scaled, laid out (N, 2, S) so that log_p comes out C-contiguous:
+    # r.sum(axis=0) adds rows in order only on that layout
+    sq = batch - means[:, None, :]
+    sq *= sq
+    scaled = np.empty((n, 2, s))
     nll_trace = []
     prev_nll = None
     for _ in range(EM_MAX_ITER):
         # _component_log_probs, unchecked
-        log_p = _log_pdf(batch[:, None, :], means, covs)
+        np.divide(sq, covs[:, None, :], out=scaled.transpose(1, 0, 2))
+        log_p = _log_pdf(scaled, covs)
         log_p += np.log(weights)
         lse = _logsumexp(log_p, axis=1)
         nll = float(-lse.sum())

@@ -689,6 +689,22 @@ def test_udc_overflow_into_the_gmm_is_an_error(tiny_csv, tmp_path, capsys):
     assert err.splitlines()[-1].startswith("error: ") and "finite" in err
 
 
+def test_udc_overflowing_distances_are_an_error(tiny_csv, tmp_path, capsys):
+    """Finite features this large overflow the squared distances that
+    k-means++ draws its seeds by."""
+    huge = tmp_path / "huge.csv"
+    rows = tiny_csv.read_text().splitlines()
+    huge.write_text("\n".join(
+        [rows[0]] + [",".join([repr(float(v) * 1e300) for v in r[:-1]]
+                              + [r[-1]])
+                     for r in (row.split(",") for row in rows[1:])]) + "\n")
+    assert main(["train-udc", "--data", str(huge), "--epochs", "1",
+                 "--out", str(tmp_path / "m.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith("error: ") and "overflow" in err
+    assert "Traceback" not in err
+
+
 # Flag values for the argument fuzz. Sizes stay small (widths, dims and
 # batch sizes up to 64, class counts up to 200), so no case allocates more
 # than a few MB; very large sizes are left untested.

@@ -89,6 +89,18 @@ class TestComponentLogProbs:
         with pytest.raises(SingularCovarianceError):
             mixture_nll(model, batch)
 
+    def test_nan_variance_raises(self):
+        """NaN fails no ``<= 0`` test, and its posteriors would be NaN."""
+        model = _two_component([0.0, 0.0], [3.0, 3.0])
+        model.covariances[1, 0] = np.nan
+        batch = np.array([[0.0, 1.0], [3.0, 2.0]])
+        with pytest.raises(SingularCovarianceError):
+            gaussian_log_pdf(batch, model.means[1], model.covariances[1])
+        with pytest.raises(SingularCovarianceError):
+            responsibilities(model, batch)
+        with pytest.raises(SingularCovarianceError):
+            mixture_nll(model, batch)
+
 
 class TestMixtureNll:
     def test_single_point_at_mode(self):
@@ -190,6 +202,18 @@ class TestKmeans:
             kmeans(pts, 2)
         with pytest.raises(NonFiniteLossError):
             fit_em(pts)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_overflowing_distances_are_an_error(self, k):
+        """Finite points whose squared distances overflow leave k-means++
+        no distribution to draw from. The CLI, like this test, lets numpy
+        overflow without a warning."""
+        pts = make_rng(4).normal(size=(10, 3)) * 1e300
+        with np.errstate(over="ignore"):
+            with pytest.raises(NonFiniteLossError, match="overflow"):
+                kmeans(pts, k)
+            with pytest.raises(NonFiniteLossError, match="overflow"):
+                fit_em(pts)
 
     def test_wcss_never_worse_than_single_restart(self):
         rng = make_rng(3)
@@ -400,6 +424,61 @@ def _outcome(fn, *args, **kwargs):
         return fn(*args, **kwargs)
     except Exception as exc:  # noqa: BLE001 - the type is the outcome
         return type(exc)
+
+
+def _underflow_batch():
+    """Points at scale 1e-170 (every squared distance among them underflows
+    to 0) between two at -1e-162 and +1e-162: a first seed in the middle
+    sees a total of 0, one at either end a subnormal total."""
+    middle = make_rng(6).normal(size=(6, 2)) * 1e-170
+    return np.vstack([middle, [[-1e-162, 0.0], [1e-162, 0.0]]])
+
+
+SEEDING_EDGE_CASES = {
+    "identical-points": (np.tile([1.5, -2.0], (6, 1)), 2),
+    "underflow-in-some-restarts": (_underflow_batch(), 2),
+    "one-column": (make_rng(7).normal(size=(30, 1)), 2),
+    "k1": (make_rng(8).normal(size=(30, 3)), 1),
+}
+
+
+class TestSeedingEdgeCases:
+    """Branches of the k-means++ seeding that the property test below
+    rarely reaches, pinned to the oracle's bits and to its draws."""
+
+    @pytest.mark.parametrize("case", SEEDING_EDGE_CASES)
+    @pytest.mark.parametrize("seed", range(8))
+    def test_seeds_and_draws_match_rng_choice(self, case, seed):
+        points, k = SEEDING_EDGE_CASES[case]
+        rng, oracle_rng = make_rng(seed), make_rng(seed)
+        got = gmm._kmeans_pp_init(points, k, gmm.KMEANS_RESTARTS, rng)
+        want = np.array([_oracle_kmeans_pp_init(points, k, oracle_rng)
+                         for _ in range(gmm.KMEANS_RESTARTS)])
+        assert got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    @pytest.mark.parametrize("case", SEEDING_EDGE_CASES)
+    def test_kmeans_matches_per_restart_loop(self, case):
+        points, k = SEEDING_EDGE_CASES[case]
+        for seed in range(8):
+            got = kmeans(points, k, seed=seed)
+            want = _oracle_kmeans(points, k, seed=seed)
+            assert got[0].tobytes() == want[0].tobytes()
+            np.testing.assert_array_equal(got[1], want[1])
+            assert got[2] == want[2]
+
+    def test_underflow_case_mixes_zero_and_positive_totals(self):
+        """The premise of the underflow case: over the seeds above, first
+        seeds land on both sides, so the restart-batched draw must rewind."""
+        points = _underflow_batch()
+        totals = _oracle_sq_dists(points, points).sum(axis=1)
+        seen = set()
+        for seed in range(8):
+            rng = make_rng(seed)
+            for _ in range(gmm.KMEANS_RESTARTS):
+                first = _oracle_kmeans_pp_init(points, 2, rng)[0]
+                seen.add(bool(totals[(points == first).all(axis=1)][0] > 0))
+        assert seen == {False, True}
 
 
 class TestRestartBatchedOracle:
