@@ -428,10 +428,12 @@ def _outcome(fn, *args, **kwargs):
 
 def _underflow_batch():
     """Points at scale 1e-170 (every squared distance among them underflows
-    to 0) between two at -1e-162 and +1e-162: a first seed in the middle
-    sees a total of 0, one at either end a subnormal total."""
+    to 0) beside three at -1.5e-162, -0.5e-162 and +1.5e-162: a first seed
+    in the middle sees a total of 0, one at either end a subnormal total,
+    which the seed at +1.5e-162 spreads over two points (2:1)."""
     middle = make_rng(6).normal(size=(6, 2)) * 1e-170
-    return np.vstack([middle, [[-1e-162, 0.0], [1e-162, 0.0]]])
+    return np.vstack([middle,
+                      [[-1.5e-162, 0.0], [-0.5e-162, 0.0], [1.5e-162, 0.0]]])
 
 
 SEEDING_EDGE_CASES = {
@@ -439,6 +441,7 @@ SEEDING_EDGE_CASES = {
     "underflow-in-some-restarts": (_underflow_batch(), 2),
     "one-column": (make_rng(7).normal(size=(30, 1)), 2),
     "k1": (make_rng(8).normal(size=(30, 3)), 1),
+    "k3": (make_rng(9).normal(size=(30, 3)), 3),
 }
 
 
@@ -468,17 +471,19 @@ class TestSeedingEdgeCases:
             assert got[2] == want[2]
 
     def test_underflow_case_mixes_zero_and_positive_totals(self):
-        """The premise of the underflow case: over the seeds above, first
-        seeds land on both sides, so the restart-batched draw must rewind."""
+        """The premise of the underflow case: over the seeds above, some
+        first seeds see a total of 0 and others a positive one, in some
+        restarts spread over more than one point, so the draws that follow
+        a skipped one are compared on a spread distribution too."""
         points = _underflow_batch()
-        totals = _oracle_sq_dists(points, points).sum(axis=1)
+        d2 = _oracle_sq_dists(points, points)
         seen = set()
         for seed in range(8):
             rng = make_rng(seed)
             for _ in range(gmm.KMEANS_RESTARTS):
                 first = _oracle_kmeans_pp_init(points, 2, rng)[0]
-                seen.add(bool(totals[(points == first).all(axis=1)][0] > 0))
-        assert seen == {False, True}
+                seen.add(int((d2[(points == first).all(axis=1)][0] > 0).sum()))
+        assert {0, 2} <= seen
 
 
 class TestRestartBatchedOracle:
