@@ -19,6 +19,7 @@ from .errors import (InvalidSpecError, MissingColumnError, ParseError,
 
 TRAIN, VAL, TEST = "train", "val", "test"
 SPLIT_FRACTIONS = (0.75, 0.125, 0.125)
+MAX_FEATURE_VALUES = 10 ** 8   # rows times dim: 800 MB of float64
 
 
 @dataclass
@@ -68,6 +69,11 @@ class BlobSpec:
                                    f"{self.separation}")
         if self.dim < 2:
             raise InvalidSpecError("need dim >= 2 for two mean directions")
+        values = (int(self.n_maj) + int(self.n_min)) * int(self.dim)
+        if values > MAX_FEATURE_VALUES:
+            raise InvalidSpecError(f"{self.n_maj} + {self.n_min} rows of dim "
+                                   f"{self.dim} give {values} feature values, "
+                                   f"above {MAX_FEATURE_VALUES}")
         if not np.isfinite(self.radius):
             raise InvalidSpecError(f"class-mean radius separation * sigma / "
                                    f"sqrt(2) overflows ({self.separation} * "

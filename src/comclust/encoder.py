@@ -143,7 +143,7 @@ def forward(param_vars: list, config: EncoderConfig, x_batch,
         last = layer == n_layers - 1
         if last and train_mode and config.dropout_rate > 0.0:
             if rng is None:
-                raise ValueError("train-mode dropout needs an rng")
+                raise InvalidSpecError("train-mode dropout needs an rng")
             keep = 1.0 - config.dropout_rate
             mask = (rng.random(ad.value_of(h).shape) < keep) / keep
             h = ad.mul(h, mask)

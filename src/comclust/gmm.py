@@ -13,9 +13,10 @@ restarts and components (``tests/test_gmm.py`` keeps those loops, and
 pseudo-labels do not depend on the batching; ``kmeans`` states the rules
 that keep it so. Each k-means++ seed after the first is the draw that
 ``rng.choice(n, p=d2 / total)`` makes: one ``rng.random()`` placed by
-``searchsorted`` in the normalised cumulative sum of ``p``. Squared
-distances that overflow make that draw undefined, and ``kmeans`` raises
-NonFiniteLossError instead."""
+``searchsorted`` in the normalised cumulative sum of ``p``. A restart
+whose ``total`` is 0 repeats its first seed and still spends that
+uniform. Squared distances that overflow make the draw undefined, and
+``kmeans`` raises NonFiniteLossError instead."""
 
 from __future__ import annotations
 
@@ -91,19 +92,25 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     return amax.squeeze(axis) + np.log(np.exp(a - amax).sum(axis=axis))
 
 
-def mixture_nll(model: GaussianMixture, batch) -> float:
-    """Negative log-likelihood of the batch under the mixture."""
+def _scored_batch(batch) -> np.ndarray:
+    """``batch`` as a non-empty, finite (N, S) float64 array."""
     batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
     if batch.shape[0] == 0:
         raise EmptyBatchError("empty batch")
-    return float(-np.sum(_logsumexp(_component_log_probs(model, batch), axis=1)))
+    if not np.isfinite(batch).all():
+        raise NonFiniteLossError("non-finite value in the batch to score")
+    return batch
+
+
+def mixture_nll(model: GaussianMixture, batch) -> float:
+    """Negative log-likelihood of the batch under the mixture."""
+    log_p = _component_log_probs(model, _scored_batch(batch))
+    return float(-np.sum(_logsumexp(log_p, axis=1)))
 
 
 def responsibilities(model: GaussianMixture, batch) -> PseudoLabels:
     """Posterior component memberships, computed via log-sum-exp."""
-    batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
-    if batch.shape[0] == 0:
-        raise EmptyBatchError("empty batch")
+    batch = _scored_batch(batch)
     log_p = _component_log_probs(model, batch)
     log_r = log_p - _logsumexp(log_p, axis=1)[:, None]
     r = np.exp(log_r)
@@ -134,15 +141,15 @@ def kmeans(points, k: int, restarts: int = KMEANS_RESTARTS,
     The restarts run together, and give the bits that running them one
     after another gives:
 
-    - every seed is drawn before the first Lloyd step, restart by restart,
-      in that order: ``rng.integers(n)``, then one ``rng.random()`` per
-      further centre, placed by ``searchsorted(..., side="right")`` in the
-      cumulative sum of ``p = d2 / total`` divided by its last entry, which
-      is the draw ``rng.choice(n, p=p)`` makes (a duplicate of the first
-      centre, and no draw, when every point sits on a chosen one);
-    - at k = 2 all restarts' draws come first and the second seeds are
-      placed together; when some restart's ``total`` is 0 the generator is
-      rewound and the seeds are drawn restart by restart, as above;
+    - every draw comes before the first Lloyd step, restart by restart:
+      ``rng.integers(n)`` for the first seed, then ``rng.random(k - 1)``,
+      the k - 1 uniforms that k - 1 scalar calls give;
+    - the c-th seeds of all restarts are placed together: a uniform lands
+      by ``searchsorted(..., side="right")`` in the cumulative sum of
+      ``p = d2 / total`` divided by its last entry, which is the draw
+      ``rng.choice(n, p=p)`` makes; a restart whose ``total`` is 0 (every
+      point on a chosen centre) repeats its first seed and still spends
+      its uniform;
     - a ``total`` that overflows raises NonFiniteLossError;
     - each Lloyd step measures all live restarts in one (R, N, k) distance
       tensor, and a restart drops out at the first step that leaves its
@@ -194,44 +201,29 @@ def kmeans(points, k: int, restarts: int = KMEANS_RESTARTS,
 
 def _kmeans_pp_init(points: np.ndarray, k: int, restarts: int,
                     rng) -> np.ndarray:
-    """(restarts, k, S) k-means++ seed centres, drawn restart by restart."""
+    """(restarts, k, S) k-means++ seed centres, drawn as ``kmeans`` states."""
     n = points.shape[0]
-    if k == 2:
-        state = rng.bit_generator.state
-        first = np.empty(restarts, dtype=np.intp)
-        u = np.empty(restarts)
-        for r in range(restarts):
-            first[r] = rng.integers(n)
-            u[r] = rng.random()
-        d2 = _sq_dists(points, points[first][:, None, :])[..., 0]
-        total = d2.sum(axis=1)
-        if ((total > 0) & (total < np.inf)).all():
-            cdf = (d2 / total[:, None]).cumsum(axis=1)
-            cdf /= cdf[:, -1:]
-            # searchsorted(cdf[r], u[r], side="right"), row by row
-            second = (cdf <= u[:, None]).sum(axis=1)
-            return points[np.stack([first, second], axis=1)]
-        # a restart with a total of 0 draws no second seed, which shifts
-        # every later draw; one that overflows raises below
-        rng.bit_generator.state = state
     seeds = np.empty((restarts, k), dtype=np.intp)
+    u = np.empty((restarts, k - 1))
     for r in range(restarts):
         seeds[r, 0] = rng.integers(n)
-        for c in range(1, k):
-            d2 = _sq_dists(points, points[seeds[r, :c]]).min(axis=1)
-            total = d2.sum()
-            if not np.isfinite(total):
-                raise NonFiniteLossError(
-                    "squared distances between the points to cluster "
-                    "overflow")
-            if total <= 0:
-                # all points coincide with a chosen center: duplicate it and
-                # let the covariance floor handle the degeneracy downstream
-                seeds[r, c] = seeds[r, 0]
-            else:
-                cdf = (d2 / total).cumsum()
-                cdf /= cdf[-1]
-                seeds[r, c] = cdf.searchsorted(rng.random(), side="right")
+        u[r] = rng.random(k - 1)
+    d2 = np.full((restarts, n), np.inf)
+    for c in range(1, k):
+        newest = points[seeds[:, c - 1], None]           # (R, 1, S)
+        np.minimum(d2, _sq_dists(points, newest)[..., 0], out=d2)
+        total = d2.sum(axis=1)
+        if not np.isfinite(total).all():
+            raise NonFiniteLossError(
+                "squared distances between the points to cluster overflow")
+        # a restart whose points all sit on a chosen centre (total 0)
+        # repeats its first seed; the covariance floor handles it downstream
+        spread = total > 0
+        cdf = (d2[spread] / total[spread, None]).cumsum(axis=1)
+        cdf /= cdf[:, -1:]
+        seeds[:, c] = seeds[:, 0]
+        # searchsorted(cdf[r], u[r, c - 1], side="right"), row by row
+        seeds[spread, c] = (cdf <= u[spread, c - 1, None]).sum(axis=1)
     return points[seeds]
 
 

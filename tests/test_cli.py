@@ -655,12 +655,17 @@ class TestBadInput:
         ["sweep-imbalance", *SWEEP_FAST, "--seeds", "0,,1"],
         ["sweep-imbalance", *SWEEP_FAST, "--methods", "classifier,,"],
         ["sweep-imbalance", *SWEEP_FAST[2:], "--ratios", "60:20,60:6,"],
+        ["synth", "--maj", "10000000000", "--min", "1", "--dim",
+         "1000000000"],
+        ["sweep-imbalance", *SWEEP_FAST[2:], "--ratios",
+         "60:20,10000000000:1"],
     ], ids=["batch-size-0", "hidden-64-x", "ratios-60-10", "hidden-0",
             "hidden-64-0", "train-seed-negative", "synth-seed-negative",
             "train-lr-nan", "synth-separation-nan", "synth-sigma-inf",
             "synth-sigma-overflow", "synth-separation-overflow",
             "synth-draw-overflow", "hidden-empty-entry", "seeds-empty-entry",
-            "methods-empty-entry", "ratios-empty-entry"])
+            "methods-empty-entry", "ratios-empty-entry",
+            "synth-too-many-values", "sweep-too-many-values"])
     def test_reported_as_error(self, flags, blob_csv, tmp_path, capsys):
         data = ["--data", str(blob_csv)] if flags[0].startswith("train") else []
         assert main([*flags, *data, "--out", str(tmp_path / "o.json")]) == 1

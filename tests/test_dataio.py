@@ -7,8 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from comclust.dataio import (SPLIT_FRACTIONS, TEST, TRAIN, VAL, BlobSpec,
-                             LabeledDataset, canonical_json, load_csv,
+from comclust.dataio import (MAX_FEATURE_VALUES, SPLIT_FRACTIONS, TEST,
+                             TRAIN, VAL, BlobSpec, LabeledDataset,
+                             canonical_json, load_csv,
                              load_results, save_csv, save_results,
                              split_dataset, synth_imbalanced)
 from comclust.errors import (InvalidSpecError, MissingColumnError, ParseError,
@@ -191,6 +192,16 @@ class TestSynth:
             BlobSpec(n_maj=10, n_min=5, sigma=0.0)
         with pytest.raises(InvalidSpecError):
             synth_imbalanced(BlobSpec(n_maj=10, n_min=5, dim=1))
+
+    def test_feature_array_above_the_cap_is_refused(self):
+        """The spec is checked before anything is drawn, so neither spec
+        below allocates its features."""
+        rows = MAX_FEATURE_VALUES // 2
+        BlobSpec(n_maj=rows - 1, n_min=1, dim=2)        # exactly at the cap
+        with pytest.raises(InvalidSpecError, match=str(MAX_FEATURE_VALUES)):
+            BlobSpec(n_maj=rows, n_min=1, dim=2)
+        with pytest.raises(InvalidSpecError, match=str(MAX_FEATURE_VALUES)):
+            BlobSpec(n_maj=10 ** 10, n_min=1, dim=10 ** 9)
 
 
 class TestSplit:

@@ -41,6 +41,14 @@ class TestForward:
         b = forward(store.wrap(), config, x, train_mode=False).value
         assert not np.allclose(a, b)
 
+    def test_train_mode_dropout_without_rng_is_a_spec_error(self):
+        config = EncoderConfig(input_dim=5, hidden=(16,), embedding_dim=4,
+                               dropout_rate=0.5)
+        store = init_encoder_params(config, make_rng(4))
+        x = make_rng(5).normal(size=(6, 5))
+        with pytest.raises(InvalidSpecError, match="needs an rng"):
+            forward(store.wrap(), config, x, train_mode=True)
+
     def test_shape_mismatch(self):
         config = EncoderConfig(input_dim=5, hidden=(8,), embedding_dim=4)
         store = init_encoder_params(config, make_rng(6))
