@@ -4,7 +4,8 @@ A forward pass builds a graph of ``Var`` nodes; ``backward`` replays it in
 reverse topological order and accumulates vector-Jacobian products into the
 leaves. Only the handful of primitives needed by the encoder and the loss
 functions are provided: matmul, broadcast add/subtract/scale, elementwise
-multiply, ReLU, row gather, mean, and a row-wise cosine distance.
+multiply, ReLU, a fused dense layer, row gather, mean, and a row-wise
+cosine distance.
 
 The tape rule, applied by ``node`` at the end of every primitive: a
 primitive records a graph node only when an input is a ``Var``, and its
@@ -15,6 +16,11 @@ Losses work on batches: an (M, S) array holds one embedding per row, and
 ``row_cosine_distance`` turns two such operands (or one and a constant
 (S,) row) into (M,) distances with a single fused vector-Jacobian product,
 so a batch of triplets costs a few graph nodes rather than a few per row.
+``row_cosine_with_vjp`` is the same computation on plain arrays, for fused
+nodes that build on it (the batch losses). A fused node evaluates in the
+order its composed primitives would, so its value and gradients keep their
+bits; a vector-Jacobian product may return None for an input that needs no
+gradient, and ``backward`` then skips that input.
 
 All arithmetic is float64.
 """
@@ -75,6 +81,8 @@ def node(value, inputs: tuple, vjp):
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum ``grad`` down to ``shape`` to undo numpy broadcasting."""
+    if grad.shape == shape:
+        return grad
     while grad.ndim > len(shape):
         grad = grad.sum(axis=0)
     for axis, n in enumerate(shape):
@@ -138,14 +146,51 @@ def relu(a):
     return node(np.where(mask, av, 0.0), (a,), vjp)
 
 
+def dense(h, w, b, relu: bool, in_mask=None):
+    """One fully connected layer as one node: ``(h * in_mask) @ w + b``,
+    then max(0, x) when ``relu``. ``in_mask`` (a dropout mask, say) is a
+    constant of h's shape. Value and gradients have the bits of ``mul``, ``matmul``,
+    ``add`` and ``relu`` composed; a plain input gets no gradient computed.
+    """
+    hm, wv, bv = value_of(h), value_of(w), value_of(b)
+    if in_mask is not None:
+        hm = hm * in_mask
+    if hm.ndim != 2 or wv.ndim != 2 or hm.shape[1] != wv.shape[0]:
+        raise ShapeMismatchError(f"matmul shapes {hm.shape} x {wv.shape}")
+    z = hm @ wv + bv
+    if relu:
+        active = z > 0.0
+        z = np.where(active, z, 0.0)
+
+    def vjp(g):
+        if relu:
+            g = g * active
+        gh = None
+        if isinstance(h, Var):
+            gh = g @ wv.T
+            if in_mask is not None:
+                gh = gh * in_mask
+        return (gh,
+                hm.T @ g if isinstance(w, Var) else None,
+                _unbroadcast(g, bv.shape) if isinstance(b, Var) else None)
+
+    return node(z, (h, w, b), vjp)
+
+
 def take_rows(a, idx):
-    """Gather rows; the adjoint scatter-adds back (duplicate indices allowed)."""
+    """Gather rows by an index array or a slice. The adjoint scatter-adds
+    back (duplicate indices allowed); a slice's rows are distinct, so it
+    adds its block into zeros in one step, with the same bits."""
     av = value_of(a)
-    idx = np.asarray(idx, dtype=int)
+    if not isinstance(idx, slice):
+        idx = np.asarray(idx, dtype=int)
 
     def vjp(g):
         full = np.zeros_like(av)
-        np.add.at(full, idx, g)
+        if isinstance(idx, slice):
+            full[idx] += g
+        else:
+            np.add.at(full, idx, g)
         return (full,)
 
     return node(av[idx], (a,), vjp)
@@ -180,9 +225,18 @@ def row_cosine_distance(u, v):
             or (uval.ndim == vval.ndim == 2 and uval.shape != vval.shape)):
         raise ShapeMismatchError(
             f"row_cosine_distance shapes {uval.shape}, {vval.shape}")
+    dist, vjp = row_cosine_with_vjp(uval, vval)
+    return node(dist, (u, v), vjp)
+
+
+def row_cosine_with_vjp(uval: np.ndarray, vval: np.ndarray):
+    """``row_cosine_distance`` of two plain float64 operands whose shapes
+    it accepts (not checked here), as (distances, vjp): ``vjp(g)`` gives
+    the gradients (gu, gv), each summed back to its operand's shape. Raises
+    ZeroVectorError as ``row_cosine_distance`` does."""
     nu = np.sqrt(_rowdot(uval, uval))
     nv = np.sqrt(_rowdot(vval, vval))
-    if np.any(nu < NORM_FLOOR) or np.any(nv < NORM_FLOOR):
+    if (nu < NORM_FLOOR).any() or (nv < NORM_FLOOR).any():
         raise ZeroVectorError(f"vector norm below {NORM_FLOOR:g} "
                               f"({np.min(nu):g}, {np.min(nv):g})")
     nunv = nu * nv
@@ -195,7 +249,7 @@ def row_cosine_distance(u, v):
         gv = (g * cos / (nv * nv))[..., None] * vval - cross * uval
         return _unbroadcast(gu, uval.shape), _unbroadcast(gv, vval.shape)
 
-    return node(1.0 - cos, (u, v), vjp)
+    return 1.0 - cos, vjp
 
 
 def cosine_distance(u, v):
@@ -235,6 +289,8 @@ def backward(loss: Var):
         if node._vjp is None or node.grad is None:
             continue
         for parent, g in zip(node._parents, node._vjp(node.grad)):
+            if g is None:
+                continue
             g = np.asarray(g, dtype=np.float64)
             parent.grad = g if parent.grad is None else parent.grad + g
 

@@ -141,15 +141,13 @@ def forward(param_vars: list, config: EncoderConfig, x_batch,
     for layer in range(n_layers):
         w, b = param_vars[2 * layer], param_vars[2 * layer + 1]
         last = layer == n_layers - 1
+        mask = None
         if last and train_mode and config.dropout_rate > 0.0:
             if rng is None:
                 raise InvalidSpecError("train-mode dropout needs an rng")
             keep = 1.0 - config.dropout_rate
             mask = (rng.random(ad.value_of(h).shape) < keep) / keep
-            h = ad.mul(h, mask)
-        h = ad.add(ad.matmul(h, w), b)
-        if not last:
-            h = ad.relu(h)
+        h = ad.dense(h, w, b, relu=not last, in_mask=mask)
     return h
 
 
@@ -163,7 +161,7 @@ def minority_probability(head_vars: list, embeddings):
 
     Fused primitive: p = sigmoid(z1 - z0) with its analytic gradient.
     """
-    logits = ad.add(ad.matmul(embeddings, head_vars[0]), head_vars[1])
+    logits = ad.dense(embeddings, head_vars[0], head_vars[1], relu=False)
     zs = ad.value_of(logits)
     zdiff = zs[:, 1] - zs[:, 0]
     e = np.exp(-np.abs(zdiff))    # <= 1: neither branch below can overflow
@@ -203,8 +201,10 @@ def adam_step(store: ParamStore, grads: list, config: AdamConfig) -> None:
     store.step += 1
     t = store.step
     b1, b2 = config.beta1, config.beta2
-    store.m = b1 * store.m + (1 - b1) * g
-    store.v = b2 * store.v + (1 - b2) * g * g
+    store.m *= b1
+    store.m += (1 - b1) * g
+    store.v *= b2
+    store.v += (1 - b2) * g * g
     m_hat = store.m / (1 - b1 ** t)
     v_hat = store.v / (1 - b2 ** t)
     store.flat -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps)

@@ -2,11 +2,14 @@
 (COM) triplet, its cluster-center form for pseudo-labeled training, and
 weighted cross-entropy.
 
-The batch losses take (M, S) operands, one triplet or anchor per row, and
-are built from a few array ops on ``row_cosine_distance``: the per-row
-hinge argument, one ReLU, and a mean. The single-triplet functions
-(``triplet_loss``, ``com_dist_wa``, ...) take 1-D vectors and serve as the
-per-row definitions. Both kinds follow the tape rule of ``autodiff``.
+The batch losses take (M, S) operands, one triplet or anchor per row. Each
+is one graph node: its cosine distances (``autodiff.row_cosine_with_vjp``),
+per-row hinge, ReLU and mean, with one vector-Jacobian product, evaluated
+in the order the composed primitives would take, so value and gradients
+keep their bits. The single-triplet functions (``triplet_loss``,
+``com_dist_wa``, ...) take 1-D vectors, are composed from primitives, and
+serve as the per-row definitions. Both kinds follow the tape rule of
+``autodiff``.
 Distances are cosine distances, so all losses are invariant to positive
 rescaling of any embedding.
 """
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import cosine_distance, row_cosine_distance
+from .autodiff import cosine_distance
 from .errors import EmptyBatchError, InvalidSpecError, ShapeMismatchError
 
 PROB_CLAMP = 1e-12
@@ -87,20 +90,45 @@ def com_triplet_loss(anchors, positives, negatives,
     ``anchors``/``positives``/``negatives`` are (M, S) arrays or Vars; row i
     of each forms one triplet.
     """
-    _batch_len(anchors, positives, negatives)
-    d_ap = row_cosine_distance(anchors, positives)
-    d_an = row_cosine_distance(anchors, negatives)
-    d_pn = row_cosine_distance(positives, negatives)
-    bound = ad.sub(1.0, d_pn)
-    return ad.mean(ad.relu(ad.add(_wa(d_ap, d_an, d_pn), bound)))
+    m = _batch_len(anchors, positives, negatives)
+    a, p, n = (ad.value_of(x) for x in (anchors, positives, negatives))
+    d_ap, vjp_ap = ad.row_cosine_with_vjp(a, p)
+    d_an, vjp_an = ad.row_cosine_with_vjp(a, n)
+    d_pn, vjp_pn = ad.row_cosine_with_vjp(p, n)
+    # _wa's term plus the bound 1 - d(P, N)
+    hinge = (d_ap - (d_an + d_pn) * 0.5) + (1.0 - d_pn)
+    active = hinge > 0.0
+
+    def vjp(g):
+        g_ap = g / m * active
+        g_an = -g_ap * 0.5
+        ga_ap, gp_ap = vjp_ap(g_ap)
+        ga_an, gn_an = vjp_an(g_an)
+        gp_pn, gn_pn = vjp_pn(-g_ap + g_an)
+        return ga_ap + ga_an, gp_ap + gp_pn, gn_an + gn_pn
+
+    return ad.node(np.where(active, hinge, 0.0).mean(),
+                   (anchors, positives, negatives), vjp)
 
 
 def triplet_loss_batch(anchors, positives, negatives, alpha: float):
-    """Mean traditional triplet hinge over a batch (ablation baseline)."""
-    _batch_len(anchors, positives, negatives)
-    hinge = _triplet_hinge(row_cosine_distance(anchors, positives),
-                           row_cosine_distance(anchors, negatives), alpha)
-    return ad.mean(hinge)
+    """Mean traditional triplet hinge over a batch (ablation baseline), as
+    one graph node like ``com_triplet_loss``."""
+    m = _batch_len(anchors, positives, negatives)
+    a, p, n = (ad.value_of(x) for x in (anchors, positives, negatives))
+    d_ap, vjp_ap = ad.row_cosine_with_vjp(a, p)
+    d_an, vjp_an = ad.row_cosine_with_vjp(a, n)
+    hinge = (d_ap - d_an) + alpha
+    active = hinge > 0.0
+
+    def vjp(g):
+        g_ap = g / m * active
+        ga_ap, gp = vjp_ap(g_ap)
+        ga_an, gn = vjp_an(-g_ap)
+        return ga_ap + ga_an, gp, gn
+
+    return ad.node(np.where(active, hinge, 0.0).mean(),
+                   (anchors, positives, negatives), vjp)
 
 
 def udc_adaptive_margin(mu_min, mu_maj):
@@ -172,4 +200,6 @@ def _batch_len(*xs) -> int:
         raise EmptyBatchError(f"expected non-empty (M, S) batch, got {shapes[0]}")
     if any(shape != shapes[0] for shape in shapes):
         raise ShapeMismatchError(f"batch shapes differ: {shapes}")
+    if shapes[0][1] < 1:
+        raise ShapeMismatchError(f"batch rows have no entries: {shapes[0]}")
     return shapes[0][0]

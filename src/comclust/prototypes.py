@@ -65,10 +65,13 @@ def batch_centers(embeddings, classes):
 def update_prototypes(current: Prototypes | None, cl_min_cand, cl_maj_cand) -> Prototypes:
     """Keep whichever center *pair* has strictly larger cosine separation;
     ties keep the current pair. Centers from different iterations are never
-    mixed."""
-    candidate = Prototypes.from_pair(cl_min_cand, cl_maj_cand)
-    if current is None or candidate.separation > current.separation:
-        return candidate
+    mixed. A rejected candidate builds no ``Prototypes``, but a zero-norm
+    center raises ZeroVectorError either way."""
+    cl_min = np.asarray(cl_min_cand, dtype=np.float64)
+    cl_maj = np.asarray(cl_maj_cand, dtype=np.float64)
+    separation = cosine_distance(cl_min, cl_maj)
+    if current is None or separation > current.separation:
+        return Prototypes(cl_min, cl_maj, separation)
     return current
 
 

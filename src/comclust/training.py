@@ -171,7 +171,7 @@ def train_sdc(dataset: LabeledDataset, config: TrainConfig) -> TrainLog:
         rows = np.concatenate(sample_triplets(y, m, rng))
         emb = enc.forward(param_vars, enc_config, x[rows],
                           train_mode=True, rng=rng)
-        e_a, e_p, e_n = (ad.take_rows(emb, np.arange(k * m, (k + 1) * m))
+        e_a, e_p, e_n = (ad.take_rows(emb, slice(k * m, (k + 1) * m))
                          for k in range(3))
         return (_batch_loss(config.loss_kind, e_a, e_p, e_n),
                 batch_centers(emb.value, y[rows]), None)

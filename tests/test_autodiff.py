@@ -8,7 +8,9 @@ from comclust import autodiff as ad
 from comclust import encoder as enc
 from comclust.autodiff import Var, backward, cosine_distance, grad_of, make_rng
 from comclust.errors import NotScalarError, ShapeMismatchError, ZeroVectorError
-from comclust.losses import ClassWeights, weighted_cross_entropy
+from comclust.losses import (TRIPLET_MARGIN, ClassWeights, center_rows,
+                             com_triplet_loss, triplet_loss_batch,
+                             weighted_cross_entropy)
 
 
 def test_cosine_distance_identical_orthogonal_antipodal():
@@ -110,6 +112,25 @@ def test_take_rows_scatter_adds_duplicates():
     s = ad.matmul(ad.as_var(np.ones((1, 3))), ad.matmul(g, ad.as_var(np.ones((2, 1)))))
     backward(ad.mean(s))
     np.testing.assert_allclose(x.grad, [[2, 2], [0, 0], [1, 1]])
+
+
+@pytest.mark.parametrize("idx", [slice(0, 4), slice(1, 3), slice(3, 4),
+                                 slice(None, None, 2), slice(-3, None)])
+def test_take_rows_slice_matches_arange_bits(idx):
+    """A slice gives the value and gradient bits of the equal index array,
+    signed zeros included: the -0.0 weight's column becomes +0.0 both ways."""
+    x = make_rng(8).normal(size=(4, 3))
+    weights = np.array([[1.5, -0.0, -2.0]])
+
+    def run(index):
+        vx = Var(x)
+        out = ad.take_rows(vx, index)
+        backward(ad.mean(ad.mul(out, weights)))
+        return out.value, vx.grad
+
+    (v_slice, g_slice), (v_index, g_index) = run(idx), run(np.arange(4)[idx])
+    assert v_slice.tobytes() == v_index.tobytes()
+    assert g_slice.tobytes() == g_index.tobytes()
 
 
 def test_rng_reproducibility():
@@ -224,6 +245,13 @@ def _take_rows_case(d, m, s):
     return (lambda a: ad.take_rows(a, idx)), [_array(d, m, s)]
 
 
+def _dense_case(d, m, s):
+    relu = d(st.booleans())
+    in_mask = _array(d, m, s) if d(st.booleans()) else None
+    return ((lambda h, w, b: ad.dense(h, w, b, relu, in_mask)),
+            [_array(d, m, s), _array(d, s, 3), _array(d, 3)])
+
+
 def _cross_entropy_case(d, m, s):
     labels = d(hnp.arrays(np.float64, m, elements=st.sampled_from([0.0, 1.0])))
     return ((lambda p: weighted_cross_entropy(labels, p, ClassWeights(2.0, 0.5))),
@@ -238,6 +266,7 @@ TAPE_CASES = {
     "mul": lambda d, m, s: (ad.mul, [_array(d, m, s), _array(d, m, 1)]),
     "scale": _scale_case,
     "matmul": lambda d, m, s: (ad.matmul, [_array(d, m, s), _array(d, s, 3)]),
+    "dense": _dense_case,
     "relu": lambda d, m, s: (ad.relu, [_array(d, m, s)]),
     "take_rows": _take_rows_case,
     "mean": lambda d, m, s: (ad.mean, [_array(d, m, s)]),
@@ -249,6 +278,11 @@ TAPE_CASES = {
         lambda w, b, e: enc.minority_probability([w, b], e),
         [_array(d, s, 2, low=-1.0, high=1.0), _array(d, 2), _array(d, m, s)]),
     "weighted_cross_entropy": _cross_entropy_case,
+    "com_triplet_loss": lambda d, m, s: (
+        com_triplet_loss, [_rows(d, m, s), _rows(d, m, s), _rows(d, m, s)]),
+    "triplet_loss_batch": lambda d, m, s: (
+        (lambda a, p, n: triplet_loss_batch(a, p, n, TRIPLET_MARGIN)),
+        [_rows(d, m, s), _rows(d, m, s), _rows(d, m, s)]),
 }
 
 
@@ -268,3 +302,110 @@ def test_plain_inputs_give_the_recorded_value_untaped(name, data):
     else:
         assert type(plain) is np.ndarray
     assert np.array_equal(plain, recorded.value)
+
+
+# -- fused nodes against the composed graphs they replace -------------------
+
+# entries bounded away from zero, so no row has a vanishing norm
+ENTRY = st.one_of(st.floats(-5.0, -0.05), st.floats(0.05, 5.0))
+FUSED = settings(max_examples=60, deadline=None, derandomize=True,
+                 database=None)
+
+
+def _value_and_grads(call, inputs, as_var, reduce):
+    """The value of ``call`` on ``inputs`` (each wrapped in a Var where
+    ``as_var`` says) and each Var's gradient of ``reduce`` of it."""
+    leaves = [Var(x) if v else x for x, v in zip(inputs, as_var)]
+    out = call(*leaves)
+    backward(reduce(out))
+    return [ad.value_of(out)] + [leaf.grad for leaf in leaves
+                                 if isinstance(leaf, Var)]
+
+
+def _assert_same_bits(fused, reference, inputs, as_var,
+                      reduce=lambda out: out):
+    got = _value_and_grads(fused, inputs, as_var, reduce)
+    want = _value_and_grads(reference, inputs, as_var, reduce)
+    assert len(got) == len(want) == 1 + sum(as_var)
+    for g, w in zip(got, want):
+        assert g is not None and np.array_equal(g, w)
+
+
+@FUSED
+@given(data=st.data())
+def test_dense_has_the_bits_of_the_composed_layer(composed, data):
+    m, s = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 4))
+    relu, h_var = data.draw(st.booleans()), data.draw(st.booleans())
+    in_mask = _array(data.draw, m, s) if data.draw(st.booleans()) else None
+    weights = _array(data.draw, m, 3)
+    _assert_same_bits(
+        lambda h, w, b: ad.dense(h, w, b, relu, in_mask),
+        lambda h, w, b: composed.dense(h, w, b, relu, in_mask),
+        [_array(data.draw, m, s), _array(data.draw, s, 3),
+         _array(data.draw, 3)],
+        [h_var, True, True], lambda out: ad.mean(ad.mul(out, weights)))
+
+
+@FUSED
+@given(data=st.data())
+def test_fused_hinges_have_the_bits_of_the_composed_losses(composed, data):
+    """Var positives and negatives (SDC), or constant center rows (UDC)."""
+    m, s = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 4))
+
+    def rows(*shape):
+        return data.draw(hnp.arrays(np.float64, shape, elements=ENTRY))
+
+    if data.draw(st.booleans()):
+        inputs, as_var = [rows(m, s), rows(m, s), rows(m, s)], [True] * 3
+    else:
+        classes = data.draw(hnp.arrays(int, m, elements=st.sampled_from([0, 1])))
+        inputs = [rows(m, s), *center_rows(classes, rows(s), rows(s))]
+        as_var = [True, False, False]
+    _assert_same_bits(com_triplet_loss, composed.com_triplet_loss, inputs,
+                      as_var)
+    _assert_same_bits(
+        lambda a, p, n: triplet_loss_batch(a, p, n, TRIPLET_MARGIN),
+        lambda a, p, n: composed.triplet_loss_batch(a, p, n, TRIPLET_MARGIN),
+        inputs, as_var)
+
+
+@pytest.mark.parametrize("relu", [False, True])
+@pytest.mark.parametrize("masked", [False, True])
+def test_dense_gradient_matches_finite_differences(relu, masked):
+    rng = make_rng(61)
+    h, w, b = rng.normal(size=(5, 4)), rng.normal(size=(4, 3)), rng.normal(size=3)
+    mask = rng.uniform(0.0, 2.0, size=(5, 4)) if masked else None
+    weights = rng.uniform(0.5, 2.0, size=(5, 3))
+    # no pre-activation within a finite-difference step of the ReLU kink
+    assert np.min(np.abs((h if mask is None else h * mask) @ w + b)) > 1e-2
+
+    def run():
+        leaves = [Var(h), Var(w), Var(b)]
+        out = ad.dense(*leaves, relu, mask)
+        return leaves, ad.mean(ad.mul(out, weights))
+
+    leaves, loss = run()
+    backward(loss)
+    for arr, leaf in zip((h, w, b), leaves):
+        num = central_diff(lambda: run()[1].item(), arr)
+        assert np.max(_rel_err(grad_of(leaf), num)) < 1e-3
+
+
+@pytest.mark.parametrize("loss", [
+    com_triplet_loss,
+    lambda a, p, n: triplet_loss_batch(a, p, n, TRIPLET_MARGIN)],
+    ids=["com_triplet_loss", "triplet_loss_batch"])
+def test_fused_hinge_gradient_matches_finite_differences(loss):
+    rng = make_rng(62)
+    for _ in range(10):
+        arrays = rng.normal(size=(3, 6, 4))
+
+        def run(arrays=arrays):
+            leaves = [Var(x) for x in arrays]
+            return leaves, loss(*leaves)
+
+        leaves, value = run()
+        backward(value)
+        for arr, leaf in zip(arrays, leaves):
+            num = central_diff(lambda: run()[1].item(), arr)
+            assert np.max(_rel_err(grad_of(leaf), num)) < 1e-3

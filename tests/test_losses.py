@@ -86,6 +86,13 @@ class TestComTripletLoss:
             com_triplet_loss(np.empty((0, 2)), np.empty((0, 2)),
                              np.empty((0, 2)), MarginSpec("adaptive"))
 
+    @pytest.mark.parametrize("loss", [com_triplet_loss,
+                                      lambda a, p, n: triplet_loss_batch(
+                                          a, p, n, 0.2)])
+    def test_rows_without_entries(self, loss):
+        with pytest.raises(ShapeMismatchError, match="no entries"):
+            loss(np.empty((3, 0)), Var(np.empty((3, 0))), np.empty((3, 0)))
+
     def test_nonnegative_and_matches_direct_formula(self):
         rng = make_rng(11)
         for _ in range(50):

@@ -59,6 +59,43 @@ class TestUpdatePrototypes:
         updated = update_prototypes(current, [0.0, 2.0], [2.0, 0.0])
         assert updated is current
 
+    def test_rejected_candidate_builds_no_prototypes(self, monkeypatch):
+        current = Prototypes.from_pair([1.0, 0.0], [0.0, 1.0])
+        built = []
+        init = Prototypes.__post_init__
+
+        def counting(self):
+            built.append(self)
+            init(self)
+
+        monkeypatch.setattr(Prototypes, "__post_init__", counting)
+        for cand in (([1.0, 0.1], [1.0, -0.1]), ([0.0, 2.0], [2.0, 0.0])):
+            assert update_prototypes(current, *cand) is current
+        assert built == []
+        accepted = update_prototypes(current, [1.0, 0.0], [-1.0, 0.0])
+        assert built == [accepted] and accepted.separation == 2.0
+
+    @pytest.mark.parametrize("cand", [([0.0, 0.0], [1.0, 0.0]),
+                                      ([1.0, 0.0], [0.0, 0.0])])
+    def test_zero_norm_candidate_raises_even_when_current_is_wider(self,
+                                                                   cand):
+        current = Prototypes.from_pair([1.0, 0.0], [-1.0, 0.0])
+        with pytest.raises(ZeroVectorError):
+            update_prototypes(current, *cand)
+        with pytest.raises(ZeroVectorError):
+            update_prototypes(None, *cand)
+
+    def test_accepted_pair_equals_from_pair(self):
+        rng = make_rng(15)
+        cl_min, cl_maj = rng.normal(size=(2, 4))
+        got = update_prototypes(None, list(cl_min), list(cl_maj))
+        want = Prototypes.from_pair(cl_min, cl_maj)
+        assert got.separation == want.separation
+        for a, b in ((got.cl_min, want.cl_min), (got.cl_maj, want.cl_maj),
+                     (got.feature_mask, want.feature_mask)):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+
     def test_separation_sequence_nondecreasing(self):
         rng = make_rng(14)
         proto = None

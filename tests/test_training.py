@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from comclust import autodiff as ad
+from comclust import encoder as enc
 from comclust import gmm, losses, training
 from comclust.autodiff import make_rng
 from comclust.dataio import TEST, TRAIN, BlobSpec, LabeledDataset, \
@@ -177,6 +178,52 @@ class TestTrainUdc:
             np.testing.assert_array_equal(other,
                                           model.means[1 - label.assignments])
             assert tuple(got) == margin
+
+
+class TestSameProgram:
+    """The fused dense layers and hinges, the slice split, the lazy
+    prototype update and the in-place Adam step give the bits of the same
+    step composed from elementary primitives (``conftest.py``)."""
+
+    @pytest.mark.parametrize("mode", ["sdc-com", "sdc-triplet", "classifier"])
+    def test_training_has_the_bits_of_the_composed_step(self, mode,
+                                                        monkeypatch,
+                                                        composed):
+        ds = _dataset(seed=9)
+        config = _fast(seed=9, batch_size=10, hidden=(16, 12),
+                       loss_kind=mode.split("-")[-1] if "-" in mode else "com")
+
+        def run():
+            if mode == "classifier":
+                return train_classifier(ds, config)
+            return train_sdc(ds, config)
+
+        shipped = run()
+        called = set()
+
+        def counted(name, fn):
+            def wrapped(*args, **kwargs):
+                called.add(name)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for module, name in [(enc, "forward"), (enc, "minority_probability"),
+                             (enc, "adam_step"), (ad, "take_rows"),
+                             (training, "com_triplet_loss"),
+                             (training, "triplet_loss_batch"),
+                             (training, "update_prototypes")]:
+            monkeypatch.setattr(module, name,
+                                counted(name, getattr(composed, name)))
+        reference = run()
+        expected = {"forward", "adam_step"} | (
+            {"minority_probability"} if mode == "classifier" else
+            {"take_rows", "update_prototypes",
+             "com_triplet_loss" if mode == "sdc-com" else "triplet_loss_batch"})
+        assert called == expected
+        assert shipped.params.flat.tobytes() == reference.params.flat.tobytes()
+        assert shipped.losses == reference.losses
+        assert shipped.separations == reference.separations
+        assert len(shipped.losses) > 0
 
 
 class TestClassWeights:
