@@ -71,6 +71,12 @@ def value_of(x) -> np.ndarray:
     return x.value if isinstance(x, Var) else np.asarray(x, dtype=np.float64)
 
 
+def needs_grad(x) -> bool:
+    """Whether a fused node must compute ``x``'s gradient: under the tape
+    rule a plain input becomes a constant leaf, which needs none."""
+    return isinstance(x, Var)
+
+
 def node(value, inputs: tuple, vjp):
     """A primitive's result under the tape rule: a ``Var`` recording
     ``inputs`` and ``vjp`` if any input is a ``Var``, else plain."""

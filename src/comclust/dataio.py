@@ -5,11 +5,9 @@ checkpoints."""
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import NoReturn
 
 import numpy as np
 
@@ -136,21 +134,113 @@ def split_dataset(dataset: LabeledDataset, seed: int) -> LabeledDataset:
 
 
 def save_csv(path, dataset: LabeledDataset) -> None:
-    d = dataset.n_features
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([f"f{i}" for i in range(d)] + ["label"])
+        writer.writerow(_header(dataset.n_features))
         for row, label in zip(dataset.features, dataset.labels):
             writer.writerow([repr(float(v)) for v in row] + [int(label)])
+
+
+def _header(d: int) -> list:
+    return [f"f{i}" for i in range(d)] + ["label"]
+
+
+# The bytes of a body in the block grammar: numpy's tokenizer and float()
+# read every cell made of them alike. numpy strips other bytes, such as
+# "\x0c" and "\x1c", as whitespace where float() raises.
+BLOCK_BYTES = b"0123456789.eE+-,\r\n"
+_NL, _CR, _COMMA, _ZERO, _ONE = b"\n\r,01"   # as byte values
+# the block check reads this much at a time: a buffer the size of the file,
+# once freed, leaves later commands of the process a larger peak RSS
+_CHUNK_BYTES = 1 << 20
 
 
 def load_csv(path) -> LabeledDataset:
     """Read a `f0,...,f{D-1},label` CSV; labels must be 0 or 1 and all
     feature cells finite numbers. Errors name the offending line.
 
-    The body is checked as one block; only when a check fails is it scanned
-    line by line, to name the first bad line. Undecodable text and a cell
-    over csv's field size limit are ParseErrors too."""
+    A file in the block grammar is parsed by one ``np.loadtxt``: the header
+    is exactly ``f0,...,f{D-1},label``; every body byte is one of
+    ``0123456789.eE+-,`` or a line end (``\\n`` or ``\\r\\n``); at least
+    one line follows the header, every one holds D commas, ends in ``,0``
+    or ``,1`` and is no longer than csv's field size limit. The parse must
+    give a row per line and finite features. Any other file is read by the
+    ``csv.reader`` line reader, which returns the same dataset or raises
+    the first bad line's ParseError. Undecodable text and a cell over csv's
+    field size limit are ParseErrors too."""
+    block = _block_labels(path)
+    if block is not None:
+        dataset = _load_block(path, *block)
+        if dataset is not None:
+            return dataset
+    return _load_lines(path)
+
+
+def _block_labels(path) -> tuple | None:
+    """(D, labels) if the file is in ``load_csv``'s block grammar, else
+    None."""
+    limit = csv.field_size_limit()
+    with open(path, "rb") as fh:
+        header = fh.readline()
+        columns = header.removesuffix(b"\n").removesuffix(b"\r")
+        d = columns.count(b",")
+        if d < 1 or columns != ",".join(_header(d)).encode():
+            return None
+        labels, rest = [], b""
+        while chunk := fh.read(_CHUNK_BYTES):
+            lines = rest + chunk
+            cut = lines.rfind(b"\n") + 1
+            lines, rest = lines[:cut], lines[cut:]
+            labels.append(_block_lines(lines, d, limit))
+            if labels[-1] is None or len(rest) > limit:   # a line too long
+                return None
+    if rest:
+        labels.append(_block_lines(rest + b"\n", d, limit))
+    if not labels or labels[-1] is None:
+        return None
+    return d, np.concatenate(labels).astype(int)
+
+
+def _block_lines(lines: bytes, d: int, limit: int) -> np.ndarray | None:
+    """The labels of ``lines``, whole lines that each end in ``\\n``, if
+    every one is in the block grammar, else None."""
+    if (lines.translate(None, BLOCK_BYTES)
+            or (b"\r" in lines and lines.count(b"\r") != lines.count(b"\r\n"))):
+        return None
+    buf = np.frombuffer(lines, np.uint8)
+    ends = np.flatnonzero(buf == _NL)
+    label = ends - 1
+    label -= buf[label] == _CR
+    commas = np.searchsorted(np.flatnonzero(buf == _COMMA), ends)
+    # a line over the limit may hold a cell that csv.reader refuses
+    if len(ends) and ((np.diff(commas, prepend=0) != d).any()
+                      or np.diff(ends, prepend=-1).max() > limit
+                      or not ((buf[label - 1] == _COMMA)
+                              & ((buf[label] == _ZERO)
+                                 | (buf[label] == _ONE))).all()):
+        return None
+    return buf[label] - _ZERO
+
+
+def _load_block(path, d: int, labels: np.ndarray) -> LabeledDataset | None:
+    """The dataset with features parsed by ``np.loadtxt`` and the checked
+    labels, or None when the parse fails, gives another row count or a
+    non-finite feature."""
+    try:
+        features = np.loadtxt(path, delimiter=",", skiprows=1, comments=None,
+                              quotechar=None, dtype=np.float64, ndmin=2,
+                              usecols=range(d))
+    except ValueError:
+        return None
+    if features.shape != (len(labels), d) or not np.isfinite(features).all():
+        return None
+    return LabeledDataset(features, labels)
+
+
+def _load_lines(path) -> LabeledDataset:
+    """The ``csv.reader`` line reader: the dataset, or the ParseError of the
+    first line that fails a check; per line the checks run in the order
+    cell count, number, finite, label."""
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -159,8 +249,7 @@ def load_csv(path) -> LabeledDataset:
             except StopIteration:
                 raise ParseError(f"{path}: empty file") from None
             d = len(header) - 1
-            expected = [f"f{i}" for i in range(d)] + ["label"]
-            if d < 1 or header != expected:
+            if d < 1 or header != _header(d):
                 raise MissingColumnError(f"{path}: header must be "
                                          f"f0,...,f{{D-1}},label, got {header}")
             body = list(reader)
@@ -168,33 +257,7 @@ def load_csv(path) -> LabeledDataset:
         raise ParseError(f"{path}: {exc}") from None
     if not body:
         raise ParseError(f"{path}: no data rows")
-    parsed = _parse_body(body, d)
-    if parsed is None:
-        _raise_first_bad_line(path, body, d)
-    return parsed
-
-
-def _parse_body(body: list, d: int) -> LabeledDataset | None:
-    """The dataset if every row has d finite feature cells and a "0"/"1"
-    label, else None."""
-    n = len(body)
-    if set(map(len, body)) != {d + 1}:
-        return None
-    try:
-        features = np.fromiter(
-            map(float, itertools.chain.from_iterable(r[:d] for r in body)),
-            np.float64, n * d).reshape(n, d)
-    except ValueError:
-        return None
-    labels = [r[d] for r in body]
-    if not np.isfinite(features).all() or not set(labels) <= {"0", "1"}:
-        return None
-    return LabeledDataset(features, np.fromiter(map(int, labels), int, n))
-
-
-def _raise_first_bad_line(path, body: list, d: int) -> NoReturn:
-    """Raise the ParseError of the first line that fails a check; per line
-    the checks run in the order cell count, number, finite, label."""
+    features = np.empty((len(body), d))
     for lineno, cells in enumerate(body, start=2):
         if len(cells) != d + 1:
             raise ParseError(f"{path}:{lineno}: expected {d + 1} cells, "
@@ -203,12 +266,14 @@ def _raise_first_bad_line(path, body: list, d: int) -> NoReturn:
             row = [float(c) for c in cells[:d]]
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from None
-        if not all(np.isfinite(row)):
+        if not all(map(math.isfinite, row)):
             raise ParseError(f"{path}:{lineno}: non-finite feature value")
         if cells[d] not in ("0", "1"):
             raise ParseError(f"{path}:{lineno}: label must be 0 or 1, "
                              f"got {cells[d]!r}")
-    raise AssertionError("a block check failed but no line did")
+        features[lineno - 2] = row
+    return LabeledDataset(features, np.array([int(cells[d]) for cells in body],
+                                             dtype=int))
 
 
 def save_results(path, record: dict) -> None:
@@ -216,11 +281,6 @@ def save_results(path, record: dict) -> None:
     repr) so identical runs produce byte-identical files."""
     with open(path, "w") as fh:
         fh.write(canonical_json(record) + "\n")
-
-
-def load_results(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
 
 
 def canonical_json(obj) -> str:

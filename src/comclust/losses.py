@@ -88,7 +88,9 @@ def com_triplet_loss(anchors, positives, negatives,
     bound 1 - d(P, N) of each triplet (``margin``'s only mode).
 
     ``anchors``/``positives``/``negatives`` are (M, S) arrays or Vars; row i
-    of each forms one triplet.
+    of each forms one triplet. Plain positives and negatives (UDC's center
+    rows) get no gradient, and with both plain the d(P, N) product is
+    skipped.
     """
     m = _batch_len(anchors, positives, negatives)
     a, p, n = (ad.value_of(x) for x in (anchors, positives, negatives))
@@ -98,14 +100,19 @@ def com_triplet_loss(anchors, positives, negatives,
     # _wa's term plus the bound 1 - d(P, N)
     hinge = (d_ap - (d_an + d_pn) * 0.5) + (1.0 - d_pn)
     active = hinge > 0.0
+    p_grad, n_grad = ad.needs_grad(positives), ad.needs_grad(negatives)
 
     def vjp(g):
         g_ap = g / m * active
         g_an = -g_ap * 0.5
         ga_ap, gp_ap = vjp_ap(g_ap)
         ga_an, gn_an = vjp_an(g_an)
-        gp_pn, gn_pn = vjp_pn(-g_ap + g_an)
-        return ga_ap + ga_an, gp_ap + gp_pn, gn_an + gn_pn
+        gp = gn = None
+        if p_grad or n_grad:
+            gp_pn, gn_pn = vjp_pn(-g_ap + g_an)
+            gp = gp_ap + gp_pn if p_grad else None
+            gn = gn_an + gn_pn if n_grad else None
+        return ga_ap + ga_an, gp, gn
 
     return ad.node(np.where(active, hinge, 0.0).mean(),
                    (anchors, positives, negatives), vjp)
@@ -113,19 +120,21 @@ def com_triplet_loss(anchors, positives, negatives,
 
 def triplet_loss_batch(anchors, positives, negatives, alpha: float):
     """Mean traditional triplet hinge over a batch (ablation baseline), as
-    one graph node like ``com_triplet_loss``."""
+    one graph node like ``com_triplet_loss``, whose plain positives and
+    negatives get no gradient either."""
     m = _batch_len(anchors, positives, negatives)
     a, p, n = (ad.value_of(x) for x in (anchors, positives, negatives))
     d_ap, vjp_ap = ad.row_cosine_with_vjp(a, p)
     d_an, vjp_an = ad.row_cosine_with_vjp(a, n)
     hinge = (d_ap - d_an) + alpha
     active = hinge > 0.0
+    p_grad, n_grad = ad.needs_grad(positives), ad.needs_grad(negatives)
 
     def vjp(g):
         g_ap = g / m * active
         ga_ap, gp = vjp_ap(g_ap)
         ga_an, gn = vjp_an(-g_ap)
-        return ga_ap + ga_an, gp, gn
+        return ga_ap + ga_an, gp if p_grad else None, gn if n_grad else None
 
     return ad.node(np.where(active, hinge, 0.0).mean(),
                    (anchors, positives, negatives), vjp)

@@ -369,6 +369,25 @@ def test_fused_hinges_have_the_bits_of_the_composed_losses(composed, data):
         inputs, as_var)
 
 
+@pytest.mark.parametrize("loss", [
+    com_triplet_loss,
+    lambda a, p, n: triplet_loss_batch(a, p, n, TRIPLET_MARGIN)],
+    ids=["com_triplet_loss", "triplet_loss_batch"])
+@pytest.mark.parametrize("p_var, n_var", [(False, False), (True, False),
+                                          (False, True)])
+def test_plain_operands_get_no_gradient(loss, p_var, n_var):
+    """UDC's center rows are plain operands: their constant leaves keep
+    grad None, while the anchors and any Var operand get theirs."""
+    rng = make_rng(63)
+    own, other = center_rows(rng.integers(0, 2, 6), rng.normal(size=4),
+                             rng.normal(size=4))
+    value = loss(Var(rng.normal(size=(6, 4))), Var(own) if p_var else own,
+                 Var(other) if n_var else other)
+    backward(value)
+    assert ([leaf.grad is not None for leaf in value._parents]
+            == [True, p_var, n_var])
+
+
 @pytest.mark.parametrize("relu", [False, True])
 @pytest.mark.parametrize("masked", [False, True])
 def test_dense_gradient_matches_finite_differences(relu, masked):

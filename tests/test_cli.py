@@ -15,11 +15,13 @@ from hypothesis import strategies as st
 from comclust import checkpoint as ckpt
 from comclust import training
 from comclust.cli import main, run_sweep_cell, sweep_cell_seeds
-from comclust.dataio import load_csv, load_results, split_dataset
+from comclust.dataio import load_csv, split_dataset
 from comclust.encoder import MAX_PARAMETERS, embed
 from comclust.errors import ParseError
 from comclust.prototypes import malignancy_score
 from comclust.training import evaluate_prototypes
+
+from helpers import load_results
 
 
 @pytest.fixture(scope="module")

@@ -3,17 +3,19 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from comclust import dataio
 from comclust.dataio import (MAX_FEATURE_VALUES, SPLIT_FRACTIONS, TEST,
                              TRAIN, VAL, BlobSpec, LabeledDataset,
-                             canonical_json, load_csv,
-                             load_results, save_csv, save_results,
+                             canonical_json, load_csv, save_csv, save_results,
                              split_dataset, synth_imbalanced)
 from comclust.errors import (InvalidSpecError, MissingColumnError, ParseError,
                              TooFewSamplesError)
+
+from helpers import load_results
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True,
                     database=None)
@@ -76,10 +78,15 @@ OVERSIZED = "1" * 131_073
 # cell texts that float() or the finite check reject, that csv unquotes, or
 # that fail while the text is read
 BAD_CELLS = ["abc", "", "nan", "inf", "-inf", "1e400", "-1e400", '"1.5"',
-             '"x"', '"1,5"', " 2.5", "1_0", "0x1", UNDECODABLE, OVERSIZED]
-BAD_LABELS = ["1.0", " 1", "1 ", "2", "-0", "01", "", '"1"', '"0"', '"2"']
+             '"x"', '"1,5"', " 2.5", "1_0", "0x1", UNDECODABLE, OVERSIZED,
+             # numpy's tokenizer and float() disagree on these (the Arabic-
+             # Indic digit one is 1.0 to float())
+             "2\x1c", "2\x0c", "\t2", "\u0661"]
+BAD_LABELS = ["1.0", " 1", "1 ", "2", "-0", "01", "", '"1"', '"0"', '"2"',
+              "+1", "1e0", "0.0"]
 # weighted towards the per-cell checks, which a header fault would mask
-CORRUPTIONS = ["cell"] * 3 + ["label"] * 2 + ["ragged", "blank", "header"]
+CORRUPTIONS = ["cell"] * 3 + ["label"] * 2 + ["ragged", "blank", "header",
+                                               "whitespace"]
 BAD_HEADERS = ["", "label", "a,label", "f0,f2,label", "f1,label",
                "f0,label,x", '"f0",label']
 
@@ -100,6 +107,8 @@ def csv_texts(draw):
             lines[0] = [draw(st.sampled_from(BAD_HEADERS))]
         elif kind == "blank":
             lines.insert(k, [""])
+        elif kind == "whitespace":
+            lines.insert(k, [" \t"])
         elif k < len(lines) and lines[k] != [""]:
             row = lines[k]
             if kind == "cell":
@@ -116,6 +125,24 @@ def csv_texts(draw):
     end = draw(st.sampled_from(["\n", "\r\n"]))
     text = end.join(",".join(cells) for cells in lines)
     return text + end if lines and draw(st.booleans()) else text
+
+
+@st.composite
+def block_texts(draw):
+    """A file in load_csv's block grammar: repr floats, 0/1 labels, \\n or
+    \\r\\n line ends, with or without a last one."""
+    d = draw(st.integers(1, 4))
+    lines = [",".join([f"f{i}" for i in range(d)] + ["label"])]
+    for _ in range(draw(st.integers(1, 6))):
+        lines.append(",".join([repr(draw(st.floats(allow_nan=False,
+                                                   allow_infinity=False)))
+                               for _ in range(d)] + [draw(st.sampled_from("01"))]))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from([end, ""]))
+
+
+def _refuse_line_reader(path):
+    raise AssertionError(f"{path} went to the line reader")
 
 
 def _outcome(loader, path):
@@ -319,6 +346,30 @@ class TestCsv:
         with pytest.raises(ParseError, match="2"):
             load_csv(path)
 
+    def test_written_files_take_the_block_path(self, tmp_path, monkeypatch):
+        """save_csv's \\r\\n lines and a %.17g np.savetxt file (the
+        benchmark's format) are parsed without the line reader."""
+        ds = synth_imbalanced(BlobSpec(n_maj=30, n_min=10, dim=5, seed=11))
+        written = tmp_path / "written.csv"
+        save_csv(written, ds)
+        savetxt = tmp_path / "savetxt.csv"
+        np.savetxt(savetxt, np.column_stack([ds.features, ds.labels]),
+                   delimiter=",", header="f0,f1,f2,f3,f4,label", comments="",
+                   fmt=["%.17g"] * 5 + ["%d"])
+        want = [_outcome(reference_load_csv, p) for p in (written, savetxt)]
+        monkeypatch.setattr(dataio, "_load_lines", _refuse_line_reader)
+        assert b"\r\n" in written.read_bytes()
+        assert [_outcome(load_csv, p) for p in (written, savetxt)] == want
+        assert want[0][2] == ds.features.tobytes()
+        assert load_csv(savetxt).features.flags.c_contiguous
+
+    def test_finite_cell_over_the_field_size_limit(self, tmp_path):
+        """The block parse reads this cell as 0.0; csv.reader refuses it."""
+        path = tmp_path / "d.csv"
+        path.write_text(f"f0,label\n1.0,0\n{'0' * 131_073},1\n")
+        with pytest.raises(ParseError, match="field larger than field limit"):
+            load_csv(path)
+
 
     @PROPERTY
     @given(text=csv_texts())
@@ -327,6 +378,12 @@ class TestCsv:
     @example(text="f0,label\n1.0,\"2\"\n")
     @example(text=f"f0,label\n1.0,0\n{UNDECODABLE},1\n")
     @example(text=f"f0,label\n1.0,0\n{OVERSIZED},1\n")
+    @example(text="f0,label\n2\x1c,0\n")
+    @example(text="f0,f1,label\r\n1.5,2\x0c,1\r\n")
+    @example(text="f0,label\n\u0661,1\n")
+    @example(text="f0,label\n1.0,0\n \t\n2.0,1\n")
+    @example(text="f0,label\n1.0,1e0\n")
+    @example(text="f0,label\n\r1.0,0\n")
     def test_matches_line_at_a_time_reference(self, text, csv_path):
         csv_path.write_bytes(text.encode("utf-8", "surrogateescape"))
         got = _outcome(load_csv, csv_path)
@@ -338,6 +395,28 @@ class TestCsv:
             assert got[1].startswith(f"{csv_path}: ")
         else:
             assert got == _outcome(reference_load_csv, csv_path)
+
+    @PROPERTY
+    @given(text=csv_texts(), chunk_bytes=st.integers(1, 64))
+    def test_block_check_in_any_chunk_size(self, text, chunk_bytes, csv_path):
+        """Lines that straddle the block check's reads are checked whole."""
+        assume(UNDECODABLE not in text and OVERSIZED not in text)
+        csv_path.write_bytes(text.encode())
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dataio, "_CHUNK_BYTES", chunk_bytes)
+            got = _outcome(load_csv, csv_path)
+        assert got == _outcome(reference_load_csv, csv_path)
+
+    @PROPERTY
+    @given(text=block_texts(), chunk_bytes=st.integers(1, 64))
+    def test_block_grammar_skips_the_line_reader(self, text, chunk_bytes,
+                                                 csv_path):
+        csv_path.write_bytes(text.encode())
+        want = _outcome(reference_load_csv, csv_path)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dataio, "_CHUNK_BYTES", chunk_bytes)
+            patch.setattr(dataio, "_load_lines", _refuse_line_reader)
+            assert _outcome(load_csv, csv_path) == want
 
 
 @pytest.fixture(scope="module")
