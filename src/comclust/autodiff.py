@@ -2,10 +2,18 @@
 
 A forward pass builds a graph of ``Var`` nodes; ``backward`` replays it in
 reverse topological order and accumulates vector-Jacobian products into the
-leaves. Only the handful of primitives needed by the encoder and the loss
-functions are provided: matmul, broadcast add/subtract/scale, elementwise
-multiply, ReLU, a fused dense layer, row gather, mean, and a row-wise
-cosine distance.
+leaves. Only a handful of primitives are provided, each for a stated user:
+
+- the fused dense layer runs every encoder layer and the classifier head,
+  row gather (``take_rows``) splits SDC's embedding into its A, P and N
+  rows, and the row-wise cosine distance underlies every loss;
+- broadcast add/subtract/scale and ReLU compose the single-triplet loss
+  definitions in ``losses`` (``triplet_loss``, ``com_dist_wa``, ...), which
+  the acceptance criteria check by value and by finite differences;
+- elementwise multiply, matmul and mean have no caller in the library.
+  They stay, gradient-checked with the others, as the elementary
+  primitives from which ``tests/conftest.py`` composes the reference
+  graphs that the fused nodes must match bit for bit.
 
 The tape rule, applied by ``node`` at the end of every primitive: a
 primitive records a graph node only when an input is a ``Var``, and its

@@ -60,7 +60,7 @@ def save_checkpoint(path, params: ParamStore, encoder_config: EncoderConfig,
 
 
 def load_checkpoint(path) -> dict:
-    """Returns {kind, encoder_config, params, prototypes, seed, config};
+    """Returns {encoder_config, params, prototypes, seed, config};
     prototypes is None for a classifier.
 
     The document is checked against its own encoder config: a file that is
@@ -76,8 +76,8 @@ def load_checkpoint(path) -> dict:
         raise ParseError(f"{path}: not a JSON checkpoint ({exc})") from None
     _check(isinstance(doc, dict), path, "checkpoint is not a JSON object")
     _check("version" in doc, path, "missing version field")
-    _check(doc["version"] == FORMAT_VERSION, path,
-           f"unsupported version {doc['version']}")
+    _check(type(doc["version"]) is int and doc["version"] == FORMAT_VERSION,
+           path, f"unsupported version {doc['version']}")
     for key in ("kind", "encoder", "params", "seed"):
         _check(key in doc, path, f"missing {key} field")
     kind, seed = doc["kind"], doc["seed"]
@@ -92,7 +92,6 @@ def load_checkpoint(path) -> dict:
     _check(kind != KIND_CLUSTERING or "prototypes" in doc, path,
            "clustering checkpoint without prototypes")
     return {
-        "kind": kind,
         "encoder_config": encoder_config,
         "params": ParamStore(_read_params(doc["params"], path, kind,
                                           encoder_config)),
@@ -134,7 +133,8 @@ def _read_params(entries, path, kind: str, config: EncoderConfig) -> list:
     for i, (entry, shape) in enumerate(zip(entries, expected)):
         _check(isinstance(entry, dict) and "shape" in entry and "data" in entry,
                path, f"params[{i}] lacks shape or data")
-        _check(entry["shape"] == list(shape), path,
+        _check(entry["shape"] == list(shape)
+               and all(type(n) is int for n in entry["shape"]), path,
                f"params[{i}] shape {entry['shape']!r} does not match the "
                f"encoder's {list(shape)}")
         data = _numbers(entry["data"], path, f"params[{i}] data")

@@ -36,8 +36,9 @@ class EncoderConfig:
                                    f"{self.hidden}")
         if self.embedding_dim < 2:
             raise InvalidSpecError("embedding_dim must be >= 2")
-        if not (0.0 <= self.dropout_rate < 1.0):
-            raise InvalidSpecError("dropout_rate must be in [0, 1)")
+        if (isinstance(self.dropout_rate, bool)
+                or not 0.0 <= self.dropout_rate < 1.0):
+            raise InvalidSpecError("dropout_rate must be a number in [0, 1)")
         count = sum((int(a) + 1) * int(b) for a, b in zip(sizes, sizes[1:]))
         if count > MAX_PARAMETERS:
             raise InvalidSpecError(f"layer sizes {sizes} give {count} "
@@ -48,23 +49,20 @@ class EncoderConfig:
         return [self.input_dim, *self.hidden, self.embedding_dim]
 
 
+ADAM_BETA1 = 0.9     # Adam's moment decay rates and denominator floor
+ADAM_BETA2 = 0.99
+ADAM_EPS = 1e-7
+
+
 @dataclass(frozen=True)
 class AdamConfig:
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.99
-    eps: float = 1e-7
 
     def __post_init__(self):
-        # written so that NaN fails every check
+        # written so that NaN fails the check
         if not 0 < self.learning_rate < np.inf:
             raise InvalidSpecError(f"learning_rate must be positive and "
                                    f"finite, got {self.learning_rate}")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise InvalidSpecError("betas must be in [0, 1)")
-        if not 0 < self.eps < np.inf:
-            raise InvalidSpecError(f"eps must be positive and finite, got "
-                                   f"{self.eps}")
 
 
 class ParamStore:
@@ -200,11 +198,11 @@ def adam_step(store: ParamStore, grads: list, config: AdamConfig) -> None:
             f"non-finite gradient for parameter {i} of shape {shapes[i]}")
     store.step += 1
     t = store.step
-    b1, b2 = config.beta1, config.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     store.m *= b1
     store.m += (1 - b1) * g
     store.v *= b2
     store.v += (1 - b2) * g * g
     m_hat = store.m / (1 - b1 ** t)
     v_hat = store.v / (1 - b2 ** t)
-    store.flat -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps)
+    store.flat -= config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)

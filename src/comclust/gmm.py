@@ -92,25 +92,14 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     return amax.squeeze(axis) + np.log(np.exp(a - amax).sum(axis=axis))
 
 
-def _scored_batch(batch) -> np.ndarray:
-    """``batch`` as a non-empty, finite (N, S) float64 array."""
+def responsibilities(model: GaussianMixture, batch) -> PseudoLabels:
+    """Posterior component memberships of a non-empty, finite batch,
+    computed via log-sum-exp."""
     batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
     if batch.shape[0] == 0:
         raise EmptyBatchError("empty batch")
     if not np.isfinite(batch).all():
         raise NonFiniteLossError("non-finite value in the batch to score")
-    return batch
-
-
-def mixture_nll(model: GaussianMixture, batch) -> float:
-    """Negative log-likelihood of the batch under the mixture."""
-    log_p = _component_log_probs(model, _scored_batch(batch))
-    return float(-np.sum(_logsumexp(log_p, axis=1)))
-
-
-def responsibilities(model: GaussianMixture, batch) -> PseudoLabels:
-    """Posterior component memberships, computed via log-sum-exp."""
-    batch = _scored_batch(batch)
     log_p = _component_log_probs(model, batch)
     log_r = log_p - _logsumexp(log_p, axis=1)[:, None]
     r = np.exp(log_r)
@@ -118,7 +107,7 @@ def responsibilities(model: GaussianMixture, batch) -> PseudoLabels:
     return PseudoLabels(assign, r, identify_minority(model, assign))
 
 
-def identify_minority(model: GaussianMixture, assignments=None) -> int:
+def identify_minority(model: GaussianMixture, assignments) -> int:
     """Component standing in for the rare class: smaller mixture weight,
     tie-broken by fewer assigned members, then by index 0. The paper-side
     mapping from components to disease classes is unspecified, so this is
@@ -126,10 +115,9 @@ def identify_minority(model: GaussianMixture, assignments=None) -> int:
     w = model.weights
     if abs(w[0] - w[1]) > 1e-12:
         return int(np.argmin(w))
-    if assignments is not None:
-        counts = np.bincount(np.asarray(assignments), minlength=2)
-        if counts[0] != counts[1]:
-            return int(np.argmin(counts))
+    counts = np.bincount(np.asarray(assignments), minlength=2)
+    if counts[0] != counts[1]:
+        return int(np.argmin(counts))
     return 0
 
 

@@ -55,11 +55,6 @@ class ClassWeights:
             raise InvalidSpecError("class weights must be finite and positive")
 
 
-def _wa(d_own, d_other, d_cc):
-    """Within- vs across-cluster term d_own - 0.5 * (d_other + d_cc)."""
-    return ad.sub(d_own, ad.scale(ad.add(d_other, d_cc), 0.5))
-
-
 def _triplet_hinge(d_ap, d_an, alpha: float):
     return ad.relu(ad.add(ad.sub(d_ap, d_an), alpha))
 
@@ -72,8 +67,8 @@ def triplet_loss(e_a, e_p, e_n, alpha: float):
 
 def com_dist_wa(e_a, e_p, e_n):
     """Within- vs across-cluster term: d(A,P) - 0.5*(d(A,N) + d(P,N))."""
-    return _wa(cosine_distance(e_a, e_p), cosine_distance(e_a, e_n),
-               cosine_distance(e_p, e_n))
+    across = ad.add(cosine_distance(e_a, e_n), cosine_distance(e_p, e_n))
+    return ad.sub(cosine_distance(e_a, e_p), ad.scale(across, 0.5))
 
 
 def com_adaptive_margin(e_p, e_n):
@@ -97,7 +92,7 @@ def com_triplet_loss(anchors, positives, negatives,
     d_ap, vjp_ap = ad.row_cosine_with_vjp(a, p)
     d_an, vjp_an = ad.row_cosine_with_vjp(a, n)
     d_pn, vjp_pn = ad.row_cosine_with_vjp(p, n)
-    # _wa's term plus the bound 1 - d(P, N)
+    # com_dist_wa's term plus the bound 1 - d(P, N)
     hinge = (d_ap - (d_an + d_pn) * 0.5) + (1.0 - d_pn)
     active = hinge > 0.0
     p_grad, n_grad = ad.needs_grad(positives), ad.needs_grad(negatives)
@@ -152,8 +147,9 @@ def udc_dist_wa(e_a, mu_min, mu_maj, pseudo_class: int):
     center the negative role, per the anchor's pseudo-class.
     """
     own, other = (mu_min, mu_maj) if pseudo_class == C_MIN else (mu_maj, mu_min)
-    return _wa(cosine_distance(e_a, own), cosine_distance(e_a, other),
-               cosine_distance(mu_min, mu_maj))
+    # d(own, other) has the bits of d(mu_min, mu_maj): cosine distance is
+    # symmetric in its operands, rounding included
+    return com_dist_wa(e_a, own, other)
 
 
 def center_rows(pseudo_classes, mu_min, mu_maj):

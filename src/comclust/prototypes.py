@@ -4,7 +4,7 @@ continuous malignancy-style score."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,27 +17,12 @@ from .losses import C_MAJ, C_MIN
 @dataclass(frozen=True)
 class Prototypes:
     """The pair of class centers tracked across training, their cosine
-    separation, and the inference-time feature mask (all-true until
-    ``with_feature_mask`` is applied)."""
+    separation, and the inference-time feature mask (``feature_mask`` of
+    the two centers)."""
     cl_min: np.ndarray
     cl_maj: np.ndarray
     separation: float
-    feature_mask: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.feature_mask is None:
-            object.__setattr__(self, "feature_mask",
-                               np.ones(len(self.cl_min), dtype=bool))
-
-    @staticmethod
-    def from_pair(cl_min, cl_maj) -> "Prototypes":
-        cl_min = np.asarray(cl_min, dtype=np.float64)
-        cl_maj = np.asarray(cl_maj, dtype=np.float64)
-        return Prototypes(cl_min, cl_maj, cosine_distance(cl_min, cl_maj))
-
-    def with_feature_mask(self) -> "Prototypes":
-        mask = feature_mask(self.cl_min, self.cl_maj)
-        return Prototypes(self.cl_min, self.cl_maj, self.separation, mask)
+    feature_mask: np.ndarray
 
 
 def batch_centers(embeddings, classes):
@@ -71,7 +56,8 @@ def update_prototypes(current: Prototypes | None, cl_min_cand, cl_maj_cand) -> P
     cl_maj = np.asarray(cl_maj_cand, dtype=np.float64)
     separation = cosine_distance(cl_min, cl_maj)
     if current is None or separation > current.separation:
-        return Prototypes(cl_min, cl_maj, separation)
+        return Prototypes(cl_min, cl_maj, separation,
+                          feature_mask(cl_min, cl_maj))
     return current
 
 

@@ -135,7 +135,6 @@ def _train(x, y, config: TrainConfig, step, head_outputs: int = 0) -> TrainLog:
     store = enc.init_encoder_params(enc_config, rng, head_outputs)
 
     result = TrainLog(params=store, encoder_config=enc_config)
-    proto = None
     for it in range(t):
         param_vars = store.wrap()
         loss, pair, gmm_nll = step(rng, param_vars, enc_config)
@@ -146,13 +145,10 @@ def _train(x, y, config: TrainConfig, step, head_outputs: int = 0) -> TrainLog:
         enc.adam_step(store, [grad_of(p) for p in param_vars], config.adam)
         result.losses.append(value)
         if pair is not None:
-            proto = update_prototypes(proto, *pair)
-            result.separations.append(proto.separation)
+            result.prototypes = update_prototypes(result.prototypes, *pair)
+            result.separations.append(result.prototypes.separation)
         if gmm_nll is not None:
             result.gmm_nlls.append(gmm_nll)
-
-    if proto is not None:
-        result.prototypes = proto.with_feature_mask()
     return result
 
 

@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 
 from comclust import autodiff as ad
-from comclust.encoder import param_shapes
+from comclust.encoder import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS,
+                              param_shapes)
 from comclust.errors import InvalidSpecError
-from comclust.prototypes import Prototypes
+from comclust.prototypes import Prototypes, feature_mask
 
 
 @pytest.fixture(scope="session")
@@ -94,17 +95,19 @@ def adam_step(store, grads, config):
     g = np.concatenate([np.ravel(g) for g in grads], dtype=np.float64)
     store.step += 1
     t = store.step
-    b1, b2 = config.beta1, config.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     store.m = b1 * store.m + (1 - b1) * g
     store.v = b2 * store.v + (1 - b2) * g * g
     m_hat = store.m / (1 - b1 ** t)
     v_hat = store.v / (1 - b2 ** t)
-    store.flat -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps)
+    store.flat -= config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def update_prototypes(current, cl_min_cand, cl_maj_cand):
-    """Builds the candidate pair before comparing."""
-    candidate = Prototypes.from_pair(cl_min_cand, cl_maj_cand)
+    """Builds the candidate pair, mask included, before comparing."""
+    a = np.asarray(cl_min_cand, dtype=np.float64)
+    b = np.asarray(cl_maj_cand, dtype=np.float64)
+    candidate = Prototypes(a, b, ad.cosine_distance(a, b), feature_mask(a, b))
     if current is None or candidate.separation > current.separation:
         return candidate
     return current

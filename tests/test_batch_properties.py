@@ -14,7 +14,7 @@ from comclust.losses import (C_MAJ, C_MIN, MarginSpec, com_adaptive_margin,
                              com_dist_wa, com_triplet_loss, triplet_loss,
                              triplet_loss_batch, udc_adaptive_margin,
                              udc_com_loss, udc_dist_wa)
-from comclust.prototypes import Prototypes, infer_label, malignancy_score
+from comclust.prototypes import infer_label, malignancy_score, update_prototypes
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
                     database=None)
@@ -116,12 +116,12 @@ def inference_cases(draw):
     point, so some cases carry ties."""
     if draw(st.booleans()):
         x, y = draw(ENTRY), draw(ENTRY)
-        proto = Prototypes.from_pair([x, y], [y, x]).with_feature_mask()
+        proto = update_prototypes(None, [x, y], [y, x])
         s = 2
     else:
         s = draw(st.integers(2, 6))
         cl_min, cl_maj = draw(hnp.arrays(np.float64, (2, s), elements=ENTRY))
-        proto = Prototypes.from_pair(cl_min, cl_maj).with_feature_mask()
+        proto = update_prototypes(None, cl_min, cl_maj)
     emb = draw(hnp.arrays(np.float64, (draw(st.integers(1, 12)), s),
                           elements=ENTRY))
     if s == 2:
@@ -155,7 +155,7 @@ def test_batched_inference_equals_per_row(case):
 
 
 def test_tie_rows_inside_a_batch_go_to_minority():
-    proto = Prototypes.from_pair([0.3, 2.0], [2.0, 0.3]).with_feature_mask()
+    proto = update_prototypes(None, [0.3, 2.0], [2.0, 0.3])
     emb = np.array([[1.0, 1.0], [1.0, 0.2], [0.2, 1.0], [-3.0, -3.0]])
     labels, d_min, d_maj = infer_label(emb, proto)
     assert d_min[0] == d_maj[0] and d_min[3] == d_maj[3]

@@ -352,6 +352,14 @@ def _bool_data(doc):
     doc["params"][1]["data"] = [True] * len(doc["params"][1]["data"])
 
 
+def _float_shape(doc):
+    doc["params"][1]["shape"] = [float(n) for n in doc["params"][1]["shape"]]
+
+
+def _bool_dropout(doc):
+    doc["encoder"]["dropout_rate"] = False
+
+
 class TestBadCheckpoint:
     """A malformed checkpoint ends in 'error: <path>: ...' and exit code 1."""
 
@@ -372,6 +380,10 @@ class TestBadCheckpoint:
         _float_input_dim,
         _numeric_string_data,
         _bool_data,
+        _set("version", True),
+        _set("version", 1.0),
+        _float_shape,
+        _bool_dropout,
         _set_mask([0.5] * 8),
         _set_mask([7] * 8),
         _set_mask([0] * 8),
@@ -382,7 +394,8 @@ class TestBadCheckpoint:
             "bias-shape", "classifier-without-head", "no-prototypes",
             "prototype-length", "mask-length", "deep-nesting",
             "data-huge-int", "input-dim-float", "data-numeric-string",
-            "data-bool", "mask-half", "mask-seven", "mask-empty",
+            "data-bool", "version-true", "version-float", "shape-float",
+            "dropout-bool", "mask-half", "mask-seven", "mask-empty",
             "cl-min-zero", "cl-min-zero-on-selected"])
     def test_eval_reports_error(self, corrupt, sdc_checkpoint_doc, blob_csv,
                                 tmp_path, capsys):

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from comclust import autodiff as ad
 from comclust import checkpoint as ckpt
 from comclust.autodiff import Var, backward, grad_of, make_rng
-from comclust.encoder import (HEAD_OUTPUTS, MAX_PARAMETERS, AdamConfig,
-                              EncoderConfig, ParamStore, adam_step, embed,
+from comclust.encoder import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, HEAD_OUTPUTS,
+                              MAX_PARAMETERS, AdamConfig, EncoderConfig,
+                              ParamStore, adam_step, embed,
                               forward, init_encoder_params, init_head_params,
                               minority_probability, param_shapes)
 from comclust.errors import (InvalidSpecError, NonFiniteLossError,
@@ -165,13 +166,13 @@ class TestFlatStore:
 def reference_adam_step(arrays, m, v, t, grads, config) -> None:
     """Reference: the per-array Adam loop the flat update replaced; updates
     the lists ``arrays``, ``m`` and ``v`` in place for step ``t``."""
-    b1, b2 = config.beta1, config.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     for i, g in enumerate(grads):
         m[i] = b1 * m[i] + (1 - b1) * g
         v[i] = b2 * v[i] + (1 - b2) * g * g
         m_hat = m[i] / (1 - b1 ** t)
         v_hat = v[i] / (1 - b2 ** t)
-        arrays[i] -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps)
+        arrays[i] -= config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 SHAPES = st.lists(st.lists(st.integers(1, 4), max_size=2).map(tuple),

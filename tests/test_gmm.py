@@ -13,7 +13,7 @@ from comclust.errors import (DegenerateComponentError, EmptyBatchError,
                              TooFewSamplesError)
 from comclust.gmm import (GaussianMixture, _component_log_probs, fit_em,
                           gaussian_log_pdf, identify_minority, kmeans,
-                          mixture_nll, responsibilities)
+                          responsibilities)
 
 
 def _two_component(mu0, mu1, var=1.0, weights=(0.5, 0.5), dim=None):
@@ -86,8 +86,6 @@ class TestComponentLogProbs:
         batch = np.array([[0.0, 1.0], [3.0, 2.0]])
         with pytest.raises(SingularCovarianceError):
             responsibilities(model, batch)
-        with pytest.raises(SingularCovarianceError):
-            mixture_nll(model, batch)
 
     def test_nan_variance_raises(self):
         """NaN fails no ``<= 0`` test, and its posteriors would be NaN."""
@@ -97,54 +95,6 @@ class TestComponentLogProbs:
         with pytest.raises(SingularCovarianceError):
             gaussian_log_pdf(batch, model.means[1], model.covariances[1])
         with pytest.raises(SingularCovarianceError):
-            responsibilities(model, batch)
-        with pytest.raises(SingularCovarianceError):
-            mixture_nll(model, batch)
-
-
-class TestMixtureNll:
-    def test_single_point_at_mode(self):
-        # one component dominates with weight ~1
-        model = _two_component([0.0], [50.0], weights=(1 - 1e-12, 1e-12))
-        x = np.array([[0.0]])
-        assert mixture_nll(model, x) == pytest.approx(
-            -gaussian_log_pdf([0.0], [0.0], [1.0]), abs=1e-9)
-
-    def test_duplicated_batch_doubles_nll(self):
-        rng = make_rng(9)
-        model = _two_component([0.0, 0.0], [3.0, 3.0])
-        batch = rng.normal(size=(10, 2))
-        doubled = np.vstack([batch, batch])
-        assert mixture_nll(model, doubled) == pytest.approx(
-            2 * mixture_nll(model, batch), abs=1e-9)
-
-    def test_matches_naive_summation(self):
-        rng = make_rng(10)
-        model = _two_component(rng.normal(size=3), rng.normal(size=3),
-                               weights=(0.3, 0.7))
-        batch = rng.normal(size=(15, 3))
-        naive = 0.0
-        for x in batch:
-            total = sum(model.weights[k]
-                        * np.exp(gaussian_log_pdf(x, model.means[k],
-                                                  model.covariances[k]))
-                        for k in range(2))
-            naive -= np.log(total)
-        assert mixture_nll(model, batch) == pytest.approx(naive, abs=1e-10)
-
-    def test_empty_batch(self):
-        with pytest.raises(EmptyBatchError):
-            mixture_nll(_two_component([0.0], [1.0]), np.empty((0, 1)))
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_row_is_an_error(self, bad):
-        """Scored alone, a non-finite row would give a NaN likelihood and
-        a posterior that argmax files under component 0."""
-        model = _two_component([0.0, 0.0], [3.0, 3.0])
-        batch = np.array([[bad, 0.0], [1.0, 1.0]])
-        with pytest.raises(NonFiniteLossError):
-            mixture_nll(model, batch)
-        with pytest.raises(NonFiniteLossError):
             responsibilities(model, batch)
 
 
@@ -169,6 +119,32 @@ class TestResponsibilities:
                                    atol=1e-9)
         np.testing.assert_array_equal(
             labels.assignments, np.argmax(labels.responsibilities, axis=1))
+
+    def test_matches_naive_summation(self):
+        rng = make_rng(10)
+        model = _two_component(rng.normal(size=3), rng.normal(size=3),
+                               weights=(0.3, 0.7))
+        batch = rng.normal(size=(15, 3))
+        joint = np.array([[model.weights[k]
+                           * np.exp(gaussian_log_pdf(x, model.means[k],
+                                                     model.covariances[k]))[0]
+                           for k in range(2)] for x in batch])
+        naive = joint / joint.sum(axis=1, keepdims=True)
+        np.testing.assert_allclose(responsibilities(model, batch)
+                                   .responsibilities, naive, atol=1e-12)
+
+    def test_empty_batch(self):
+        with pytest.raises(EmptyBatchError):
+            responsibilities(_two_component([0.0], [1.0]), np.empty((0, 1)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_is_an_error(self, bad):
+        """Scored alone, a non-finite row would give NaN posteriors, which
+        argmax files under component 0."""
+        model = _two_component([0.0, 0.0], [3.0, 3.0])
+        batch = np.array([[bad, 0.0], [1.0, 1.0]])
+        with pytest.raises(NonFiniteLossError):
+            responsibilities(model, batch)
 
 
 class TestKmeans:
@@ -290,8 +266,10 @@ class TestFitEm:
 
 class TestIdentifyMinority:
     def test_smaller_weight_wins(self):
+        """The weights decide even when the member counts disagree."""
         model = _two_component([0.0], [1.0], weights=(0.9, 0.1))
-        assert identify_minority(model) == 1
+        assignments = np.array([0] * 15 + [1] * 30)
+        assert identify_minority(model, assignments) == 1
 
     def test_tie_breaks_on_member_counts(self):
         model = _two_component([0.0], [1.0], weights=(0.5, 0.5))

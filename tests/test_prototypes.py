@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from comclust import prototypes
 from comclust.autodiff import cosine_distance, make_rng
 from comclust.errors import (DegenerateDistancesError, MissingClassError,
                              ZeroVectorError)
@@ -45,30 +46,29 @@ class TestBatchCenters:
 
 class TestUpdatePrototypes:
     def test_adopts_wider_pair(self):
-        current = Prototypes.from_pair([1.0, 0.1], [1.0, -0.1])
+        current = _proto([1.0, 0.1], [1.0, -0.1])
         updated = update_prototypes(current, [1.0, 0.0], [0.0, 1.0])
         assert updated.separation == pytest.approx(1.0)
 
     def test_keeps_wider_current(self):
-        current = Prototypes.from_pair([1.0, 0.0], [0.0, 1.0])
+        current = _proto([1.0, 0.0], [0.0, 1.0])
         updated = update_prototypes(current, [1.0, 0.1], [1.0, -0.1])
         assert updated is current
 
     def test_tie_keeps_current(self):
-        current = Prototypes.from_pair([1.0, 0.0], [0.0, 1.0])
+        current = _proto([1.0, 0.0], [0.0, 1.0])
         updated = update_prototypes(current, [0.0, 2.0], [2.0, 0.0])
         assert updated is current
 
     def test_rejected_candidate_builds_no_prototypes(self, monkeypatch):
-        current = Prototypes.from_pair([1.0, 0.0], [0.0, 1.0])
+        current = _proto([1.0, 0.0], [0.0, 1.0])
         built = []
-        init = Prototypes.__post_init__
 
-        def counting(self):
-            built.append(self)
-            init(self)
+        def counting(*args):
+            built.append(Prototypes(*args))
+            return built[-1]
 
-        monkeypatch.setattr(Prototypes, "__post_init__", counting)
+        monkeypatch.setattr(prototypes, "Prototypes", counting)
         for cand in (([1.0, 0.1], [1.0, -0.1]), ([0.0, 2.0], [2.0, 0.0])):
             assert update_prototypes(current, *cand) is current
         assert built == []
@@ -79,20 +79,22 @@ class TestUpdatePrototypes:
                                       ([1.0, 0.0], [0.0, 0.0])])
     def test_zero_norm_candidate_raises_even_when_current_is_wider(self,
                                                                    cand):
-        current = Prototypes.from_pair([1.0, 0.0], [-1.0, 0.0])
+        current = _proto([1.0, 0.0], [-1.0, 0.0])
         with pytest.raises(ZeroVectorError):
             update_prototypes(current, *cand)
         with pytest.raises(ZeroVectorError):
             update_prototypes(None, *cand)
 
-    def test_accepted_pair_equals_from_pair(self):
+    def test_accepted_pair_is_the_masked_candidate(self):
         rng = make_rng(15)
         cl_min, cl_maj = rng.normal(size=(2, 4))
+        cl_maj[:2] = -cl_min[:2]      # a mask that drops features
         got = update_prototypes(None, list(cl_min), list(cl_maj))
-        want = Prototypes.from_pair(cl_min, cl_maj)
-        assert got.separation == want.separation
-        for a, b in ((got.cl_min, want.cl_min), (got.cl_maj, want.cl_maj),
-                     (got.feature_mask, want.feature_mask)):
+        want = feature_mask(cl_min, cl_maj)
+        assert not want.all()
+        assert got.separation == cosine_distance(cl_min, cl_maj)
+        for a, b in ((got.cl_min, cl_min), (got.cl_maj, cl_maj),
+                     (got.feature_mask, want)):
             assert a.dtype == b.dtype
             np.testing.assert_array_equal(a, b)
 
@@ -127,7 +129,7 @@ class TestFeatureMask:
 
 
 def _proto(cl_min, cl_maj):
-    return Prototypes.from_pair(cl_min, cl_maj).with_feature_mask()
+    return update_prototypes(None, cl_min, cl_maj)
 
 
 class TestInference:
@@ -192,5 +194,5 @@ class TestInference:
     def test_separation_recomputes(self):
         rng = make_rng(22)
         u, v = rng.normal(size=(2, 6))
-        proto = Prototypes.from_pair(u, v)
+        proto = _proto(u, v)
         assert proto.separation == pytest.approx(cosine_distance(u, v), abs=1e-12)

@@ -190,7 +190,8 @@ class TestSameProgram:
                                                         monkeypatch,
                                                         composed):
         ds = _dataset(seed=9)
-        config = _fast(seed=9, batch_size=10, hidden=(16, 12),
+        # 5 epochs: sdc-com's final pair then has a mask that drops features
+        config = _fast(seed=9, batch_size=10, hidden=(16, 12), epochs=5,
                        loss_kind=mode.split("-")[-1] if "-" in mode else "com")
 
         def run():
@@ -224,6 +225,15 @@ class TestSameProgram:
         assert shipped.losses == reference.losses
         assert shipped.separations == reference.separations
         assert len(shipped.losses) > 0
+        if mode == "classifier":
+            assert shipped.prototypes is reference.prototypes is None
+            return
+        if mode == "sdc-com":
+            assert not shipped.prototypes.feature_mask.all()
+        for field in ("cl_min", "cl_maj", "separation", "feature_mask"):
+            assert (np.asarray(getattr(shipped.prototypes, field)).tobytes()
+                    == np.asarray(getattr(reference.prototypes,
+                                          field)).tobytes())
 
 
 class TestClassWeights:
