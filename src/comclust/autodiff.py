@@ -246,8 +246,10 @@ def row_cosine_distance(u, v):
 def row_cosine_with_vjp(uval: np.ndarray, vval: np.ndarray):
     """``row_cosine_distance`` of two plain float64 operands whose shapes
     it accepts (not checked here), as (distances, vjp): ``vjp(g)`` gives
-    the gradients (gu, gv), each summed back to its operand's shape. Raises
-    ZeroVectorError as ``row_cosine_distance`` does."""
+    the gradients (gu, gv), each summed back to its operand's shape, and
+    ``vjp(g, u_grad=False)`` or ``vjp(g, v_grad=False)`` gives None in place
+    of a gradient the caller drops. Raises ZeroVectorError as
+    ``row_cosine_distance`` does."""
     nu = np.sqrt(_rowdot(uval, uval))
     nv = np.sqrt(_rowdot(vval, vval))
     if (nu < NORM_FLOOR).any() or (nv < NORM_FLOOR).any():
@@ -256,12 +258,17 @@ def row_cosine_with_vjp(uval: np.ndarray, vval: np.ndarray):
     nunv = nu * nv
     cos = _rowdot(uval, vval) / nunv
 
-    def vjp(g):
+    def vjp(g, u_grad=True, v_grad=True):
         # d(1 - cos)/dx = -(y / (|x||y|) - cos * x / |x|^2), row by row
         cross = (g / nunv)[..., None]
-        gu = (g * cos / (nu * nu))[..., None] * uval - cross * vval
-        gv = (g * cos / (nv * nv))[..., None] * vval - cross * uval
-        return _unbroadcast(gu, uval.shape), _unbroadcast(gv, vval.shape)
+        gu = gv = None
+        if u_grad:
+            gu = _unbroadcast((g * cos / (nu * nu))[..., None] * uval
+                              - cross * vval, uval.shape)
+        if v_grad:
+            gv = _unbroadcast((g * cos / (nv * nv))[..., None] * vval
+                              - cross * uval, vval.shape)
+        return gu, gv
 
     return 1.0 - cos, vjp
 

@@ -64,10 +64,11 @@ def load_checkpoint(path) -> dict:
     prototypes is None for a classifier.
 
     The document is checked against its own encoder config: a file that is
-    not a checkpoint, a missing field, an array whose shape or length does
-    not fit, or prototypes that inference cannot use (a mask entry other
-    than 0 or 1, a mask selecting nothing, a prototype with zero norm on
-    the selected features) raises ParseError naming ``path``.
+    not a checkpoint, a missing field, a config echo that is not an object,
+    an array whose shape or length does not fit, or prototypes that
+    inference cannot use (a mask entry other than 0 or 1, a mask selecting
+    nothing, a prototype with zero norm on the selected features) raises
+    ParseError naming ``path``.
     """
     try:
         with open(path) as fh:
@@ -91,12 +92,15 @@ def load_checkpoint(path) -> dict:
         raise ParseError(f"{path}: bad encoder config ({exc})") from None
     _check(kind != KIND_CLUSTERING or "prototypes" in doc, path,
            "clustering checkpoint without prototypes")
+    config = doc.get("config", {})
+    _check(isinstance(config, dict), path,
+           "config is not a JSON object")
     return {
         "encoder_config": encoder_config,
         "params": ParamStore(_read_params(doc["params"], path, kind,
                                           encoder_config)),
         "seed": seed,
-        "config": doc.get("config", {}),
+        "config": config,
         "prototypes": (_read_prototypes(doc["prototypes"], path,
                                         encoder_config.embedding_dim)
                        if kind == KIND_CLUSTERING else None),

@@ -100,13 +100,12 @@ def com_triplet_loss(anchors, positives, negatives,
     def vjp(g):
         g_ap = g / m * active
         g_an = -g_ap * 0.5
-        ga_ap, gp_ap = vjp_ap(g_ap)
-        ga_an, gn_an = vjp_an(g_an)
-        gp = gn = None
+        ga_ap, gp = vjp_ap(g_ap, v_grad=p_grad)
+        ga_an, gn = vjp_an(g_an, v_grad=n_grad)
         if p_grad or n_grad:
-            gp_pn, gn_pn = vjp_pn(-g_ap + g_an)
-            gp = gp_ap + gp_pn if p_grad else None
-            gn = gn_an + gn_pn if n_grad else None
+            gp_pn, gn_pn = vjp_pn(-g_ap + g_an, p_grad, n_grad)
+            gp = gp + gp_pn if p_grad else None
+            gn = gn + gn_pn if n_grad else None
         return ga_ap + ga_an, gp, gn
 
     return ad.node(np.where(active, hinge, 0.0).mean(),
@@ -127,9 +126,9 @@ def triplet_loss_batch(anchors, positives, negatives, alpha: float):
 
     def vjp(g):
         g_ap = g / m * active
-        ga_ap, gp = vjp_ap(g_ap)
-        ga_an, gn = vjp_an(-g_ap)
-        return ga_ap + ga_an, gp if p_grad else None, gn if n_grad else None
+        ga_ap, gp = vjp_ap(g_ap, v_grad=p_grad)
+        ga_an, gn = vjp_an(-g_ap, v_grad=n_grad)
+        return ga_ap + ga_an, gp, gn
 
     return ad.node(np.where(active, hinge, 0.0).mean(),
                    (anchors, positives, negatives), vjp)

@@ -77,33 +77,62 @@ def _iterations(n_train: int, config: TrainConfig) -> int:
     return t
 
 
+# row c: the classes of P and N for an anchor of class c
+_P_N_CLASSES = np.array([[C_MAJ, C_MIN], [C_MIN, C_MAJ]])
+
+
 def sample_triplets(labels: np.ndarray, m: int, rng):
     """Sample M (anchor, positive, negative) index triples.
 
     Anchors are uniform over the split; P is uniform over the anchor's class
     excluding the anchor itself when the class has more than one member
     (otherwise P = A, with a warning); N is uniform over the other class.
+
+    The draws are those of a loop over the anchors that draws P, again while
+    P = A, then N, each by ``rng.integers(0, class size)``. One call on an
+    (M, 2) array of class sizes makes the same draws in C order, and a size
+    of 1 draws nothing. When an anchor's P lands on itself, the generator
+    goes back to before the call, replays the anchors ahead of it in one
+    call, and redraws that anchor as the loop does; the next call starts
+    after it.
     """
     labels = np.asarray(labels, dtype=int)
-    by_class = {c: np.flatnonzero(labels == c) for c in (C_MAJ, C_MIN)}
-    for c, idx in by_class.items():
-        if len(idx) == 0:
+    if labels.size and (labels.min() < C_MAJ or labels.max() > C_MIN):
+        raise InvalidSpecError(f"labels must be {C_MAJ} or {C_MIN}")
+    sizes = np.bincount(labels, minlength=2)
+    for c in (C_MAJ, C_MIN):
+        if sizes[c] == 0:
             raise MissingClassError(f"no samples of class {c}")
+    by_class = np.argsort(labels, kind="stable")   # class 0's rows, then 1's
     anchors = rng.integers(0, len(labels), size=m)
-    positives = np.empty(m, dtype=int)
-    negatives = np.empty(m, dtype=int)
-    for i, a in enumerate(anchors):
-        same = by_class[labels[a]]
-        other = by_class[1 - labels[a]]
-        if len(same) == 1:
-            log.warning("class %d has a single sample; using P = A", labels[a])
-            positives[i] = a
-        else:
+    own = labels[anchors]
+    if sizes.min() == 1:
+        for c in own[sizes[own] == 1]:
+            log.warning("class %d has a single sample; using P = A", c)
+    roles = _P_N_CLASSES[own]
+    bounds = sizes[roles]
+    offsets = np.array([0, sizes[0]])[roles]       # where each class starts
+    drawn = np.empty((m, 2), dtype=int)
+    i = 0
+    while i < m:
+        state = rng.bit_generator.state
+        rows = by_class[offsets[i:] + rng.integers(0, bounds[i:])]
+        clash = np.flatnonzero((rows[:, 0] == anchors[i:])
+                               & (bounds[i:, 0] > 1))
+        j = i + clash[0] if len(clash) else m
+        drawn[i:j] = rows[:j - i]
+        if j == m:
+            break
+        rng.bit_generator.state = state
+        rng.integers(0, bounds[i:j])                # replay up to the clash
+        same, other = (by_class[o:o + b]
+                       for o, b in zip(offsets[j], bounds[j]))
+        p = anchors[j]
+        while p == anchors[j]:
             p = same[rng.integers(0, len(same))]
-            while p == a:
-                p = same[rng.integers(0, len(same))]
-            positives[i] = p
-        negatives[i] = other[rng.integers(0, len(other))]
+        drawn[j] = p, other[rng.integers(0, len(other))]
+        i = j + 1
+    positives, negatives = drawn.T.copy()
     return anchors, positives, negatives
 
 

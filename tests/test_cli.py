@@ -389,6 +389,8 @@ class TestBadCheckpoint:
         _set_mask([0] * 8),
         _zero_cl_min(selected_only=False),
         _zero_cl_min(selected_only=True),
+        _set("config", 5), _set("config", "x"), _set("config", None),
+        _set("config", [1]),
     ], ids=["non-json", "not-object", "no-params", "no-kind", "no-encoder",
             "no-params-key", "no-seed", "unknown-kind", "data-length",
             "bias-shape", "classifier-without-head", "no-prototypes",
@@ -396,7 +398,8 @@ class TestBadCheckpoint:
             "data-huge-int", "input-dim-float", "data-numeric-string",
             "data-bool", "version-true", "version-float", "shape-float",
             "dropout-bool", "mask-half", "mask-seven", "mask-empty",
-            "cl-min-zero", "cl-min-zero-on-selected"])
+            "cl-min-zero", "cl-min-zero-on-selected", "config-int",
+            "config-string", "config-null", "config-list"])
     def test_eval_reports_error(self, corrupt, sdc_checkpoint_doc, blob_csv,
                                 tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -1,5 +1,9 @@
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from comclust import autodiff as ad
 from comclust import encoder as enc
@@ -16,6 +20,7 @@ from comclust.training import (EQUAL, INVERSE_FREQUENCY, TrainConfig,
                                evaluate_classifier, evaluate_prototypes,
                                sample_triplets, train_classifier, train_sdc,
                                train_udc)
+from helpers import sample_triplets_loop
 
 
 def _dataset(n_maj=120, n_min=40, dim=4, separation=6.0, seed=0):
@@ -69,12 +74,100 @@ class TestSampleTriplets:
         with pytest.raises(MissingClassError):
             sample_triplets(np.zeros(10, dtype=int), 4, make_rng(0))
 
+    @pytest.mark.parametrize("bad", [2, -1])
+    def test_label_outside_the_two_classes(self, bad):
+        with pytest.raises(InvalidSpecError, match="labels must be"):
+            sample_triplets(np.array([0, 1, 0, bad]), 4, make_rng(0))
+
     def test_deterministic(self):
         labels = np.array([0] * 10 + [1] * 10)
         a1 = sample_triplets(labels, 6, make_rng(7))
         a2 = sample_triplets(labels, 6, make_rng(7))
         for x, y in zip(a1, a2):
             np.testing.assert_array_equal(x, y)
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(data=st.data(), n_maj=st.integers(1, 50), n_min=st.integers(1, 50),
+           ms=st.lists(st.integers(1, 70), min_size=1, max_size=4),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_same_stream_as_the_loop(self, data, n_maj, n_min, ms, seed):
+        """Equal triples and an equal generator state after every call of a
+        run of calls on one generator; P is never A in a class of two or
+        more."""
+        labels = np.array(data.draw(st.permutations([C_MAJ] * n_maj
+                                                    + [C_MIN] * n_min)))
+        sizes = np.array([n_maj, n_min])
+        rng, oracle_rng = make_rng(seed), make_rng(seed)
+        for m in ms:
+            got = sample_triplets(labels, m, rng)
+            want = sample_triplets_loop(labels, m, oracle_rng)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype
+                np.testing.assert_array_equal(g, w)
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+            a, p, _ = got
+            shared = sizes[labels[a]] >= 2
+            assert np.all(p[shared] != a[shared])
+
+    def test_two_member_class_replays_clashes(self):
+        """Half of the 2-member class's anchors first draw P = A, so the
+        sampler rewinds and replays, and still matches the loop."""
+
+        class CountingRng:
+            def __init__(self, rng):
+                self.rng, self.bit_generator = rng, rng.bit_generator
+                self.calls = 0
+
+            def integers(self, *args, **kwargs):
+                self.calls += 1
+                return self.rng.integers(*args, **kwargs)
+
+        labels = np.array([C_MAJ] * 20 + [C_MIN] * 2)
+        make_rng(5).shuffle(labels)
+        rng, oracle_rng = CountingRng(make_rng(11)), make_rng(11)
+        for _ in range(5):
+            got = sample_triplets(labels, 60, rng)
+            want = sample_triplets_loop(labels, 60, oracle_rng)
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g, w)
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+        # one call for the anchors and one for the pairs, were there no
+        # clash; each clash adds a replay, a redraw and a new block
+        assert rng.calls > 5 * 2
+
+    def test_draws_are_uniform_within_each_class(self):
+        """Anchors are uniform over the split, and P and N over their
+        class's rows (chi-square at a fixed seed)."""
+        stats = pytest.importorskip("scipy.stats")
+        labels = np.array([C_MAJ] * 12 + [C_MIN] * 5)
+        make_rng(2).shuffle(labels)
+        rng = make_rng(21)
+        draws = [sample_triplets(labels, 60, rng) for _ in range(200)]
+        a, p, n = (np.concatenate(d) for d in zip(*draws))
+        counts = {"anchor": np.bincount(a, minlength=len(labels))}
+        for c in (C_MAJ, C_MIN):
+            rows = np.flatnonzero(labels == c)
+            counts[f"P of class {c}"] = np.bincount(
+                p[labels[a] == c], minlength=len(labels))[rows]
+            counts[f"N of class {c}"] = np.bincount(
+                n[labels[a] != c], minlength=len(labels))[rows]
+        for role, observed in counts.items():
+            assert observed.sum() > 0
+            assert stats.chisquare(observed).pvalue > 0.001, role
+
+    def test_one_warning_per_single_member_anchor(self, caplog):
+        labels = np.array([C_MAJ] * 10 + [C_MIN])
+        with caplog.at_level(logging.WARNING, logger="comclust.training"):
+            a, _, _ = sample_triplets(labels, 40, make_rng(6))
+        got = [(r.name, r.levelno, r.getMessage()) for r in caplog.records]
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="comclust.training"):
+            sample_triplets_loop(labels, 40, make_rng(6))
+        want = [(r.name, r.levelno, r.getMessage()) for r in caplog.records]
+        assert got == want
+        assert len(got) == np.count_nonzero(labels[a] == C_MIN) > 0
+        assert got[0][2] == "class 1 has a single sample; using P = A"
 
 
 class TestTrainSdc:
@@ -230,6 +323,35 @@ class TestSameProgram:
             return
         if mode == "sdc-com":
             assert not shipped.prototypes.feature_mask.all()
+        for field in ("cl_min", "cl_maj", "separation", "feature_mask"):
+            assert (np.asarray(getattr(shipped.prototypes, field)).tobytes()
+                    == np.asarray(getattr(reference.prototypes,
+                                          field)).tobytes())
+
+
+class TestSamplerSameProgram:
+    """SDC trained with the per-anchor loop in place of the array sampler
+    gives the same bits."""
+
+    @pytest.mark.parametrize("case", ["criterion-6-com", "40:3-com",
+                                      "40:3-triplet"])
+    def test_train_sdc_has_the_bits_of_the_loop(self, case, monkeypatch):
+        if case.startswith("criterion-6"):
+            # tests/test_acceptance.py's _blobs(0)
+            ds = split_dataset(synth_imbalanced(BlobSpec(
+                n_maj=800, n_min=80, dim=8, separation=6.0, seed=100)),
+                seed=200)
+        else:
+            ds = _dataset(n_maj=40, n_min=3, dim=8, seed=4)
+            _, y = ds.subset(TRAIN)
+            assert np.count_nonzero(y == C_MIN) == 2
+        config = TrainConfig(seed=3, loss_kind=case.split("-")[-1])
+        shipped = train_sdc(ds, config)
+        monkeypatch.setattr(training, "sample_triplets", sample_triplets_loop)
+        reference = train_sdc(ds, config)
+        assert shipped.params.flat.tobytes() == reference.params.flat.tobytes()
+        assert shipped.losses == reference.losses
+        assert shipped.separations == reference.separations
         for field in ("cl_min", "cl_maj", "separation", "feature_mask"):
             assert (np.asarray(getattr(shipped.prototypes, field)).tobytes()
                     == np.asarray(getattr(reference.prototypes,
