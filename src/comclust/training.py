@@ -291,7 +291,7 @@ def evaluate_classifier(params: ParamStore, enc_config: EncoderConfig,
                         x, y) -> dict:
     """Softmax-head inference over a split, scored like
     ``evaluate_prototypes`` with the minority probability as the score."""
-    probs = enc.classify(params.arrays, enc_config, x)
+    probs = enc.predict_minority(params, enc_config, x)
     preds = (probs >= 0.5).astype(int)
     return _aggregate(np.asarray(y, dtype=int), preds, probs)
 

@@ -346,6 +346,24 @@ def test_dense_has_the_bits_of_the_composed_layer(composed, data):
         [h_var, True, True], lambda out: ad.mean(ad.mul(out, weights)))
 
 
+def test_dense_relu_has_the_composed_bits_on_special_values(composed):
+    """Pre-activations of signed zeros, NaN, infinities and subnormals: the
+    ReLU gives +0.0 wherever the composed relu does, and the same
+    gradient."""
+    special = np.array([-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324,
+                        -5e-324, 1.0, -1.0])
+    h = np.tile(special, 3)[:, None]          # times [[1.0]], plus 0.0: h
+    weights = np.arange(1.0, len(h) + 1)[:, None]
+    with np.errstate(invalid="ignore"):       # NaN through the matmul
+        got, want = (_value_and_grads(
+            lambda h, w, b: layer(h, w, b, True),
+            [h, np.ones((1, 1)), np.zeros(1)], [True, False, False],
+            lambda out: ad.mean(ad.mul(out, weights)))
+            for layer in (ad.dense, composed.dense))
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    assert got[0].tobytes() == np.where(h > 0, h, 0.0).tobytes()
+
+
 @FUSED
 @given(data=st.data())
 def test_fused_hinges_have_the_bits_of_the_composed_losses(composed, data):

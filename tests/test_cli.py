@@ -6,6 +6,7 @@ import io
 import json
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from comclust import checkpoint as ckpt
+from comclust import encoder as enc
 from comclust import training
 from comclust.cli import main, run_sweep_cell, sweep_cell_seeds
 from comclust.dataio import load_csv, split_dataset
@@ -199,6 +201,38 @@ class TestEval:
         evaluation = load_results(out)
         record = load_results(str(model) + ".results.json")
         assert evaluation["metrics"] == record["metrics"]["test"]
+
+    @pytest.mark.parametrize("block", [7, 53])   # 160 = 3 * 53 + 1
+    @pytest.mark.parametrize("command", ["train-sdc", "train-classifier"])
+    def test_eval_bytes_do_not_depend_on_the_block_size(
+            self, command, block, blob_csv, tmp_path):
+        model = tmp_path / "model.json"
+        assert main([command, "--data", str(blob_csv), "--seed", "2",
+                     "--epochs", "2", "--out", str(model)]) == 0
+        outputs = []
+        for rows in (enc.INFER_BLOCK_ROWS, block):
+            out = tmp_path / f"eval-{rows}.json"
+            with mock.patch.object(enc, "INFER_BLOCK_ROWS", rows):
+                assert main(["eval", "--checkpoint", str(model), "--data",
+                             str(blob_csv), "--split", "all",
+                             "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_a_one_row_file_scores_its_row_as_the_full_file_does(
+            self, blob_csv, tmp_path):
+        model = _train_sdc(blob_csv, tmp_path, epochs=2)
+        lines = blob_csv.read_text().splitlines(keepends=True)
+        one_row = tmp_path / "one.csv"
+        one_row.write_text(lines[0] + lines[5])
+        scores = []
+        for data in (blob_csv, one_row):
+            out = tmp_path / "eval.json"
+            assert main(["eval", "--checkpoint", str(model), "--data",
+                         str(data), "--split", "all",
+                         "--out", str(out)]) == 0
+            scores.append(load_results(out)["scores"])
+        assert scores[1] == [scores[0][4]]
 
 
 class TestCheckpointRoundTrip:

@@ -1,4 +1,6 @@
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,12 +9,14 @@ from hypothesis import strategies as st
 
 from comclust import autodiff as ad
 from comclust import checkpoint as ckpt
+from comclust import encoder as enc
 from comclust.autodiff import Var, backward, grad_of, make_rng
 from comclust.encoder import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, HEAD_OUTPUTS,
                               MAX_PARAMETERS, AdamConfig, EncoderConfig,
-                              ParamStore, adam_step, embed,
+                              ParamStore, adam_step, classify, embed,
                               forward, init_encoder_params, init_head_params,
-                              minority_probability, param_shapes)
+                              minority_probability, param_shapes,
+                              predict_minority)
 from comclust.errors import (InvalidSpecError, NonFiniteLossError,
                              ShapeMismatchError)
 from comclust.losses import MarginSpec, com_triplet_loss
@@ -307,3 +311,81 @@ class TestHead:
             flat[i] = orig
             num[i] = (fp - fm) / (2 * h)
         np.testing.assert_allclose(grad_of(vw).ravel(), num, atol=1e-6)
+
+
+def _random_store(config: EncoderConfig, seed: int, head_outputs: int = 0):
+    """Parameters of the layout with every weight and bias drawn, so no
+    layer is the identity on its bias."""
+    store = init_encoder_params(config, make_rng(seed), head_outputs)
+    store.flat[:] = make_rng(seed + 1).normal(scale=0.7, size=store.flat.size)
+    return store
+
+
+class TestBlockedInference:
+    # OpenBLAS computes a row of a layer whose width is a multiple of 8 (the
+    # default 64 and 32 among them) alike in every batch of two or more
+    # rows; a width 1-4 above one can change bits with the batch size
+    WIDTHS = st.integers(1, 8).map(lambda k: 8 * k)
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(input_dim=st.integers(1, 12), hidden=st.lists(WIDTHS, max_size=2),
+           embedding_dim=WIDTHS, n=st.integers(0, 40),
+           block=st.integers(1, 5), seed=st.integers(0, 2 ** 16))
+    def test_blocks_and_lone_rows_give_the_batch_bits(
+            self, input_dim, hidden, embedding_dim, n, block, seed):
+        """With blocks of 1-5 rows, ``embed`` and ``predict_minority`` give
+        the bytes of the unblocked ``forward`` and ``classify``, each row
+        embedded alone gives the bytes of its row in the batch, and an empty
+        batch keeps its trailing shape."""
+        config = EncoderConfig(input_dim, tuple(hidden), embedding_dim)
+        encoder = _random_store(config, seed)
+        classifier = _random_store(config, seed, HEAD_OUTPUTS)
+        x = make_rng(seed + 2).normal(size=(n, input_dim))
+        with mock.patch.object(enc, "INFER_BLOCK_ROWS", block):
+            emb = embed(encoder, config, x)
+            probs = predict_minority(classifier, config, x)
+            alone = [embed(encoder, config, row) for row in x]
+            empty = embed(encoder, config, x[:0])
+        assert emb.shape == (n, embedding_dim) and probs.shape == (n,)
+        assert empty.shape == (0, embedding_dim)
+        if n >= 2:
+            assert emb.tobytes() == forward(encoder.arrays, config,
+                                            x).tobytes()
+            assert probs.tobytes() == classify(classifier.arrays, config,
+                                               x).tobytes()
+        for i, row in enumerate(alone):
+            assert row.tobytes() == emb[i].tobytes()
+
+    def test_one_row_takes_one_padded_call(self):
+        """A one-row input runs once, as two copies of the row: numpy's
+        gemv for one row gives other bits than the gemm of a batch."""
+        config = EncoderConfig(input_dim=3, hidden=(5,), embedding_dim=2)
+        store = _random_store(config, 4)
+        x = make_rng(5).normal(size=(1, 3))
+        with mock.patch.object(enc, "forward", wraps=enc.forward) as spy:
+            out = embed(store, config, x)
+        assert spy.call_count == 1
+        assert spy.call_args.args[2].tobytes() == np.repeat(x, 2,
+                                                            axis=0).tobytes()
+        assert out.shape == (1, 2)
+
+    @pytest.mark.parametrize("infer,head", [(embed, 0),
+                                            (predict_minority, HEAD_OUTPUTS)])
+    def test_peak_memory_is_the_embedding_and_a_few_blocks(self, infer,
+                                                            head):
+        """Inference on 40 000 rows allocates the (40 000, 32) embedding
+        plus a few blocks' widest activations; the whole batch at once
+        takes several (40 000, 64) arrays and fails this bound."""
+        config = EncoderConfig(input_dim=8)
+        store = init_encoder_params(config, make_rng(6), head)
+        x = make_rng(7).normal(size=(40_000, 8))
+        embedding_bytes = len(x) * config.embedding_dim * 8
+        block_bytes = enc.INFER_BLOCK_ROWS * max(config.layer_dims) * 8
+        tracemalloc.start()
+        try:
+            infer(store, config, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < embedding_bytes + 6 * block_bytes
