@@ -1,7 +1,9 @@
 """Checkpoint serialization: a versioned JSON document holding the encoder
-configuration, parameter arrays (row-major), prototypes, and the training
-seed/config echo. JSON float repr round-trips exactly, so a load(save(x))
-cycle reproduces inference outputs bit-for-bit."""
+configuration, parameter arrays (row-major), the two prototype centers of a
+clustering model, and the training seed/config echo. JSON float repr
+round-trips exactly, and loading rebuilds the prototypes' separation and
+feature mask from the centers as training does, so a load(save(x)) cycle
+reproduces inference outputs bit-for-bit."""
 
 from __future__ import annotations
 
@@ -13,13 +15,13 @@ import numpy as np
 from .autodiff import NORM_FLOOR
 from .dataio import canonical_json
 from .encoder import HEAD_OUTPUTS, EncoderConfig, ParamStore, param_shapes
-from .errors import ParseError
-from .prototypes import Prototypes
+from .errors import ParseError, ZeroVectorError
+from .prototypes import Prototypes, update_prototypes
 
-FORMAT_VERSION = 1
-
-KIND_CLUSTERING = "clustering"
-KIND_CLASSIFIER = "classifier"
+FORMAT_VERSION = 2
+# version 1 also stored "kind" and the prototypes' separation and feature
+# mask, which follow from the centers; loading reads none of them
+READ_VERSIONS = (1, FORMAT_VERSION)
 
 
 def _encoder_dict(config: EncoderConfig) -> dict:
@@ -41,7 +43,6 @@ def save_checkpoint(path, params: ParamStore, encoder_config: EncoderConfig,
     classifier checkpoint."""
     doc = {
         "version": FORMAT_VERSION,
-        "kind": KIND_CLASSIFIER if prototypes is None else KIND_CLUSTERING,
         "encoder": _encoder_dict(encoder_config),
         "params": [{"shape": list(a.shape), "data": a.ravel().tolist()}
                    for a in params.arrays],
@@ -52,8 +53,6 @@ def save_checkpoint(path, params: ParamStore, encoder_config: EncoderConfig,
         doc["prototypes"] = {
             "cl_min": prototypes.cl_min.tolist(),
             "cl_maj": prototypes.cl_maj.tolist(),
-            "separation": prototypes.separation,
-            "feature_mask": prototypes.feature_mask.astype(int).tolist(),
         }
     with open(path, "w") as fh:
         fh.write(canonical_json(doc) + "\n")
@@ -61,14 +60,14 @@ def save_checkpoint(path, params: ParamStore, encoder_config: EncoderConfig,
 
 def load_checkpoint(path) -> dict:
     """Returns {encoder_config, params, prototypes, seed, config};
-    prototypes is None for a classifier.
+    prototypes is None for a classifier, a document without prototypes,
+    whose params end in the softmax head.
 
     The document is checked against its own encoder config: a file that is
     not a checkpoint, a missing field, a config echo that is not an object,
-    an array whose shape or length does not fit, or prototypes that
-    inference cannot use (a mask entry other than 0 or 1, a mask selecting
-    nothing, a prototype with zero norm on the selected features) raises
-    ParseError naming ``path``.
+    an array whose shape or length does not fit, or prototype centers that
+    inference cannot use (zero norm overall or on the features their mask
+    selects) raises ParseError naming ``path``.
     """
     try:
         with open(path) as fh:
@@ -77,33 +76,31 @@ def load_checkpoint(path) -> dict:
         raise ParseError(f"{path}: not a JSON checkpoint ({exc})") from None
     _check(isinstance(doc, dict), path, "checkpoint is not a JSON object")
     _check("version" in doc, path, "missing version field")
-    _check(type(doc["version"]) is int and doc["version"] == FORMAT_VERSION,
+    _check(type(doc["version"]) is int and doc["version"] in READ_VERSIONS,
            path, f"unsupported version {doc['version']}")
-    for key in ("kind", "encoder", "params", "seed"):
+    for key in ("encoder", "params", "seed"):
         _check(key in doc, path, f"missing {key} field")
-    kind, seed = doc["kind"], doc["seed"]
-    _check(kind in (KIND_CLUSTERING, KIND_CLASSIFIER), path,
-           f"unknown kind {kind!r}")
+    seed = doc["seed"]
     _check(isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0,
            path, f"seed {seed!r} is not a non-negative integer")
     try:
         encoder_config = _encoder_from(doc["encoder"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: bad encoder config ({exc})") from None
-    _check(kind != KIND_CLUSTERING or "prototypes" in doc, path,
-           "clustering checkpoint without prototypes")
     config = doc.get("config", {})
     _check(isinstance(config, dict), path,
            "config is not a JSON object")
+    clustering = "prototypes" in doc
     return {
         "encoder_config": encoder_config,
-        "params": ParamStore(_read_params(doc["params"], path, kind,
-                                          encoder_config)),
+        "params": ParamStore(_read_params(
+            doc["params"], path,
+            param_shapes(encoder_config, 0 if clustering else HEAD_OUTPUTS))),
         "seed": seed,
         "config": config,
         "prototypes": (_read_prototypes(doc["prototypes"], path,
                                         encoder_config.embedding_dim)
-                       if kind == KIND_CLUSTERING else None),
+                       if clustering else None),
     }
 
 
@@ -127,9 +124,7 @@ def _numbers(value, path, what: str) -> np.ndarray:
     return arr
 
 
-def _read_params(entries, path, kind: str, config: EncoderConfig) -> list:
-    expected = param_shapes(config,
-                            HEAD_OUTPUTS if kind == KIND_CLASSIFIER else 0)
+def _read_params(entries, path, expected: list) -> list:
     _check(isinstance(entries, list) and len(entries) == len(expected), path,
            f"params is not a list of {len(expected)} arrays, as the "
            f"encoder's shapes {expected} need")
@@ -149,25 +144,21 @@ def _read_params(entries, path, kind: str, config: EncoderConfig) -> list:
 
 
 def _read_prototypes(p, path, embedding_dim: int) -> Prototypes:
-    keys = ("cl_min", "cl_maj", "feature_mask")
-    _check(isinstance(p, dict) and all(k in p for k in keys + ("separation",)),
-           path, "prototypes lack cl_min, cl_maj, feature_mask or separation")
-    vectors = {k: _numbers(p[k], path, f"prototypes {k}") for k in keys}
-    for k, v in vectors.items():
+    keys = ("cl_min", "cl_maj")
+    _check(isinstance(p, dict) and all(k in p for k in keys), path,
+           "prototypes lack cl_min or cl_maj")
+    centers = [_numbers(p[k], path, f"prototypes {k}") for k in keys]
+    for k, v in zip(keys, centers):
         _check(v.size == embedding_dim, path,
                f"prototypes {k} has length {v.size}, embedding_dim is "
                f"{embedding_dim}")
-    separation = _numbers([p["separation"]], path,
-                          "prototypes separation")[0]
-    mask = vectors["feature_mask"]
-    _check(bool(np.all((mask == 0) | (mask == 1))), path,
-           "prototypes feature_mask entries must be 0 or 1")
-    mask = mask.astype(bool)
-    _check(bool(mask.any()), path,
-           "prototypes feature_mask selects no feature")
-    for k in ("cl_min", "cl_maj"):
-        _check(np.linalg.norm(vectors[k][mask]) >= NORM_FLOOR, path,
+    try:
+        proto = update_prototypes(None, *centers)
+    except ZeroVectorError:
+        raise ParseError(f"{path}: a prototype center has norm below "
+                         f"{NORM_FLOOR:g}") from None
+    for k, v in zip(keys, centers):
+        _check(np.linalg.norm(v[proto.feature_mask]) >= NORM_FLOOR, path,
                f"prototypes {k} has norm below {NORM_FLOOR:g} on the "
                f"selected features")
-    return Prototypes(vectors["cl_min"], vectors["cl_maj"], float(separation),
-                      mask)
+    return proto

@@ -16,9 +16,10 @@ from .losses import C_MAJ, C_MIN
 
 @dataclass(frozen=True)
 class Prototypes:
-    """The pair of class centers tracked across training, their cosine
-    separation, and the inference-time feature mask (``feature_mask`` of
-    the two centers)."""
+    """The pair of class centers tracked across training, which is what a
+    checkpoint stores, and what ``update_prototypes`` derives from them:
+    their cosine separation and the inference-time feature mask
+    (``feature_mask`` of the two centers)."""
     cl_min: np.ndarray
     cl_maj: np.ndarray
     separation: float
@@ -103,10 +104,10 @@ def infer_label(e_test, proto: Prototypes):
     return np.where(d_maj < d_min, C_MAJ, C_MIN), d_min, d_maj
 
 
-def malignancy_score(e_test, proto: Prototypes):
-    """(N,) continuous scores d_maj / (d_maj + d_min) in [0, 1]; above 0.5
-    exactly when infer_label assigns the minority class."""
-    d_min, d_maj = prototype_distances(e_test, proto)
+def malignancy_score(d_min, d_maj):
+    """(N,) continuous scores d_maj / (d_maj + d_min) in [0, 1] from the
+    distances ``infer_label`` returns; above 0.5 exactly when it assigns
+    the minority class."""
     total = d_maj + d_min
     if np.any(total < 1e-12):
         raise DegenerateDistancesError("both prototype distances near zero")

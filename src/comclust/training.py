@@ -86,7 +86,7 @@ def sample_triplets(labels: np.ndarray, m: int, rng):
 
     Anchors are uniform over the split; P is uniform over the anchor's class
     excluding the anchor itself when the class has more than one member
-    (otherwise P = A, with a warning); N is uniform over the other class.
+    (otherwise P = A); N is uniform over the other class.
 
     The draws are those of a loop over the anchors that draws P, again while
     P = A, then N, each by ``rng.integers(0, class size)``. One call on an
@@ -106,9 +106,6 @@ def sample_triplets(labels: np.ndarray, m: int, rng):
     by_class = np.argsort(labels, kind="stable")   # class 0's rows, then 1's
     anchors = rng.integers(0, len(labels), size=m)
     own = labels[anchors]
-    if sizes.min() == 1:
-        for c in own[sizes[own] == 1]:
-            log.warning("class %d has a single sample; using P = A", c)
     roles = _P_N_CLASSES[own]
     bounds = sizes[roles]
     offsets = np.array([0, sizes[0]])[roles]       # where each class starts
@@ -187,10 +184,15 @@ def train_sdc(dataset: LabeledDataset, config: TrainConfig) -> TrainLog:
     Per iteration: sample triplets, embed them, take a COM-triplet (or
     traditional triplet) gradient step, then offer the per-class batch
     centers to the running prototype pair, which only ever moves to a more
-    separated pair.
+    separated pair. A class with a single training sample is its own
+    positive (P = A), which is logged once per run.
     """
     x, y = dataset.subset(TRAIN)
     m = config.batch_size
+    for c in (C_MAJ, C_MIN):
+        if np.count_nonzero(y == c) == 1:
+            log.warning("class %d has a single training sample; using P = A",
+                        c)
 
     def step(rng, param_vars, enc_config):
         rows = np.concatenate(sample_triplets(y, m, rng))
@@ -282,8 +284,8 @@ def evaluate_prototypes(params: ParamStore, enc_config: EncoderConfig,
     scores plus aggregate weighted metrics and AUC (when both classes are
     present)."""
     emb = enc.embed(params, enc_config, x)
-    preds, _, _ = infer_label(emb, proto)
-    scores = malignancy_score(emb, proto)
+    preds, d_min, d_maj = infer_label(emb, proto)
+    scores = malignancy_score(d_min, d_maj)
     return _aggregate(np.asarray(y, dtype=int), preds, scores)
 
 

@@ -1,7 +1,6 @@
 """Plain helpers shared by test modules (fixtures live in conftest.py)."""
 
 import json
-import logging
 
 import numpy as np
 
@@ -17,8 +16,8 @@ def load_results(path) -> dict:
 
 def sample_triplets_loop(labels, m, rng):
     """``training.sample_triplets`` as a loop over the anchors, one scalar
-    draw at a time: the oracle whose triples, warnings and generator state
-    the array sampler must reproduce."""
+    draw at a time: the oracle whose triples and generator state the array
+    sampler must reproduce."""
     labels = np.asarray(labels, dtype=int)
     by_class = {c: np.flatnonzero(labels == c) for c in (C_MAJ, C_MIN)}
     for c, idx in by_class.items():
@@ -31,8 +30,6 @@ def sample_triplets_loop(labels, m, rng):
         same = by_class[labels[a]]
         other = by_class[1 - labels[a]]
         if len(same) == 1:
-            logging.getLogger("comclust.training").warning(
-                "class %d has a single sample; using P = A", labels[a])
             positives[i] = a
         else:
             p = same[rng.integers(0, len(same))]

@@ -136,18 +136,18 @@ def test_batched_inference_equals_per_row(case):
     proto, emb = case
     labels, d_min, d_maj = infer_label(emb, proto)
     try:
-        scores = malignancy_score(emb, proto)
+        scores = malignancy_score(d_min, d_maj)
     except DegenerateDistancesError:   # then some row alone raises too
         with pytest.raises(DegenerateDistancesError):
             for i in range(len(emb)):
-                malignancy_score(emb[i:i + 1], proto)
+                malignancy_score(*infer_label(emb[i:i + 1], proto)[1:])
         return
     for i in range(len(emb)):
         row = emb[i:i + 1]
         label, dmin_i, dmaj_i = infer_label(row, proto)
         assert label == labels[i:i + 1]
         assert dmin_i == d_min[i:i + 1] and dmaj_i == d_maj[i:i + 1]
-        assert malignancy_score(row, proto) == scores[i:i + 1]
+        assert malignancy_score(dmin_i, dmaj_i) == scores[i:i + 1]
         if dmin_i == dmaj_i:
             assert label == C_MIN and scores[i] == 0.5
         else:
@@ -160,5 +160,5 @@ def test_tie_rows_inside_a_batch_go_to_minority():
     labels, d_min, d_maj = infer_label(emb, proto)
     assert d_min[0] == d_maj[0] and d_min[3] == d_maj[3]
     np.testing.assert_array_equal(labels, [C_MIN, C_MAJ, C_MIN, C_MIN])
-    assert malignancy_score(emb, proto)[0] == 0.5
+    assert malignancy_score(d_min, d_maj)[0] == 0.5
     assert cosine_distance(emb[1], [2.0, 0.3]) == pytest.approx(d_maj[1])

@@ -4,23 +4,31 @@ import copy
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import comclust
 from comclust import checkpoint as ckpt
 from comclust import encoder as enc
 from comclust import training
+from comclust.autodiff import make_rng
 from comclust.cli import main, run_sweep_cell, sweep_cell_seeds
 from comclust.dataio import load_csv, split_dataset
-from comclust.encoder import MAX_PARAMETERS, embed
+from comclust.encoder import (MAX_PARAMETERS, EncoderConfig, embed,
+                              init_encoder_params)
 from comclust.errors import ParseError
-from comclust.prototypes import malignancy_score
+from comclust.prototypes import (infer_label, malignancy_score,
+                                 update_prototypes)
 from comclust.training import evaluate_prototypes
 
 from helpers import load_results
@@ -144,6 +152,22 @@ class TestTrainCommands:
                 assert "margin" not in doc["config"]
                 assert doc["config"].get("loss") == loss
 
+    def test_single_sample_class_is_warned_about_once(self, tmp_path):
+        """The warning reaches stderr once per run, not once per anchor
+        that draws P = A."""
+        data, out = tmp_path / "single.csv", tmp_path / "m.json"
+        assert main(["synth", "--maj", "40", "--min", "1", "--seed", "7",
+                     "--out", str(data)]) == 0
+        src = str(Path(comclust.__file__).resolve().parents[1])
+        run = subprocess.run(
+            [sys.executable, "-m", "comclust.cli", "train-sdc", "--data",
+             str(data), "--seed", "0", "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+            text=True)
+        assert run.returncode == 0
+        assert run.stderr == ("class 1 has a single training sample; "
+                              "using P = A\n")
+
     def test_classifier_log_has_a_row_per_iteration(self, blob_csv,
                                                     tmp_path):
         log = tmp_path / "clf_log.csv"
@@ -180,7 +204,8 @@ class TestEval:
         emb = embed(doc["params"], doc["encoder_config"],
                     load_csv(blob_csv).features)
         for row, score in zip(emb, evaluation["scores"]):
-            assert score == malignancy_score(row, doc["prototypes"])
+            _, d_min, d_maj = infer_label(row, doc["prototypes"])
+            assert score == malignancy_score(d_min, d_maj)
 
     def test_dimension_mismatch(self, blob_csv, tmp_path):
         model = _train_sdc(blob_csv, tmp_path)
@@ -348,25 +373,18 @@ def _short_prototype(doc):
     doc["prototypes"]["cl_min"].pop()
 
 
-def _long_mask(doc):
-    doc["prototypes"]["feature_mask"].append(1)
-
-
-def _set_mask(values):
-    def mutate(doc):
-        doc["prototypes"]["feature_mask"] = values
-    return mutate
-
-
 def _zero_cl_min(selected_only):
-    """cl_min zero in full, or zero on the one feature the mask keeps."""
+    """cl_min zero in full, or zero on the one feature the centers' mask
+    keeps: cl_min = [0, 1, 0, ...] and cl_maj = [2, 0, 0, ...] spread over
+    1 and 2, so the mask keeps the features that differ by at least 1.5,
+    feature 0 alone."""
     def mutate(doc):
         proto = doc["prototypes"]
+        zeros = [0.0] * len(proto["cl_min"])
+        proto["cl_min"] = list(zeros)
         if selected_only:
-            proto["feature_mask"] = [1] + [0] * (len(proto["cl_min"]) - 1)
-            proto["cl_min"][0] = 0.0
-        else:
-            proto["cl_min"] = [0.0] * len(proto["cl_min"])
+            proto["cl_min"][1] = 1.0
+            proto["cl_maj"] = [2.0] + zeros[1:]
     return mutate
 
 
@@ -401,14 +419,11 @@ class TestBadCheckpoint:
         "not json {",
         "[1, 2]",
         '{"version": 1, "kind": "clustering"}',
-        _drop("kind"), _drop("encoder"), _drop("params"), _drop("seed"),
-        _set("kind", "regressor"),
+        _drop("encoder"), _drop("params"), _drop("seed"),
         _short_data,
         _wide_bias,
-        _set("kind", "classifier"),
         _drop("prototypes"),
         _short_prototype,
-        _long_mask,
         "[" * 100000,
         _huge_int_data,
         _float_input_dim,
@@ -418,22 +433,17 @@ class TestBadCheckpoint:
         _set("version", 1.0),
         _float_shape,
         _bool_dropout,
-        _set_mask([0.5] * 8),
-        _set_mask([7] * 8),
-        _set_mask([0] * 8),
         _zero_cl_min(selected_only=False),
         _zero_cl_min(selected_only=True),
         _set("config", 5), _set("config", "x"), _set("config", None),
         _set("config", [1]),
-    ], ids=["non-json", "not-object", "no-params", "no-kind", "no-encoder",
-            "no-params-key", "no-seed", "unknown-kind", "data-length",
-            "bias-shape", "classifier-without-head", "no-prototypes",
-            "prototype-length", "mask-length", "deep-nesting",
+    ], ids=["non-json", "not-object", "no-params", "no-encoder",
+            "no-params-key", "no-seed", "data-length", "bias-shape",
+            "no-prototypes", "prototype-length", "deep-nesting",
             "data-huge-int", "input-dim-float", "data-numeric-string",
             "data-bool", "version-true", "version-float", "shape-float",
-            "dropout-bool", "mask-half", "mask-seven", "mask-empty",
-            "cl-min-zero", "cl-min-zero-on-selected", "config-int",
-            "config-string", "config-null", "config-list"])
+            "dropout-bool", "cl-min-zero", "cl-min-zero-on-selected",
+            "config-int", "config-string", "config-null", "config-list"])
     def test_eval_reports_error(self, corrupt, sdc_checkpoint_doc, blob_csv,
                                 tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -447,6 +457,67 @@ class TestBadCheckpoint:
                      str(blob_csv), "--out", str(tmp_path / "e.json")]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ") and "Traceback" not in err
+
+
+CENTER = hnp.arrays(np.float64, 6, elements=st.floats(-1e6, 1e6)).filter(
+    lambda v: np.linalg.norm(v) >= 1e-12)
+
+
+class TestCheckpointFormat:
+    """Format 2 stores the two centers; loading derives the rest."""
+
+    def test_a_clustering_checkpoint_stores_the_centers_alone(
+            self, checkpoint_docs):
+        common = {"version", "encoder", "params", "seed", "config"}
+        assert set(checkpoint_docs["classifier"]) == common
+        doc = checkpoint_docs["clustering"]
+        assert set(doc) == common | {"prototypes"}
+        assert set(doc["prototypes"]) == {"cl_min", "cl_maj"}
+        assert doc["version"] == ckpt.FORMAT_VERSION == 2
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              database=None)
+    @given(cl_min=CENTER, cl_maj=CENTER)
+    def test_loading_derives_what_training_does(self, cl_min, cl_maj,
+                                                tmp_path_factory):
+        """The separation and mask bits of loaded centers are those
+        update_prototypes gives the saved ones."""
+        want = update_prototypes(None, cl_min, cl_maj)
+        for center in (cl_min, cl_maj):
+            assume(np.linalg.norm(center[want.feature_mask]) >= 1e-12)
+        config = EncoderConfig(3, (4,), 6, 0.0)
+        path = tmp_path_factory.getbasetemp() / "round-trip.json"
+        ckpt.save_checkpoint(path, init_encoder_params(config, make_rng(0)),
+                             config, want, 0, {})
+        got = ckpt.load_checkpoint(path)["prototypes"]
+        for field in ("cl_min", "cl_maj", "feature_mask"):
+            assert getattr(got, field).tobytes() == \
+                getattr(want, field).tobytes()
+        assert np.float64(got.separation).tobytes() == \
+            np.float64(want.separation).tobytes()
+
+    @pytest.mark.parametrize("kind", ["clustering", "classifier"])
+    def test_a_version_1_document_evaluates_to_the_same_bytes(
+            self, kind, checkpoint_docs, blob_csv, tmp_path):
+        """Version 1 also stored the kind and, for a clustering model, the
+        centers' separation and feature mask (as 0/1 integers)."""
+        old = copy.deepcopy(checkpoint_docs[kind])
+        old["version"], old["kind"] = 1, kind
+        if kind == "clustering":
+            proto = update_prototypes(None, old["prototypes"]["cl_min"],
+                                      old["prototypes"]["cl_maj"])
+            old["prototypes"]["separation"] = proto.separation
+            old["prototypes"]["feature_mask"] = \
+                proto.feature_mask.astype(int).tolist()
+        path, out = tmp_path / "model.json", tmp_path / "eval.json"
+        evals = []
+        for doc in (checkpoint_docs[kind], old):
+            path.write_text(json.dumps(doc))
+            assert main(["eval", "--checkpoint", str(path), "--data",
+                         str(blob_csv), "--split", "all",
+                         "--out", str(out)]) == 0
+            evals.append(out.read_bytes())
+        assert evals[0] == evals[1]
 
 
 @pytest.fixture(scope="module")

@@ -132,6 +132,11 @@ def _proto(cl_min, cl_maj):
     return update_prototypes(None, cl_min, cl_maj)
 
 
+def _score(e, proto):
+    """The malignancy score of ``e`` from infer_label's distances."""
+    return malignancy_score(*infer_label(e, proto)[1:])
+
+
 class TestInference:
     def test_closer_to_majority(self):
         proto = _proto([0.0, 1.0], [1.0, 0.0])
@@ -152,7 +157,7 @@ class TestInference:
     def test_one_embedding_gives_arrays_of_one(self):
         proto = _proto([0.0, 1.0], [1.0, 0.0])
         label, d_min, d_maj = infer_label([1.0, 0.1], proto)
-        for out in (label, d_min, d_maj, malignancy_score([1.0, 0.1], proto)):
+        for out in (label, d_min, d_maj, malignancy_score(d_min, d_maj)):
             assert isinstance(out, np.ndarray) and out.shape == (1,)
 
     def test_zero_masked_vector_raises(self):
@@ -163,22 +168,22 @@ class TestInference:
 
     def test_score_extremes_and_symmetry(self):
         proto = _proto([0.0, 1.0], [1.0, 0.0])
-        assert malignancy_score([1.0, 0.0], proto) == pytest.approx(0.0, abs=1e-12)
-        assert malignancy_score([0.0, 1.0], proto) == pytest.approx(1.0, abs=1e-12)
-        assert malignancy_score([1.0, 1.0], proto) == pytest.approx(0.5, abs=1e-12)
+        assert _score([1.0, 0.0], proto) == pytest.approx(0.0, abs=1e-12)
+        assert _score([0.0, 1.0], proto) == pytest.approx(1.0, abs=1e-12)
+        assert _score([1.0, 1.0], proto) == pytest.approx(0.5, abs=1e-12)
 
     def test_degenerate_distances(self):
         proto = _proto([1.0, 0.0], [1.0, 0.0])
         with pytest.raises(DegenerateDistancesError):
-            malignancy_score([1.0, 0.0], proto)
+            _score([1.0, 0.0], proto)
 
     def test_label_and_score_agree(self):
         rng = make_rng(19)
         proto = _proto(rng.normal(size=5), rng.normal(size=5))
         for _ in range(200):
             e = rng.normal(size=5)
-            label, _, _ = infer_label(e, proto)
-            s = malignancy_score(e, proto)
+            label, d_min, d_maj = infer_label(e, proto)
+            s = malignancy_score(d_min, d_maj)
             assert (label == C_MIN) == (s >= 0.5)
 
     def test_scale_invariance(self):
@@ -188,8 +193,8 @@ class TestInference:
             e = rng.normal(size=5)
             c = rng.uniform(0.1, 10.0)
             assert infer_label(e, proto)[0] == infer_label(c * e, proto)[0]
-            assert malignancy_score(e, proto) == pytest.approx(
-                malignancy_score(c * e, proto), abs=1e-10)
+            assert _score(e, proto) == pytest.approx(
+                _score(c * e, proto), abs=1e-10)
 
     def test_separation_recomputes(self):
         rng = make_rng(22)

@@ -157,17 +157,24 @@ class TestSampleTriplets:
             assert stats.chisquare(observed).pvalue > 0.001, role
 
     def test_one_warning_per_single_member_anchor(self, caplog):
+        """The sampler gives a single-member class's anchors P = A without
+        a warning; train_sdc warns once per such class, however many of
+        its anchors the run draws."""
         labels = np.array([C_MAJ] * 10 + [C_MIN])
         with caplog.at_level(logging.WARNING, logger="comclust.training"):
-            a, _, _ = sample_triplets(labels, 40, make_rng(6))
-        got = [(r.name, r.levelno, r.getMessage()) for r in caplog.records]
-        caplog.clear()
+            a, p, _ = sample_triplets(labels, 40, make_rng(6))
+        single = labels[a] == C_MIN
+        assert np.count_nonzero(single) > 1
+        np.testing.assert_array_equal(p[single], a[single])
+        assert caplog.records == []
+        ds = LabeledDataset(np.arange(22.0).reshape(11, 2), labels,
+                            np.array([TRAIN] * 11))
         with caplog.at_level(logging.WARNING, logger="comclust.training"):
-            sample_triplets_loop(labels, 40, make_rng(6))
-        want = [(r.name, r.levelno, r.getMessage()) for r in caplog.records]
-        assert got == want
-        assert len(got) == np.count_nonzero(labels[a] == C_MIN) > 0
-        assert got[0][2] == "class 1 has a single sample; using P = A"
+            train_sdc(ds, _fast(batch_size=5, epochs=3))
+        assert [(r.name, r.levelno, r.getMessage())
+                for r in caplog.records] == [
+            ("comclust.training", logging.WARNING,
+             "class 1 has a single training sample; using P = A")]
 
 
 class TestTrainSdc:
