@@ -16,7 +16,7 @@ from .losses import (ClassWeights, MarginSpec, com_adaptive_margin,
                      udc_adaptive_margin, udc_com_loss, udc_dist_wa,
                      weighted_cross_entropy)
 from .metrics import confusion, roc_auc, weighted_metrics
-from .prototypes import (Prototypes, batch_centers, feature_mask, infer_label,
+from .prototypes import (Prototypes, batch_centers, infer_label,
                          malignancy_score, update_prototypes)
 from .training import (TrainConfig, TrainLog, best_permutation_accuracy,
                        evaluate_classifier, evaluate_prototypes,

@@ -1,9 +1,9 @@
 """Checkpoint serialization: a versioned JSON document holding the encoder
 configuration, parameter arrays (row-major), the two prototype centers of a
 clustering model, and the training seed/config echo. JSON float repr
-round-trips exactly, and loading rebuilds the prototypes' separation and
-feature mask from the centers as training does, so a load(save(x)) cycle
-reproduces inference outputs bit-for-bit."""
+round-trips exactly, and loading rebuilds the prototypes' separation from
+the centers as training does, so a load(save(x)) cycle reproduces inference
+outputs bit-for-bit."""
 
 from __future__ import annotations
 
@@ -19,8 +19,8 @@ from .errors import ParseError, ZeroVectorError
 from .prototypes import Prototypes, update_prototypes
 
 FORMAT_VERSION = 2
-# version 1 also stored "kind" and the prototypes' separation and feature
-# mask, which follow from the centers; loading reads none of them
+# version 1 also stored "kind", the prototypes' separation and a feature
+# mask; loading reads none of them, and inference uses every coordinate
 READ_VERSIONS = (1, FORMAT_VERSION)
 
 
@@ -65,9 +65,9 @@ def load_checkpoint(path) -> dict:
 
     The document is checked against its own encoder config: a file that is
     not a checkpoint, a missing field, a config echo that is not an object,
-    an array whose shape or length does not fit, or prototype centers that
-    inference cannot use (zero norm overall or on the features their mask
-    selects) raises ParseError naming ``path``.
+    an array whose shape or length does not fit, or a prototype center
+    that inference cannot use (not finite or of zero norm) raises
+    ParseError naming ``path``.
     """
     try:
         with open(path) as fh:
@@ -153,12 +153,7 @@ def _read_prototypes(p, path, embedding_dim: int) -> Prototypes:
                f"prototypes {k} has length {v.size}, embedding_dim is "
                f"{embedding_dim}")
     try:
-        proto = update_prototypes(None, *centers)
+        return update_prototypes(None, *centers)
     except ZeroVectorError:
         raise ParseError(f"{path}: a prototype center has norm below "
                          f"{NORM_FLOOR:g}") from None
-    for k, v in zip(keys, centers):
-        _check(np.linalg.norm(v[proto.feature_mask]) >= NORM_FLOOR, path,
-               f"prototypes {k} has norm below {NORM_FLOOR:g} on the "
-               f"selected features")
-    return proto

@@ -1,6 +1,6 @@
 """Cluster prototypes: per-class center computation, the keep-the-best-pair
-update rule, inference-time feature selection, label assignment, and the
-continuous malignancy-style score."""
+update rule, nearest-prototype label assignment, and the continuous
+malignancy-style score."""
 
 from __future__ import annotations
 
@@ -17,13 +17,11 @@ from .losses import C_MAJ, C_MIN
 @dataclass(frozen=True)
 class Prototypes:
     """The pair of class centers tracked across training, which is what a
-    checkpoint stores, and what ``update_prototypes`` derives from them:
-    their cosine separation and the inference-time feature mask
-    (``feature_mask`` of the two centers)."""
+    checkpoint stores, and their cosine separation, which
+    ``update_prototypes`` derives from them."""
     cl_min: np.ndarray
     cl_maj: np.ndarray
     separation: float
-    feature_mask: np.ndarray
 
 
 def batch_centers(embeddings, classes):
@@ -57,50 +55,22 @@ def update_prototypes(current: Prototypes | None, cl_min_cand, cl_maj_cand) -> P
     cl_maj = np.asarray(cl_maj_cand, dtype=np.float64)
     separation = cosine_distance(cl_min, cl_maj)
     if current is None or separation > current.separation:
-        return Prototypes(cl_min, cl_maj, separation,
-                          feature_mask(cl_min, cl_maj))
+        return Prototypes(cl_min, cl_maj, separation)
     return current
 
 
-def feature_mask(cl_min, cl_maj) -> np.ndarray:
-    """Select features whose weights differ meaningfully across prototypes.
-
-    The threshold is the per-prototype spread (max minus min component),
-    averaged over the two prototypes; features with |cl_min - cl_maj| below
-    it are dropped. An empty mask falls back to all-true.
-    """
-    cl_min = np.asarray(cl_min, dtype=np.float64)
-    cl_maj = np.asarray(cl_maj, dtype=np.float64)
-    if cl_min.shape != cl_maj.shape:
-        raise ShapeMismatchError("prototype shapes differ")
-    tau = 0.5 * ((cl_min.max() - cl_min.min()) + (cl_maj.max() - cl_maj.min()))
-    mask = np.abs(cl_min - cl_maj) >= tau
-    if not mask.any():
-        return np.ones_like(mask)
-    return mask
-
-
-def prototype_distances(e_test, proto: Prototypes):
-    """(d_min, d_maj): (N,) cosine distances of the rows of an (N, S) batch
-    to the two prototypes, on mask-selected coordinates; a 1-D embedding is
-    a batch of one. A row gives the same bits alone as in any batch."""
-    rows = np.atleast_2d(np.asarray(e_test, dtype=np.float64))
-    cl_min, cl_maj = proto.cl_min, proto.cl_maj
-    mask = proto.feature_mask
-    if not mask.all():
-        # compress keeps rows C-contiguous, which row-wise sums rely on
-        rows = rows.compress(mask, axis=1)
-        cl_min, cl_maj = cl_min[mask], cl_maj[mask]
-    return row_cosine_distance(rows, cl_min), row_cosine_distance(rows, cl_maj)
-
-
 def infer_label(e_test, proto: Prototypes):
-    """Assign by nearest prototype. An exact tie goes to the minority class,
-    favoring sensitivity for the rare class.
+    """Assign by nearest prototype in cosine distance over every coordinate.
+    An exact tie goes to the minority class, favoring sensitivity for the
+    rare class.
 
-    Returns (labels, d_min, d_maj), (N,) arrays for an (N, S) batch.
+    Returns (labels, d_min, d_maj), (N,) arrays for an (N, S) batch; a 1-D
+    embedding is a batch of one. A row gives the same bits alone as in any
+    batch.
     """
-    d_min, d_maj = prototype_distances(e_test, proto)
+    rows = np.atleast_2d(np.asarray(e_test, dtype=np.float64))
+    d_min = row_cosine_distance(rows, proto.cl_min)
+    d_maj = row_cosine_distance(rows, proto.cl_maj)
     return np.where(d_maj < d_min, C_MAJ, C_MIN), d_min, d_maj
 
 

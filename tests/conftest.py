@@ -18,7 +18,7 @@ from comclust import autodiff as ad
 from comclust.encoder import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS,
                               param_shapes)
 from comclust.errors import InvalidSpecError
-from comclust.prototypes import Prototypes, feature_mask
+from comclust.prototypes import Prototypes
 
 
 @pytest.fixture(scope="session")
@@ -104,10 +104,10 @@ def adam_step(store, grads, config):
 
 
 def update_prototypes(current, cl_min_cand, cl_maj_cand):
-    """Builds the candidate pair, mask included, before comparing."""
+    """Builds the candidate pair before comparing."""
     a = np.asarray(cl_min_cand, dtype=np.float64)
     b = np.asarray(cl_maj_cand, dtype=np.float64)
-    candidate = Prototypes(a, b, ad.cosine_distance(a, b), feature_mask(a, b))
+    candidate = Prototypes(a, b, ad.cosine_distance(a, b))
     if current is None or candidate.separation > current.separation:
         return candidate
     return current

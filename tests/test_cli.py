@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -244,6 +244,25 @@ class TestEval:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("centers", [
+        ([1.0] + [0.5] * 7, [-1.0] + [0.5] * 7),
+        ([0.0, 1.0] + [0.0] * 6, [2.0] + [0.0] * 7),
+    ], ids=["gap-on-one-coordinate", "cl-min-zero-on-selected"])
+    def test_scores_use_every_coordinate(self, centers, sdc_checkpoint_doc,
+                                         blob_csv, tmp_path):
+        """Center pairs whose gap reaches the mean per-center spread on
+        feature 0 alone. Scored on that feature, each row would be at
+        distance 0 or 2 from each center, so at most two distinct scores;
+        the second pair's cl_min is 0 there and would give none."""
+        doc = copy.deepcopy(sdc_checkpoint_doc)
+        doc["prototypes"]["cl_min"], doc["prototypes"]["cl_maj"] = centers
+        path, out = tmp_path / "model.json", tmp_path / "eval.json"
+        path.write_text(json.dumps(doc))
+        assert main(["eval", "--checkpoint", str(path), "--data",
+                     str(blob_csv), "--split", "all",
+                     "--out", str(out)]) == 0
+        assert len(set(load_results(out)["scores"])) > 2
+
     def test_a_one_row_file_scores_its_row_as_the_full_file_does(
             self, blob_csv, tmp_path):
         model = _train_sdc(blob_csv, tmp_path, epochs=2)
@@ -373,18 +392,9 @@ def _short_prototype(doc):
     doc["prototypes"]["cl_min"].pop()
 
 
-def _zero_cl_min(selected_only):
-    """cl_min zero in full, or zero on the one feature the centers' mask
-    keeps: cl_min = [0, 1, 0, ...] and cl_maj = [2, 0, 0, ...] spread over
-    1 and 2, so the mask keeps the features that differ by at least 1.5,
-    feature 0 alone."""
+def _zero_center(key):
     def mutate(doc):
-        proto = doc["prototypes"]
-        zeros = [0.0] * len(proto["cl_min"])
-        proto["cl_min"] = list(zeros)
-        if selected_only:
-            proto["cl_min"][1] = 1.0
-            proto["cl_maj"] = [2.0] + zeros[1:]
+        doc["prototypes"][key] = [0.0] * len(doc["prototypes"][key])
     return mutate
 
 
@@ -433,8 +443,7 @@ class TestBadCheckpoint:
         _set("version", 1.0),
         _float_shape,
         _bool_dropout,
-        _zero_cl_min(selected_only=False),
-        _zero_cl_min(selected_only=True),
+        _zero_center("cl_min"), _zero_center("cl_maj"),
         _set("config", 5), _set("config", "x"), _set("config", None),
         _set("config", [1]),
     ], ids=["non-json", "not-object", "no-params", "no-encoder",
@@ -442,7 +451,7 @@ class TestBadCheckpoint:
             "no-prototypes", "prototype-length", "deep-nesting",
             "data-huge-int", "input-dim-float", "data-numeric-string",
             "data-bool", "version-true", "version-float", "shape-float",
-            "dropout-bool", "cl-min-zero", "cl-min-zero-on-selected",
+            "dropout-bool", "cl-min-zero", "cl-maj-zero",
             "config-int", "config-string", "config-null", "config-list"])
     def test_eval_reports_error(self, corrupt, sdc_checkpoint_doc, blob_csv,
                                 tmp_path, capsys):
@@ -480,17 +489,15 @@ class TestCheckpointFormat:
     @given(cl_min=CENTER, cl_maj=CENTER)
     def test_loading_derives_what_training_does(self, cl_min, cl_maj,
                                                 tmp_path_factory):
-        """The separation and mask bits of loaded centers are those
+        """The separation bits of loaded centers are those
         update_prototypes gives the saved ones."""
         want = update_prototypes(None, cl_min, cl_maj)
-        for center in (cl_min, cl_maj):
-            assume(np.linalg.norm(center[want.feature_mask]) >= 1e-12)
         config = EncoderConfig(3, (4,), 6, 0.0)
         path = tmp_path_factory.getbasetemp() / "round-trip.json"
         ckpt.save_checkpoint(path, init_encoder_params(config, make_rng(0)),
                              config, want, 0, {})
         got = ckpt.load_checkpoint(path)["prototypes"]
-        for field in ("cl_min", "cl_maj", "feature_mask"):
+        for field in ("cl_min", "cl_maj"):
             assert getattr(got, field).tobytes() == \
                 getattr(want, field).tobytes()
         assert np.float64(got.separation).tobytes() == \
@@ -500,15 +507,17 @@ class TestCheckpointFormat:
     def test_a_version_1_document_evaluates_to_the_same_bytes(
             self, kind, checkpoint_docs, blob_csv, tmp_path):
         """Version 1 also stored the kind and, for a clustering model, the
-        centers' separation and feature mask (as 0/1 integers)."""
+        centers' separation and a feature mask (as 0/1 integers). A stored
+        mask is not read: one that keeps a single feature scores as the
+        version-2 file does, on every feature."""
         old = copy.deepcopy(checkpoint_docs[kind])
         old["version"], old["kind"] = 1, kind
         if kind == "clustering":
             proto = update_prototypes(None, old["prototypes"]["cl_min"],
                                       old["prototypes"]["cl_maj"])
             old["prototypes"]["separation"] = proto.separation
-            old["prototypes"]["feature_mask"] = \
-                proto.feature_mask.astype(int).tolist()
+            dim = len(proto.cl_min)
+            old["prototypes"]["feature_mask"] = [1] + [0] * (dim - 1)
         path, out = tmp_path / "model.json", tmp_path / "eval.json"
         evals = []
         for doc in (checkpoint_docs[kind], old):

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from comclust import prototypes
-from comclust.autodiff import cosine_distance, make_rng
+from comclust.autodiff import cosine_distance, make_rng, row_cosine_distance
 from comclust.errors import (DegenerateDistancesError, MissingClassError,
                              ZeroVectorError)
 from comclust.losses import C_MAJ, C_MIN
-from comclust.prototypes import (Prototypes, batch_centers, feature_mask,
-                                 infer_label, malignancy_score,
-                                 update_prototypes)
+from comclust.prototypes import (Prototypes, batch_centers, infer_label,
+                                 malignancy_score, update_prototypes)
 
 
 class TestBatchCenters:
@@ -85,16 +87,12 @@ class TestUpdatePrototypes:
         with pytest.raises(ZeroVectorError):
             update_prototypes(None, *cand)
 
-    def test_accepted_pair_is_the_masked_candidate(self):
+    def test_accepted_pair_is_the_candidate(self):
         rng = make_rng(15)
         cl_min, cl_maj = rng.normal(size=(2, 4))
-        cl_maj[:2] = -cl_min[:2]      # a mask that drops features
         got = update_prototypes(None, list(cl_min), list(cl_maj))
-        want = feature_mask(cl_min, cl_maj)
-        assert not want.all()
         assert got.separation == cosine_distance(cl_min, cl_maj)
-        for a, b in ((got.cl_min, cl_min), (got.cl_maj, cl_maj),
-                     (got.feature_mask, want)):
+        for a, b in ((got.cl_min, cl_min), (got.cl_maj, cl_maj)):
             assert a.dtype == b.dtype
             np.testing.assert_array_equal(a, b)
 
@@ -109,23 +107,14 @@ class TestUpdatePrototypes:
         assert np.all(np.diff(seps) >= 0.0)
 
 
-class TestFeatureMask:
-    def test_hand_case(self):
-        cl_min = np.array([0.9, 0.1, 0.5])
-        cl_maj = np.array([0.1, 0.1, 0.5])
-        # tau = ((0.9-0.1) + (0.5-0.1))/2 = 0.6; diffs (0.8, 0, 0)
-        np.testing.assert_array_equal(feature_mask(cl_min, cl_maj),
-                                      [True, False, False])
-
-    def test_identical_prototypes_fall_back_to_all_true(self):
-        v = np.array([0.2, 0.9, -0.3])
-        np.testing.assert_array_equal(feature_mask(v, v), [True, True, True])
-
-    def test_uniform_shift_keeps_everything(self):
-        cl_maj = np.array([0.1, 0.2, 0.15, 0.12])
-        cl_min = cl_maj + 0.5   # per-dimension diff 0.5 > tau = 0.1
-        np.testing.assert_array_equal(feature_mask(cl_min, cl_maj),
-                                      [True] * 4)
+@st.composite
+def centers_and_rows(draw):
+    """Two centers and a batch of rows, all of one width and nonzero."""
+    dim = draw(st.integers(1, 8))
+    vector = hnp.arrays(np.float64, dim, elements=st.floats(-1e3, 1e3)).filter(
+        lambda v: np.linalg.norm(v) >= 1e-6)
+    rows = draw(st.lists(vector, min_size=1, max_size=6))
+    return draw(vector), draw(vector), np.array(rows)
 
 
 def _proto(cl_min, cl_maj):
@@ -160,11 +149,23 @@ class TestInference:
         for out in (label, d_min, d_maj, malignancy_score(d_min, d_maj)):
             assert isinstance(out, np.ndarray) and out.shape == (1,)
 
-    def test_zero_masked_vector_raises(self):
-        proto = Prototypes(np.array([0.0, 1.0]), np.array([1.0, 0.0]),
-                           2.0, np.array([True, False]))
+    def test_hand_case_with_the_gap_on_one_coordinate(self):
+        # e.cl_min = 0.71, e.cl_maj = 0.31; |e|^2 = 0.51, |cl_min|^2 = 1.07,
+        # |cl_maj|^2 = 0.27. On coordinate 0 alone both distances would be 0.
+        proto = _proto([0.9, 0.1, 0.5], [0.1, 0.1, 0.5])
+        label, d_min, d_maj = infer_label([0.5, 0.1, 0.5], proto)
+        want_min = 1 - 0.71 / np.sqrt(0.51 * 1.07)
+        want_maj = 1 - 0.31 / np.sqrt(0.51 * 0.27)
+        assert d_min[0] == pytest.approx(want_min, abs=1e-12)
+        assert d_maj[0] == pytest.approx(want_maj, abs=1e-12)
+        assert label[0] == C_MIN
+        assert malignancy_score(d_min, d_maj)[0] == pytest.approx(
+            want_maj / (want_min + want_maj), abs=1e-12)
+
+    def test_zero_row_raises(self):
+        proto = _proto([0.0, 1.0], [1.0, 0.0])
         with pytest.raises(ZeroVectorError):
-            infer_label([0.0, 5.0], proto)
+            infer_label([[1.0, 1.0], [0.0, 0.0]], proto)
 
     def test_score_extremes_and_symmetry(self):
         proto = _proto([0.0, 1.0], [1.0, 0.0])
@@ -195,6 +196,20 @@ class TestInference:
             assert infer_label(e, proto)[0] == infer_label(c * e, proto)[0]
             assert _score(e, proto) == pytest.approx(
                 _score(c * e, proto), abs=1e-10)
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(centers_and_rows())
+    @example(([0.9, 0.1, 0.5], [0.1, 0.1, 0.5],
+              [[0.9, 0.1, 0.5], [0.1, 0.1, 0.5], [0.5, 0.3, 0.1]]))
+    def test_distances_use_every_coordinate(self, case):
+        """Centers whose gap sits on one coordinate do not reduce the
+        distances to that coordinate."""
+        cl_min, cl_maj, rows = (np.asarray(a, dtype=np.float64)
+                                for a in case)
+        _, d_min, d_maj = infer_label(rows, _proto(cl_min, cl_maj))
+        assert d_min.tobytes() == row_cosine_distance(rows, cl_min).tobytes()
+        assert d_maj.tobytes() == row_cosine_distance(rows, cl_maj).tobytes()
 
     def test_separation_recomputes(self):
         rng = make_rng(22)

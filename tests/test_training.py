@@ -187,7 +187,6 @@ class TestTrainSdc:
         assert len(result.losses) == len(result.separations) == expected
         assert np.all(np.isfinite(result.losses))
         assert np.all(np.diff(result.separations) >= 0.0)
-        assert result.prototypes.feature_mask is not None
 
     def test_deterministic(self):
         ds = _dataset()
@@ -290,7 +289,6 @@ class TestSameProgram:
                                                         monkeypatch,
                                                         composed):
         ds = _dataset(seed=9)
-        # 5 epochs: sdc-com's final pair then has a mask that drops features
         config = _fast(seed=9, batch_size=10, hidden=(16, 12), epochs=5,
                        loss_kind=mode.split("-")[-1] if "-" in mode else "com")
 
@@ -328,9 +326,7 @@ class TestSameProgram:
         if mode == "classifier":
             assert shipped.prototypes is reference.prototypes is None
             return
-        if mode == "sdc-com":
-            assert not shipped.prototypes.feature_mask.all()
-        for field in ("cl_min", "cl_maj", "separation", "feature_mask"):
+        for field in ("cl_min", "cl_maj", "separation"):
             assert (np.asarray(getattr(shipped.prototypes, field)).tobytes()
                     == np.asarray(getattr(reference.prototypes,
                                           field)).tobytes())
@@ -359,7 +355,7 @@ class TestSamplerSameProgram:
         assert shipped.params.flat.tobytes() == reference.params.flat.tobytes()
         assert shipped.losses == reference.losses
         assert shipped.separations == reference.separations
-        for field in ("cl_min", "cl_maj", "separation", "feature_mask"):
+        for field in ("cl_min", "cl_maj", "separation"):
             assert (np.asarray(getattr(shipped.prototypes, field)).tobytes()
                     == np.asarray(getattr(reference.prototypes,
                                           field)).tobytes())
