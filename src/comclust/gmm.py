@@ -1,17 +1,22 @@
 """Two-component, diagonal-covariance Gaussian mixture over embeddings:
-k-means(++) init, EM fitting, responsibilities, and pseudo-label extraction.
+two-centre k-means(++) init, EM fitting, responsibilities, and pseudo-label
+extraction.
 
 The fit settings are module constants: ``EM_MAX_ITER`` EM iterations with
 convergence tolerance ``EM_TOL``, variances floored at ``COV_FLOOR``,
 ``KMEANS_RESTARTS`` k-means++ restarts of up to ``KMEANS_MAX_ITER`` Lloyd
 steps each, and ``EM_RESTARTS`` attempts on degeneracy.
 
+One function, ``_e_step``, computes the mixture's log-densities: EM's loop
+and ``responsibilities`` both call it, so scoring the model that EM returns
+repeats the E-step of EM's last iteration bit for bit.
+
 ``kmeans`` runs its restarts together, and EM updates both components in
 one set of array operations. Both give the bits of the plain loops over
 restarts and components (``tests/test_gmm.py`` keeps those loops, and
 ``rng.choice`` for the seeds, as its oracle), so a seeded run's
 pseudo-labels do not depend on the batching; ``kmeans`` states the rules
-that keep it so. Each k-means++ seed after the first is the draw that
+that keep it so. The second k-means++ seed is the draw that
 ``rng.choice(n, p=d2 / total)`` makes: one ``rng.random()`` placed by
 ``searchsorted`` in the normalised cumulative sum of ``p``. A restart
 whose ``total`` is 0 repeats its first seed and still spends that
@@ -55,36 +60,18 @@ class PseudoLabels:
     minority_component: int
 
 
-def gaussian_log_pdf(x, mean, cov):
-    """Log-density of a diagonal-covariance normal, evaluated in log space.
-
-    ``cov`` holds the diagonal variances, in the shape of ``mean``; both
-    may carry leading axes that broadcast against ``x``, the density being
-    taken over the last axis. A 1-D point is a batch of one: the result is
-    always an array.
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    mean = np.asarray(mean, dtype=np.float64)
-    cov = np.asarray(cov, dtype=np.float64)
-    if not (cov > 0).all():
-        raise SingularCovarianceError("non-positive or NaN diagonal variance")
-    sq = x - mean
-    sq *= sq
-    sq /= cov
-    return _log_pdf(sq, cov)
-
-
-def _log_pdf(scaled_sq: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """``gaussian_log_pdf`` from its ``(x - mean)**2 / cov`` terms, without
-    the checks, which EM skips: its variances never fall below COV_FLOOR."""
-    return -0.5 * (scaled_sq.shape[-1] * LOG_2PI + np.log(cov).sum(axis=-1)
-                   + scaled_sq.sum(axis=-1))
-
-
-def _component_log_probs(model: GaussianMixture, x: np.ndarray) -> np.ndarray:
-    """(N, 2) matrix of log(h_k) + log G_k(x)."""
-    return (gaussian_log_pdf(x[:, None, :], model.means, model.covariances)
-            + np.log(model.weights))
+def _e_step(sq: np.ndarray, covs: np.ndarray, weights: np.ndarray,
+            scaled: np.ndarray):
+    """The (N, 2) matrix log_p of log(h_k) + log G_k(x) and its row-wise
+    log-sum-exp, from the (2, N, S) squared deviations ``sq`` and the
+    (2, S) variances. ``scaled`` is an (N, 2, S) buffer for ``sq / covs``:
+    on that layout log_p comes out C-contiguous, and ``r.sum(axis=0)``
+    adds the rows of its exponent in order."""
+    np.divide(sq, covs[:, None, :], out=scaled.transpose(1, 0, 2))
+    log_p = -0.5 * (scaled.shape[-1] * LOG_2PI + np.log(covs).sum(axis=-1)
+                    + scaled.sum(axis=-1))
+    log_p += np.log(weights)
+    return log_p, _logsumexp(log_p, axis=1)
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
@@ -94,15 +81,22 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
 
 def responsibilities(model: GaussianMixture, batch) -> PseudoLabels:
     """Posterior component memberships of a non-empty, finite batch,
-    computed via log-sum-exp."""
+    computed via log-sum-exp. A variance that is not positive raises
+    SingularCovarianceError."""
     batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
     if batch.shape[0] == 0:
         raise EmptyBatchError("empty batch")
     if not np.isfinite(batch).all():
         raise NonFiniteLossError("non-finite value in the batch to score")
-    log_p = _component_log_probs(model, batch)
-    log_r = log_p - _logsumexp(log_p, axis=1)[:, None]
-    r = np.exp(log_r)
+    if not (model.covariances > 0).all():
+        raise SingularCovarianceError("non-positive or NaN diagonal variance")
+    sq = batch - model.means[:, None, :]
+    sq *= sq
+    _, n, s = sq.shape
+    log_p, lse = _e_step(sq, model.covariances, model.weights,
+                         np.empty((n, 2, s)))
+    log_p -= lse[:, None]
+    r = np.exp(log_p, out=log_p)
     assign = np.argmax(r, axis=1)
     return PseudoLabels(assign, r, identify_minority(model, assign))
 
@@ -121,25 +115,24 @@ def identify_minority(model: GaussianMixture, assignments) -> int:
     return 0
 
 
-def kmeans(points, k: int, restarts: int = KMEANS_RESTARTS,
-           max_iter: int = KMEANS_MAX_ITER, seed: int = 0):
-    """Lloyd's algorithm with k-means++ seeding, best of ``restarts`` by
+def kmeans(points, seed: int = 0):
+    """Lloyd's algorithm for two centres with k-means++ seeding, best of
+    ``KMEANS_RESTARTS`` restarts of up to ``KMEANS_MAX_ITER`` steps by
     within-cluster sum of squares.
 
     The restarts run together, and give the bits that running them one
     after another gives:
 
     - every draw comes before the first Lloyd step, restart by restart:
-      ``rng.integers(n)`` for the first seed, then ``rng.random(k - 1)``,
-      the k - 1 uniforms that k - 1 scalar calls give;
-    - the c-th seeds of all restarts are placed together: a uniform lands
-      by ``searchsorted(..., side="right")`` in the cumulative sum of
-      ``p = d2 / total`` divided by its last entry, which is the draw
+      ``rng.integers(n)`` for the first seed, then ``rng.random()``;
+    - the second seeds of all restarts are placed together: a uniform
+      lands by ``searchsorted(..., side="right")`` in the cumulative sum
+      of ``p = d2 / total`` divided by its last entry, which is the draw
       ``rng.choice(n, p=p)`` makes; a restart whose ``total`` is 0 (every
-      point on a chosen centre) repeats its first seed and still spends
+      point on the first seed) repeats its first seed and still spends
       its uniform;
     - a ``total`` that overflows raises NonFiniteLossError;
-    - each Lloyd step measures all live restarts in one (R, N, k) distance
+    - each Lloyd step measures all live restarts in one (R, N, 2) distance
       tensor, and a restart drops out at the first step that leaves its
       assignment unchanged;
     - a centre is the mean of its members, summed in row order; an empty
@@ -149,21 +142,21 @@ def kmeans(points, k: int, restarts: int = KMEANS_RESTARTS,
     - the first restart wins unless a later one beats its wcss by more
       than 1e-15.
 
-    Returns (centers (k, S), assignments (N,), wcss).
+    Returns (centers (2, S), assignments (N,), wcss).
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     n = points.shape[0]
-    if n < k:
-        raise TooFewSamplesError(f"{n} points for k={k}")
+    if n < 2:
+        raise TooFewSamplesError(f"{n} points for 2 centres")
     if not np.isfinite(points).all():
         raise NonFiniteLossError(
             "non-finite value among the points to cluster")
     rng = make_rng(seed)
-    centers = _kmeans_pp_init(points, k, max(1, restarts), rng)
+    centers = _kmeans_pp_init(points, KMEANS_RESTARTS, rng)
     assign = np.zeros((len(centers), n), dtype=np.intp)
-    dist = np.empty((len(centers), n, k))
+    dist = np.empty((len(centers), n, 2))
     live = np.arange(len(centers))
-    for step in range(max_iter):
+    for step in range(KMEANS_MAX_ITER):
         d2 = _sq_dists(points, centers[live])
         dist[live] = d2
         new_assign = d2.argmin(axis=2)
@@ -173,7 +166,7 @@ def kmeans(points, k: int, restarts: int = KMEANS_RESTARTS,
             if not live.size:
                 break
         assign[live] = new_assign
-        centers[live] = _lloyd_centers(points, d2, new_assign, k)
+        centers[live] = _lloyd_centers(points, d2, new_assign)
     else:
         # out of steps: these centres moved after their last distances
         dist[live] = _sq_dists(points, centers[live])
@@ -187,56 +180,52 @@ def kmeans(points, k: int, restarts: int = KMEANS_RESTARTS,
     return centers[best], assign[best], wcss[best]
 
 
-def _kmeans_pp_init(points: np.ndarray, k: int, restarts: int,
-                    rng) -> np.ndarray:
-    """(restarts, k, S) k-means++ seed centres, drawn as ``kmeans`` states."""
+def _kmeans_pp_init(points: np.ndarray, restarts: int, rng) -> np.ndarray:
+    """(restarts, 2, S) k-means++ seed centres, drawn as ``kmeans`` states."""
     n = points.shape[0]
-    seeds = np.empty((restarts, k), dtype=np.intp)
-    u = np.empty((restarts, k - 1))
+    seeds = np.empty((restarts, 2), dtype=np.intp)
+    u = np.empty(restarts)
     for r in range(restarts):
         seeds[r, 0] = rng.integers(n)
-        u[r] = rng.random(k - 1)
-    d2 = np.full((restarts, n), np.inf)
-    for c in range(1, k):
-        newest = points[seeds[:, c - 1], None]           # (R, 1, S)
-        np.minimum(d2, _sq_dists(points, newest)[..., 0], out=d2)
-        total = d2.sum(axis=1)
-        if not np.isfinite(total).all():
-            raise NonFiniteLossError(
-                "squared distances between the points to cluster overflow")
-        # a restart whose points all sit on a chosen centre (total 0)
-        # repeats its first seed; the covariance floor handles it downstream
-        spread = total > 0
-        cdf = (d2[spread] / total[spread, None]).cumsum(axis=1)
-        cdf /= cdf[:, -1:]
-        seeds[:, c] = seeds[:, 0]
-        # searchsorted(cdf[r], u[r, c - 1], side="right"), row by row
-        seeds[spread, c] = (cdf <= u[spread, c - 1, None]).sum(axis=1)
+        u[r] = rng.random()
+    d2 = _sq_dists(points, points[seeds[:, 0], None])[..., 0]    # (R, N)
+    total = d2.sum(axis=1)
+    if not np.isfinite(total).all():
+        raise NonFiniteLossError(
+            "squared distances between the points to cluster overflow")
+    # a restart whose points all sit on its first seed (total 0) repeats
+    # it; the covariance floor handles it downstream
+    spread = total > 0
+    cdf = (d2[spread] / total[spread, None]).cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    seeds[:, 1] = seeds[:, 0]
+    # searchsorted(cdf[r], u[r], side="right"), row by row
+    seeds[spread, 1] = (cdf <= u[spread, None]).sum(axis=1)
     return points[seeds]
 
 
-def _lloyd_centers(points: np.ndarray, d2: np.ndarray, assign: np.ndarray,
-                   k: int) -> np.ndarray:
-    """(R, k, S) centres of one Lloyd step from its (R, N, k) distances and
+def _lloyd_centers(points: np.ndarray, d2: np.ndarray,
+                   assign: np.ndarray) -> np.ndarray:
+    """(R, 2, S) centres of one Lloyd step from its (R, N, 2) distances and
     (R, N) assignments."""
     n, s = points.shape
     restarts = len(assign)
-    slot = assign + k * np.arange(restarts)[:, None]
-    counts = np.bincount(slot.ravel(), minlength=restarts * k).reshape(
-        restarts, k)
+    slot = assign + 2 * np.arange(restarts)[:, None]
+    counts = np.bincount(slot.ravel(), minlength=restarts * 2).reshape(
+        restarts, 2)
     if s == 1:
         # numpy sums a one-column block of members pairwise, not in row
         # order, so the scattered sum below would round differently
-        member = assign[..., None] == np.arange(k)
+        member = assign[..., None] == np.arange(2)
         sums = np.array([[points[m].sum(axis=0) for m in mr.T]
                          for mr in member])
     else:
         # each point lands in its cluster's slot; -0.0 is the exact
         # additive identity, so the sum over points adds the members in
         # row order, as the sum over the members alone does
-        slots = np.full((n, restarts * k, s), -0.0)
+        slots = np.full((n, restarts * 2, s), -0.0)
         slots[np.arange(n)[:, None], slot.T] = points[:, None, :]
-        sums = slots.sum(axis=0).reshape(restarts, k, s)
+        sums = slots.sum(axis=0).reshape(restarts, 2, s)
     centers = sums / np.maximum(counts, 1)[..., None]
     empty = counts == 0
     if empty.any():
@@ -279,7 +268,7 @@ def fit_em(batch, seed: int = 0) -> GaussianMixture:
 
 def _fit_em_once(batch: np.ndarray, seed: int) -> GaussianMixture:
     n, s = batch.shape
-    centers, assign, _ = kmeans(batch, 2, seed=seed)
+    centers, assign, _ = kmeans(batch, seed=seed)
     weights = np.bincount(assign, minlength=2).astype(np.float64)
     weights = np.clip(weights, 1.0, None)
     weights /= weights.sum()
@@ -291,20 +280,15 @@ def _fit_em_once(batch: np.ndarray, seed: int) -> GaussianMixture:
         covs[j] = np.maximum(var, COV_FLOOR)
 
     # sq holds the (2, N, S) squared deviations from the current means,
-    # which the M-step's variances need too; the E-step scales them into
-    # scaled, laid out (N, 2, S) so that log_p comes out C-contiguous:
-    # r.sum(axis=0) adds rows in order only on that layout
+    # which the M-step's variances need too; the variances never fall
+    # below COV_FLOOR, so the E-step runs without responsibilities' checks
     sq = batch - means[:, None, :]
     sq *= sq
     scaled = np.empty((n, 2, s))
     nll_trace = []
     prev_nll = None
     for _ in range(EM_MAX_ITER):
-        # _component_log_probs, unchecked
-        np.divide(sq, covs[:, None, :], out=scaled.transpose(1, 0, 2))
-        log_p = _log_pdf(scaled, covs)
-        log_p += np.log(weights)
-        lse = _logsumexp(log_p, axis=1)
+        log_p, lse = _e_step(sq, covs, weights, scaled)
         nll = float(-lse.sum())
         nll_trace.append(nll)
         if prev_nll is not None and abs(prev_nll - nll) < EM_TOL:

@@ -112,15 +112,16 @@ def com_triplet_loss(anchors, positives, negatives,
                    (anchors, positives, negatives), vjp)
 
 
-def triplet_loss_batch(anchors, positives, negatives, alpha: float):
-    """Mean traditional triplet hinge over a batch (ablation baseline), as
-    one graph node like ``com_triplet_loss``, whose plain positives and
-    negatives get no gradient either."""
+def triplet_loss_batch(anchors, positives, negatives):
+    """Mean traditional triplet hinge over a batch (ablation baseline) with
+    the constant margin ``TRIPLET_MARGIN``, as one graph node like
+    ``com_triplet_loss``, whose plain positives and negatives get no
+    gradient either."""
     m = _batch_len(anchors, positives, negatives)
     a, p, n = (ad.value_of(x) for x in (anchors, positives, negatives))
     d_ap, vjp_ap = ad.row_cosine_with_vjp(a, p)
     d_an, vjp_an = ad.row_cosine_with_vjp(a, n)
-    hinge = (d_ap - d_an) + alpha
+    hinge = (d_ap - d_an) + TRIPLET_MARGIN
     active = hinge > 0.0
     p_grad, n_grad = ad.needs_grad(positives), ad.needs_grad(negatives)
 

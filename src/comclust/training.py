@@ -18,7 +18,7 @@ from .encoder import AdamConfig, EncoderConfig, ParamStore
 from .errors import (InvalidSpecError, MissingClassError,
                      NonFiniteLossError, TooFewSamplesError)
 # udc_com_loss goes unused: perfbench's layer trace hooks it by this name
-from .losses import (C_MAJ, C_MIN, TRIPLET_MARGIN, ClassWeights, center_rows,
+from .losses import (C_MAJ, C_MIN, ClassWeights, center_rows,
                      com_triplet_loss, triplet_loss_batch, udc_com_loss,
                      weighted_cross_entropy)
 from .metrics import roc_auc, weighted_metrics
@@ -143,7 +143,7 @@ def _batch_loss(loss_kind: str, anchors, positives, negatives):
     its constant margin, over (M, S) triplet rows."""
     if loss_kind == LOSS_COM:
         return com_triplet_loss(anchors, positives, negatives)
-    return triplet_loss_batch(anchors, positives, negatives, TRIPLET_MARGIN)
+    return triplet_loss_batch(anchors, positives, negatives)
 
 
 def _train(x, y, config: TrainConfig, step, head_outputs: int = 0) -> TrainLog:

@@ -18,6 +18,7 @@ from comclust import autodiff as ad
 from comclust.encoder import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS,
                               param_shapes)
 from comclust.errors import InvalidSpecError
+from comclust.losses import TRIPLET_MARGIN
 from comclust.prototypes import Prototypes
 
 
@@ -42,9 +43,10 @@ def com_triplet_loss(anchors, positives, negatives):
     return ad.mean(ad.relu(ad.add(wa, ad.sub(1.0, d_pn))))
 
 
-def triplet_loss_batch(anchors, positives, negatives, alpha):
+def triplet_loss_batch(anchors, positives, negatives):
     hinge = ad.add(ad.sub(ad.row_cosine_distance(anchors, positives),
-                          ad.row_cosine_distance(anchors, negatives)), alpha)
+                          ad.row_cosine_distance(anchors, negatives)),
+                   TRIPLET_MARGIN)
     return ad.mean(ad.relu(hinge))
 
 

@@ -8,9 +8,8 @@ from comclust import autodiff as ad
 from comclust import encoder as enc
 from comclust.autodiff import Var, backward, cosine_distance, grad_of, make_rng
 from comclust.errors import NotScalarError, ShapeMismatchError, ZeroVectorError
-from comclust.losses import (TRIPLET_MARGIN, ClassWeights, center_rows,
-                             com_triplet_loss, triplet_loss_batch,
-                             weighted_cross_entropy)
+from comclust.losses import (ClassWeights, center_rows, com_triplet_loss,
+                             triplet_loss_batch, weighted_cross_entropy)
 
 
 def test_cosine_distance_identical_orthogonal_antipodal():
@@ -281,8 +280,7 @@ TAPE_CASES = {
     "com_triplet_loss": lambda d, m, s: (
         com_triplet_loss, [_rows(d, m, s), _rows(d, m, s), _rows(d, m, s)]),
     "triplet_loss_batch": lambda d, m, s: (
-        (lambda a, p, n: triplet_loss_batch(a, p, n, TRIPLET_MARGIN)),
-        [_rows(d, m, s), _rows(d, m, s), _rows(d, m, s)]),
+        triplet_loss_batch, [_rows(d, m, s), _rows(d, m, s), _rows(d, m, s)]),
 }
 
 
@@ -381,16 +379,12 @@ def test_fused_hinges_have_the_bits_of_the_composed_losses(composed, data):
         as_var = [True, False, False]
     _assert_same_bits(com_triplet_loss, composed.com_triplet_loss, inputs,
                       as_var)
-    _assert_same_bits(
-        lambda a, p, n: triplet_loss_batch(a, p, n, TRIPLET_MARGIN),
-        lambda a, p, n: composed.triplet_loss_batch(a, p, n, TRIPLET_MARGIN),
-        inputs, as_var)
+    _assert_same_bits(triplet_loss_batch, composed.triplet_loss_batch, inputs,
+                      as_var)
 
 
-@pytest.mark.parametrize("loss", [
-    com_triplet_loss,
-    lambda a, p, n: triplet_loss_batch(a, p, n, TRIPLET_MARGIN)],
-    ids=["com_triplet_loss", "triplet_loss_batch"])
+@pytest.mark.parametrize("loss", [com_triplet_loss, triplet_loss_batch],
+                         ids=["com_triplet_loss", "triplet_loss_batch"])
 @pytest.mark.parametrize("p_var, n_var", [(False, False), (True, False),
                                           (False, True)])
 def test_plain_operands_get_no_gradient(loss, p_var, n_var):
@@ -428,10 +422,8 @@ def test_dense_gradient_matches_finite_differences(relu, masked):
         assert np.max(_rel_err(grad_of(leaf), num)) < 1e-3
 
 
-@pytest.mark.parametrize("loss", [
-    com_triplet_loss,
-    lambda a, p, n: triplet_loss_batch(a, p, n, TRIPLET_MARGIN)],
-    ids=["com_triplet_loss", "triplet_loss_batch"])
+@pytest.mark.parametrize("loss", [com_triplet_loss, triplet_loss_batch],
+                         ids=["com_triplet_loss", "triplet_loss_batch"])
 def test_fused_hinge_gradient_matches_finite_differences(loss):
     rng = make_rng(62)
     for _ in range(10):

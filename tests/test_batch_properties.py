@@ -10,8 +10,9 @@ from hypothesis.extra import numpy as hnp
 
 from comclust.autodiff import cosine_distance
 from comclust.errors import DegenerateDistancesError
-from comclust.losses import (C_MAJ, C_MIN, MarginSpec, com_adaptive_margin,
-                             com_dist_wa, com_triplet_loss, triplet_loss,
+from comclust.losses import (C_MAJ, C_MIN, TRIPLET_MARGIN, MarginSpec,
+                             com_adaptive_margin, com_dist_wa,
+                             com_triplet_loss, triplet_loss,
                              triplet_loss_batch, udc_adaptive_margin,
                              udc_com_loss, udc_dist_wa)
 from comclust.prototypes import infer_label, malignancy_score, update_prototypes
@@ -64,17 +65,17 @@ def test_com_triplet_loss_is_mean_of_rows(abn, margin, data):
 
 
 @PROPERTY
-@given(batches(3), st.floats(0.0, 2.0), st.data())
-def test_triplet_loss_batch_is_mean_of_rows(abn, alpha, data):
+@given(batches(3), st.data())
+def test_triplet_loss_batch_is_mean_of_rows(abn, data):
     a, p, n = abn
-    loss = triplet_loss_batch(a, p, n, alpha)
-    expected = np.mean([triplet_loss(a[i], p[i], n[i], alpha)
+    loss = triplet_loss_batch(a, p, n)
+    expected = np.mean([triplet_loss(a[i], p[i], n[i], TRIPLET_MARGIN)
                         for i in range(len(a))])
     assert loss == pytest.approx(expected, abs=1e-12)
     k = data.draw(st.integers(0, 2))
     scaled = [x * data.draw(row_scales(len(a))) if j == k else x
               for j, x in enumerate(abn)]
-    assert triplet_loss_batch(*scaled, alpha) == pytest.approx(loss, abs=1e-12)
+    assert triplet_loss_batch(*scaled) == pytest.approx(loss, abs=1e-12)
 
 
 @PROPERTY

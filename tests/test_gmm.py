@@ -1,8 +1,9 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -11,8 +12,7 @@ from comclust.autodiff import make_rng
 from comclust.errors import (DegenerateComponentError, EmptyBatchError,
                              NonFiniteLossError, SingularCovarianceError,
                              TooFewSamplesError)
-from comclust.gmm import (GaussianMixture, _component_log_probs, fit_em,
-                          gaussian_log_pdf, identify_minority, kmeans,
+from comclust.gmm import (GaussianMixture, fit_em, identify_minority, kmeans,
                           responsibilities)
 
 
@@ -24,34 +24,87 @@ def _two_component(mu0, mu1, var=1.0, weights=(0.5, 0.5), dim=None):
                            np.stack([mu0, mu1]), covs)
 
 
+def _oracle_log_density(x, mean, var):
+    """Closed-form log-density of a diagonal-covariance normal over the
+    last axis: -(S log 2 pi + sum log var + sum (x - mean)^2 / var) / 2."""
+    diff = x - mean
+    return -0.5 * (len(mean) * np.log(2 * np.pi) + np.sum(np.log(var))
+                   + np.sum(diff * diff / var, axis=-1))
+
+
+def _scored(model, batch):
+    """``responsibilities(model, batch)`` and the (N, 2) log(h_k) + log G_k
+    and row-wise log-sum-exp that its E-step formed."""
+    seen = []
+    e_step = gmm._e_step
+
+    def recording(*args):
+        log_p, lse = e_step(*args)
+        seen.append((log_p.copy(), lse.copy()))
+        return log_p, lse
+
+    with mock.patch.object(gmm, "_e_step", recording):
+        labels = responsibilities(model, batch)
+    (log_p, lse), = seen
+    return labels, log_p, lse
+
+
+def _log_densities(model, batch):
+    """The (N, 2) component log-densities log G_k that scoring forms."""
+    return _scored(model, batch)[1] - np.log(model.weights)
+
+
 class TestLogPdf:
+    """The component log-densities, as ``responsibilities`` forms them."""
+
     def test_standard_normal_at_mode(self):
-        got = gaussian_log_pdf([0.0], [0.0], [1.0])
-        assert got == pytest.approx(np.log(1 / np.sqrt(2 * np.pi)), abs=1e-12)
+        got = _log_densities(_two_component([0.0], [3.0]), [[0.0]])
+        assert got[0, 0] == pytest.approx(np.log(1 / np.sqrt(2 * np.pi)),
+                                          abs=1e-12)
 
     def test_one_row_batch_gives_an_array_of_one(self):
+        model = _two_component([0.0, 0.0], [1.0, 2.0])
         for x in ([[0.5, -1.0]], [0.5, -1.0]):
-            got = gaussian_log_pdf(x, [0.0, 0.0], [1.0, 2.0])
-            assert isinstance(got, np.ndarray) and got.shape == (1,)
+            labels = responsibilities(model, x)
+            assert labels.responsibilities.shape == (1, 2)
+            assert labels.assignments.shape == (1,)
 
     def test_at_mean_exponent_vanishes(self):
         var = np.array([0.5, 2.0, 1.3])
         mu = np.array([1.0, -2.0, 0.3])
+        model = GaussianMixture(np.array([0.5, 0.5]), np.stack([mu, -mu]),
+                                np.stack([var, var]))
         expected = -0.5 * (3 * np.log(2 * np.pi) + np.sum(np.log(var)))
-        assert gaussian_log_pdf(mu, mu, var) == pytest.approx(expected, abs=1e-12)
+        assert _log_densities(model, mu)[0, 0] == pytest.approx(expected,
+                                                                abs=1e-12)
 
     def test_matches_direct_density_formula(self):
         rng = make_rng(5)
         for _ in range(20):
             s = 4
-            mu = rng.normal(size=s)
-            var = rng.uniform(0.2, 3.0, size=s)
+            model = GaussianMixture(np.array([0.4, 0.6]),
+                                    rng.normal(size=(2, s)),
+                                    rng.uniform(0.2, 3.0, size=(2, s)))
             x = rng.normal(size=s)
-            direct = np.prod(np.exp(-0.5 * (x - mu) ** 2 / var)
-                             / np.sqrt(2 * np.pi * var))
-            assert gaussian_log_pdf(x, mu, var) == pytest.approx(
-                np.log(direct), abs=1e-10)
+            direct = np.prod(np.exp(-0.5 * (x - model.means) ** 2
+                                    / model.covariances)
+                             / np.sqrt(2 * np.pi * model.covariances), axis=1)
+            np.testing.assert_allclose(_log_densities(model, x)[0],
+                                       np.log(direct), rtol=0, atol=1e-10)
 
+    def test_matches_scipy_norm_logpdf(self):
+        norm = pytest.importorskip("scipy.stats").norm
+        rng = make_rng(6)
+        for s in (1, 3, 16):
+            for scale in (1e-3, 1.0, 1e3):
+                model = GaussianMixture(
+                    np.array([0.3, 0.7]), rng.normal(size=(2, s)) * scale,
+                    (rng.uniform(0.2, 3.0, size=(2, s)) * scale) ** 2)
+                x = rng.normal(size=(25, s)) * scale
+                want = norm.logpdf(x[:, None, :], model.means,
+                                   np.sqrt(model.covariances)).sum(axis=-1)
+                np.testing.assert_allclose(_log_densities(model, x), want,
+                                           rtol=1e-12, atol=1e-9)
 
 
 @st.composite
@@ -68,17 +121,18 @@ def mixtures_and_points(draw):
 
 
 class TestComponentLogProbs:
+    """The (N, 2) matrix of log(h_k) + log G_k(x) that the E-step forms,
+    and the variances it refuses."""
+
     @settings(max_examples=100, deadline=None, derandomize=True,
               database=None)
     @given(mixtures_and_points())
     def test_equals_per_component_log_pdf(self, case):
-        """The one broadcast call gives the same bits as evaluating each
-        component on its own."""
+        """The one broadcast E-step gives the same bits as the closed-form
+        density of each component on its own."""
         model, x = case
-        per_component = np.stack(
-            [gaussian_log_pdf(x, model.means[k], model.covariances[k])
-             + np.log(model.weights[k]) for k in range(2)], axis=1)
-        assert np.array_equal(_component_log_probs(model, x), per_component)
+        assert np.array_equal(_scored(model, x)[1],
+                              _oracle_component_log_probs(model, x))
 
     def test_zero_variance_raises(self):
         model = _two_component([0.0, 0.0], [3.0, 3.0])
@@ -92,8 +146,6 @@ class TestComponentLogProbs:
         model = _two_component([0.0, 0.0], [3.0, 3.0])
         model.covariances[1, 0] = np.nan
         batch = np.array([[0.0, 1.0], [3.0, 2.0]])
-        with pytest.raises(SingularCovarianceError):
-            gaussian_log_pdf(batch, model.means[1], model.covariances[1])
         with pytest.raises(SingularCovarianceError):
             responsibilities(model, batch)
 
@@ -126,8 +178,8 @@ class TestResponsibilities:
                                weights=(0.3, 0.7))
         batch = rng.normal(size=(15, 3))
         joint = np.array([[model.weights[k]
-                           * np.exp(gaussian_log_pdf(x, model.means[k],
-                                                     model.covariances[k]))[0]
+                           * np.exp(_oracle_log_density(x, model.means[k],
+                                                        model.covariances[k]))
                            for k in range(2)] for x in batch])
         naive = joint / joint.sum(axis=1, keepdims=True)
         np.testing.assert_allclose(responsibilities(model, batch)
@@ -150,7 +202,7 @@ class TestResponsibilities:
 class TestKmeans:
     def test_square_corners_match_exhaustive_partition(self):
         pts = np.array([[0.0, 0.0], [0.0, 1.0], [10.0, 0.0], [10.0, 1.0]])
-        centers, assign, wcss = kmeans(pts, 2, seed=1)
+        centers, assign, wcss = kmeans(pts, seed=1)
         # brute-force optimum over all 2-partitions
         best = np.inf
         for mask_bits in itertools.product([0, 1], repeat=4):
@@ -167,46 +219,40 @@ class TestKmeans:
 
     def test_identical_points(self):
         pts = np.tile([1.5, -2.0], (6, 1))
-        centers, assign, wcss = kmeans(pts, 2, seed=0)
+        centers, assign, wcss = kmeans(pts, seed=0)
         np.testing.assert_allclose(centers, np.tile([1.5, -2.0], (2, 1)))
         assert wcss == pytest.approx(0.0)
 
-    def test_k1_center_is_mean(self):
-        rng = make_rng(2)
-        pts = rng.normal(size=(20, 3))
-        centers, _, _ = kmeans(pts, 1, seed=4)
-        np.testing.assert_allclose(centers[0], pts.mean(axis=0), atol=1e-9)
-
     def test_too_few_points(self):
         with pytest.raises(TooFewSamplesError):
-            kmeans(np.ones((1, 2)), 2)
+            kmeans(np.ones((1, 2)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_point_is_an_error(self, bad):
         pts = make_rng(4).normal(size=(10, 3))
         pts[7, 1] = bad
         with pytest.raises(NonFiniteLossError):
-            kmeans(pts, 2)
+            kmeans(pts)
         with pytest.raises(NonFiniteLossError):
             fit_em(pts)
 
-    @pytest.mark.parametrize("k", [2, 3])
-    def test_overflowing_distances_are_an_error(self, k):
+    def test_overflowing_distances_are_an_error(self):
         """Finite points whose squared distances overflow leave k-means++
         no distribution to draw from. The CLI, like this test, lets numpy
         overflow without a warning."""
         pts = make_rng(4).normal(size=(10, 3)) * 1e300
         with np.errstate(over="ignore"):
             with pytest.raises(NonFiniteLossError, match="overflow"):
-                kmeans(pts, k)
+                kmeans(pts)
             with pytest.raises(NonFiniteLossError, match="overflow"):
                 fit_em(pts)
 
     def test_wcss_never_worse_than_single_restart(self):
         rng = make_rng(3)
         pts = rng.normal(size=(40, 2))
-        _, _, multi = kmeans(pts, 2, restarts=10, seed=7)
-        _, _, single = kmeans(pts, 2, restarts=1, seed=7)
+        _, _, multi = kmeans(pts, seed=7)
+        with mock.patch.object(gmm, "KMEANS_RESTARTS", 1):
+            _, _, single = kmeans(pts, seed=7)
         assert multi <= single + 1e-12
 
 
@@ -257,6 +303,20 @@ class TestFitEm:
         with pytest.raises(TooFewSamplesError):
             fit_em(np.ones((3, 2)))
 
+    def test_converged_nll_is_the_scoring_e_step(self):
+        """When EM stops on EM_TOL, its last E-step already scored the
+        returned model: ``responsibilities`` forms the same E-step and so
+        the same NLL, bit for bit. (The UDC step scores each fitted batch
+        again, and so repeats that E-step.)"""
+        rng = make_rng(34)
+        for trial in range(5):
+            x = np.vstack([rng.normal(0, 1, size=(30, 3)),
+                           rng.normal(3, 1.5, size=(15, 3))])
+            model = fit_em(x, seed=trial)
+            trace = model.nll_trace
+            assert abs(trace[-2] - trace[-1]) < gmm.EM_TOL
+            assert float(-_scored(model, x)[2].sum()) == trace[-1]
+
     def test_covariance_floor_holds(self):
         pts = np.vstack([np.tile([0.0, 5.0], (10, 1)),
                          np.tile([5.0, 0.0], (10, 1))])
@@ -290,30 +350,28 @@ def _oracle_sq_dists(points, centers):
     return np.sum(diff * diff, axis=2)
 
 
-def _oracle_kmeans_pp_init(points, k, rng):
+def _oracle_kmeans_pp_init(points, rng):
     n = points.shape[0]
-    centers = [points[rng.integers(n)]]
-    for _ in range(1, k):
-        d2 = np.min(_oracle_sq_dists(points, np.array(centers)), axis=1)
-        total = d2.sum()
-        if total <= 0:
-            rng.random()
-            centers.append(centers[0].copy())
-            continue
-        centers.append(points[rng.choice(n, p=d2 / total)])
-    return np.array(centers, dtype=np.float64)
+    first = points[rng.integers(n)]
+    d2 = _oracle_sq_dists(points, first[None])[:, 0]
+    total = d2.sum()
+    if total <= 0:
+        rng.random()
+        return np.array([first, first], dtype=np.float64)
+    return np.array([first, points[rng.choice(n, p=d2 / total)]],
+                    dtype=np.float64)
 
 
-def _oracle_kmeans(points, k, restarts=gmm.KMEANS_RESTARTS,
+def _oracle_kmeans(points, restarts=gmm.KMEANS_RESTARTS,
                    max_iter=gmm.KMEANS_MAX_ITER, seed=0):
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     n = points.shape[0]
-    if n < k:
-        raise TooFewSamplesError(f"{n} points for k={k}")
+    if n < 2:
+        raise TooFewSamplesError(f"{n} points for 2 centres")
     rng = make_rng(seed)
     best = None
-    for _ in range(max(1, restarts)):
-        centers = _oracle_kmeans_pp_init(points, k, rng)
+    for _ in range(restarts):
+        centers = _oracle_kmeans_pp_init(points, rng)
         assign = None
         for _ in range(max_iter):
             d2 = _oracle_sq_dists(points, centers)
@@ -321,7 +379,7 @@ def _oracle_kmeans(points, k, restarts=gmm.KMEANS_RESTARTS,
             if assign is not None and np.array_equal(new_assign, assign):
                 break
             assign = new_assign
-            for j in range(k):
+            for j in range(2):
                 members = points[assign == j]
                 if len(members) == 0:
                     centers[j] = points[np.argmax(np.min(d2, axis=1))]
@@ -341,9 +399,15 @@ def _oracle_logsumexp(a, axis):
                                                   axis=axis))
 
 
+def _oracle_component_log_probs(model, x):
+    return np.stack([_oracle_log_density(x, model.means[k],
+                                         model.covariances[k])
+                     + np.log(model.weights[k]) for k in range(2)], axis=1)
+
+
 def _oracle_fit_em_once(batch, seed):
     n, s = batch.shape
-    centers, assign, _ = _oracle_kmeans(batch, 2, seed=seed)
+    centers, assign, _ = _oracle_kmeans(batch, seed=seed)
     weights = np.bincount(assign, minlength=2).astype(np.float64)
     weights = np.clip(weights, 1.0, None)
     weights /= weights.sum()
@@ -356,7 +420,7 @@ def _oracle_fit_em_once(batch, seed):
     model = GaussianMixture(weights, means, covs, nll_trace=[])
     prev_nll = None
     for _ in range(gmm.EM_MAX_ITER):
-        log_p = _component_log_probs(model, batch)
+        log_p = _oracle_component_log_probs(model, batch)
         lse = _oracle_logsumexp(log_p, axis=1)
         nll = float(-np.sum(lse))
         model.nll_trace.append(nll)
@@ -427,11 +491,9 @@ def _underflow_batch():
 
 
 SEEDING_EDGE_CASES = {
-    "identical-points": (np.tile([1.5, -2.0], (6, 1)), 2),
-    "underflow-in-some-restarts": (_underflow_batch(), 2),
-    "one-column": (make_rng(7).normal(size=(30, 1)), 2),
-    "k1": (make_rng(8).normal(size=(30, 3)), 1),
-    "k3": (make_rng(9).normal(size=(30, 3)), 3),
+    "identical-points": np.tile([1.5, -2.0], (6, 1)),
+    "underflow-in-some-restarts": _underflow_batch(),
+    "one-column": make_rng(7).normal(size=(30, 1)),
 }
 
 
@@ -442,20 +504,20 @@ class TestSeedingEdgeCases:
     @pytest.mark.parametrize("case", SEEDING_EDGE_CASES)
     @pytest.mark.parametrize("seed", range(8))
     def test_seeds_and_draws_match_rng_choice(self, case, seed):
-        points, k = SEEDING_EDGE_CASES[case]
+        points = SEEDING_EDGE_CASES[case]
         rng, oracle_rng = make_rng(seed), make_rng(seed)
-        got = gmm._kmeans_pp_init(points, k, gmm.KMEANS_RESTARTS, rng)
-        want = np.array([_oracle_kmeans_pp_init(points, k, oracle_rng)
+        got = gmm._kmeans_pp_init(points, gmm.KMEANS_RESTARTS, rng)
+        want = np.array([_oracle_kmeans_pp_init(points, oracle_rng)
                          for _ in range(gmm.KMEANS_RESTARTS)])
         assert got.tobytes() == want.tobytes()
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
     @pytest.mark.parametrize("case", SEEDING_EDGE_CASES)
     def test_kmeans_matches_per_restart_loop(self, case):
-        points, k = SEEDING_EDGE_CASES[case]
+        points = SEEDING_EDGE_CASES[case]
         for seed in range(8):
-            got = kmeans(points, k, seed=seed)
-            want = _oracle_kmeans(points, k, seed=seed)
+            got = kmeans(points, seed=seed)
+            want = _oracle_kmeans(points, seed=seed)
             assert got[0].tobytes() == want[0].tobytes()
             np.testing.assert_array_equal(got[1], want[1])
             assert got[2] == want[2]
@@ -471,7 +533,7 @@ class TestSeedingEdgeCases:
         for seed in range(8):
             rng = make_rng(seed)
             for _ in range(gmm.KMEANS_RESTARTS):
-                first = _oracle_kmeans_pp_init(points, 2, rng)[0]
+                first = _oracle_kmeans_pp_init(points, rng)[0]
                 seen.add(int((d2[(points == first).all(axis=1)][0] > 0).sum()))
         assert {0, 2} <= seen
 
@@ -479,16 +541,16 @@ class TestSeedingEdgeCases:
 class TestRestartBatchedOracle:
     @settings(max_examples=250, deadline=None, derandomize=True,
               database=None)
-    @given(kmeans_batches(), st.sampled_from([1, 2, 3]), st.integers(1, 11),
+    @given(kmeans_batches(), st.integers(1, 11),
            st.sampled_from([gmm.KMEANS_MAX_ITER, 0, 1, 2, 3]),
            st.integers(0, 2**16))
-    def test_kmeans_matches_per_restart_loop(self, points, k, restarts,
+    def test_kmeans_matches_per_restart_loop(self, points, restarts,
                                              max_iter, seed):
-        assume(len(points) >= k)
-        got = kmeans(points, k, restarts=restarts, max_iter=max_iter,
-                     seed=seed)
-        want = _oracle_kmeans(points, k, restarts=restarts,
-                              max_iter=max_iter, seed=seed)
+        with mock.patch.object(gmm, "KMEANS_RESTARTS", restarts), \
+                mock.patch.object(gmm, "KMEANS_MAX_ITER", max_iter):
+            got = kmeans(points, seed=seed)
+        want = _oracle_kmeans(points, restarts=restarts, max_iter=max_iter,
+                              seed=seed)
         assert got[0].tobytes() == want[0].tobytes()
         np.testing.assert_array_equal(got[1], want[1])
         assert got[2] == want[2]

@@ -86,9 +86,7 @@ class TestComTripletLoss:
             com_triplet_loss(np.empty((0, 2)), np.empty((0, 2)),
                              np.empty((0, 2)), MarginSpec("adaptive"))
 
-    @pytest.mark.parametrize("loss", [com_triplet_loss,
-                                      lambda a, p, n: triplet_loss_batch(
-                                          a, p, n, 0.2)])
+    @pytest.mark.parametrize("loss", [com_triplet_loss, triplet_loss_batch])
     def test_rows_without_entries(self, loss):
         with pytest.raises(ShapeMismatchError, match="no entries"):
             loss(np.empty((3, 0)), Var(np.empty((3, 0))), np.empty((3, 0)))
@@ -108,7 +106,7 @@ class TestComTripletLoss:
     def test_adaptive_penalizes_collapse_harder_than_constant(self):
         adaptive = com_triplet_loss(E1[None], E1[None], E1[None],
                                     MarginSpec("adaptive"))
-        constant = triplet_loss_batch(E1[None], E1[None], E1[None], 0.2)
+        constant = triplet_loss_batch(E1[None], E1[None], E1[None])
         assert adaptive == pytest.approx(1.0, abs=1e-12)
         assert constant == pytest.approx(0.2, abs=1e-12)
 
