@@ -40,10 +40,6 @@ class DegenerateComponentError(ComclustError):
     """A mixture component captured less than one effective sample."""
 
 
-class SingularCovarianceError(ComclustError):
-    pass
-
-
 class DegenerateDistancesError(ComclustError):
     """Both prototype distances are (near-)zero; no score can be formed."""
 

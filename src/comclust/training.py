@@ -134,8 +134,9 @@ def sample_triplets(labels: np.ndarray, m: int, rng):
 
 
 def _sample_rows(n: int, k: int, rng) -> np.ndarray:
-    """k row indices drawn uniformly, with replacement only when n < k."""
-    return rng.choice(n, size=min(k, n), replace=n < k)
+    """min(k, n) distinct row indices drawn uniformly: a split smaller than
+    the batch is used whole, each row once."""
+    return rng.choice(n, size=min(k, n), replace=False)
 
 
 def _batch_loss(loss_kind: str, anchors, positives, negatives):
@@ -226,9 +227,8 @@ def train_udc(dataset: LabeledDataset, config: TrainConfig) -> TrainLog:
         emb = enc.forward(param_vars, enc_config, x[rows],
                           train_mode=True, rng=rng)
         model = gmm_mod.fit_em(emb.value, seed=int(rng.integers(2 ** 31)))
-        labels = gmm_mod.responsibilities(model, emb.value)
-        k_min = labels.minority_component
-        pseudo = np.where(labels.assignments == k_min, C_MIN, C_MAJ)
+        k_min = model.labels.minority_component
+        pseudo = np.where(model.labels.assignments == k_min, C_MIN, C_MAJ)
         mu_min, mu_maj = model.means[k_min], model.means[1 - k_min]
         loss = _batch_loss(config.loss_kind, emb,
                            *center_rows(pseudo, mu_min, mu_maj))

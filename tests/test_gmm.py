@@ -5,15 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 from comclust import gmm
 from comclust.autodiff import make_rng
-from comclust.errors import (DegenerateComponentError, EmptyBatchError,
-                             NonFiniteLossError, SingularCovarianceError,
+from comclust.errors import (DegenerateComponentError, NonFiniteLossError,
                              TooFewSamplesError)
-from comclust.gmm import (GaussianMixture, fit_em, identify_minority, kmeans,
-                          responsibilities)
+from comclust.gmm import GaussianMixture, fit_em, identify_minority, kmeans
 
 
 def _two_component(mu0, mu1, var=1.0, weights=(0.5, 0.5), dim=None):
@@ -24,179 +21,18 @@ def _two_component(mu0, mu1, var=1.0, weights=(0.5, 0.5), dim=None):
                            np.stack([mu0, mu1]), covs)
 
 
+def _two_blobs(rng, n=45, s=4, scale=1.0, shift=3.0):
+    x = rng.normal(size=(n, s))
+    x[: n // 3] += shift
+    return x * scale
+
+
 def _oracle_log_density(x, mean, var):
     """Closed-form log-density of a diagonal-covariance normal over the
     last axis: -(S log 2 pi + sum log var + sum (x - mean)^2 / var) / 2."""
     diff = x - mean
     return -0.5 * (len(mean) * np.log(2 * np.pi) + np.sum(np.log(var))
                    + np.sum(diff * diff / var, axis=-1))
-
-
-def _scored(model, batch):
-    """``responsibilities(model, batch)`` and the (N, 2) log(h_k) + log G_k
-    and row-wise log-sum-exp that its E-step formed."""
-    seen = []
-    e_step = gmm._e_step
-
-    def recording(*args):
-        log_p, lse = e_step(*args)
-        seen.append((log_p.copy(), lse.copy()))
-        return log_p, lse
-
-    with mock.patch.object(gmm, "_e_step", recording):
-        labels = responsibilities(model, batch)
-    (log_p, lse), = seen
-    return labels, log_p, lse
-
-
-def _log_densities(model, batch):
-    """The (N, 2) component log-densities log G_k that scoring forms."""
-    return _scored(model, batch)[1] - np.log(model.weights)
-
-
-class TestLogPdf:
-    """The component log-densities, as ``responsibilities`` forms them."""
-
-    def test_standard_normal_at_mode(self):
-        got = _log_densities(_two_component([0.0], [3.0]), [[0.0]])
-        assert got[0, 0] == pytest.approx(np.log(1 / np.sqrt(2 * np.pi)),
-                                          abs=1e-12)
-
-    def test_one_row_batch_gives_an_array_of_one(self):
-        model = _two_component([0.0, 0.0], [1.0, 2.0])
-        for x in ([[0.5, -1.0]], [0.5, -1.0]):
-            labels = responsibilities(model, x)
-            assert labels.responsibilities.shape == (1, 2)
-            assert labels.assignments.shape == (1,)
-
-    def test_at_mean_exponent_vanishes(self):
-        var = np.array([0.5, 2.0, 1.3])
-        mu = np.array([1.0, -2.0, 0.3])
-        model = GaussianMixture(np.array([0.5, 0.5]), np.stack([mu, -mu]),
-                                np.stack([var, var]))
-        expected = -0.5 * (3 * np.log(2 * np.pi) + np.sum(np.log(var)))
-        assert _log_densities(model, mu)[0, 0] == pytest.approx(expected,
-                                                                abs=1e-12)
-
-    def test_matches_direct_density_formula(self):
-        rng = make_rng(5)
-        for _ in range(20):
-            s = 4
-            model = GaussianMixture(np.array([0.4, 0.6]),
-                                    rng.normal(size=(2, s)),
-                                    rng.uniform(0.2, 3.0, size=(2, s)))
-            x = rng.normal(size=s)
-            direct = np.prod(np.exp(-0.5 * (x - model.means) ** 2
-                                    / model.covariances)
-                             / np.sqrt(2 * np.pi * model.covariances), axis=1)
-            np.testing.assert_allclose(_log_densities(model, x)[0],
-                                       np.log(direct), rtol=0, atol=1e-10)
-
-    def test_matches_scipy_norm_logpdf(self):
-        norm = pytest.importorskip("scipy.stats").norm
-        rng = make_rng(6)
-        for s in (1, 3, 16):
-            for scale in (1e-3, 1.0, 1e3):
-                model = GaussianMixture(
-                    np.array([0.3, 0.7]), rng.normal(size=(2, s)) * scale,
-                    (rng.uniform(0.2, 3.0, size=(2, s)) * scale) ** 2)
-                x = rng.normal(size=(25, s)) * scale
-                want = norm.logpdf(x[:, None, :], model.means,
-                                   np.sqrt(model.covariances)).sum(axis=-1)
-                np.testing.assert_allclose(_log_densities(model, x), want,
-                                           rtol=1e-12, atol=1e-9)
-
-
-@st.composite
-def mixtures_and_points(draw):
-    n = draw(st.integers(1, 60))
-    s = draw(st.integers(1, 40))
-    coord = st.floats(-1e3, 1e3)
-    w0 = draw(st.floats(1e-6, 1.0 - 1e-6))
-    model = GaussianMixture(
-        np.array([w0, 1.0 - w0]),
-        draw(hnp.arrays(np.float64, (2, s), elements=coord)),
-        draw(hnp.arrays(np.float64, (2, s), elements=st.floats(1e-6, 1e3))))
-    return model, draw(hnp.arrays(np.float64, (n, s), elements=coord))
-
-
-class TestComponentLogProbs:
-    """The (N, 2) matrix of log(h_k) + log G_k(x) that the E-step forms,
-    and the variances it refuses."""
-
-    @settings(max_examples=100, deadline=None, derandomize=True,
-              database=None)
-    @given(mixtures_and_points())
-    def test_equals_per_component_log_pdf(self, case):
-        """The one broadcast E-step gives the same bits as the closed-form
-        density of each component on its own."""
-        model, x = case
-        assert np.array_equal(_scored(model, x)[1],
-                              _oracle_component_log_probs(model, x))
-
-    def test_zero_variance_raises(self):
-        model = _two_component([0.0, 0.0], [3.0, 3.0])
-        model.covariances[1, 0] = 0.0
-        batch = np.array([[0.0, 1.0], [3.0, 2.0]])
-        with pytest.raises(SingularCovarianceError):
-            responsibilities(model, batch)
-
-    def test_nan_variance_raises(self):
-        """NaN fails no ``<= 0`` test, and its posteriors would be NaN."""
-        model = _two_component([0.0, 0.0], [3.0, 3.0])
-        model.covariances[1, 0] = np.nan
-        batch = np.array([[0.0, 1.0], [3.0, 2.0]])
-        with pytest.raises(SingularCovarianceError):
-            responsibilities(model, batch)
-
-
-class TestResponsibilities:
-    def test_midpoint_symmetry(self):
-        model = _two_component([-2.0], [2.0])
-        labels = responsibilities(model, np.array([[0.0]]))
-        np.testing.assert_allclose(labels.responsibilities[0], [0.5, 0.5],
-                                   atol=1e-12)
-
-    def test_point_at_far_component_mean(self):
-        model = _two_component([0.0], [10.0])  # 10 sigma apart
-        labels = responsibilities(model, np.array([[0.0]]))
-        assert labels.responsibilities[0, 0] > 0.999
-
-    def test_rows_sum_to_one(self):
-        rng = make_rng(12)
-        model = _two_component(rng.normal(size=4), rng.normal(size=4),
-                               weights=(0.8, 0.2))
-        labels = responsibilities(model, rng.normal(size=(30, 4)))
-        np.testing.assert_allclose(labels.responsibilities.sum(axis=1), 1.0,
-                                   atol=1e-9)
-        np.testing.assert_array_equal(
-            labels.assignments, np.argmax(labels.responsibilities, axis=1))
-
-    def test_matches_naive_summation(self):
-        rng = make_rng(10)
-        model = _two_component(rng.normal(size=3), rng.normal(size=3),
-                               weights=(0.3, 0.7))
-        batch = rng.normal(size=(15, 3))
-        joint = np.array([[model.weights[k]
-                           * np.exp(_oracle_log_density(x, model.means[k],
-                                                        model.covariances[k]))
-                           for k in range(2)] for x in batch])
-        naive = joint / joint.sum(axis=1, keepdims=True)
-        np.testing.assert_allclose(responsibilities(model, batch)
-                                   .responsibilities, naive, atol=1e-12)
-
-    def test_empty_batch(self):
-        with pytest.raises(EmptyBatchError):
-            responsibilities(_two_component([0.0], [1.0]), np.empty((0, 1)))
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_row_is_an_error(self, bad):
-        """Scored alone, a non-finite row would give NaN posteriors, which
-        argmax files under component 0."""
-        model = _two_component([0.0, 0.0], [3.0, 3.0])
-        batch = np.array([[bad, 0.0], [1.0, 1.0]])
-        with pytest.raises(NonFiniteLossError):
-            responsibilities(model, batch)
 
 
 class TestKmeans:
@@ -233,8 +69,6 @@ class TestKmeans:
         pts[7, 1] = bad
         with pytest.raises(NonFiniteLossError):
             kmeans(pts)
-        with pytest.raises(NonFiniteLossError):
-            fit_em(pts)
 
     def test_overflowing_distances_are_an_error(self):
         """Finite points whose squared distances overflow leave k-means++
@@ -304,24 +138,140 @@ class TestFitEm:
             fit_em(np.ones((3, 2)))
 
     def test_converged_nll_is_the_scoring_e_step(self):
-        """When EM stops on EM_TOL, its last E-step already scored the
-        returned model: ``responsibilities`` forms the same E-step and so
-        the same NLL, bit for bit. (The UDC step scores each fitted batch
-        again, and so repeats that E-step.)"""
+        """When EM stops on EM_TOL, its last E-step scored the returned
+        model: the labels are an E-step of that model made apart from EM,
+        bit for bit, and its NLL is the last one traced."""
         rng = make_rng(34)
-        for trial in range(5):
-            x = np.vstack([rng.normal(0, 1, size=(30, 3)),
-                           rng.normal(3, 1.5, size=(15, 3))])
+        for trial in range(20):
+            x = _two_blobs(rng, s=16)
             model = fit_em(x, seed=trial)
             trace = model.nll_trace
+            assert len(trace) < gmm.EM_MAX_ITER
             assert abs(trace[-2] - trace[-1]) < gmm.EM_TOL
-            assert float(-_scored(model, x)[2].sum()) == trace[-1]
+            _assert_labels_equal(model.labels, _oracle_labels(model, x))
+            log_p = _oracle_component_log_probs(model, x)
+            assert float(-_oracle_logsumexp(log_p, axis=1).sum()) == trace[-1]
+
+    def test_labels_after_the_last_iteration_are_one_more_e_step(self):
+        """Out of iterations, the last M-step moved the model past EM's last
+        E-step: the labels are one more E-step, of the returned model, and
+        the trace keeps one NLL per iteration."""
+        rng = make_rng(35)
+        with mock.patch.object(gmm, "EM_MAX_ITER", 2):
+            for trial in range(20):
+                x = _two_blobs(rng, s=3, shift=1.0)
+                model = fit_em(x, seed=trial)
+                trace = model.nll_trace
+                assert len(trace) == 2
+                assert abs(trace[0] - trace[1]) >= gmm.EM_TOL
+                _assert_labels_equal(model.labels, _oracle_labels(model, x))
 
     def test_covariance_floor_holds(self):
         pts = np.vstack([np.tile([0.0, 5.0], (10, 1)),
                          np.tile([5.0, 0.0], (10, 1))])
         model = fit_em(pts, seed=1)
         assert np.all(model.covariances >= 1e-6 * (1 - 1e-12))
+
+
+def _two_blobs(rng, n=45, s=4, scale=1.0, shift=3.0):
+    x = rng.normal(size=(n, s))
+    x[: n // 3] += shift
+    return x * scale
+
+
+class TestLogPdf:
+    """The component densities behind ``fit_em``'s labels and NLLs."""
+
+    def test_matches_direct_density_formula(self):
+        """The NLL of the E-step that met EM_TOL is the returned mixture's,
+        from the product of univariate normal densities."""
+        rng = make_rng(5)
+        for trial in range(10):
+            x = _two_blobs(rng, s=4)
+            model = fit_em(x, seed=trial)
+            assert len(model.nll_trace) < gmm.EM_MAX_ITER
+            density = np.prod(
+                np.exp(-0.5 * (x[:, None, :] - model.means) ** 2
+                       / model.covariances)
+                / np.sqrt(2 * np.pi * model.covariances), axis=-1)
+            nll = -np.log(density @ model.weights).sum()
+            assert model.nll_trace[-1] == pytest.approx(nll, rel=1e-12)
+
+    def test_matches_scipy_norm_logpdf(self):
+        stats = pytest.importorskip("scipy.stats")
+        special = pytest.importorskip("scipy.special")
+        rng = make_rng(6)
+        for s in (1, 3, 16):
+            for scale in (1e-3, 1.0, 1e3):
+                x = _two_blobs(rng, s=s, scale=scale)
+                model = fit_em(x, seed=s)
+                log_joint = np.log(model.weights) + stats.norm.logpdf(
+                    x[:, None, :], model.means,
+                    np.sqrt(model.covariances)).sum(axis=-1)
+                want = np.exp(log_joint - special.logsumexp(
+                    log_joint, axis=1, keepdims=True))
+                np.testing.assert_allclose(model.labels.responsibilities,
+                                           want, rtol=1e-9, atol=1e-12)
+
+
+class TestResponsibilities:
+    """``fit_em`` hands back the fitted batch's pseudo-labels: the
+    posteriors of the returned model on that batch."""
+
+    def test_rows_sum_to_one(self):
+        rng = make_rng(12)
+        for trial in range(5):
+            labels = fit_em(_two_blobs(rng), seed=trial).labels
+            np.testing.assert_allclose(labels.responsibilities.sum(axis=1),
+                                       1.0, atol=1e-9)
+            np.testing.assert_array_equal(
+                labels.assignments, np.argmax(labels.responsibilities, axis=1))
+
+    def test_matches_naive_summation(self):
+        rng = make_rng(10)
+        for trial in range(5):
+            x = _two_blobs(rng, s=3)
+            model = fit_em(x, seed=trial)
+            joint = np.array([[model.weights[k]
+                               * np.exp(_oracle_log_density(
+                                   row, model.means[k], model.covariances[k]))
+                               for k in range(2)] for row in x])
+            np.testing.assert_allclose(
+                model.labels.responsibilities,
+                joint / joint.sum(axis=1, keepdims=True), rtol=0, atol=1e-12)
+
+    def test_midpoint_symmetry(self):
+        """A batch mirrored through the origin, each row next to its
+        mirror, gets mirrored labels."""
+        half = make_rng(8).normal(size=(20, 2)) + 3.0
+        x = np.stack([half, -half], axis=1).reshape(-1, 2)
+        r = fit_em(x, seed=0).labels.responsibilities
+        np.testing.assert_allclose(r[1::2], r[::2, ::-1], rtol=0, atol=1e-9)
+
+    def test_point_at_far_component_mean(self):
+        """Blobs 10 sigma apart: each row belongs to its own blob's
+        component with posterior above 0.999."""
+        rng = make_rng(9)
+        x = np.vstack([rng.normal(size=(30, 2)),
+                       rng.normal(size=(15, 2)) + [10.0, 0.0]])
+        labels = fit_em(x, seed=0).labels
+        own = labels.assignments[0]
+        np.testing.assert_array_equal(labels.assignments,
+                                      np.repeat([own, 1 - own], [30, 15]))
+        assert labels.responsibilities.max(axis=1).min() > 0.999
+
+    def test_empty_batch(self):
+        with pytest.raises(TooFewSamplesError):
+            fit_em(np.empty((0, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_is_an_error(self, bad):
+        """A non-finite row would give NaN posteriors, which argmax files
+        under component 0."""
+        x = make_rng(4).normal(size=(10, 3))
+        x[7, 1] = bad
+        with pytest.raises(NonFiniteLossError):
+            fit_em(x)
 
 
 class TestIdentifyMinority:
@@ -403,6 +353,21 @@ def _oracle_component_log_probs(model, x):
     return np.stack([_oracle_log_density(x, model.means[k],
                                          model.covariances[k])
                      + np.log(model.weights[k]) for k in range(2)], axis=1)
+
+
+def _oracle_labels(model, x):
+    """An E-step of ``model`` on ``x``, made apart from EM: the posteriors,
+    their argmax and the minority component."""
+    log_p = _oracle_component_log_probs(model, x)
+    r = np.exp(log_p - _oracle_logsumexp(log_p, axis=1)[:, None])
+    assign = np.argmax(r, axis=1)
+    return gmm.PseudoLabels(assign, r, identify_minority(model, assign))
+
+
+def _assert_labels_equal(got, want):
+    assert got.responsibilities.tobytes() == want.responsibilities.tobytes()
+    np.testing.assert_array_equal(got.assignments, want.assignments)
+    assert got.minority_component == want.minority_component
 
 
 def _oracle_fit_em_once(batch, seed):
@@ -568,3 +533,20 @@ class TestRestartBatchedOracle:
             assert (getattr(got, name).tobytes()
                     == getattr(want, name).tobytes()), name
         assert got.nll_trace == want.nll_trace
+
+
+class TestComponentLogProbs:
+    """The E-step behind ``fit_em``'s labels."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              database=None)
+    @given(kmeans_batches(), st.integers(0, 2**16),
+           st.sampled_from([gmm.EM_MAX_ITER, 2]))
+    def test_equals_per_component_log_pdf(self, batch, seed, max_iter):
+        """Whether EM stops on EM_TOL or runs out of iterations, the labels
+        have the bits of the closed-form density of each component on its
+        own, taken at the returned model."""
+        with mock.patch.object(gmm, "EM_MAX_ITER", max_iter):
+            model = _outcome(fit_em, batch, seed=seed)
+        if not isinstance(model, type):
+            _assert_labels_equal(model.labels, _oracle_labels(model, batch))

@@ -249,32 +249,29 @@ class TestTrainUdc:
             self, loss_kind, called, monkeypatch):
         """Each anchor's own GMM mean is its positive and the other mean
         its negative, under the loss that SDC takes for the same kind."""
-        fits, labels, calls = [], [], []
+        fits, calls = [], []
+        fit_em = gmm.fit_em
 
-        def recording(fn, into):
-            def wrapped(*args, **kwargs):
-                into.append(fn(*args, **kwargs))
-                return into[-1]
-            return wrapped
+        def recording(*args, **kwargs):
+            fits.append(fit_em(*args, **kwargs))
+            return fits[-1]
 
         def capture(*args):
             calls.append(args)
             return getattr(losses, called)(*args)
 
-        monkeypatch.setattr(gmm, "fit_em", recording(gmm.fit_em, fits))
-        monkeypatch.setattr(gmm, "responsibilities",
-                            recording(gmm.responsibilities, labels))
+        monkeypatch.setattr(gmm, "fit_em", recording)
         for name in ("com_triplet_loss", "triplet_loss_batch"):
             monkeypatch.setattr(training, name, capture if name == called
                                 else None)
         result = train_udc(_dataset(seed=4),
                            _fast(seed=4, batch_size=5, loss_kind=loss_kind))
         assert len(calls) == len(fits) == len(result.losses)
-        for (anchors, own, other), model, label in zip(calls, fits, labels):
+        for (anchors, own, other), model in zip(calls, fits):
             assert ad.value_of(anchors).shape == own.shape == (15, 8)
-            np.testing.assert_array_equal(own, model.means[label.assignments])
-            np.testing.assert_array_equal(other,
-                                          model.means[1 - label.assignments])
+            assign = model.labels.assignments
+            np.testing.assert_array_equal(own, model.means[assign])
+            np.testing.assert_array_equal(other, model.means[1 - assign])
 
 
 class TestSameProgram:
@@ -357,6 +354,15 @@ class TestSamplerSameProgram:
             assert (np.asarray(getattr(shipped.prototypes, field)).tobytes()
                     == np.asarray(getattr(reference.prototypes,
                                           field)).tobytes())
+
+
+@pytest.mark.parametrize("n, k", [(30, 45), (45, 45), (60, 45), (1, 3)])
+def test_sample_rows_draws_distinct_rows(n, k):
+    """min(k, n) distinct rows: a split smaller than the batch is used
+    whole, each row once."""
+    rows = training._sample_rows(n, k, make_rng(0))
+    assert len(rows) == len(np.unique(rows)) == min(k, n)
+    assert 0 <= rows.min() and rows.max() < n
 
 
 class TestClassWeights:
