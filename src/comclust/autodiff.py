@@ -226,7 +226,13 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("...s,...s->...", a, b)
 
 
-def row_cosine_distance(u, v):
+def row_norms(a: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row of a plain float64 array (a 0-d array
+    for one 1-D row), with the bits the cosine distances use."""
+    return np.sqrt(_rowdot(a, a))
+
+
+def row_cosine_distance(u, v, u_norms=None):
     """Row-wise 1 - (u_i.v_i)/(|u_i||v_i|), each in [0, 2].
 
     Operands are (M, S) arrays or Vars; either one may instead be a single
@@ -234,7 +240,8 @@ def row_cosine_distance(u, v):
     Returns (M,) distances with one fused vector-Jacobian product for both
     operands. Raises ZeroVectorError when any row norm falls below 1e-12 --
     a collapsed embedding is a bug worth surfacing, not something to clamp
-    over.
+    over. ``u_norms``, when given, must be ``row_norms`` of u's value: a
+    caller that measures one batch against several rows computes it once.
     """
     uval, vval = value_of(u), value_of(v)
     if (uval.ndim not in (1, 2) or vval.ndim not in (1, 2)
@@ -242,19 +249,20 @@ def row_cosine_distance(u, v):
             or (uval.ndim == vval.ndim == 2 and uval.shape != vval.shape)):
         raise ShapeMismatchError(
             f"row_cosine_distance shapes {uval.shape}, {vval.shape}")
-    dist, vjp = row_cosine_with_vjp(uval, vval)
+    dist, vjp = row_cosine_with_vjp(uval, vval, u_norms)
     return node(dist, (u, v), vjp)
 
 
-def row_cosine_with_vjp(uval: np.ndarray, vval: np.ndarray):
+def row_cosine_with_vjp(uval: np.ndarray, vval: np.ndarray, u_norms=None):
     """``row_cosine_distance`` of two plain float64 operands whose shapes
     it accepts (not checked here), as (distances, vjp): ``vjp(g)`` gives
     the gradients (gu, gv), each summed back to its operand's shape, and
     ``vjp(g, u_grad=False)`` or ``vjp(g, v_grad=False)`` gives None in place
-    of a gradient the caller drops. Raises ZeroVectorError as
+    of a gradient the caller drops. ``u_norms`` is as for
+    ``row_cosine_distance``. Raises ZeroVectorError as
     ``row_cosine_distance`` does."""
-    nu = np.sqrt(_rowdot(uval, uval))
-    nv = np.sqrt(_rowdot(vval, vval))
+    nu = row_norms(uval) if u_norms is None else u_norms
+    nv = row_norms(vval)
     if (nu < NORM_FLOOR).any() or (nv < NORM_FLOOR).any():
         raise ZeroVectorError(f"vector norm below {NORM_FLOOR:g} "
                               f"({np.min(nu):g}, {np.min(nv):g})")

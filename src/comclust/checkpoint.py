@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .autodiff import NORM_FLOOR
-from .dataio import canonical_json
+from .dataio import save_results
 from .encoder import HEAD_OUTPUTS, EncoderConfig, ParamStore, param_shapes
 from .errors import ParseError, ZeroVectorError
 from .prototypes import Prototypes, update_prototypes
@@ -44,18 +44,17 @@ def save_checkpoint(path, params: ParamStore, encoder_config: EncoderConfig,
     doc = {
         "version": FORMAT_VERSION,
         "encoder": _encoder_dict(encoder_config),
-        "params": [{"shape": list(a.shape), "data": a.ravel().tolist()}
+        "params": [{"shape": list(a.shape), "data": a.ravel()}
                    for a in params.arrays],
         "seed": seed,
         "config": config_echo,
     }
     if prototypes is not None:
         doc["prototypes"] = {
-            "cl_min": prototypes.cl_min.tolist(),
-            "cl_maj": prototypes.cl_maj.tolist(),
+            "cl_min": prototypes.cl_min,
+            "cl_maj": prototypes.cl_maj,
         }
-    with open(path, "w") as fh:
-        fh.write(canonical_json(doc) + "\n")
+    save_results(path, doc)
 
 
 def load_checkpoint(path) -> dict:

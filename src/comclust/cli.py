@@ -258,7 +258,7 @@ def cmd_eval(args) -> None:
               "split": args.split, "seed": doc["seed"],
               "config": doc["config"],
               "metrics": evaluation["metrics"],
-              "labels": y.tolist(),
+              "labels": y,
               "predictions": evaluation["predictions"],
               "scores": evaluation["scores"]}
     save_results(args.out, record)

@@ -277,60 +277,66 @@ def _load_lines(path) -> LabeledDataset:
 
 
 def save_results(path, record: dict) -> None:
-    """Write a results record as canonical JSON (sorted keys, fixed float
-    repr) so identical runs produce byte-identical files."""
+    """Write a results record or a checkpoint document as canonical JSON:
+    the text of ``json.dump(record, indent=2, sort_keys=True)`` and a
+    newline, with numpy arrays written as (nested) lists and numpy numbers
+    as Python numbers, so identical runs produce byte-identical files.
+    Every dict key must be a str; any other key raises TypeError, and the
+    file then holds the text written before it.
+
+    The text goes to the file as it is made. A list, tuple or array is
+    written ``_JSON_BLOCK_ITEMS`` items at a time, and a block of only ints,
+    or of only finite floats, such as part of a column of scores, is one
+    join of their reprs instead of json's per-item encoder."""
     with open(path, "w") as fh:
-        fh.write(canonical_json(record) + "\n")
+        _encode(record, "\n", fh.write)
+        fh.write("\n")
 
 
-def canonical_json(obj) -> str:
-    """The text of ``json.dump(obj, indent=2, sort_keys=True)`` with numpy
-    arrays written as (nested) lists and numpy numbers as Python numbers.
-    Every dict key must be a str; any other key raises TypeError.
-
-    A list of only ints, or of only finite floats, such as a column of
-    scores, is written with one join of their reprs instead of json's
-    per-item encoder."""
-    out = []
-    _encode(obj, "\n", out)
-    return "".join(out)
+# items of a list or array that the writer holds as Python objects at once
+_JSON_BLOCK_ITEMS = 1024
 
 
-def _encode(obj, newline: str, out: list) -> None:
-    """Append the chunks of ``obj`` to ``out``; ``newline`` is the line break
-    plus indent of the nesting level ``obj`` sits at."""
-    if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
-    elif isinstance(obj, (np.floating, np.integer)):
+def _encode(obj, newline: str, write) -> None:
+    """Pass the chunks of ``obj``'s text to ``write``; ``newline`` is the
+    line break plus indent of the nesting level ``obj`` sits at."""
+    if isinstance(obj, (np.floating, np.integer)) or (
+            isinstance(obj, np.ndarray) and obj.ndim == 0):
         obj = obj.item()
     if isinstance(obj, dict):
         if not obj:
-            out.append("{}")
+            write("{}")
             return
         inner = newline + "  "
-        out.append("{")
+        write("{")
         for n, (key, value) in enumerate(sorted(obj.items())):
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            out.append(("," if n else "") + inner + json.dumps(key) + ": ")
-            _encode(value, inner, out)
-        out.append(newline + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
+            write(("," if n else "") + inner + json.dumps(key) + ": ")
+            _encode(value, inner, write)
+        write(newline + "}")
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        if not len(obj):
+            write("[]")
             return
         inner = newline + "  "
-        out.append("[" + inner)
-        types = set(map(type, obj))
-        if types == {int} or (types == {float}
-                              and all(map(math.isfinite, obj))):
-            out.append(("," + inner).join(map(repr, obj)))
-        else:
-            for n, value in enumerate(obj):
-                if n:
-                    out.append("," + inner)
-                _encode(value, inner, out)
-        out.append(newline + "]")
+        sep = "," + inner
+        write("[" + inner)
+        for start in range(0, len(obj), _JSON_BLOCK_ITEMS):
+            block = obj[start:start + _JSON_BLOCK_ITEMS]
+            if isinstance(block, np.ndarray):
+                block = block.tolist()
+            if start:
+                write(sep)
+            types = set(map(type, block))
+            if types == {int} or (types == {float}
+                                  and all(map(math.isfinite, block))):
+                write(sep.join(map(repr, block)))
+            else:
+                for n, value in enumerate(block):
+                    if n:
+                        write(sep)
+                    _encode(value, inner, write)
+        write(newline + "]")
     else:
-        out.append(json.dumps(obj))
-
+        write(json.dumps(obj))

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import cosine_distance, row_cosine_distance
+from .autodiff import cosine_distance, row_cosine_distance, row_norms
 from .errors import (DegenerateDistancesError, MissingClassError,
                      ShapeMismatchError)
 from .losses import C_MAJ, C_MIN
@@ -66,11 +66,12 @@ def infer_label(e_test, proto: Prototypes):
 
     Returns (labels, d_min, d_maj), (N,) arrays for an (N, S) batch; a 1-D
     embedding is a batch of one. A row gives the same bits alone as in any
-    batch.
+    batch. The rows' norms are computed once for both centers.
     """
     rows = np.atleast_2d(np.asarray(e_test, dtype=np.float64))
-    d_min = row_cosine_distance(rows, proto.cl_min)
-    d_maj = row_cosine_distance(rows, proto.cl_maj)
+    norms = row_norms(rows)
+    d_min = row_cosine_distance(rows, proto.cl_min, norms)
+    d_maj = row_cosine_distance(rows, proto.cl_maj, norms)
     return np.where(d_maj < d_min, C_MAJ, C_MIN), d_min, d_maj
 
 

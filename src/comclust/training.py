@@ -282,9 +282,19 @@ def evaluate_prototypes(params: ParamStore, enc_config: EncoderConfig,
                         proto: Prototypes, x, y) -> dict:
     """Prototype-distance inference over a split: per-sample labels and
     scores plus aggregate weighted metrics and AUC (when both classes are
-    present)."""
-    emb = enc.embed(params, enc_config, x)
-    preds, d_min, d_maj = infer_label(emb, proto)
+    present).
+
+    The rows are embedded and labelled in the encoder's blocks of at most
+    ``encoder.INFER_BLOCK_ROWS`` rows, so no (N, S) embedding is held; a
+    row's embedding and distances do not depend on its block.
+    """
+    n = len(x)
+    preds = np.empty(n, dtype=int)
+    d_min, d_maj = np.empty(n), np.empty(n)
+    for start in range(0, n, enc.INFER_BLOCK_ROWS):
+        block = slice(start, start + enc.INFER_BLOCK_ROWS)
+        emb = enc.embed(params, enc_config, x[block])
+        preds[block], d_min[block], d_maj[block] = infer_label(emb, proto)
     scores = malignancy_score(d_min, d_maj)
     return _aggregate(np.asarray(y, dtype=int), preds, scores)
 

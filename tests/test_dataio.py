@@ -1,5 +1,6 @@
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,9 +10,9 @@ from hypothesis.extra import numpy as hnp
 
 from comclust import dataio
 from comclust.dataio import (MAX_FEATURE_VALUES, SPLIT_FRACTIONS, TEST,
-                             TRAIN, VAL, BlobSpec, LabeledDataset,
-                             canonical_json, load_csv, save_csv, save_results,
-                             split_dataset, synth_imbalanced)
+                             TRAIN, VAL, BlobSpec, LabeledDataset, load_csv,
+                             save_csv, save_results, split_dataset,
+                             synth_imbalanced)
 from comclust.errors import (InvalidSpecError, MissingColumnError, ParseError,
                              TooFewSamplesError)
 
@@ -55,6 +56,12 @@ def reference_load_csv(path) -> LabeledDataset:
         raise ParseError(f"{path}: no data rows")
     return LabeledDataset(np.array(features, dtype=np.float64),
                           np.array(labels, dtype=int))
+
+
+def canonical_text(record) -> str:
+    """Reference: the text ``save_results`` writes for ``record``."""
+    return json.dumps(reference_jsonable(record), indent=2,
+                      sort_keys=True) + "\n"
 
 
 def reference_jsonable(obj):
@@ -170,6 +177,27 @@ json_records = st.recursive(
                   | st.lists(kids, max_size=3).map(tuple)
                   | st.dictionaries(st.text(), kids, max_size=4)),
     max_leaves=20)
+
+
+# the JSON writer's block; a long column fills two and leaves one item
+BLOCK = dataio._JSON_BLOCK_ITEMS
+LONG_COLUMNS = ["float-array", "float-list", "float64-tuple", "int-array",
+                "int-list", "bool-array", "mixed-list"]
+
+
+def long_column(kind: str):
+    """A column of 2 * BLOCK + 1 items of one kind; a float column holds
+    NaN, +inf, -inf and -0.0 in its second and third blocks only."""
+    floats = np.random.default_rng(3).normal(size=2 * BLOCK + 1)
+    floats[[BLOCK, BLOCK + 1, 2 * BLOCK - 1, 2 * BLOCK]] = [
+        np.nan, np.inf, -np.inf, -0.0]
+    return {"float-array": floats, "float-list": floats.tolist(),
+            "float64-tuple": tuple(floats),
+            "int-array": np.arange(-5, 2 * BLOCK - 4),
+            "int-list": list(range(2 * BLOCK + 1)),
+            "bool-array": floats > 0,
+            "mixed-list": [*range(BLOCK), 0.5, True, None, *range(BLOCK - 2)],
+            }[kind]
 
 
 class TestSynth:
@@ -442,27 +470,61 @@ class TestResults:
         assert a.read_bytes() == b.read_bytes()
 
     @PROPERTY
-    @given(json_records)
+    @given(record=json_records)
     @example(record={"scores": [0.1, float("nan"), -0.0, float("inf")],
               "labels": np.arange(3), "é": (), "z": {}})
-    def test_canonical_json_matches_json_dumps(self, record):
-        assert canonical_json(record) == json.dumps(
-            reference_jsonable(record), indent=2, sort_keys=True)
+    def test_canonical_json_matches_json_dumps(self, record,
+                                               tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "record.json"
+        save_results(path, record)
+        assert path.read_text() == canonical_text(record)
+
+    @pytest.mark.parametrize("kind", LONG_COLUMNS)
+    def test_long_columns_give_the_json_dumps_text(self, kind, tmp_path):
+        """Columns longer than the writer's block, with NaN, +-inf and -0.0
+        in later blocks only, give the text of one json.dumps."""
+        record = {"column": long_column(kind), "row": [long_column(kind)[:3]]}
+        path = tmp_path / "r.json"
+        save_results(path, record)
+        assert path.read_text() == canonical_text(record)
+
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_peak_memory_is_below_the_text(self, tmp_path, as_array):
+        """Writing 40 000 scores holds a block of their text at a time:
+        building the whole document first would peak above its size."""
+        scores = np.random.default_rng(5).random(40_000)
+        record = {"scores": scores if as_array else scores.tolist()}
+        path = tmp_path / "r.json"
+        tracemalloc.start()
+        try:
+            save_results(path, record)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size
 
     @pytest.mark.parametrize("record", [
         {1: "a", 10: "b", 2: "c"}, {1.5: 0, -0.5: 1}, {True: 1, False: 0},
         {None: [1, 2]}, {float("nan"): 1},
     ])
-    def test_non_string_keys_raise_type_error(self, record):
+    def test_non_string_keys_raise_type_error(self, record, tmp_path):
         """Results records and checkpoints hold str keys alone."""
         with pytest.raises(TypeError):
-            canonical_json(record)
+            save_results(tmp_path / "r.json", record)
 
     @pytest.mark.parametrize("record", [
         {(1, 2): 0}, {"a": {1, 2}}, {"a": 1, 2: "b"},
     ])
-    def test_unserialisable_raises_type_error(self, record):
+    def test_unserialisable_raises_type_error(self, record, tmp_path):
         with pytest.raises(TypeError):
             json.dumps(record, indent=2, sort_keys=True)
         with pytest.raises(TypeError):
-            canonical_json(record)
+            save_results(tmp_path / "r.json", record)
+
+    def test_type_error_leaves_the_text_before_it(self, tmp_path):
+        """The text goes out as it is made: a record that raises leaves the
+        file holding the text ahead of the bad item."""
+        path = tmp_path / "r.json"
+        with pytest.raises(TypeError):
+            save_results(path, {"a": [1, 2], "b": {3: 0}, "c": 4})
+        assert path.read_text() == '{\n  "a": [\n    1,\n    2\n  ],\n  "b": {'

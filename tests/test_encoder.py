@@ -20,6 +20,8 @@ from comclust.encoder import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, HEAD_OUTPUTS,
 from comclust.errors import (InvalidSpecError, NonFiniteLossError,
                              ShapeMismatchError)
 from comclust.losses import MarginSpec, com_triplet_loss
+from comclust.prototypes import update_prototypes
+from comclust.training import evaluate_prototypes
 
 
 class TestForward:
@@ -389,3 +391,22 @@ class TestBlockedInference:
         finally:
             tracemalloc.stop()
         assert peak < embedding_bytes + 6 * block_bytes
+
+    def test_prototype_scoring_holds_no_embedding(self):
+        """Prototype scoring of 40 000 rows embeds and labels a block at a
+        time and peaks below one (40 000, 32) embedding, which scoring the
+        whole batch at once allocates."""
+        config = EncoderConfig(input_dim=8)
+        store = init_encoder_params(config, make_rng(6))
+        rng = make_rng(7)
+        x = rng.normal(size=(40_000, 8))
+        y = rng.integers(0, 2, size=len(x))
+        proto = update_prototypes(None, rng.normal(size=config.embedding_dim),
+                                  rng.normal(size=config.embedding_dim))
+        tracemalloc.start()
+        try:
+            evaluate_prototypes(store, config, proto, x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(x) * config.embedding_dim * 8

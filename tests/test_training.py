@@ -1,8 +1,9 @@
 import logging
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from comclust import autodiff as ad
@@ -12,9 +13,12 @@ from comclust.autodiff import make_rng
 from comclust.dataio import TEST, TRAIN, BlobSpec, LabeledDataset, \
     split_dataset, synth_imbalanced
 from comclust.encoder import AdamConfig, embed
-from comclust.errors import (InvalidSpecError, MissingClassError,
-                             NonFiniteLossError, TooFewSamplesError)
+from comclust.errors import (EmptyBatchError, InvalidSpecError,
+                             MissingClassError, NonFiniteLossError,
+                             TooFewSamplesError)
 from comclust.losses import C_MAJ, C_MIN, ClassWeights
+from comclust.prototypes import infer_label, malignancy_score, \
+    update_prototypes
 from comclust.training import (EQUAL, INVERSE_FREQUENCY, TrainConfig,
                                batch_class_weights, best_permutation_accuracy,
                                evaluate_classifier, evaluate_prototypes,
@@ -437,6 +441,47 @@ class TestEvaluation:
         out = evaluate_prototypes(result.params, result.encoder_config,
                                   result.prototypes, x, y)
         assert len(out["predictions"]) == len(out["scores"]) == len(x)
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(n=st.integers(0, 40), block=st.integers(1, 5),
+           seed=st.integers(0, 2 ** 16))
+    @example(n=11, block=5, seed=0)     # a last block of one row
+    @example(n=1, block=3, seed=1)
+    @example(n=0, block=2, seed=2)
+    def test_blocks_give_the_whole_batch_bits(self, n, block, seed):
+        """Scored in blocks of 1-5 rows, a split gets the bits of embedding,
+        labelling and scoring it whole; an empty split raises
+        EmptyBatchError either way."""
+        config = enc.EncoderConfig(input_dim=3, hidden=(16,), embedding_dim=8)
+        params = enc.init_encoder_params(config, make_rng(seed))
+        params.flat[:] = make_rng(seed + 1).normal(scale=0.7,
+                                                   size=params.flat.size)
+        rng = make_rng(seed + 2)
+        proto = update_prototypes(None, rng.normal(size=8),
+                                  rng.normal(size=8))
+        x = rng.normal(size=(n, 3))
+        y = rng.integers(0, 2, size=n)
+
+        def whole():
+            # a batch of at most INFER_BLOCK_ROWS rows is one forward call
+            preds, d_min, d_maj = infer_label(embed(params, config, x), proto)
+            return training._aggregate(y, preds,
+                                       malignancy_score(d_min, d_maj))
+
+        def blocked():
+            with mock.patch.object(enc, "INFER_BLOCK_ROWS", block):
+                return evaluate_prototypes(params, config, proto, x, y)
+
+        if n == 0:
+            for score in (whole, blocked):
+                with pytest.raises(EmptyBatchError):
+                    score()
+            return
+        want, got = whole(), blocked()
+        assert got == want
+        assert (np.array(got["scores"]).tobytes()
+                == np.array(want["scores"]).tobytes())
 
     def test_inference_builds_no_graph(self, monkeypatch):
         ds = _dataset(seed=14)
