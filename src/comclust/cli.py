@@ -19,7 +19,7 @@ from . import dataio, training
 from .dataio import BlobSpec, LabeledDataset, load_csv, save_csv, save_results
 from .encoder import AdamConfig
 from .errors import (ComclustError, InvalidSpecError, NonFiniteLossError,
-                     ShapeMismatchError)
+                     ShapeMismatchError, TooFewSamplesError)
 from .training import (EQUAL, INVERSE_FREQUENCY, LOSS_COM, LOSS_TRIPLET,
                        TrainConfig, evaluate_classifier, evaluate_prototypes)
 
@@ -199,6 +199,14 @@ def _evaluate(params, encoder_config, prototypes, x, y) -> dict:
     return evaluate_prototypes(params, encoder_config, prototypes, x, y)
 
 
+def _check_splits(dataset: LabeledDataset, splits: tuple) -> None:
+    """Refuse a split to be scored that has no samples."""
+    for split in splits:
+        if not np.any(dataset.splits == split):
+            raise TooFewSamplesError(f"the {split} split of "
+                                     f"{dataset.n_samples} samples is empty")
+
+
 def _score(result: training.TrainLog, dataset: LabeledDataset,
            splits: tuple) -> tuple:
     """The metrics of each of ``splits`` by name, and the prototype
@@ -227,6 +235,7 @@ def cmd_train(args) -> None:
     weighting = getattr(args, "weighting", None)   # train-classifier's alone
     if weighting is not None:
         record["weighting"] = weighting
+    _check_splits(dataset, (dataio.VAL, dataio.TEST))
     result = _fit(args.command[len("train-"):], dataset, config, weighting)
     ckpt.save_checkpoint(args.out, result.params, result.encoder_config,
                          result.prototypes, args.seed, record["config"])
@@ -247,7 +256,9 @@ def cmd_eval(args) -> None:
     if args.split == "all":
         x, y = dataset.features, dataset.labels
     else:
-        x, y = dataio.split_dataset(dataset, doc["seed"]).subset(args.split)
+        dataset = dataio.split_dataset(dataset, doc["seed"])
+        _check_splits(dataset, (args.split,))
+        x, y = dataset.subset(args.split)
     try:
         evaluation = _evaluate(doc["params"], doc["encoder_config"],
                                doc["prototypes"], x, y)
@@ -296,6 +307,7 @@ def run_sweep_cell(n_maj: int, n_min: int, method: str, seed: int,
     spec = BlobSpec(n_maj=n_maj, n_min=n_min, dim=dim,
                     separation=separation, seed=data_seed)
     dataset = dataio.split_dataset(dataio.synth_imbalanced(spec), split_seed)
+    _check_splits(dataset, (dataio.TEST,))
     mode, config, weighting = _sweep_config(method, train_seed, epochs,
                                             batch_size, lr)
     metrics, proto_separation = _score(_fit(mode, dataset, config, weighting),

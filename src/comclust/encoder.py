@@ -1,7 +1,8 @@
 """The trainable embedding map: an affine-ReLU multi-layer perceptron with a
 single dropout layer before the embedding output, plus the Adam optimizer.
 
-Batches are row-major: inputs are (B, D), embeddings (B, S).
+Batches are row-major: inputs are (B, D), embeddings (B, S). Inference
+takes the rows it is given at once: ``training`` cuts a split into blocks.
 """
 
 from __future__ import annotations
@@ -149,44 +150,21 @@ def forward(param_vars: list, config: EncoderConfig, x_batch,
     return h
 
 
-# Inference runs in blocks of at most this many rows, so that a layer's
-# input and output, (1024, 64) float64 or 512 KiB each at the default widths,
-# stay in a 2 MiB L2 instead of streaming (N, 64) arrays through memory.
-# Blocks of 1024 embedded eval-bulk's 100k rows faster than 2048 or 4096.
-INFER_BLOCK_ROWS = 1024
+def embed(params: ParamStore, config: EncoderConfig, x_batch) -> np.ndarray:
+    """Eval-mode embeddings of the rows given, in one ``forward`` call; a
+    classifier's head, after the encoder in ``params``, is left out.
 
-
-def _embed_in_blocks(encoder_arrays: list, config: EncoderConfig,
-                     x_batch) -> np.ndarray:
-    """Eval-mode ``forward`` over row blocks of at most INFER_BLOCK_ROWS
-    rows, written into one preallocated output; a batch of one block is one
-    call.
-
-    A one-row block runs as two copies of the row and keeps the first
-    result: numpy sends a one-row matmul to gemv, whose bits differ from the
-    gemm of a batch. A row then gets the bits it gets in any batch, as long
-    as the BLAS computes a row of each layer alike in every batch of two or
-    more rows. OpenBLAS does so for the default widths; a layer whose width
-    is 1-4 above a multiple of 8 can change bits with the batch size, in
-    blocks as it already does between splits.
+    A lone row runs as two copies and keeps the first result: numpy sends a
+    one-row matmul to gemv, whose bits differ from a batch's gemm. OpenBLAS
+    computes a row of a layer whose width is a multiple of 8 alike in every
+    batch of two or more rows; a width 1-4 above one can change its bits
+    with the batch size.
     """
     x = np.atleast_2d(np.asarray(x_batch, dtype=np.float64))
-    n = len(x)
-    if n == 1:
+    encoder_arrays = params.arrays[:len(param_shapes(config))]
+    if len(x) == 1:
         return forward(encoder_arrays, config, np.repeat(x, 2, axis=0))[:1]
-    if n <= INFER_BLOCK_ROWS:
-        return forward(encoder_arrays, config, x)
-    out = np.empty((n, config.embedding_dim))
-    for start in range(0, n, INFER_BLOCK_ROWS):
-        rows = x[start:start + INFER_BLOCK_ROWS]
-        out[start:start + len(rows)] = _embed_in_blocks(encoder_arrays,
-                                                        config, rows)
-    return out
-
-
-def embed(params: ParamStore, config: EncoderConfig, x_batch) -> np.ndarray:
-    """Eval-mode embeddings as a plain array (inference path)."""
-    return _embed_in_blocks(params.arrays, config, x_batch)
+    return forward(encoder_arrays, config, x)
 
 
 def minority_probability(head_vars: list, embeddings):
@@ -219,14 +197,12 @@ def classify(param_vars: list, config: EncoderConfig, x_batch,
 
 
 def predict_minority(params: ParamStore, config: EncoderConfig,
-                     x_batch) -> np.ndarray:
-    """Eval-mode ``classify`` as a plain (B,) array (the classifier's
-    inference path): the encoder in row blocks, then the head."""
-    n_enc = len(param_shapes(config))
-    emb = _embed_in_blocks(params.arrays[:n_enc], config, x_batch)
-    # the head's two-column product is not row-blocked: OpenBLAS gives a row
-    # of it bits that depend on the batch, so it takes the batch at once
-    return minority_probability(params.arrays[n_enc:], emb)
+                     embeddings) -> np.ndarray:
+    """The classifier's (B,) minority-class probabilities over a given
+    (B, S) embedding. A row's bits depend on its batch: OpenBLAS's kernel
+    for the head's two-column product follows the batch size."""
+    return minority_probability(params.arrays[len(param_shapes(config)):],
+                                embeddings)
 
 
 def adam_step(store: ParamStore, grads: list, config: AdamConfig) -> None:

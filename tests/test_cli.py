@@ -19,14 +19,13 @@ from hypothesis.extra import numpy as hnp
 
 import comclust
 from comclust import checkpoint as ckpt
-from comclust import encoder as enc
 from comclust import training
 from comclust.autodiff import make_rng
 from comclust.cli import main, run_sweep_cell, sweep_cell_seeds
 from comclust.dataio import load_csv, split_dataset
 from comclust.encoder import (MAX_PARAMETERS, EncoderConfig, embed,
                               init_encoder_params)
-from comclust.errors import ParseError
+from comclust.errors import ParseError, TooFewSamplesError
 from comclust.prototypes import (infer_label, malignancy_score,
                                  update_prototypes)
 from comclust.training import evaluate_prototypes
@@ -40,6 +39,15 @@ def blob_csv(tmp_path_factory):
     rc = main(["synth", "--maj", "120", "--min", "40", "--dim", "8",
                "--separation", "6.0", "--seed", "3", "--out", str(path)])
     assert rc == 0
+    return path
+
+
+@pytest.fixture(scope="module")
+def four_four_csv(tmp_path_factory):
+    """4:4 blobs: round(0.125 * 4) = 0 rows of either class go to val."""
+    path = tmp_path_factory.mktemp("data") / "four_four.csv"
+    assert main(["synth", "--maj", "4", "--min", "4", "--dim", "2",
+                 "--out", str(path)]) == 0
     return path
 
 
@@ -108,6 +116,20 @@ class TestTrainCommands:
         bad.write_text("f0,label\n1.0,7\n")
         assert main(["train-sdc", "--data", str(bad), "--out",
                      str(tmp_path / "m.json")]) == 1
+
+    def test_empty_val_split_fails_before_training(
+            self, four_four_csv, tmp_path, monkeypatch, capsys):
+        def no_training(*args):
+            raise AssertionError("trained despite an empty split")
+
+        monkeypatch.setattr(training, "train_sdc", no_training)
+        out = tmp_path / "m.json"
+        assert main(["train-sdc", "--data", str(four_four_csv),
+                     "--batch-size", "2", "--epochs", "1",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: the val split of 8 samples is empty\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_udc_smoke(self, blob_csv, tmp_path):
         out = tmp_path / "udc.json"
@@ -227,6 +249,23 @@ class TestEval:
         record = load_results(str(model) + ".results.json")
         assert evaluation["metrics"] == record["metrics"]["test"]
 
+    def test_empty_split_is_named(self, four_four_csv, tmp_path, capsys):
+        model, wide = tmp_path / "model.json", tmp_path / "wide.csv"
+        assert main(["synth", "--maj", "40", "--min", "10", "--dim", "2",
+                     "--out", str(wide)]) == 0
+        assert main(["train-sdc", "--data", str(wide), "--epochs", "1",
+                     "--out", str(model)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "eval.json"
+        eval_args = ["eval", "--checkpoint", str(model), "--data",
+                     str(four_four_csv), "--out", str(out), "--split"]
+        assert main([*eval_args, "val"]) == 1
+        assert capsys.readouterr().err == (
+            "error: the val split of 8 samples is empty\n")
+        assert not out.exists()
+        assert main([*eval_args, "test"]) == 0
+        assert len(load_results(out)["scores"]) == 2
+
     @pytest.mark.parametrize("block", [7, 53])   # 160 = 3 * 53 + 1
     @pytest.mark.parametrize("command", ["train-sdc", "train-classifier"])
     def test_eval_bytes_do_not_depend_on_the_block_size(
@@ -235,9 +274,9 @@ class TestEval:
         assert main([command, "--data", str(blob_csv), "--seed", "2",
                      "--epochs", "2", "--out", str(model)]) == 0
         outputs = []
-        for rows in (enc.INFER_BLOCK_ROWS, block):
+        for rows in (training.INFER_BLOCK_ROWS, block):
             out = tmp_path / f"eval-{rows}.json"
-            with mock.patch.object(enc, "INFER_BLOCK_ROWS", rows):
+            with mock.patch.object(training, "INFER_BLOCK_ROWS", rows):
                 assert main(["eval", "--checkpoint", str(model), "--data",
                              str(blob_csv), "--split", "all",
                              "--out", str(out)]) == 0
@@ -290,8 +329,9 @@ class TestCheckpointRoundTrip:
         again = ckpt.load_checkpoint(model)
         second = evaluate_prototypes(again["params"], again["encoder_config"],
                                      again["prototypes"], x, y)
-        assert first["scores"] == second["scores"]
-        assert first["predictions"] == second["predictions"]
+        for key in ("predictions", "scores"):
+            assert first[key].dtype == second[key].dtype
+            assert first[key].tobytes() == second[key].tobytes()
 
     def test_version_field_present(self, blob_csv, tmp_path):
         model = _train_sdc(blob_csv, tmp_path)
@@ -753,6 +793,22 @@ class TestSweep:
         assert (config.seed, config.epochs, config.batch_size,
                 config.adam.learning_rate) == (sweep_cell_seeds(3, 1)[2], 2,
                                                10, 1e-3)
+
+    def test_cell_scores_only_its_test_split(self, monkeypatch):
+        """A 4:4 cell has an empty val split, which it does not score; a
+        5:5 cell has an empty test split and fails before it trains."""
+        cell = dict(method="sdc-com", seed=0, ratio_index=0, dim=2,
+                    separation=6.0, epochs=1, batch_size=2, lr=1e-3)
+        metrics = run_sweep_cell(n_maj=4, n_min=4, **cell)["metrics"]
+        assert 0.0 <= metrics["accuracy"] <= 1.0
+
+        def no_training(*args):
+            raise AssertionError("trained despite an empty split")
+
+        monkeypatch.setattr(training, "train_sdc", no_training)
+        with pytest.raises(TooFewSamplesError,
+                           match="^the test split of 10 samples is empty$"):
+            run_sweep_cell(n_maj=5, n_min=5, **cell)
 
     def test_cell_seeds_differ_across_ratios(self):
         assert sweep_cell_seeds(0, 0) != sweep_cell_seeds(0, 1)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from comclust import autodiff as ad
 from comclust import checkpoint as ckpt
 from comclust import encoder as enc
+from comclust import training
 from comclust.autodiff import Var, backward, grad_of, make_rng
 from comclust.encoder import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, HEAD_OUTPUTS,
                               MAX_PARAMETERS, AdamConfig, EncoderConfig,
@@ -21,7 +22,7 @@ from comclust.errors import (InvalidSpecError, NonFiniteLossError,
                              ShapeMismatchError)
 from comclust.losses import MarginSpec, com_triplet_loss
 from comclust.prototypes import update_prototypes
-from comclust.training import evaluate_prototypes
+from comclust.training import evaluate_classifier, evaluate_prototypes
 
 
 class TestForward:
@@ -336,28 +337,54 @@ class TestBlockedInference:
            block=st.integers(1, 5), seed=st.integers(0, 2 ** 16))
     def test_blocks_and_lone_rows_give_the_batch_bits(
             self, input_dim, hidden, embedding_dim, n, block, seed):
-        """With blocks of 1-5 rows, ``embed`` and ``predict_minority`` give
-        the bytes of the unblocked ``forward`` and ``classify``, each row
-        embedded alone gives the bytes of its row in the batch, and an empty
-        batch keeps its trailing shape."""
+        """With blocks of 1-5 rows, ``evaluate_prototypes`` and
+        ``evaluate_classifier`` give the bytes of one whole-batch
+        evaluation, and the classifier's those of training's ``classify``;
+        each row evaluated alone keeps its embedding and its prototype label
+        and score bytes; an empty batch keeps its shape."""
         config = EncoderConfig(input_dim, tuple(hidden), embedding_dim)
         encoder = _random_store(config, seed)
         classifier = _random_store(config, seed, HEAD_OUTPUTS)
-        x = make_rng(seed + 2).normal(size=(n, input_dim))
-        with mock.patch.object(enc, "INFER_BLOCK_ROWS", block):
-            emb = embed(encoder, config, x)
-            probs = predict_minority(classifier, config, x)
-            alone = [embed(encoder, config, row) for row in x]
-            empty = embed(encoder, config, x[:0])
-        assert emb.shape == (n, embedding_dim) and probs.shape == (n,)
-        assert empty.shape == (0, embedding_dim)
+        rng = make_rng(seed + 2)
+        x = rng.normal(size=(n, input_dim))
+        y = rng.integers(0, 2, size=n)
+        proto = update_prototypes(None, rng.normal(size=embedding_dim),
+                                  rng.normal(size=embedding_dim))
+
+        def evaluate(rows, block):
+            """The prototype predictions and scores, the classifier's, and
+            the embedding its head saw."""
+            heads = []
+
+            def head(params, config, emb):
+                heads.append(emb)
+                return predict_minority(params, config, emb)
+
+            def unscored(y, preds, scores):
+                return preds, scores
+
+            with mock.patch.object(training, "INFER_BLOCK_ROWS", block), \
+                    mock.patch.object(training, "_aggregate", unscored), \
+                    mock.patch.object(enc, "predict_minority", head):
+                return (*evaluate_prototypes(encoder, config, proto, x[rows],
+                                             y[rows]),
+                        *evaluate_classifier(classifier, config, x[rows],
+                                             y[rows]),
+                        *heads)
+
+        blocked = evaluate(slice(None), block)
+        whole = evaluate(slice(None), training.INFER_BLOCK_ROWS)
+        assert [a.shape for a in blocked] == [(n,)] * 4 + [(n, embedding_dim)]
+        for got, want in zip(blocked, whole):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
         if n >= 2:
-            assert emb.tobytes() == forward(encoder.arrays, config,
-                                            x).tobytes()
-            assert probs.tobytes() == classify(classifier.arrays, config,
-                                               x).tobytes()
-        for i, row in enumerate(alone):
-            assert row.tobytes() == emb[i].tobytes()
+            assert blocked[3].tobytes() == classify(classifier.arrays, config,
+                                                    x).tobytes()
+        for i in range(n):
+            alone = evaluate(slice(i, i + 1), block)
+            for k in (0, 1, 4):
+                assert alone[k].tobytes() == blocked[k][i:i + 1].tobytes()
 
     def test_one_row_takes_one_padded_call(self):
         """A one-row input runs once, as two copies of the row: numpy's
@@ -372,21 +399,34 @@ class TestBlockedInference:
                                                             axis=0).tobytes()
         assert out.shape == (1, 2)
 
-    @pytest.mark.parametrize("infer,head", [(embed, 0),
-                                            (predict_minority, HEAD_OUTPUTS)])
-    def test_peak_memory_is_the_embedding_and_a_few_blocks(self, infer,
-                                                            head):
-        """Inference on 40 000 rows allocates the (40 000, 32) embedding
-        plus a few blocks' widest activations; the whole batch at once
-        takes several (40 000, 64) arrays and fails this bound."""
+    def test_embed_takes_its_rows_at_once_and_skips_a_head(self):
+        """``embed`` runs one ``forward`` call over the rows it is given,
+        however many, on the encoder's part of a classifier's store."""
+        config = EncoderConfig(input_dim=3, hidden=(8,), embedding_dim=8)
+        classifier = _random_store(config, 8, HEAD_OUTPUTS)
+        n_enc = len(param_shapes(config))
+        x = make_rng(9).normal(size=(3 * training.INFER_BLOCK_ROWS, 3))
+        with mock.patch.object(enc, "forward", wraps=enc.forward) as spy:
+            out = embed(classifier, config, x)
+        assert spy.call_count == 1
+        assert out.tobytes() == forward(classifier.arrays[:n_enc], config,
+                                        x).tobytes()
+
+    def test_classifier_scoring_peaks_at_the_embedding_and_blocks(self):
+        """Classifier scoring of 40 000 rows allocates the (40 000, 32)
+        embedding plus a few blocks' widest activations; embedding the whole
+        batch at once takes several (40 000, 64) arrays and fails this
+        bound."""
         config = EncoderConfig(input_dim=8)
-        store = init_encoder_params(config, make_rng(6), head)
-        x = make_rng(7).normal(size=(40_000, 8))
+        store = init_encoder_params(config, make_rng(6), HEAD_OUTPUTS)
+        rng = make_rng(7)
+        x = rng.normal(size=(40_000, 8))
+        y = rng.integers(0, 2, size=len(x))
         embedding_bytes = len(x) * config.embedding_dim * 8
-        block_bytes = enc.INFER_BLOCK_ROWS * max(config.layer_dims) * 8
+        block_bytes = training.INFER_BLOCK_ROWS * max(config.layer_dims) * 8
         tracemalloc.start()
         try:
-            infer(store, config, x)
+            evaluate_classifier(store, config, x, y)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -464,13 +464,12 @@ class TestEvaluation:
         y = rng.integers(0, 2, size=n)
 
         def whole():
-            # a batch of at most INFER_BLOCK_ROWS rows is one forward call
             preds, d_min, d_maj = infer_label(embed(params, config, x), proto)
             return training._aggregate(y, preds,
                                        malignancy_score(d_min, d_maj))
 
         def blocked():
-            with mock.patch.object(enc, "INFER_BLOCK_ROWS", block):
+            with mock.patch.object(training, "INFER_BLOCK_ROWS", block):
                 return evaluate_prototypes(params, config, proto, x, y)
 
         if n == 0:
@@ -479,9 +478,10 @@ class TestEvaluation:
                     score()
             return
         want, got = whole(), blocked()
-        assert got == want
-        assert (np.array(got["scores"]).tobytes()
-                == np.array(want["scores"]).tobytes())
+        assert got["metrics"] == want["metrics"]
+        for key in ("predictions", "scores"):
+            assert got[key].dtype == want[key].dtype
+            assert got[key].tobytes() == want[key].tobytes()
 
     def test_inference_builds_no_graph(self, monkeypatch):
         ds = _dataset(seed=14)
