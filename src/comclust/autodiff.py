@@ -4,12 +4,14 @@ A forward pass builds a graph of ``Var`` nodes; ``backward`` replays it in
 reverse topological order and accumulates vector-Jacobian products into the
 leaves. Only a handful of primitives are provided, each for a stated user:
 
-- the fused dense layer runs every encoder layer and the classifier head,
-  row gather (``take_rows``) splits SDC's embedding into its A, P and N
-  rows, and the row-wise cosine distance underlies every loss;
+- ``dense_stack``, one node for a whole affine-ReLU stack, runs the encoder
+  (all its layers, dropout mask included) and, as a one-layer stack, the
+  classifier head; the row-wise cosine distance underlies every loss;
 - broadcast add/subtract/scale and ReLU compose the single-triplet loss
   definitions in ``losses`` (``triplet_loss``, ``com_dist_wa``, ...), which
-  the acceptance criteria check by value and by finite differences;
+  the acceptance criteria check by value and by finite differences; row
+  gather (``take_rows``) has no caller in the library and serves only
+  acceptance criterion 2, which lifts 1-D vectors into one-row batches;
 - elementwise multiply, matmul and mean have no caller in the library.
   They stay, gradient-checked with the others, as the elementary
   primitives from which ``tests/conftest.py`` composes the reference
@@ -25,7 +27,8 @@ Losses work on batches: an (M, S) array holds one embedding per row, and
 (S,) row) into (M,) distances with a single fused vector-Jacobian product,
 so a batch of triplets costs a few graph nodes rather than a few per row.
 ``row_cosine_with_vjp`` is the same computation on plain arrays, for fused
-nodes that build on it (the batch losses). A fused node evaluates in the
+nodes that build on it (the batch losses, which pass each block's row norms
+in so that none is computed twice). A fused node evaluates in the
 order its composed primitives would, so its value and gradients keep their
 bits; a vector-Jacobian product may return None for an input that needs no
 gradient, and ``backward`` then skips that input.
@@ -160,38 +163,60 @@ def relu(a):
     return node(np.where(mask, av, 0.0), (a,), vjp)
 
 
-def dense(h, w, b, relu: bool, in_mask=None):
-    """One fully connected layer as one node: ``(h * in_mask) @ w + b``,
-    then max(0, x) when ``relu``. ``in_mask`` (a dropout mask, say) is a
-    constant of h's shape. Value and gradients have the bits of ``mul``, ``matmul``,
-    ``add`` and ``relu`` composed; a plain input gets no gradient computed.
+def dense_stack(x, params: list, in_mask=None):
+    """An affine-ReLU stack as one node. ``params`` holds
+    [W_0, b_0, W_1, b_1, ...]; layer l maps its input h to ``h @ W_l + b_l``,
+    followed by max(0, x) on every layer but the last. ``in_mask`` (a
+    dropout mask, say) is a constant of the last layer's input shape that
+    multiplies that input. Each layer takes the expressions of ``mul``,
+    ``matmul``, ``add`` and ``relu`` composed, forward and back, so value
+    and gradients keep their bits. A plain input gets no gradient computed,
+    and with only plain inputs no layer's activations are kept.
     """
-    hm, wv, bv = value_of(h), value_of(w), value_of(b)
-    if in_mask is not None:
-        hm = hm * in_mask
-    if hm.ndim != 2 or wv.ndim != 2 or hm.shape[1] != wv.shape[0]:
-        raise ShapeMismatchError(f"matmul shapes {hm.shape} x {wv.shape}")
-    z = hm @ wv
-    z += bv
-    if relu:
-        # fmax maps NaN to 0 and adding +0.0 turns -0.0 into +0.0: the bits
-        # of np.where(z > 0, z, 0.0) at a tenth of its cost
-        np.fmax(z, 0.0, out=z)
-        z += 0.0
+    record = any(isinstance(p, Var) for p in (x, *params))
+    values = [value_of(p) for p in params]
+    n = len(values) // 2
+    if n < 1 or len(values) % 2:
+        raise ShapeMismatchError(f"{len(values)} parameters, not (W, b) pairs")
+    h = value_of(x)
+    inputs, outputs = [], []      # per layer, kept for the vjp when recording
+    for layer in range(n):
+        w, b = values[2 * layer], values[2 * layer + 1]
+        last = layer == n - 1
+        if last and in_mask is not None:
+            h = h * in_mask
+        if h.ndim != 2 or w.ndim != 2 or h.shape[1] != w.shape[0]:
+            raise ShapeMismatchError(f"matmul shapes {h.shape} x {w.shape}")
+        z = h @ w
+        z += b
+        if not last:
+            # fmax maps NaN to 0 and adding +0.0 turns -0.0 into +0.0: the
+            # bits of np.where(z > 0, z, 0.0) at a tenth of its cost
+            np.fmax(z, 0.0, out=z)
+            z += 0.0
+        if record:
+            inputs.append(h)
+            outputs.append(z)
+        h = z
 
     def vjp(g):
-        if relu:
-            g = g * (z > 0.0)           # where the pre-activation was > 0
-        gh = None
-        if isinstance(h, Var):
-            gh = g @ wv.T
-            if in_mask is not None:
-                gh = gh * in_mask
-        return (gh,
-                hm.T @ g if isinstance(w, Var) else None,
-                _unbroadcast(g, bv.shape) if isinstance(b, Var) else None)
+        grads = [None] * (1 + len(values))
+        for layer in reversed(range(n)):
+            if layer < n - 1:
+                g = g * (outputs[layer] > 0.0)  # pre-activation > 0
+            w, b = params[2 * layer], params[2 * layer + 1]
+            if isinstance(w, Var):
+                grads[1 + 2 * layer] = inputs[layer].T @ g
+            if isinstance(b, Var):
+                grads[2 + 2 * layer] = _unbroadcast(g, b.shape)
+            if layer > 0 or isinstance(x, Var):
+                g = g @ values[2 * layer].T
+                if layer == n - 1 and in_mask is not None:
+                    g = g * in_mask
+        grads[0] = g if isinstance(x, Var) else None
+        return grads
 
-    return node(z, (h, w, b), vjp)
+    return node(h, (x, *params), vjp)
 
 
 def take_rows(a, idx):
@@ -253,16 +278,17 @@ def row_cosine_distance(u, v, u_norms=None):
     return node(dist, (u, v), vjp)
 
 
-def row_cosine_with_vjp(uval: np.ndarray, vval: np.ndarray, u_norms=None):
+def row_cosine_with_vjp(uval: np.ndarray, vval: np.ndarray, u_norms=None,
+                        v_norms=None):
     """``row_cosine_distance`` of two plain float64 operands whose shapes
     it accepts (not checked here), as (distances, vjp): ``vjp(g)`` gives
     the gradients (gu, gv), each summed back to its operand's shape, and
     ``vjp(g, u_grad=False)`` or ``vjp(g, v_grad=False)`` gives None in place
-    of a gradient the caller drops. ``u_norms`` is as for
-    ``row_cosine_distance``. Raises ZeroVectorError as
-    ``row_cosine_distance`` does."""
+    of a gradient the caller drops. ``u_norms`` and ``v_norms`` are as
+    ``u_norms`` of ``row_cosine_distance``, for u and v. Raises
+    ZeroVectorError as ``row_cosine_distance`` does."""
     nu = row_norms(uval) if u_norms is None else u_norms
-    nv = row_norms(vval)
+    nv = row_norms(vval) if v_norms is None else v_norms
     if (nu < NORM_FLOOR).any() or (nv < NORM_FLOOR).any():
         raise ZeroVectorError(f"vector norm below {NORM_FLOOR:g} "
                               f"({np.min(nu):g}, {np.min(nv):g})")

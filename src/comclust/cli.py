@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from collections import defaultdict
 
@@ -40,6 +41,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_output_dirs(args)
         # weights that overflow end in a non-finite loss, gradient, GMM input
         # or score, each an error; numpy's warnings would only repeat it
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -48,6 +50,25 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0
+
+
+# the flags naming a file a command writes; an unset --results or
+# --summary-out writes beside --out
+OUTPUT_FLAGS = ("out", "results", "log", "summary_out")
+
+
+def _check_output_dirs(args) -> None:
+    """Refuse an output whose directory does not exist, before the command
+    does any work or writes any file."""
+    for name in OUTPUT_FLAGS:
+        path = getattr(args, name, None)
+        if path is None:
+            continue
+        directory = os.path.dirname(path) or "."
+        if not os.path.isdir(directory):
+            flag = "--" + name.replace("_", "-")
+            raise FileNotFoundError(f"{flag} {path}: directory {directory} "
+                                    f"does not exist")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -68,8 +68,8 @@ class AdamConfig:
 
 class ParamStore:
     """All parameters in one contiguous float64 buffer ``flat``: ``arrays``
-    are per-parameter views into it, in the given order, and Adam's moments
-    ``m`` and ``v`` are buffers of the same length."""
+    are per-parameter views into it, in the given order. Adam's moments
+    ``m`` and ``v`` and its ``scratch`` are buffers of the same length."""
 
     def __init__(self, arrays: list):
         self.flat = np.concatenate([np.ravel(a) for a in arrays],
@@ -79,6 +79,7 @@ class ParamStore:
                        in zip(arrays, np.split(self.flat, ends[:-1]))]
         self.m = np.zeros_like(self.flat)
         self.v = np.zeros_like(self.flat)
+        self.scratch = np.empty_like(self.flat)
         self.step = 0
 
     def wrap(self) -> list:
@@ -120,7 +121,8 @@ def init_head_params(embedding_dim: int, n_out: int, rng) -> list:
 
 def forward(param_vars: list, config: EncoderConfig, x_batch,
             train_mode: bool = False, rng=None):
-    """Run the MLP, returning (B, S) embeddings.
+    """Run the MLP as one ``autodiff.dense_stack`` node, returning (B, S)
+    embeddings.
 
     ``param_vars`` from ``ParamStore.wrap()`` give a Var whose gradients
     land on the store's leaves; ``ParamStore.arrays`` give an array. Dropout
@@ -132,22 +134,15 @@ def forward(param_vars: list, config: EncoderConfig, x_batch,
     if x.shape[1] != config.input_dim:
         raise ShapeMismatchError(
             f"input dim {x.shape[1]} != config {config.input_dim}")
-    n_layers = len(param_shapes(config)) // 2
-    if len(param_vars) != 2 * n_layers:
+    if len(param_vars) != len(param_shapes(config)):
         raise ShapeMismatchError("parameter count does not match config")
-
-    h = x
-    for layer in range(n_layers):
-        w, b = param_vars[2 * layer], param_vars[2 * layer + 1]
-        last = layer == n_layers - 1
-        mask = None
-        if last and train_mode and config.dropout_rate > 0.0:
-            if rng is None:
-                raise InvalidSpecError("train-mode dropout needs an rng")
-            keep = 1.0 - config.dropout_rate
-            mask = (rng.random(ad.value_of(h).shape) < keep) / keep
-        h = ad.dense(h, w, b, relu=not last, in_mask=mask)
-    return h
+    mask = None
+    if train_mode and config.dropout_rate > 0.0:
+        if rng is None:
+            raise InvalidSpecError("train-mode dropout needs an rng")
+        keep = 1.0 - config.dropout_rate
+        mask = (rng.random((len(x), config.layer_dims[-2])) < keep) / keep
+    return ad.dense_stack(x, param_vars, mask)
 
 
 def embed(params: ParamStore, config: EncoderConfig, x_batch) -> np.ndarray:
@@ -170,9 +165,10 @@ def embed(params: ParamStore, config: EncoderConfig, x_batch) -> np.ndarray:
 def minority_probability(head_vars: list, embeddings):
     """Softmax over a 2-logit head, returning the minority-class column.
 
-    Fused primitive: p = sigmoid(z1 - z0) with its analytic gradient.
+    The head is a one-layer ``dense_stack``; then one fused node gives
+    p = sigmoid(z1 - z0) with its analytic gradient.
     """
-    logits = ad.dense(embeddings, head_vars[0], head_vars[1], relu=False)
+    logits = ad.dense_stack(embeddings, head_vars)
     zs = ad.value_of(logits)
     zdiff = zs[:, 1] - zs[:, 0]
     e = np.exp(-np.abs(zdiff))    # <= 1: neither branch below can overflow
@@ -221,10 +217,18 @@ def adam_step(store: ParamStore, grads: list, config: AdamConfig) -> None:
     store.step += 1
     t = store.step
     b1, b2 = ADAM_BETA1, ADAM_BETA2
+    # the operations of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
+    # flat -= lr*m_hat / (sqrt(v_hat) + eps) in their order, with each
+    # temporary in ``scratch`` or, once it is spent, in g
+    s = store.scratch
     store.m *= b1
-    store.m += (1 - b1) * g
+    store.m += np.multiply(1 - b1, g, out=s)
     store.v *= b2
-    store.v += (1 - b2) * g * g
-    m_hat = store.m / (1 - b1 ** t)
-    v_hat = store.v / (1 - b2 ** t)
-    store.flat -= config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    np.multiply(1 - b2, g, out=s)
+    store.v += np.multiply(s, g, out=s)
+    np.divide(store.m, 1 - b1 ** t, out=g)                  # m_hat
+    np.divide(store.v, 1 - b2 ** t, out=s)                  # v_hat
+    np.sqrt(s, out=s)
+    s += ADAM_EPS
+    np.multiply(config.learning_rate, g, out=g)
+    store.flat -= np.divide(g, s, out=g)

@@ -2,8 +2,9 @@
 (COM) triplet, its cluster-center form for pseudo-labeled training, and
 weighted cross-entropy.
 
-The batch losses take (M, S) operands, one triplet or anchor per row. Each
-is one graph node: its cosine distances (``autodiff.row_cosine_with_vjp``),
+The batch losses take (M, S) operands, one triplet or anchor per row, or
+SDC's one (3M, S) embedding whose row blocks are A, P and N. Each is one
+graph node: its cosine distances (``autodiff.row_cosine_with_vjp``),
 per-row hinge, ReLU and mean, with one vector-Jacobian product, evaluated
 in the order the composed primitives would take, so value and gradients
 keep their bits. The single-triplet functions (``triplet_loss``,
@@ -77,7 +78,7 @@ def com_adaptive_margin(e_p, e_n):
     return ad.sub(1.0, cosine_distance(e_p, e_n))
 
 
-def com_triplet_loss(anchors, positives, negatives,
+def com_triplet_loss(anchors, positives=None, negatives=None,
                      margin: MarginSpec = MarginSpec()):
     """Mean COM-triplet hinge over a batch of M triplets, with the adaptive
     bound 1 - d(P, N) of each triplet (``margin``'s only mode).
@@ -85,20 +86,21 @@ def com_triplet_loss(anchors, positives, negatives,
     ``anchors``/``positives``/``negatives`` are (M, S) arrays or Vars; row i
     of each forms one triplet. Plain positives and negatives (UDC's center
     rows) get no gradient, and with both plain the d(P, N) product is
-    skipped.
+    skipped. With ``positives`` and ``negatives`` left out, ``anchors`` is
+    one (3M, S) embedding whose row blocks are A, P and N (SDC's batch),
+    and the loss node has it as its only parent.
     """
-    m = _batch_len(anchors, positives, negatives)
-    a, p, n = (ad.value_of(x) for x in (anchors, positives, negatives))
-    d_ap, vjp_ap = ad.row_cosine_with_vjp(a, p)
-    d_an, vjp_an = ad.row_cosine_with_vjp(a, n)
-    d_pn, vjp_pn = ad.row_cosine_with_vjp(p, n)
+    a, p, n, p_grad, n_grad = _triplet_rows(anchors, positives, negatives)
+    norms = [ad.row_norms(x) for x in (a, p, n)]
+    d_ap, vjp_ap = ad.row_cosine_with_vjp(a, p, norms[0], norms[1])
+    d_an, vjp_an = ad.row_cosine_with_vjp(a, n, norms[0], norms[2])
+    d_pn, vjp_pn = ad.row_cosine_with_vjp(p, n, norms[1], norms[2])
     # com_dist_wa's term plus the bound 1 - d(P, N)
     hinge = (d_ap - (d_an + d_pn) * 0.5) + (1.0 - d_pn)
     active = hinge > 0.0
-    p_grad, n_grad = ad.needs_grad(positives), ad.needs_grad(negatives)
 
-    def vjp(g):
-        g_ap = g / m * active
+    def grads(g):
+        g_ap = g / len(a) * active
         g_an = -g_ap * 0.5
         ga_ap, gp = vjp_ap(g_ap, v_grad=p_grad)
         ga_an, gn = vjp_an(g_an, v_grad=n_grad)
@@ -108,31 +110,65 @@ def com_triplet_loss(anchors, positives, negatives,
             gn = gn + gn_pn if n_grad else None
         return ga_ap + ga_an, gp, gn
 
-    return ad.node(np.where(active, hinge, 0.0).mean(),
-                   (anchors, positives, negatives), vjp)
+    return _loss_node(np.where(active, hinge, 0.0).mean(),
+                      (anchors, positives, negatives), grads)
 
 
-def triplet_loss_batch(anchors, positives, negatives):
+def triplet_loss_batch(anchors, positives=None, negatives=None):
     """Mean traditional triplet hinge over a batch (ablation baseline) with
     the constant margin ``TRIPLET_MARGIN``, as one graph node like
-    ``com_triplet_loss``, whose plain positives and negatives get no
-    gradient either."""
-    m = _batch_len(anchors, positives, negatives)
-    a, p, n = (ad.value_of(x) for x in (anchors, positives, negatives))
-    d_ap, vjp_ap = ad.row_cosine_with_vjp(a, p)
-    d_an, vjp_an = ad.row_cosine_with_vjp(a, n)
+    ``com_triplet_loss``, whose operands it takes in either form; plain
+    positives and negatives get no gradient either."""
+    a, p, n, p_grad, n_grad = _triplet_rows(anchors, positives, negatives)
+    na = ad.row_norms(a)
+    d_ap, vjp_ap = ad.row_cosine_with_vjp(a, p, na)
+    d_an, vjp_an = ad.row_cosine_with_vjp(a, n, na)
     hinge = (d_ap - d_an) + TRIPLET_MARGIN
     active = hinge > 0.0
-    p_grad, n_grad = ad.needs_grad(positives), ad.needs_grad(negatives)
 
-    def vjp(g):
-        g_ap = g / m * active
+    def grads(g):
+        g_ap = g / len(a) * active
         ga_ap, gp = vjp_ap(g_ap, v_grad=p_grad)
         ga_an, gn = vjp_an(-g_ap, v_grad=n_grad)
         return ga_ap + ga_an, gp, gn
 
-    return ad.node(np.where(active, hinge, 0.0).mean(),
-                   (anchors, positives, negatives), vjp)
+    return _loss_node(np.where(active, hinge, 0.0).mean(),
+                      (anchors, positives, negatives), grads)
+
+
+def _triplet_rows(anchors, positives, negatives) -> tuple:
+    """The plain (M, S) A, P and N rows of a batch loss's operands, the
+    three given or the row blocks of a (3M, S) ``anchors`` alone, then
+    whether the P and the N rows need gradients."""
+    if positives is None and negatives is None:
+        emb = ad.value_of(anchors)
+        if emb.ndim != 2 or len(emb) % 3:
+            raise ShapeMismatchError(f"a stacked triplet batch has 3M rows, "
+                                     f"got shape {emb.shape}")
+        m = len(emb) // 3
+        rows = emb[:m], emb[m:2 * m], emb[2 * m:]
+        needs = (ad.needs_grad(anchors),) * 2
+    else:
+        rows = tuple(ad.value_of(x) for x in (anchors, positives, negatives))
+        needs = ad.needs_grad(positives), ad.needs_grad(negatives)
+    _batch_len(*rows)
+    return (*rows, *needs)
+
+
+def _loss_node(value, operands: tuple, grads):
+    """A batch loss as one node over its operands, given ``grads(g)`` =
+    (gA, gP, gN). A stacked (3M, S) batch is the only parent, and its
+    gradient takes each block as 0.0 + gX: the bits of the three blocks
+    gathered by ``autodiff.take_rows`` and their gradients summed."""
+    anchors, positives, negatives = operands
+    if positives is None and negatives is None:
+        def vjp(g):
+            full = np.concatenate(grads(g))
+            full += 0.0
+            return (full,)
+
+        return ad.node(value, (anchors,), vjp)
+    return ad.node(value, operands, grads)
 
 
 def udc_adaptive_margin(mu_min, mu_maj):

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import cosine_distance, row_cosine_distance, row_norms
+from .autodiff import row_cosine_distance, row_cosine_with_vjp, row_norms
 from .errors import (DegenerateDistancesError, MissingClassError,
                      ShapeMismatchError)
 from .losses import C_MAJ, C_MIN
@@ -49,11 +49,16 @@ def batch_centers(embeddings, classes):
 def update_prototypes(current: Prototypes | None, cl_min_cand, cl_maj_cand) -> Prototypes:
     """Keep whichever center *pair* has strictly larger cosine separation;
     ties keep the current pair. Centers from different iterations are never
-    mixed. A rejected candidate builds no ``Prototypes``, but a zero-norm
-    center raises ZeroVectorError either way."""
+    mixed. The separation is ``cosine_distance`` of the two 1-D centers,
+    measured on the arrays without a graph node. A rejected candidate
+    builds no ``Prototypes``, but a zero-norm center raises ZeroVectorError
+    either way."""
     cl_min = np.asarray(cl_min_cand, dtype=np.float64)
     cl_maj = np.asarray(cl_maj_cand, dtype=np.float64)
-    separation = cosine_distance(cl_min, cl_maj)
+    if cl_min.ndim != 1 or cl_min.shape != cl_maj.shape or not cl_min.size:
+        raise ShapeMismatchError(f"prototype center shapes {cl_min.shape}, "
+                                 f"{cl_maj.shape}")
+    separation = float(row_cosine_with_vjp(cl_min, cl_maj)[0])
     if current is None or separation > current.separation:
         return Prototypes(cl_min, cl_maj, separation)
     return current

@@ -6,11 +6,12 @@ evaluators are the only place that splits inference into row blocks."""
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from . import autodiff as ad
 from . import encoder as enc
 from . import gmm as gmm_mod
 from .autodiff import backward, grad_of, make_rng
@@ -82,8 +83,33 @@ def _iterations(n_train: int, config: TrainConfig) -> int:
 _P_N_CLASSES = np.array([[C_MAJ, C_MIN], [C_MIN, C_MAJ]])
 
 
-def sample_triplets(labels: np.ndarray, m: int, rng):
-    """Sample M (anchor, positive, negative) index triples.
+class ClassLayout(NamedTuple):
+    """What the triplet sampler reads of a split's labels: the labels, the
+    class sizes, the row indices in stable class order (class 0's rows,
+    then class 1's) and where each class starts in that order."""
+    labels: np.ndarray
+    sizes: np.ndarray
+    by_class: np.ndarray
+    starts: np.ndarray
+
+
+def class_layout(labels) -> ClassLayout:
+    """The sampler's layout of ``labels``, which must hold both classes and
+    nothing else; a run computes it once."""
+    labels = np.asarray(labels, dtype=int)
+    if labels.size and (labels.min() < C_MAJ or labels.max() > C_MIN):
+        raise InvalidSpecError(f"labels must be {C_MAJ} or {C_MIN}")
+    sizes = np.bincount(labels, minlength=2)
+    for c in (C_MAJ, C_MIN):
+        if sizes[c] == 0:
+            raise MissingClassError(f"no samples of class {c}")
+    return ClassLayout(labels, sizes, np.argsort(labels, kind="stable"),
+                       np.array([0, sizes[0]]))
+
+
+def sample_triplets(layout: ClassLayout, m: int, rng):
+    """Sample M (anchor, positive, negative) index triples from the labels
+    of ``layout`` (``class_layout``).
 
     Anchors are uniform over the split; P is uniform over the anchor's class
     excluding the anchor itself when the class has more than one member
@@ -97,19 +123,11 @@ def sample_triplets(labels: np.ndarray, m: int, rng):
     call, and redraws that anchor as the loop does; the next call starts
     after it.
     """
-    labels = np.asarray(labels, dtype=int)
-    if labels.size and (labels.min() < C_MAJ or labels.max() > C_MIN):
-        raise InvalidSpecError(f"labels must be {C_MAJ} or {C_MIN}")
-    sizes = np.bincount(labels, minlength=2)
-    for c in (C_MAJ, C_MIN):
-        if sizes[c] == 0:
-            raise MissingClassError(f"no samples of class {c}")
-    by_class = np.argsort(labels, kind="stable")   # class 0's rows, then 1's
+    labels, sizes, by_class, starts = layout
     anchors = rng.integers(0, len(labels), size=m)
-    own = labels[anchors]
-    roles = _P_N_CLASSES[own]
+    roles = _P_N_CLASSES[labels[anchors]]
     bounds = sizes[roles]
-    offsets = np.array([0, sizes[0]])[roles]       # where each class starts
+    offsets = starts[roles]
     drawn = np.empty((m, 2), dtype=int)
     i = 0
     while i < m:
@@ -140,12 +158,13 @@ def _sample_rows(n: int, k: int, rng) -> np.ndarray:
     return rng.choice(n, size=min(k, n), replace=False)
 
 
-def _batch_loss(loss_kind: str, anchors, positives, negatives):
+def _batch_loss(loss_kind: str, *operands):
     """Mean margin-free COM-triplet loss, or traditional triplet loss with
-    its constant margin, over (M, S) triplet rows."""
+    its constant margin, over (M, S) triplet rows: A, P and N, or one
+    stacked (3M, S) embedding."""
     if loss_kind == LOSS_COM:
-        return com_triplet_loss(anchors, positives, negatives)
-    return triplet_loss_batch(anchors, positives, negatives)
+        return com_triplet_loss(*operands)
+    return triplet_loss_batch(*operands)
 
 
 def _train(x, y, config: TrainConfig, step, head_outputs: int = 0) -> TrainLog:
@@ -167,7 +186,7 @@ def _train(x, y, config: TrainConfig, step, head_outputs: int = 0) -> TrainLog:
         param_vars = store.wrap()
         loss, pair, gmm_nll = step(rng, param_vars, enc_config)
         value = loss.item()
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise NonFiniteLossError(f"loss {value} at iteration {it}")
         backward(loss)
         enc.adam_step(store, [grad_of(p) for p in param_vars], config.adam)
@@ -190,19 +209,17 @@ def train_sdc(dataset: LabeledDataset, config: TrainConfig) -> TrainLog:
     positive (P = A), which is logged once per run.
     """
     x, y = dataset.subset(TRAIN)
-    m = config.batch_size
+    layout = class_layout(y)
     for c in (C_MAJ, C_MIN):
-        if np.count_nonzero(y == c) == 1:
+        if layout.sizes[c] == 1:
             log.warning("class %d has a single training sample; using P = A",
                         c)
 
     def step(rng, param_vars, enc_config):
-        rows = np.concatenate(sample_triplets(y, m, rng))
+        rows = np.concatenate(sample_triplets(layout, config.batch_size, rng))
         emb = enc.forward(param_vars, enc_config, x[rows],
                           train_mode=True, rng=rng)
-        e_a, e_p, e_n = (ad.take_rows(emb, slice(k * m, (k + 1) * m))
-                         for k in range(3))
-        return (_batch_loss(config.loss_kind, e_a, e_p, e_n),
+        return (_batch_loss(config.loss_kind, emb),
                 batch_centers(emb.value, y[rows]), None)
 
     return _train(x, y, config, step)

@@ -2,9 +2,10 @@
 comclust's elementary autodiff primitives.
 
 Each function here is what a fused node or an in-place step replaces:
-``dense`` is ``mul``/``matmul``/``add``/``relu``, the batch losses are
-``row_cosine_distance``/``sub``/``scale``/``add``/``relu``/``mean``, and
-``forward``, ``minority_probability``, ``take_rows``, ``adam_step`` and
+``dense`` is one layer of ``dense_stack`` as ``mul``/``matmul``/``add``/
+``relu``, the batch losses are ``row_cosine_distance``/``sub``/``scale``/
+``add``/``relu``/``mean`` (a stacked (3M, S) batch split by ``take_rows``),
+and ``forward``, ``minority_probability``, ``take_rows``, ``adam_step`` and
 ``update_prototypes`` are the training step's pieces written that way. The
 fused versions must give the same bits.
 """
@@ -35,7 +36,18 @@ def dense(h, w, b, relu, in_mask=None):
     return ad.relu(z) if relu else z
 
 
-def com_triplet_loss(anchors, positives, negatives):
+def _blocks(anchors, positives, negatives):
+    """A, P and N: a stacked (3M, S) batch's row blocks, gathered by the
+    module's ``take_rows`` (a test may replace it), or the three given."""
+    if positives is None and negatives is None:
+        m = len(ad.value_of(anchors)) // 3
+        return [ad.take_rows(anchors, slice(k * m, (k + 1) * m))
+                for k in range(3)]
+    return anchors, positives, negatives
+
+
+def com_triplet_loss(anchors, positives=None, negatives=None):
+    anchors, positives, negatives = _blocks(anchors, positives, negatives)
     d_ap = ad.row_cosine_distance(anchors, positives)
     d_an = ad.row_cosine_distance(anchors, negatives)
     d_pn = ad.row_cosine_distance(positives, negatives)
@@ -43,7 +55,8 @@ def com_triplet_loss(anchors, positives, negatives):
     return ad.mean(ad.relu(ad.add(wa, ad.sub(1.0, d_pn))))
 
 
-def triplet_loss_batch(anchors, positives, negatives):
+def triplet_loss_batch(anchors, positives=None, negatives=None):
+    anchors, positives, negatives = _blocks(anchors, positives, negatives)
     hinge = ad.add(ad.sub(ad.row_cosine_distance(anchors, positives),
                           ad.row_cosine_distance(anchors, negatives)),
                    TRIPLET_MARGIN)

@@ -14,11 +14,12 @@ def load_results(path) -> dict:
         return json.load(fh)
 
 
-def sample_triplets_loop(labels, m, rng):
+def sample_triplets_loop(layout, m, rng):
     """``training.sample_triplets`` as a loop over the anchors, one scalar
     draw at a time: the oracle whose triples and generator state the array
-    sampler must reproduce."""
-    labels = np.asarray(labels, dtype=int)
+    sampler must reproduce. It reads only the labels of ``layout`` and
+    finds each class's rows itself."""
+    labels = np.asarray(layout.labels, dtype=int)
     by_class = {c: np.flatnonzero(labels == c) for c in (C_MAJ, C_MIN)}
     for c, idx in by_class.items():
         if len(idx) == 0:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -244,11 +246,20 @@ def _take_rows_case(d, m, s):
     return (lambda a: ad.take_rows(a, idx)), [_array(d, m, s)]
 
 
+def _stack_params(d, s):
+    """(W, b) pairs of one to three layers of widths 1-4 on s inputs, and
+    the last layer's input width."""
+    widths = [s] + d(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    params = [a for d_in, d_out in zip(widths, widths[1:])
+              for a in (_array(d, d_in, d_out), _array(d, d_out))]
+    return params, widths[-2]
+
+
 def _dense_case(d, m, s):
-    relu = d(st.booleans())
-    in_mask = _array(d, m, s) if d(st.booleans()) else None
-    return ((lambda h, w, b: ad.dense(h, w, b, relu, in_mask)),
-            [_array(d, m, s), _array(d, s, 3), _array(d, 3)])
+    params, last_in = _stack_params(d, s)
+    in_mask = _array(d, m, last_in) if d(st.booleans()) else None
+    return ((lambda x, *params: ad.dense_stack(x, params, in_mask)),
+            [_array(d, m, s), *params])
 
 
 def _cross_entropy_case(d, m, s):
@@ -326,38 +337,55 @@ def _assert_same_bits(fused, reference, inputs, as_var,
     want = _value_and_grads(reference, inputs, as_var, reduce)
     assert len(got) == len(want) == 1 + sum(as_var)
     for g, w in zip(got, want):
-        assert g is not None and np.array_equal(g, w)
+        assert g is not None and g.tobytes() == w.tobytes()
+
+
+def _dense_chain(composed, x, params, in_mask=None):
+    """``dense_stack`` as one composed ``dense`` layer per (W, b) pair."""
+    n = len(params) // 2
+    for layer in range(n):
+        last = layer == n - 1
+        x = composed.dense(x, params[2 * layer], params[2 * layer + 1],
+                           not last, in_mask if last else None)
+    return x
 
 
 @FUSED
 @given(data=st.data())
 def test_dense_has_the_bits_of_the_composed_layer(composed, data):
+    """A stack of one to three layers, with or without the mask on the last
+    layer's input and with any of its inputs plain, has the value and the
+    Var inputs' gradients of the composed chain."""
     m, s = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 4))
-    relu, h_var = data.draw(st.booleans()), data.draw(st.booleans())
-    in_mask = _array(data.draw, m, s) if data.draw(st.booleans()) else None
-    weights = _array(data.draw, m, 3)
+    params, last_in = _stack_params(data.draw, s)
+    in_mask = (_array(data.draw, m, last_in) if data.draw(st.booleans())
+               else None)
+    as_var = [data.draw(st.booleans()) for _ in range(1 + len(params))]
+    assume(any(as_var))
+    weights = _array(data.draw, m, params[-1].shape[0])
     _assert_same_bits(
-        lambda h, w, b: ad.dense(h, w, b, relu, in_mask),
-        lambda h, w, b: composed.dense(h, w, b, relu, in_mask),
-        [_array(data.draw, m, s), _array(data.draw, s, 3),
-         _array(data.draw, 3)],
-        [h_var, True, True], lambda out: ad.mean(ad.mul(out, weights)))
+        lambda x, *params: ad.dense_stack(x, params, in_mask),
+        lambda x, *params: _dense_chain(composed, x, params, in_mask),
+        [_array(data.draw, m, s), *params],
+        as_var, lambda out: ad.mean(ad.mul(out, weights)))
 
 
 def test_dense_relu_has_the_composed_bits_on_special_values(composed):
-    """Pre-activations of signed zeros, NaN, infinities and subnormals: the
-    ReLU gives +0.0 wherever the composed relu does, and the same
-    gradient."""
+    """Hidden pre-activations of signed zeros, NaN, infinities and
+    subnormals: the ReLU gives +0.0 wherever the composed relu does, and
+    the same gradient."""
     special = np.array([-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324,
                         -5e-324, 1.0, -1.0])
     h = np.tile(special, 3)[:, None]          # times [[1.0]], plus 0.0: h
     weights = np.arange(1.0, len(h) + 1)[:, None]
+    identity = [np.ones((1, 1)), np.zeros(1)]
     with np.errstate(invalid="ignore"):       # NaN through the matmul
         got, want = (_value_and_grads(
-            lambda h, w, b: layer(h, w, b, True),
-            [h, np.ones((1, 1)), np.zeros(1)], [True, False, False],
+            stack, [h, *identity, *identity], [True] + [False] * 4,
             lambda out: ad.mean(ad.mul(out, weights)))
-            for layer in (ad.dense, composed.dense))
+            for stack in (lambda x, *params: ad.dense_stack(x, params),
+                          lambda x, *params: _dense_chain(composed, x,
+                                                          params)))
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
     assert got[0].tobytes() == np.where(h > 0, h, 0.0).tobytes()
 
@@ -365,14 +393,19 @@ def test_dense_relu_has_the_composed_bits_on_special_values(composed):
 @FUSED
 @given(data=st.data())
 def test_fused_hinges_have_the_bits_of_the_composed_losses(composed, data):
-    """Var positives and negatives (SDC), or constant center rows (UDC)."""
+    """Var positives and negatives, one stacked (3M, S) Var whose row
+    blocks are A, P and N (SDC; the reference gathers them with
+    ``take_rows``), or constant center rows (UDC)."""
     m, s = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 4))
 
     def rows(*shape):
         return data.draw(hnp.arrays(np.float64, shape, elements=ENTRY))
 
-    if data.draw(st.booleans()):
+    form = data.draw(st.sampled_from(["operands", "stacked", "centers"]))
+    if form == "operands":
         inputs, as_var = [rows(m, s), rows(m, s), rows(m, s)], [True] * 3
+    elif form == "stacked":
+        inputs, as_var = [rows(3 * m, s)], [True]
     else:
         classes = data.draw(hnp.arrays(int, m, elements=st.sampled_from([0, 1])))
         inputs = [rows(m, s), *center_rows(classes, rows(s), rows(s))]
@@ -400,26 +433,62 @@ def test_plain_operands_get_no_gradient(loss, p_var, n_var):
             == [True, p_var, n_var])
 
 
+def test_dense_stack_on_plain_inputs_keeps_no_activations():
+    """Plain inputs give an array, record no node, and hold at most the
+    input and output of the layer being computed: a four-hidden-layer stack
+    whose activations were all kept would peak above three of them."""
+    rng = make_rng(64)
+    widths = [8, 256, 256, 256, 256, 8]
+    x = rng.normal(size=(2000, 8))
+    params = [a for d_in, d_out in zip(widths, widths[1:])
+              for a in (rng.normal(size=(d_in, d_out)),
+                        rng.normal(size=d_out))]
+    activation_bytes = len(x) * 256 * 8
+    tracemalloc.start()
+    try:
+        out = ad.dense_stack(x, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert type(out) is np.ndarray and out.shape == (2000, 8)
+    assert peak < 3 * activation_bytes
+
+
 @pytest.mark.parametrize("relu", [False, True])
 @pytest.mark.parametrize("masked", [False, True])
 def test_dense_gradient_matches_finite_differences(relu, masked):
+    """``dense_stack``'s gradients of its input and of every weight and
+    bias: the one linear layer of the classifier head, or, with ``relu``,
+    stacks of two and three layers whose hidden layers apply it; ``masked``
+    multiplies the last layer's input by a constant mask."""
     rng = make_rng(61)
-    h, w, b = rng.normal(size=(5, 4)), rng.normal(size=(4, 3)), rng.normal(size=3)
-    mask = rng.uniform(0.0, 2.0, size=(5, 4)) if masked else None
-    weights = rng.uniform(0.5, 2.0, size=(5, 3))
-    # no pre-activation within a finite-difference step of the ReLU kink
-    assert np.min(np.abs((h if mask is None else h * mask) @ w + b)) > 1e-2
+    for widths in ([[4, 3]] if not relu else [[4, 5, 3], [4, 6, 5, 3]]):
+        h = rng.normal(size=(5, widths[0]))
+        params = [a for d_in, d_out in zip(widths, widths[1:])
+                  for a in (rng.normal(size=(d_in, d_out)),
+                            rng.normal(size=d_out))]
+        mask = (rng.uniform(0.0, 2.0, size=(5, widths[-2])) if masked
+                else None)
+        weights = rng.uniform(0.5, 2.0, size=(5, widths[-1]))
+        # no hidden pre-activation within a finite-difference step of the
+        # ReLU kink
+        hidden = h
+        for w, b in zip(params[:-2:2], params[1:-2:2]):
+            pre = hidden @ w + b
+            assert np.min(np.abs(pre)) > 1e-2
+            hidden = np.maximum(pre, 0.0)
 
-    def run():
-        leaves = [Var(h), Var(w), Var(b)]
-        out = ad.dense(*leaves, relu, mask)
-        return leaves, ad.mean(ad.mul(out, weights))
+        def run():
+            leaves = [Var(a) for a in (h, *params)]
+            out = ad.dense_stack(leaves[0], leaves[1:], mask)
+            return leaves, out, ad.mean(ad.mul(out, weights))
 
-    leaves, loss = run()
-    backward(loss)
-    for arr, leaf in zip((h, w, b), leaves):
-        num = central_diff(lambda: run()[1].item(), arr)
-        assert np.max(_rel_err(grad_of(leaf), num)) < 1e-3
+        leaves, out, loss = run()
+        assert out._parents == tuple(leaves)        # the stack is one node
+        backward(loss)
+        for arr, leaf in zip((h, *params), leaves):
+            num = central_diff(lambda: run()[2].item(), arr)
+            assert np.max(_rel_err(grad_of(leaf), num)) < 1e-3
 
 
 @pytest.mark.parametrize("loss", [com_triplet_loss, triplet_loss_batch],

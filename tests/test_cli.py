@@ -19,7 +19,7 @@ from hypothesis.extra import numpy as hnp
 
 import comclust
 from comclust import checkpoint as ckpt
-from comclust import training
+from comclust import cli, training
 from comclust.autodiff import make_rng
 from comclust.cli import main, run_sweep_cell, sweep_cell_seeds
 from comclust.dataio import load_csv, split_dataset
@@ -863,6 +863,73 @@ class TestBadInput:
     def test_empty_hidden_means_no_hidden_layer(self, blob_csv, tmp_path):
         out = _train_sdc(blob_csv, tmp_path, hidden="", epochs=1)
         assert json.loads(out.read_text())["encoder"]["hidden"] == []
+
+
+class TestMissingOutputDirectory:
+    """An output path in a directory that does not exist ends in
+    'error: ...' naming its flag, with exit code 1, before the command
+    trains, evaluates, sweeps or writes any file."""
+
+    @staticmethod
+    def _refused(argv, tmp_path, capsys, flag, work):
+        with mock.patch.object(cli, work,
+                               side_effect=AssertionError("work began")):
+            assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert flag in err and "does not exist" in err
+        assert sorted(tmp_path.rglob("*")) == []
+
+    @staticmethod
+    def _outputs(tmp_path, flags: dict, missing: str) -> list:
+        """Each flag's file in tmp_path, the one named ``missing`` in a
+        directory that does not exist, as argv."""
+        return [part for flag, name in flags.items()
+                for part in (flag, str(tmp_path / ("gone" if flag == missing
+                                                   else "") / name))]
+
+    @pytest.mark.parametrize("command", ["train-sdc", "train-udc",
+                                         "train-classifier"])
+    @pytest.mark.parametrize("missing", ["--out", "--results", "--log"])
+    def test_train(self, command, missing, blob_csv, tmp_path, capsys):
+        outputs = self._outputs(tmp_path, {"--out": "m.json",
+                                           "--results": "r.json",
+                                           "--log": "log.csv"}, missing)
+        self._refused([command, "--data", str(blob_csv), "--epochs", "1",
+                       *outputs], tmp_path, capsys, missing, "_fit")
+
+    def test_train_default_results_beside_out(self, blob_csv, tmp_path,
+                                              capsys):
+        self._refused(["train-sdc", "--data", str(blob_csv),
+                       "--out", str(tmp_path / "gone" / "m.json")],
+                      tmp_path, capsys, "--out", "_fit")
+
+    def test_eval(self, sdc_checkpoint_doc, blob_csv, tmp_path_factory,
+                  tmp_path, capsys):
+        checkpoint = tmp_path_factory.mktemp("ckpt") / "model.json"
+        checkpoint.write_text(json.dumps(sdc_checkpoint_doc))
+        self._refused(["eval", "--checkpoint", str(checkpoint),
+                       "--data", str(blob_csv), "--split", "all",
+                       "--out", str(tmp_path / "gone" / "e.json")],
+                      tmp_path, capsys, "--out", "_evaluate")
+
+    @pytest.mark.parametrize("missing", ["--out", "--summary-out"])
+    def test_sweep(self, missing, tmp_path, capsys):
+        outputs = self._outputs(tmp_path, {"--out": "s.csv",
+                                           "--summary-out": "s.summary.csv"},
+                                missing)
+        self._refused(["sweep-imbalance", *SWEEP_FAST, "--seeds", "0",
+                       *outputs], tmp_path, capsys, missing,
+                      "run_sweep_cell")
+
+    def test_synth(self, tmp_path, capsys):
+        with mock.patch.object(cli.dataio, "synth_imbalanced",
+                               side_effect=AssertionError("work began")):
+            assert main(["synth", "--maj", "30", "--min", "10",
+                         "--out", str(tmp_path / "gone" / "d.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--out" in err
+        assert sorted(tmp_path.rglob("*")) == []
 
 
 @pytest.fixture(scope="module")

@@ -10,7 +10,7 @@ from comclust import autodiff as ad
 from comclust import encoder as enc
 from comclust import gmm, losses, training
 from comclust.autodiff import make_rng
-from comclust.dataio import TEST, TRAIN, BlobSpec, LabeledDataset, \
+from comclust.dataio import TEST, TRAIN, VAL, BlobSpec, LabeledDataset, \
     split_dataset, synth_imbalanced
 from comclust.encoder import AdamConfig, embed
 from comclust.errors import (EmptyBatchError, InvalidSpecError,
@@ -21,9 +21,9 @@ from comclust.prototypes import infer_label, malignancy_score, \
     update_prototypes
 from comclust.training import (EQUAL, INVERSE_FREQUENCY, TrainConfig,
                                batch_class_weights, best_permutation_accuracy,
-                               evaluate_classifier, evaluate_prototypes,
-                               sample_triplets, train_classifier, train_sdc,
-                               train_udc)
+                               class_layout, evaluate_classifier,
+                               evaluate_prototypes, sample_triplets,
+                               train_classifier, train_sdc, train_udc)
 from helpers import sample_triplets_loop
 
 
@@ -60,9 +60,10 @@ def test_training_needs_a_split(train):
 class TestSampleTriplets:
     def test_class_structure(self):
         labels = np.array([0] * 20 + [1] * 5)
+        layout = class_layout(labels)
         rng = make_rng(3)
         for _ in range(20):
-            a, p, n = sample_triplets(labels, 8, rng)
+            a, p, n = sample_triplets(layout, 8, rng)
             np.testing.assert_array_equal(labels[a], labels[p])
             np.testing.assert_array_equal(labels[n], 1 - labels[a])
             assert np.all(a != p)
@@ -70,23 +71,33 @@ class TestSampleTriplets:
     def test_singleton_class_reuses_anchor(self):
         labels = np.array([0, 0, 0, 1])
         rng = make_rng(4)
-        a, p, n = sample_triplets(labels, 30, rng)
+        a, p, n = sample_triplets(class_layout(labels), 30, rng)
         minority_anchors = labels[a] == 1
         assert np.all(p[minority_anchors] == a[minority_anchors])
 
+    def test_layout_orders_rows_by_class(self):
+        """Class sizes, the rows in stable class order and where each class
+        starts in it."""
+        labels = np.array([1, 0, 0, 1, 0])
+        layout = class_layout(labels)
+        np.testing.assert_array_equal(layout.labels, labels)
+        np.testing.assert_array_equal(layout.sizes, [3, 2])
+        np.testing.assert_array_equal(layout.by_class, [1, 2, 4, 0, 3])
+        np.testing.assert_array_equal(layout.starts, [0, 3])
+
     def test_missing_class(self):
         with pytest.raises(MissingClassError):
-            sample_triplets(np.zeros(10, dtype=int), 4, make_rng(0))
+            class_layout(np.zeros(10, dtype=int))
 
     @pytest.mark.parametrize("bad", [2, -1])
     def test_label_outside_the_two_classes(self, bad):
         with pytest.raises(InvalidSpecError, match="labels must be"):
-            sample_triplets(np.array([0, 1, 0, bad]), 4, make_rng(0))
+            class_layout(np.array([0, 1, 0, bad]))
 
     def test_deterministic(self):
         labels = np.array([0] * 10 + [1] * 10)
-        a1 = sample_triplets(labels, 6, make_rng(7))
-        a2 = sample_triplets(labels, 6, make_rng(7))
+        a1 = sample_triplets(class_layout(labels), 6, make_rng(7))
+        a2 = sample_triplets(class_layout(labels), 6, make_rng(7))
         for x, y in zip(a1, a2):
             np.testing.assert_array_equal(x, y)
 
@@ -102,10 +113,11 @@ class TestSampleTriplets:
         labels = np.array(data.draw(st.permutations([C_MAJ] * n_maj
                                                     + [C_MIN] * n_min)))
         sizes = np.array([n_maj, n_min])
+        layout = class_layout(labels)
         rng, oracle_rng = make_rng(seed), make_rng(seed)
         for m in ms:
-            got = sample_triplets(labels, m, rng)
-            want = sample_triplets_loop(labels, m, oracle_rng)
+            got = sample_triplets(layout, m, rng)
+            want = sample_triplets_loop(layout, m, oracle_rng)
             for g, w in zip(got, want):
                 assert g.dtype == w.dtype
                 np.testing.assert_array_equal(g, w)
@@ -130,9 +142,10 @@ class TestSampleTriplets:
         labels = np.array([C_MAJ] * 20 + [C_MIN] * 2)
         make_rng(5).shuffle(labels)
         rng, oracle_rng = CountingRng(make_rng(11)), make_rng(11)
+        layout = class_layout(labels)
         for _ in range(5):
-            got = sample_triplets(labels, 60, rng)
-            want = sample_triplets_loop(labels, 60, oracle_rng)
+            got = sample_triplets(layout, 60, rng)
+            want = sample_triplets_loop(layout, 60, oracle_rng)
             for g, w in zip(got, want):
                 np.testing.assert_array_equal(g, w)
             assert rng.bit_generator.state == oracle_rng.bit_generator.state
@@ -147,7 +160,8 @@ class TestSampleTriplets:
         labels = np.array([C_MAJ] * 12 + [C_MIN] * 5)
         make_rng(2).shuffle(labels)
         rng = make_rng(21)
-        draws = [sample_triplets(labels, 60, rng) for _ in range(200)]
+        layout = class_layout(labels)
+        draws = [sample_triplets(layout, 60, rng) for _ in range(200)]
         a, p, n = (np.concatenate(d) for d in zip(*draws))
         counts = {"anchor": np.bincount(a, minlength=len(labels))}
         for c in (C_MAJ, C_MIN):
@@ -166,7 +180,7 @@ class TestSampleTriplets:
         its anchors the run draws."""
         labels = np.array([C_MAJ] * 10 + [C_MIN])
         with caplog.at_level(logging.WARNING, logger="comclust.training"):
-            a, p, _ = sample_triplets(labels, 40, make_rng(6))
+            a, p, _ = sample_triplets(class_layout(labels), 40, make_rng(6))
         single = labels[a] == C_MIN
         assert np.count_nonzero(single) > 1
         np.testing.assert_array_equal(p[single], a[single])
@@ -336,17 +350,29 @@ class TestSamplerSameProgram:
     gives the same bits."""
 
     @pytest.mark.parametrize("case", ["criterion-6-com", "40:3-com",
-                                      "40:3-triplet"])
+                                      "40:3-triplet", "singleton-com",
+                                      "singleton-triplet"])
     def test_train_sdc_has_the_bits_of_the_loop(self, case, monkeypatch):
+        """40:3 leaves two minority rows in the train split, so half their
+        anchors first draw P = A and the sampler replays; "singleton" keeps
+        one, which is its own positive."""
         if case.startswith("criterion-6"):
             # tests/test_acceptance.py's _blobs(0)
             ds = split_dataset(synth_imbalanced(BlobSpec(
                 n_maj=800, n_min=80, dim=8, separation=6.0, seed=100)),
                 seed=200)
+        elif case.startswith("singleton"):
+            blobs = synth_imbalanced(BlobSpec(n_maj=40, n_min=3, dim=8,
+                                              separation=6.0, seed=4))
+            splits = np.full(blobs.n_samples, TRAIN)
+            splits[np.flatnonzero(blobs.labels == C_MIN)[1:]] = VAL
+            ds = LabeledDataset(blobs.features, blobs.labels, splits)
         else:
             ds = _dataset(n_maj=40, n_min=3, dim=8, seed=4)
+        if not case.startswith("criterion-6"):
             _, y = ds.subset(TRAIN)
-            assert np.count_nonzero(y == C_MIN) == 2
+            assert np.count_nonzero(y == C_MIN) == (
+                1 if case.startswith("singleton") else 2)
         config = TrainConfig(seed=3, loss_kind=case.split("-")[-1])
         shipped = train_sdc(ds, config)
         monkeypatch.setattr(training, "sample_triplets", sample_triplets_loop)
