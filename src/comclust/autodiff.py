@@ -10,8 +10,10 @@ leaves. Only a handful of primitives are provided, each for a stated user:
 - broadcast add/subtract/scale and ReLU compose the single-triplet loss
   definitions in ``losses`` (``triplet_loss``, ``com_dist_wa``, ...), which
   the acceptance criteria check by value and by finite differences; row
-  gather (``take_rows``) has no caller in the library and serves only
-  acceptance criterion 2, which lifts 1-D vectors into one-row batches;
+  gather by an index array (``take_rows``) has no caller in the library
+  and serves acceptance criterion 2, which lifts 1-D vectors into one-row
+  batches, and the reference graphs in ``tests/conftest.py``, which split
+  a stacked (3M, S) batch into A, P and N with it;
 - elementwise multiply, matmul and mean have no caller in the library.
   They stay, gradient-checked with the others, as the elementary
   primitives from which ``tests/conftest.py`` composes the reference
@@ -220,19 +222,14 @@ def dense_stack(x, params: list, in_mask=None):
 
 
 def take_rows(a, idx):
-    """Gather rows by an index array or a slice. The adjoint scatter-adds
-    back (duplicate indices allowed); a slice's rows are distinct, so it
-    adds its block into zeros in one step, with the same bits."""
+    """Gather rows by an index array. The adjoint scatter-adds back
+    (duplicate indices allowed)."""
     av = value_of(a)
-    if not isinstance(idx, slice):
-        idx = np.asarray(idx, dtype=int)
+    idx = np.asarray(idx, dtype=int)
 
     def vjp(g):
         full = np.zeros_like(av)
-        if isinstance(idx, slice):
-            full[idx] += g
-        else:
-            np.add.at(full, idx, g)
+        np.add.at(full, idx, g)
         return (full,)
 
     return node(av[idx], (a,), vjp)

@@ -41,7 +41,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_output_dirs(args)
+        _check_paths(args)
         # weights that overflow end in a non-finite loss, gradient, GMM input
         # or score, each an error; numpy's warnings would only repeat it
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -52,23 +52,44 @@ def main(argv=None) -> int:
     return 0
 
 
-# the flags naming a file a command writes; an unset --results or
-# --summary-out writes beside --out
+# the flags naming a file a command writes, and the suffix an unset
+# --results or --summary-out adds to --out to write beside it
 OUTPUT_FLAGS = ("out", "results", "log", "summary_out")
+BESIDE_OUT = {"results": ".results.json", "summary_out": ".summary.csv"}
+INPUT_FLAGS = ("data", "checkpoint")
 
 
-def _check_output_dirs(args) -> None:
-    """Refuse an output whose directory does not exist, before the command
-    does any work or writes any file."""
-    for name in OUTPUT_FLAGS:
-        path = getattr(args, name, None)
+def _path(args, name: str):
+    """The file a command's flag ``name`` names, a defaulted output
+    included; None when the command has no such file."""
+    path = getattr(args, name, None)
+    if path is None and name in BESIDE_OUT and hasattr(args, name):
+        path = args.out + BESIDE_OUT[name]
+    return path
+
+
+def _check_paths(args) -> None:
+    """Refuse, before the command does any work or writes any file, an
+    output whose directory does not exist or that is a directory, and an
+    output that is the same file as another output or an input."""
+    seen = {}                       # resolved path -> flag, inputs first
+    for name in INPUT_FLAGS + OUTPUT_FLAGS:
+        path = _path(args, name)
         if path is None:
             continue
-        directory = os.path.dirname(path) or "."
-        if not os.path.isdir(directory):
-            flag = "--" + name.replace("_", "-")
-            raise FileNotFoundError(f"{flag} {path}: directory {directory} "
-                                    f"does not exist")
+        flag = "--" + name.replace("_", "-")
+        if name in OUTPUT_FLAGS:
+            directory = os.path.dirname(path) or "."
+            if not os.path.isdir(directory):
+                raise FileNotFoundError(f"{flag} {path}: directory "
+                                        f"{directory} does not exist")
+            if os.path.isdir(path):
+                raise IsADirectoryError(f"{flag} {path} is a directory")
+        resolved = os.path.realpath(path)
+        if name in OUTPUT_FLAGS and resolved in seen:
+            raise InvalidSpecError(f"{seen[resolved]} and {flag} name the "
+                                   f"same file {path}")
+        seen.setdefault(resolved, flag)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -262,7 +283,7 @@ def cmd_train(args) -> None:
                          result.prototypes, args.seed, record["config"])
     record["metrics"], record["prototype_separation"] = _score(
         result, dataset, (dataio.VAL, dataio.TEST))
-    save_results(args.results or args.out + ".results.json", record)
+    save_results(_path(args, "results"), record)
     if args.log:
         _write_train_log(args.log, result)
 
@@ -393,8 +414,7 @@ def cmd_sweep(args) -> None:
         writer.writeheader()
         writer.writerows(rows)
 
-    summary_path = args.summary_out or args.out + ".summary.csv"
-    with open(summary_path, "w", newline="") as fh:
+    with open(_path(args, "summary_out"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["ratio", "method", "median_auc", "n_ok"])
         for n_maj, n_min in ratios:

@@ -127,8 +127,6 @@ def kmeans(points, seed: int = 0):
       assignment unchanged;
     - a centre is the mean of its members, summed in row order; an empty
       cluster is re-seeded at the point farthest from its nearest centre;
-    - at S = 1 the centres are summed restart by restart instead: numpy
-      sums a one-column block of members pairwise, not in row order;
     - the first restart wins unless a later one beats its wcss by more
       than 1e-15.
 
@@ -203,19 +201,11 @@ def _lloyd_centers(points: np.ndarray, d2: np.ndarray,
     slot = assign + 2 * np.arange(restarts)[:, None]
     counts = np.bincount(slot.ravel(), minlength=restarts * 2).reshape(
         restarts, 2)
-    if s == 1:
-        # numpy sums a one-column block of members pairwise, not in row
-        # order, so the scattered sum below would round differently
-        member = assign[..., None] == np.arange(2)
-        sums = np.array([[points[m].sum(axis=0) for m in mr.T]
-                         for mr in member])
-    else:
-        # each point lands in its cluster's slot; -0.0 is the exact
-        # additive identity, so the sum over points adds the members in
-        # row order, as the sum over the members alone does
-        slots = np.full((n, restarts * 2, s), -0.0)
-        slots[np.arange(n)[:, None], slot.T] = points[:, None, :]
-        sums = slots.sum(axis=0).reshape(restarts, 2, s)
+    # each point lands in its cluster's slot; -0.0 is the exact additive
+    # identity, so the sum over points adds the members in row order
+    slots = np.full((n, restarts * 2, s), -0.0)
+    slots[np.arange(n)[:, None], slot.T] = points[:, None, :]
+    sums = slots.sum(axis=0).reshape(restarts, 2, s)
     centers = sums / np.maximum(counts, 1)[..., None]
     empty = counts == 0
     if empty.any():

@@ -86,11 +86,13 @@ _P_N_CLASSES = np.array([[C_MAJ, C_MIN], [C_MIN, C_MAJ]])
 class ClassLayout(NamedTuple):
     """What the triplet sampler reads of a split's labels: the labels, the
     class sizes, the row indices in stable class order (class 0's rows,
-    then class 1's) and where each class starts in that order."""
+    then class 1's), where each class starts in that order, and each row's
+    rank, its position within its class's stretch of that order."""
     labels: np.ndarray
     sizes: np.ndarray
     by_class: np.ndarray
     starts: np.ndarray
+    ranks: np.ndarray
 
 
 def class_layout(labels) -> ClassLayout:
@@ -103,8 +105,11 @@ def class_layout(labels) -> ClassLayout:
     for c in (C_MAJ, C_MIN):
         if sizes[c] == 0:
             raise MissingClassError(f"no samples of class {c}")
-    return ClassLayout(labels, sizes, np.argsort(labels, kind="stable"),
-                       np.array([0, sizes[0]]))
+    by_class = np.argsort(labels, kind="stable")
+    starts = np.array([0, sizes[0]])
+    ranks = np.empty_like(by_class)
+    ranks[by_class] = np.arange(len(labels)) - starts[labels[by_class]]
+    return ClassLayout(labels, sizes, by_class, starts, ranks)
 
 
 def sample_triplets(layout: ClassLayout, m: int, rng):
@@ -115,40 +120,19 @@ def sample_triplets(layout: ClassLayout, m: int, rng):
     excluding the anchor itself when the class has more than one member
     (otherwise P = A); N is uniform over the other class.
 
-    The draws are those of a loop over the anchors that draws P, again while
-    P = A, then N, each by ``rng.integers(0, class size)``. One call on an
-    (M, 2) array of class sizes makes the same draws in C order, and a size
-    of 1 draws nothing. When an anchor's P lands on itself, the generator
-    goes back to before the call, replays the anchors ahead of it in one
-    call, and redraws that anchor as the loop does; the next call starts
-    after it.
+    Two draws: the anchors, then one ``rng.integers`` call on an (M, 2)
+    array holding each anchor's P bound (its class size less one, or 1 for
+    a single-row class) and N bound (the other class's size). A bound of 1
+    draws nothing. A P draw at or past the anchor's rank moves up one row,
+    so P ranges over the class without the anchor.
     """
-    labels, sizes, by_class, starts = layout
+    labels, sizes, by_class, starts, ranks = layout
     anchors = rng.integers(0, len(labels), size=m)
     roles = _P_N_CLASSES[labels[anchors]]
-    bounds = sizes[roles]
-    offsets = starts[roles]
-    drawn = np.empty((m, 2), dtype=int)
-    i = 0
-    while i < m:
-        state = rng.bit_generator.state
-        rows = by_class[offsets[i:] + rng.integers(0, bounds[i:])]
-        clash = np.flatnonzero((rows[:, 0] == anchors[i:])
-                               & (bounds[i:, 0] > 1))
-        j = i + clash[0] if len(clash) else m
-        drawn[i:j] = rows[:j - i]
-        if j == m:
-            break
-        rng.bit_generator.state = state
-        rng.integers(0, bounds[i:j])                # replay up to the clash
-        same, other = (by_class[o:o + b]
-                       for o, b in zip(offsets[j], bounds[j]))
-        p = anchors[j]
-        while p == anchors[j]:
-            p = same[rng.integers(0, len(same))]
-        drawn[j] = p, other[rng.integers(0, len(other))]
-        i = j + 1
-    positives, negatives = drawn.T.copy()
+    bounds = sizes[roles] - [1, 0]
+    drawn = rng.integers(0, np.maximum(bounds, 1))
+    drawn[:, 0] += (drawn[:, 0] >= ranks[anchors]) & (bounds[:, 0] > 0)
+    positives, negatives = by_class[starts[roles] + drawn].T.copy()
     return anchors, positives, negatives
 
 

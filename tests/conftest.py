@@ -5,7 +5,7 @@ Each function here is what a fused node or an in-place step replaces:
 ``dense`` is one layer of ``dense_stack`` as ``mul``/``matmul``/``add``/
 ``relu``, the batch losses are ``row_cosine_distance``/``sub``/``scale``/
 ``add``/``relu``/``mean`` (a stacked (3M, S) batch split by ``take_rows``),
-and ``forward``, ``minority_probability``, ``take_rows``, ``adam_step`` and
+and ``forward``, ``minority_probability``, ``adam_step`` and
 ``update_prototypes`` are the training step's pieces written that way. The
 fused versions must give the same bits.
 """
@@ -41,7 +41,7 @@ def _blocks(anchors, positives, negatives):
     module's ``take_rows`` (a test may replace it), or the three given."""
     if positives is None and negatives is None:
         m = len(ad.value_of(anchors)) // 3
-        return [ad.take_rows(anchors, slice(k * m, (k + 1) * m))
+        return [ad.take_rows(anchors, np.arange(k * m, (k + 1) * m))
                 for k in range(3)]
     return anchors, positives, negatives
 
@@ -63,14 +63,9 @@ def triplet_loss_batch(anchors, positives=None, negatives=None):
     return ad.mean(ad.relu(hinge))
 
 
-def take_rows(a, idx):
-    """Rows by an index array only: a slice becomes the equal arange."""
-    if isinstance(idx, slice):
-        idx = np.arange(len(ad.value_of(a)))[idx]
-    return _TAKE_ROWS(a, idx)
-
-
-_TAKE_ROWS = ad.take_rows
+# the gather is elementary already: the reference is the primitive itself,
+# bound here so that a test replacing ``ad.take_rows`` can still call it
+take_rows = ad.take_rows
 
 
 def forward(param_vars, config, x_batch, train_mode=False, rng=None):

@@ -17,8 +17,10 @@ def load_results(path) -> dict:
 def sample_triplets_loop(layout, m, rng):
     """``training.sample_triplets`` as a loop over the anchors, one scalar
     draw at a time: the oracle whose triples and generator state the array
-    sampler must reproduce. It reads only the labels of ``layout`` and
-    finds each class's rows itself."""
+    sampler must reproduce. It reads only the labels of ``layout``, finds
+    each class's rows itself and draws P from the anchor's class without
+    the anchor (a single-row class gives P = A, drawing nothing), then N
+    from the other class."""
     labels = np.asarray(layout.labels, dtype=int)
     by_class = {c: np.flatnonzero(labels == c) for c in (C_MAJ, C_MIN)}
     for c, idx in by_class.items():
@@ -28,14 +30,8 @@ def sample_triplets_loop(layout, m, rng):
     positives = np.empty(m, dtype=int)
     negatives = np.empty(m, dtype=int)
     for i, a in enumerate(anchors):
-        same = by_class[labels[a]]
+        rest = by_class[labels[a]][by_class[labels[a]] != a]
         other = by_class[1 - labels[a]]
-        if len(same) == 1:
-            positives[i] = a
-        else:
-            p = same[rng.integers(0, len(same))]
-            while p == a:
-                p = same[rng.integers(0, len(same))]
-            positives[i] = p
+        positives[i] = rest[rng.integers(0, len(rest))] if len(rest) else a
         negatives[i] = other[rng.integers(0, len(other))]
     return anchors, positives, negatives

@@ -115,25 +115,6 @@ def test_take_rows_scatter_adds_duplicates():
     np.testing.assert_allclose(x.grad, [[2, 2], [0, 0], [1, 1]])
 
 
-@pytest.mark.parametrize("idx", [slice(0, 4), slice(1, 3), slice(3, 4),
-                                 slice(None, None, 2), slice(-3, None)])
-def test_take_rows_slice_matches_arange_bits(idx):
-    """A slice gives the value and gradient bits of the equal index array,
-    signed zeros included: the -0.0 weight's column becomes +0.0 both ways."""
-    x = make_rng(8).normal(size=(4, 3))
-    weights = np.array([[1.5, -0.0, -2.0]])
-
-    def run(index):
-        vx = Var(x)
-        out = ad.take_rows(vx, index)
-        backward(ad.mean(ad.mul(out, weights)))
-        return out.value, vx.grad
-
-    (v_slice, g_slice), (v_index, g_index) = run(idx), run(np.arange(4)[idx])
-    assert v_slice.tobytes() == v_index.tobytes()
-    assert g_slice.tobytes() == g_index.tobytes()
-
-
 def test_rng_reproducibility():
     a = make_rng(42).normal(size=10)
     b = make_rng(42).normal(size=10)

@@ -932,6 +932,136 @@ class TestMissingOutputDirectory:
         assert sorted(tmp_path.rglob("*")) == []
 
 
+TRAIN_COMMANDS = ["train-sdc", "train-udc", "train-classifier"]
+TRAIN_OUTPUTS = {"--out": "m.json", "--results": "r.json", "--log": "log.csv"}
+SWEEP_OUTPUTS = {"--out": "s.csv", "--summary-out": "s.summary.csv"}
+
+
+class TestOutputPathClash:
+    """An output that is an existing directory, or that is the same file as
+    another output or as an input, ends in 'error: ...' naming its flags,
+    with exit code 1, before the command does any work or writes or
+    changes any file. Defaulted outputs count."""
+
+    @staticmethod
+    def _files(tmp_path) -> dict:
+        return {p: p.read_bytes() if p.is_file() else None
+                for p in tmp_path.rglob("*")}
+
+    def _refused(self, argv, tmp_path, capsys, work, words):
+        before = self._files(tmp_path)
+        with mock.patch.object(cli, work,
+                               side_effect=AssertionError("work began")):
+            assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        for word in words:
+            assert word in err
+        assert self._files(tmp_path) == before
+
+    @staticmethod
+    def _argv(tmp_path, names: dict) -> list:
+        return [part for flag, name in names.items()
+                for part in (flag, str(tmp_path / name))]
+
+    @pytest.mark.parametrize("command", TRAIN_COMMANDS)
+    @pytest.mark.parametrize("flag", [*TRAIN_OUTPUTS, "default --results"])
+    def test_train_output_is_a_directory(self, command, flag, blob_csv,
+                                         tmp_path, capsys):
+        names = dict(TRAIN_OUTPUTS)
+        if flag == "default --results":
+            del names["--results"]
+            (tmp_path / "m.json.results.json").mkdir()
+        else:
+            (tmp_path / names[flag]).mkdir()
+        self._refused([command, "--data", str(blob_csv), "--epochs", "1",
+                       *self._argv(tmp_path, names)], tmp_path, capsys,
+                      "_fit", [flag.split()[-1], "is a directory"])
+
+    @pytest.mark.parametrize("command", TRAIN_COMMANDS)
+    @pytest.mark.parametrize("first, second", [
+        ("--out", "--results"), ("--out", "--log"), ("--results", "--log"),
+        ("--data", "--out"), ("--data", "--results"), ("--data", "--log")])
+    def test_train_same_file(self, command, first, second, blob_csv,
+                             tmp_path, capsys):
+        names = {"--data": "d.csv", **TRAIN_OUTPUTS}
+        names[second] = names[first]
+        (tmp_path / "d.csv").write_bytes(blob_csv.read_bytes())
+        self._refused([command, "--epochs", "1", *self._argv(tmp_path, names)],
+                      tmp_path, capsys, "_fit",
+                      [first, second, "same file"])
+
+    def test_train_default_results_is_the_log(self, blob_csv, tmp_path,
+                                              capsys):
+        self._refused(["train-sdc", "--data", str(blob_csv),
+                       *self._argv(tmp_path, {
+                           "--out": "m.json",
+                           "--log": "m.json.results.json"})],
+                      tmp_path, capsys, "_fit",
+                      ["--results", "--log", "same file"])
+
+    def test_paths_are_compared_resolved(self, blob_csv, tmp_path, capsys):
+        (tmp_path / "sub").mkdir()
+        self._refused(["train-sdc", "--data", str(blob_csv),
+                       *self._argv(tmp_path, {
+                           "--out": "m.json",
+                           "--results": os.path.join("sub", "..", "m.json")})],
+                      tmp_path, capsys, "_fit",
+                      ["--out", "--results", "same file"])
+
+    @pytest.fixture
+    def eval_inputs(self, sdc_checkpoint_doc, blob_csv, tmp_path):
+        (tmp_path / "model.json").write_text(json.dumps(sdc_checkpoint_doc))
+        (tmp_path / "d.csv").write_bytes(blob_csv.read_bytes())
+        return {"--checkpoint": "model.json", "--data": "d.csv"}
+
+    def test_eval_output_is_a_directory(self, eval_inputs, tmp_path, capsys):
+        (tmp_path / "e.json").mkdir()
+        self._refused(["eval", "--split", "all", *self._argv(
+                           tmp_path, {**eval_inputs, "--out": "e.json"})],
+                      tmp_path, capsys, "_evaluate",
+                      ["--out", "is a directory"])
+
+    @pytest.mark.parametrize("source", ["--checkpoint", "--data"])
+    def test_eval_same_file(self, source, eval_inputs, tmp_path, capsys):
+        self._refused(["eval", "--split", "all", *self._argv(
+                           tmp_path,
+                           {**eval_inputs, "--out": eval_inputs[source]})],
+                      tmp_path, capsys, "_evaluate",
+                      [source, "--out", "same file"])
+
+    @pytest.mark.parametrize("flag", [*SWEEP_OUTPUTS,
+                                      "default --summary-out"])
+    def test_sweep_output_is_a_directory(self, flag, tmp_path, capsys):
+        names = dict(SWEEP_OUTPUTS)
+        if flag == "default --summary-out":
+            del names["--summary-out"]
+            (tmp_path / "s.csv.summary.csv").mkdir()
+        else:
+            (tmp_path / names[flag]).mkdir()
+        self._refused(["sweep-imbalance", *SWEEP_FAST, "--seeds", "0",
+                       *self._argv(tmp_path, names)], tmp_path, capsys,
+                      "run_sweep_cell", [flag.split()[-1], "is a directory"])
+
+    def test_sweep_same_file(self, tmp_path, capsys):
+        self._refused(["sweep-imbalance", *SWEEP_FAST, "--seeds", "0",
+                       *self._argv(tmp_path, {"--out": "s.csv",
+                                              "--summary-out": "s.csv"})],
+                      tmp_path, capsys, "run_sweep_cell",
+                      ["--out", "--summary-out", "same file"])
+
+    def test_synth_output_is_a_directory(self, tmp_path, capsys):
+        (tmp_path / "d.csv").mkdir()
+        with mock.patch.object(cli.dataio, "synth_imbalanced",
+                               side_effect=AssertionError("work began")):
+            assert main(["synth", "--maj", "30", "--min", "10",
+                         "--out", str(tmp_path / "d.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--out" in err
+        assert "is a directory" in err
+        assert sorted(tmp_path.rglob("*")) == [tmp_path / "d.csv"]
+
+
 @pytest.fixture(scope="module")
 def tiny_csv(tmp_path_factory):
     path = tmp_path_factory.mktemp("tiny") / "tiny.csv"

@@ -1,3 +1,4 @@
+import functools
 import itertools
 from unittest import mock
 
@@ -334,7 +335,10 @@ def _oracle_kmeans(points, restarts=gmm.KMEANS_RESTARTS,
                 if len(members) == 0:
                     centers[j] = points[np.argmax(np.min(d2, axis=1))]
                 else:
-                    centers[j] = members.mean(axis=0)
+                    # numpy's sum from 0.0, in row order at every width:
+                    # members.mean(axis=0) sums one column pairwise
+                    centers[j] = functools.reduce(np.add, members,
+                                                  0.0) / len(members)
         d2 = _oracle_sq_dists(points, centers)
         assign = np.argmin(d2, axis=1)
         wcss = float(np.sum(d2[np.arange(n), assign]))

@@ -76,14 +76,15 @@ class TestSampleTriplets:
         assert np.all(p[minority_anchors] == a[minority_anchors])
 
     def test_layout_orders_rows_by_class(self):
-        """Class sizes, the rows in stable class order and where each class
-        starts in it."""
+        """Class sizes, the rows in stable class order, where each class
+        starts in it and each row's rank within its class."""
         labels = np.array([1, 0, 0, 1, 0])
         layout = class_layout(labels)
         np.testing.assert_array_equal(layout.labels, labels)
         np.testing.assert_array_equal(layout.sizes, [3, 2])
         np.testing.assert_array_equal(layout.by_class, [1, 2, 4, 0, 3])
         np.testing.assert_array_equal(layout.starts, [0, 3])
+        np.testing.assert_array_equal(layout.ranks, [0, 0, 1, 1, 2])
 
     def test_missing_class(self):
         with pytest.raises(MissingClassError):
@@ -126,32 +127,21 @@ class TestSampleTriplets:
             shared = sizes[labels[a]] >= 2
             assert np.all(p[shared] != a[shared])
 
-    def test_two_member_class_replays_clashes(self):
-        """Half of the 2-member class's anchors first draw P = A, so the
-        sampler rewinds and replays, and still matches the loop."""
-
-        class CountingRng:
-            def __init__(self, rng):
-                self.rng, self.bit_generator = rng, rng.bit_generator
-                self.calls = 0
-
-            def integers(self, *args, **kwargs):
-                self.calls += 1
-                return self.rng.integers(*args, **kwargs)
-
+    def test_two_member_class_gives_the_other_row(self):
+        """In a two-row class, every anchor's P is the other row: the one P
+        draw has a bound of 1 and steps past the anchor when it lands on
+        the anchor's rank."""
         labels = np.array([C_MAJ] * 20 + [C_MIN] * 2)
         make_rng(5).shuffle(labels)
-        rng, oracle_rng = CountingRng(make_rng(11)), make_rng(11)
+        pair = np.flatnonzero(labels == C_MIN)
         layout = class_layout(labels)
-        for _ in range(5):
-            got = sample_triplets(layout, 60, rng)
-            want = sample_triplets_loop(layout, 60, oracle_rng)
-            for g, w in zip(got, want):
-                np.testing.assert_array_equal(g, w)
-            assert rng.bit_generator.state == oracle_rng.bit_generator.state
-        # one call for the anchors and one for the pairs, were there no
-        # clash; each clash adds a replay, a redraw and a new block
-        assert rng.calls > 5 * 2
+        rng = make_rng(11)
+        a, p, _ = (np.concatenate(d) for d in zip(
+            *[sample_triplets(layout, 60, rng) for _ in range(5)]))
+        in_pair = labels[a] == C_MIN
+        assert set(a[in_pair]) == set(pair)
+        np.testing.assert_array_equal(p[in_pair],
+                                      pair[0] + pair[1] - a[in_pair])
 
     def test_draws_are_uniform_within_each_class(self):
         """Anchors are uniform over the split, and P and N over their
@@ -293,9 +283,10 @@ class TestTrainUdc:
 
 
 class TestSameProgram:
-    """The fused dense layers and hinges, the slice split, the lazy
-    prototype update and the in-place Adam step give the bits of the same
-    step composed from elementary primitives (``conftest.py``)."""
+    """The fused dense layers and hinges, the loss's split of the stacked
+    batch, the lazy prototype update and the in-place Adam step give the
+    bits of the same step composed from elementary primitives
+    (``conftest.py``)."""
 
     @pytest.mark.parametrize("mode", ["sdc-com", "sdc-triplet", "classifier"])
     def test_training_has_the_bits_of_the_composed_step(self, mode,
@@ -353,9 +344,9 @@ class TestSamplerSameProgram:
                                       "40:3-triplet", "singleton-com",
                                       "singleton-triplet"])
     def test_train_sdc_has_the_bits_of_the_loop(self, case, monkeypatch):
-        """40:3 leaves two minority rows in the train split, so half their
-        anchors first draw P = A and the sampler replays; "singleton" keeps
-        one, which is its own positive."""
+        """40:3 leaves two minority rows in the train split, so each of
+        their anchors takes the other as P; "singleton" keeps one, which is
+        its own positive."""
         if case.startswith("criterion-6"):
             # tests/test_acceptance.py's _blobs(0)
             ds = split_dataset(synth_imbalanced(BlobSpec(
