@@ -337,6 +337,8 @@ def _sweep_config(method: str, seed: int, epochs: int, batch_size: int,
     mode, loss, weighting = SWEEP_METHODS[method]
     config = _train_config(loss, batch_size=batch_size, epochs=epochs,
                            seed=seed, adam=AdamConfig(learning_rate=lr))
+    if mode == "udc":
+        training.udc_batch_rows(config)
     return mode, config, weighting
 
 

@@ -2,7 +2,7 @@
 single dropout layer before the embedding output, plus the Adam optimizer.
 
 Batches are row-major: inputs are (B, D), embeddings (B, S). Inference
-takes the rows it is given at once: ``training`` cuts a split into blocks.
+takes the arrays and rows it is given: ``training`` pads and blocks them.
 """
 
 from __future__ import annotations
@@ -145,28 +145,16 @@ def forward(param_vars: list, config: EncoderConfig, x_batch,
     return ad.dense_stack(x, param_vars, mask)
 
 
-def embed(params: ParamStore, config: EncoderConfig, x_batch) -> np.ndarray:
-    """Eval-mode embeddings of the rows given, in one ``forward`` call; a
-    classifier's head, after the encoder in ``params``, is left out.
-
-    A lone row runs as two copies and keeps the first result: numpy sends a
-    one-row matmul to gemv, whose bits differ from a batch's gemm. OpenBLAS
-    computes a row of a layer whose width is a multiple of 8 alike in every
-    batch of two or more rows; a width 1-4 above one can change its bits
-    with the batch size.
-    """
-    x = np.atleast_2d(np.asarray(x_batch, dtype=np.float64))
-    encoder_arrays = params.arrays[:len(param_shapes(config))]
-    if len(x) == 1:
-        return forward(encoder_arrays, config, np.repeat(x, 2, axis=0))[:1]
-    return forward(encoder_arrays, config, x)
+def embed(arrays: list, config: EncoderConfig, x_batch) -> np.ndarray:
+    """One eval-mode ``forward`` call; a head ending ``arrays`` is skipped."""
+    return forward(arrays[:len(param_shapes(config))], config, x_batch)
 
 
 def minority_probability(head_vars: list, embeddings):
     """Softmax over a 2-logit head, returning the minority-class column.
 
     The head is a one-layer ``dense_stack``; then one fused node gives
-    p = sigmoid(z1 - z0) with its analytic gradient.
+    p = sigmoid(z1 - z0) of the first two logits, with its analytic gradient.
     """
     logits = ad.dense_stack(embeddings, head_vars)
     zs = ad.value_of(logits)
@@ -190,15 +178,6 @@ def classify(param_vars: list, config: EncoderConfig, x_batch,
     n_enc = len(param_shapes(config))
     emb = forward(param_vars[:n_enc], config, x_batch, train_mode, rng)
     return minority_probability(param_vars[n_enc:], emb)
-
-
-def predict_minority(params: ParamStore, config: EncoderConfig,
-                     embeddings) -> np.ndarray:
-    """The classifier's (B,) minority-class probabilities over a given
-    (B, S) embedding. A row's bits depend on its batch: OpenBLAS's kernel
-    for the head's two-column product follows the batch size."""
-    return minority_probability(params.arrays[len(param_shapes(config)):],
-                                embeddings)
 
 
 def adam_step(store: ParamStore, grads: list, config: AdamConfig) -> None:

@@ -39,6 +39,7 @@ COV_FLOOR = 1e-6
 KMEANS_RESTARTS = 10
 KMEANS_MAX_ITER = 300
 EM_RESTARTS = 3              # fresh k-means seeds on degeneracy
+EM_MIN_SAMPLES = 4           # the fewest rows fit_em fits
 LOG_2PI = float(np.log(2.0 * np.pi))
 
 
@@ -236,7 +237,7 @@ def fit_em(batch, seed: int = 0) -> GaussianMixture:
     """
     batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
     n = batch.shape[0]
-    if n < 4:
+    if n < EM_MIN_SAMPLES:
         raise TooFewSamplesError(f"{n} samples for 2 components")
 
     last_exc = None

@@ -1,7 +1,7 @@
 """Training loops: supervised deep clustering (SDC), unsupervised deep
 clustering on GMM pseudo-labels (UDC), and the weighted-cross-entropy
-classifier baseline, plus triplet sampling and split evaluation. The two
-evaluators are the only place that splits inference into row blocks."""
+classifier baseline, plus triplet sampling and split evaluation, whose one
+block path keeps every row's bits independent of its batch."""
 
 from __future__ import annotations
 
@@ -209,6 +209,15 @@ def train_sdc(dataset: LabeledDataset, config: TrainConfig) -> TrainLog:
     return _train(x, y, config, step)
 
 
+def udc_batch_rows(config: TrainConfig) -> int:
+    """UDC's 3M batch rows, refused when ``fit_em`` cannot fit so few."""
+    m3, least = 3 * config.batch_size, gmm_mod.EM_MIN_SAMPLES
+    if m3 < least:
+        raise InvalidSpecError(f"batch_size {config.batch_size} gives UDC's "
+                               f"GMM {m3} rows, below fit_em's {least}")
+    return m3
+
+
 def train_udc(dataset: LabeledDataset, config: TrainConfig) -> TrainLog:
     """Unsupervised deep clustering: labels are ignored.
 
@@ -218,8 +227,8 @@ def train_udc(dataset: LabeledDataset, config: TrainConfig) -> TrainLog:
     other mean its negative, under the loss SDC uses. The two means are
     also the candidate prototype pair.
     """
+    m3 = udc_batch_rows(config)
     x, y = dataset.subset(TRAIN)
-    m3 = 3 * config.batch_size
     if len(y) < 2 * m3:
         log.warning("training split has %d samples; at least %d recommended "
                     "for UDC batches of %d", len(y), 2 * m3, m3)
@@ -287,39 +296,48 @@ def train_classifier(dataset: LabeledDataset, config: TrainConfig,
 INFER_BLOCK_ROWS = 1024
 
 
-def _embedded_blocks(params: ParamStore, enc_config: EncoderConfig, x):
-    """(slice, embedding) of each block of at most INFER_BLOCK_ROWS rows of
-    ``x``, in order; both evaluators score a split through it."""
+def _evaluate(params: ParamStore, config: EncoderConfig,
+              proto: Prototypes | None, x, y) -> dict:
+    """Score a split by the prototypes or, with ``proto`` None, the head,
+    each block of at most INFER_BLOCK_ROWS rows through the model alone. A
+    lone row runs as two copies (gemv's bits differ from gemm's) and each
+    output width 1-4 above a multiple of 8 can vary with the batch, so it is
+    zero-padded to one: on OpenBLAS 0.3.31 (Haswell kernel, 1 and 2 threads)
+    the padded stacks (8, 12, 10), (8, 16, 12, 10), (8, 64, 64, 32, 2) and
+    (5, 9, 13, 2) had 0 batch-dependent rows over blocks of 2-1024 rows."""
+    arrays, pad_in = [], 0
+    for w, b in zip(params.arrays[::2], params.arrays[1::2]):
+        pad_out = -w.shape[1] % 8       # the next W gets pad_out zero rows
+        arrays += [np.pad(w, ((0, pad_in), (0, pad_out))),
+                   np.pad(b, (0, pad_out))]
+        pad_in = pad_out
+    preds, scores = np.empty(len(x), dtype=int), np.empty(len(x))
     for start in range(0, len(x), INFER_BLOCK_ROWS):
-        rows = slice(start, start + INFER_BLOCK_ROWS)
-        yield rows, enc.embed(params, enc_config, x[rows])
+        block = x[start:start + INFER_BLOCK_ROWS]
+        n = len(block)
+        rows = block if n > 1 else np.repeat(block, 2, axis=0)
+        if proto is None:
+            probs = enc.classify(arrays, config, rows)
+            labels = (probs >= 0.5).astype(int)
+        else:                   # the padding's zero columns are sliced off
+            emb = enc.embed(arrays, config, rows)[:, :config.embedding_dim]
+            labels, d_min, d_maj = infer_label(emb, proto)
+            probs = malignancy_score(d_min, d_maj)
+        preds[start:start + n], scores[start:start + n] = labels[:n], probs[:n]
+    return _aggregate(np.asarray(y, dtype=int), preds, scores)
 
 
 def evaluate_prototypes(params: ParamStore, enc_config: EncoderConfig,
                         proto: Prototypes, x, y) -> dict:
-    """Prototype-distance inference over a split: per-sample labels and
-    scores plus aggregate weighted metrics and AUC (when both classes are
-    present). Each block is embedded, labelled and scored on its own, so no
-    (N, S) embedding is held."""
-    preds, scores = np.empty(len(x), dtype=int), np.empty(len(x))
-    for rows, emb in _embedded_blocks(params, enc_config, x):
-        preds[rows], d_min, d_maj = infer_label(emb, proto)
-        scores[rows] = malignancy_score(d_min, d_maj)
-    return _aggregate(np.asarray(y, dtype=int), preds, scores)
+    """Prototype-distance inference over a split: (N,) labels and scores,
+    weighted metrics, and AUC (None for a split of one class)."""
+    return _evaluate(params, enc_config, proto, x, y)
 
 
 def evaluate_classifier(params: ParamStore, enc_config: EncoderConfig,
                         x, y) -> dict:
-    """Softmax-head inference over a split, scored like
-    ``evaluate_prototypes`` with the minority probability as the score; the
-    head sees the whole embedding, since a row's bits depend on its batch."""
-    emb = np.empty((len(x), enc_config.embedding_dim))
-    for rows, block in _embedded_blocks(params, enc_config, x):
-        emb[rows] = block
-    probs = enc.predict_minority(params, enc_config, emb)
-    del emb                          # not held while the split is scored
-    preds = (probs >= 0.5).astype(int)
-    return _aggregate(np.asarray(y, dtype=int), preds, probs)
+    """Softmax-head inference over a split, scored by minority probability."""
+    return _evaluate(params, enc_config, None, x, y)
 
 
 def _aggregate(y: np.ndarray, preds: np.ndarray, scores: np.ndarray) -> dict:

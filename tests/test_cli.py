@@ -141,6 +141,20 @@ class TestTrainCommands:
             rows = list(csv.DictReader(fh))
         assert "gmm_nll" in rows[0]
 
+    def test_udc_batch_size_1_fails_before_training(
+            self, blob_csv, tmp_path, monkeypatch, capsys):
+        """A UDC batch of 3 rows is below the 4 that ``fit_em`` needs: the
+        batch size is refused by name before any GMM is fitted."""
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted a GMM despite the batch size")
+
+        monkeypatch.setattr(training.gmm_mod, "fit_em", no_fit)
+        assert main(["train-udc", "--data", str(blob_csv), "--batch-size",
+                     "1", "--out", str(tmp_path / "m.json")]) == 1
+        assert capsys.readouterr().err == (
+            "error: batch_size 1 gives UDC's GMM 3 rows, below fit_em's 4\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_classifier_smoke(self, blob_csv, tmp_path):
         out = tmp_path / "clf.json"
         assert main(["train-classifier", "--data", str(blob_csv),
@@ -223,7 +237,7 @@ class TestEval:
                      "--out", str(out)]) == 0
         evaluation = load_results(out)
         doc = ckpt.load_checkpoint(model)
-        emb = embed(doc["params"], doc["encoder_config"],
+        emb = embed(doc["params"].arrays, doc["encoder_config"],
                     load_csv(blob_csv).features)
         for row, score in zip(emb, evaluation["scores"]):
             _, d_min, d_maj = infer_label(row, doc["prototypes"])
@@ -316,6 +330,28 @@ class TestEval:
                          "--out", str(out)]) == 0
             scores.append(load_results(out)["scores"])
         assert scores[1] == [scores[0][4]]
+
+    def test_a_one_row_file_gives_a_classifier_row_the_full_file_bits(
+            self, blob_csv, tmp_path):
+        """Each of 20 rows, scored from a one-row file, gets the score bytes
+        it gets in the whole file, although the 2-logit head's width is not
+        a multiple of 8."""
+        model = tmp_path / "clf.json"
+        assert main(["train-classifier", "--data", str(blob_csv), "--seed",
+                     "1", "--epochs", "2", "--out", str(model)]) == 0
+        lines = blob_csv.read_text().splitlines(keepends=True)
+
+        def scores(data):
+            out = tmp_path / "eval.json"
+            assert main(["eval", "--checkpoint", str(model), "--data",
+                         str(data), "--split", "all",
+                         "--out", str(out)]) == 0
+            return load_results(out)["scores"]
+
+        full, one_row = scores(blob_csv), tmp_path / "one.csv"
+        for i in range(1, 21):
+            one_row.write_text(lines[0] + lines[i])
+            assert scores(one_row) == [full[i - 1]]
 
 
 class TestCheckpointRoundTrip:
@@ -738,11 +774,12 @@ class TestSweep:
         ["--lr", "nan"], ["--separation", "nan"],
         ["--ratios", "60:20,60:20"], ["--seeds", "0,0"],
         ["--methods", "classifier,classifier"],
+        ["--methods", "udc-com,sdc-com", "--batch-size", "1"],
     ], ids=["--batch-size", "--epochs", "--dim-0", "--dim-1",
             "--ratios-min-above-maj", "--seeds-negative",
             "--seeds-one-negative", "--seeds-empty", "--methods-empty",
             "--lr-nan", "--separation-nan", "--ratios-repeated",
-            "--seeds-repeated", "--methods-repeated"])
+            "--seeds-repeated", "--methods-repeated", "--batch-size-udc"])
     def test_bad_shared_flag_fails_before_any_cell(self, flags, tmp_path,
                                                    capsys):
         out = tmp_path / "s.csv"

@@ -16,12 +16,12 @@ from comclust.encoder import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, HEAD_OUTPUTS,
                               MAX_PARAMETERS, AdamConfig, EncoderConfig,
                               ParamStore, adam_step, classify, embed,
                               forward, init_encoder_params, init_head_params,
-                              minority_probability, param_shapes,
-                              predict_minority)
+                              minority_probability, param_shapes)
 from comclust.errors import (InvalidSpecError, NonFiniteLossError,
                              ShapeMismatchError)
 from comclust.losses import MarginSpec, com_triplet_loss
-from comclust.prototypes import update_prototypes
+from comclust.prototypes import (infer_label, malignancy_score,
+                                 update_prototypes)
 from comclust.training import evaluate_classifier, evaluate_prototypes
 
 
@@ -31,14 +31,15 @@ class TestForward:
                                dropout_rate=0.0)
         store = ParamStore([np.eye(3), np.zeros(3)])
         x = make_rng(1).normal(size=(4, 3))
-        np.testing.assert_allclose(embed(store, config, x), x, atol=1e-15)
+        np.testing.assert_allclose(embed(store.arrays, config, x), x,
+                                   atol=1e-15)
 
     def test_eval_mode_deterministic(self):
         config = EncoderConfig(input_dim=5, hidden=(8,), embedding_dim=4)
         store = init_encoder_params(config, make_rng(2))
         x = make_rng(3).normal(size=(6, 5))
-        np.testing.assert_array_equal(embed(store, config, x),
-                                      embed(store, config, x))
+        np.testing.assert_array_equal(embed(store.arrays, config, x),
+                                      embed(store.arrays, config, x))
 
     def test_train_mode_dropout_changes_output(self):
         config = EncoderConfig(input_dim=5, hidden=(16,), embedding_dim=4,
@@ -61,7 +62,7 @@ class TestForward:
         config = EncoderConfig(input_dim=5, hidden=(8,), embedding_dim=4)
         store = init_encoder_params(config, make_rng(6))
         with pytest.raises(ShapeMismatchError):
-            embed(store, config, np.ones((3, 4)))
+            embed(store.arrays, config, np.ones((3, 4)))
 
     def test_seeded_init_reproducible(self):
         config = EncoderConfig(input_dim=7, hidden=(10, 10), embedding_dim=5)
@@ -325,23 +326,19 @@ def _random_store(config: EncoderConfig, seed: int, head_outputs: int = 0):
 
 
 class TestBlockedInference:
-    # OpenBLAS computes a row of a layer whose width is a multiple of 8 (the
-    # default 64 and 32 among them) alike in every batch of two or more
-    # rows; a width 1-4 above one can change bits with the batch size
-    WIDTHS = st.integers(1, 8).map(lambda k: 8 * k)
-
     @settings(max_examples=60, deadline=None, derandomize=True,
               database=None)
-    @given(input_dim=st.integers(1, 12), hidden=st.lists(WIDTHS, max_size=2),
-           embedding_dim=WIDTHS, n=st.integers(0, 40),
+    @given(input_dim=st.integers(1, 40),
+           hidden=st.lists(st.integers(1, 64), max_size=2),
+           embedding_dim=st.integers(2, 64), n=st.integers(0, 40),
            block=st.integers(1, 5), seed=st.integers(0, 2 ** 16))
     def test_blocks_and_lone_rows_give_the_batch_bits(
             self, input_dim, hidden, embedding_dim, n, block, seed):
-        """With blocks of 1-5 rows, ``evaluate_prototypes`` and
-        ``evaluate_classifier`` give the bytes of one whole-batch
-        evaluation, and the classifier's those of training's ``classify``;
-        each row evaluated alone keeps its embedding and its prototype label
-        and score bytes; an empty batch keeps its shape."""
+        """At any layer widths, with blocks of 1-5 rows,
+        ``evaluate_prototypes`` and ``evaluate_classifier`` give the bytes
+        of one whole-batch evaluation, and each row evaluated alone keeps
+        its label and score bytes; the padded layers compute the model's
+        unpadded values up to rounding; an empty batch keeps its shape."""
         config = EncoderConfig(input_dim, tuple(hidden), embedding_dim)
         encoder = _random_store(config, seed)
         classifier = _random_store(config, seed, HEAD_OUTPUTS)
@@ -352,100 +349,93 @@ class TestBlockedInference:
                                   rng.normal(size=embedding_dim))
 
         def evaluate(rows, block):
-            """The prototype predictions and scores, the classifier's, and
-            the embedding its head saw."""
-            heads = []
-
-            def head(params, config, emb):
-                heads.append(emb)
-                return predict_minority(params, config, emb)
-
+            """The prototype predictions and scores, then the
+            classifier's."""
             def unscored(y, preds, scores):
                 return preds, scores
 
             with mock.patch.object(training, "INFER_BLOCK_ROWS", block), \
-                    mock.patch.object(training, "_aggregate", unscored), \
-                    mock.patch.object(enc, "predict_minority", head):
+                    mock.patch.object(training, "_aggregate", unscored):
                 return (*evaluate_prototypes(encoder, config, proto, x[rows],
                                              y[rows]),
                         *evaluate_classifier(classifier, config, x[rows],
-                                             y[rows]),
-                        *heads)
+                                             y[rows]))
 
         blocked = evaluate(slice(None), block)
         whole = evaluate(slice(None), training.INFER_BLOCK_ROWS)
-        assert [a.shape for a in blocked] == [(n,)] * 4 + [(n, embedding_dim)]
+        assert [a.shape for a in blocked] == [(n,)] * 4
         for got, want in zip(blocked, whole):
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
-        if n >= 2:
-            assert blocked[3].tobytes() == classify(classifier.arrays, config,
-                                                    x).tobytes()
         for i in range(n):
             alone = evaluate(slice(i, i + 1), block)
-            for k in (0, 1, 4):
-                assert alone[k].tobytes() == blocked[k][i:i + 1].tobytes()
+            for got, want in zip(alone, blocked):
+                assert got.tobytes() == want[i:i + 1].tobytes()
+        if n >= 2:
+            _, d_min, d_maj = infer_label(embed(encoder.arrays, config, x),
+                                          proto)
+            np.testing.assert_allclose(blocked[1],
+                                       malignancy_score(d_min, d_maj),
+                                       rtol=1e-9, atol=1e-12)
+            np.testing.assert_allclose(blocked[3],
+                                       classify(classifier.arrays, config, x),
+                                       rtol=1e-9, atol=1e-12)
 
     def test_one_row_takes_one_padded_call(self):
-        """A one-row input runs once, as two copies of the row: numpy's
-        gemv for one row gives other bits than the gemm of a batch."""
-        config = EncoderConfig(input_dim=3, hidden=(5,), embedding_dim=2)
+        """A one-row split runs once, as two copies of the row (numpy's gemv
+        for one row gives other bits than the gemm of a batch), on layers
+        whose output widths are zero-padded to a multiple of 8, the next W
+        given zero rows to match."""
+        config = EncoderConfig(input_dim=3, hidden=(5, 16), embedding_dim=9)
         store = _random_store(config, 4)
+        proto = update_prototypes(None, np.ones(9), -np.ones(9))
         x = make_rng(5).normal(size=(1, 3))
         with mock.patch.object(enc, "forward", wraps=enc.forward) as spy:
-            out = embed(store, config, x)
+            out = evaluate_prototypes(store, config, proto, x, [0])
         assert spy.call_count == 1
-        assert spy.call_args.args[2].tobytes() == np.repeat(x, 2,
-                                                            axis=0).tobytes()
-        assert out.shape == (1, 2)
+        padded, _, rows = spy.call_args.args
+        assert rows.tobytes() == np.repeat(x, 2, axis=0).tobytes()
+        assert [a.shape for a in padded] == [(3, 8), (8,), (8, 16), (16,),
+                                             (16, 16), (16,)]
+        for a, p in zip(store.arrays, padded, strict=True):
+            assert p[tuple(map(slice, a.shape))].tobytes() == a.tobytes()
+            assert np.count_nonzero(p) == np.count_nonzero(a)
+        assert out["scores"].shape == (1,)
 
     def test_embed_takes_its_rows_at_once_and_skips_a_head(self):
         """``embed`` runs one ``forward`` call over the rows it is given,
-        however many, on the encoder's part of a classifier's store."""
+        however many, on the encoder's part of a classifier's arrays."""
         config = EncoderConfig(input_dim=3, hidden=(8,), embedding_dim=8)
         classifier = _random_store(config, 8, HEAD_OUTPUTS)
         n_enc = len(param_shapes(config))
         x = make_rng(9).normal(size=(3 * training.INFER_BLOCK_ROWS, 3))
         with mock.patch.object(enc, "forward", wraps=enc.forward) as spy:
-            out = embed(classifier, config, x)
+            out = embed(classifier.arrays, config, x)
         assert spy.call_count == 1
         assert out.tobytes() == forward(classifier.arrays[:n_enc], config,
                                         x).tobytes()
 
-    def test_classifier_scoring_peaks_at_the_embedding_and_blocks(self):
-        """Classifier scoring of 40 000 rows allocates the (40 000, 32)
-        embedding plus a few blocks' widest activations; embedding the whole
-        batch at once takes several (40 000, 64) arrays and fails this
-        bound."""
+    @pytest.mark.parametrize("kind", ["prototypes", "classifier"])
+    def test_scoring_holds_no_embedding(self, kind):
+        """Scoring 40 000 rows runs the model a block at a time and peaks
+        below one (40 000, 32) embedding, which scoring the whole batch at
+        once allocates."""
         config = EncoderConfig(input_dim=8)
-        store = init_encoder_params(config, make_rng(6), HEAD_OUTPUTS)
         rng = make_rng(7)
         x = rng.normal(size=(40_000, 8))
         y = rng.integers(0, 2, size=len(x))
-        embedding_bytes = len(x) * config.embedding_dim * 8
-        block_bytes = training.INFER_BLOCK_ROWS * max(config.layer_dims) * 8
+        if kind == "classifier":
+            store = init_encoder_params(config, make_rng(6), HEAD_OUTPUTS)
+            evaluate, args = evaluate_classifier, (store, config, x, y)
+        else:
+            store = init_encoder_params(config, make_rng(6))
+            proto = update_prototypes(
+                None, rng.normal(size=config.embedding_dim),
+                rng.normal(size=config.embedding_dim))
+            evaluate, args = evaluate_prototypes, (store, config, proto, x, y)
         tracemalloc.start()
         try:
-            evaluate_classifier(store, config, x, y)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < embedding_bytes + 6 * block_bytes
-
-    def test_prototype_scoring_holds_no_embedding(self):
-        """Prototype scoring of 40 000 rows embeds and labels a block at a
-        time and peaks below one (40 000, 32) embedding, which scoring the
-        whole batch at once allocates."""
-        config = EncoderConfig(input_dim=8)
-        store = init_encoder_params(config, make_rng(6))
-        rng = make_rng(7)
-        x = rng.normal(size=(40_000, 8))
-        y = rng.integers(0, 2, size=len(x))
-        proto = update_prototypes(None, rng.normal(size=config.embedding_dim),
-                                  rng.normal(size=config.embedding_dim))
-        tracemalloc.start()
-        try:
-            evaluate_prototypes(store, config, proto, x, y)
+            evaluate(*args)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

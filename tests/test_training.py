@@ -481,7 +481,9 @@ class TestEvaluation:
         y = rng.integers(0, 2, size=n)
 
         def whole():
-            preds, d_min, d_maj = infer_label(embed(params, config, x), proto)
+            # stacked twice, so that a lone row, too, runs as a batch
+            emb = embed(params.arrays, config, np.concatenate([x, x]))[:n]
+            preds, d_min, d_maj = infer_label(emb, proto)
             return training._aggregate(y, preds,
                                        malignancy_score(d_min, d_maj))
 
@@ -513,7 +515,7 @@ class TestEvaluation:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(ad.Var, "__init__", counting_init)
-        embed(sdc.params, sdc.encoder_config, x)
+        embed(sdc.params.arrays, sdc.encoder_config, x)
         evaluate_prototypes(sdc.params, sdc.encoder_config, sdc.prototypes,
                             x, y)
         evaluate_classifier(clf.params, clf.encoder_config, x, y)
