@@ -16,7 +16,11 @@ one set of array operations. Both give the bits of the plain loops over
 restarts and components (``tests/test_gmm.py`` keeps those loops, and
 ``rng.choice`` for the seeds, as its oracle), so a seeded run's
 pseudo-labels do not depend on the batching; ``kmeans`` states the rules
-that keep it so. The second k-means++ seed is the draw that
+that keep it so. A Lloyd step is two stacked matrix products, each
+restart's on its own: a bisector test on the centred points, and the 0/1
+membership matrix times the points. Exact squared distances serve only
+the k-means++ draws, an empty cluster's re-seed and the final
+assignments and wcss. The second k-means++ seed is the draw that
 ``rng.choice(n, p=d2 / total)`` makes: one ``rng.random()`` placed by
 ``searchsorted`` in the normalised cumulative sum of ``p``. A restart
 whose ``total`` is 0 repeats its first seed and still spends that
@@ -123,17 +127,27 @@ def kmeans(points, seed: int = 0):
       point on the first seed) repeats its first seed and still spends
       its uniform;
     - a ``total`` that overflows raises NonFiniteLossError;
-    - each Lloyd step measures all live restarts in one (R, N, 2) distance
-      tensor, and a restart drops out at the first step that leaves its
-      assignment unchanged;
-    - a centre is the mean of its members, summed in row order; an empty
-      cluster is re-seeded at the point farthest from its nearest centre;
+    - each Lloyd step assigns the points by a bisector test on offsets
+      from their mean ``m``: with ``a = c0 - m`` and ``b = c1 - m``, a
+      point ``p`` goes to centre 1 when
+      ``(p - m) @ (b - a) > (|b|**2 - |a|**2) / 2``, and to centre 0
+      otherwise, a tie included, as ``argmin`` breaks it; one stacked
+      ``matmul`` tests all live restarts, and a restart drops out at the
+      first step that leaves its assignment unchanged;
+    - a centre is the mean of its members: one stacked ``matmul`` of the
+      (R, 2, N) 0/1 membership matrix by the points, divided by the
+      member counts; an empty cluster is re-seeded at the point farthest,
+      by exact squared distance, from its nearest centre;
+    - the exact squared distances ``|p - c|**2`` to every restart's final
+      centres give the assignments and the wcss;
     - the first restart wins unless a later one beats its wcss by more
       than 1e-15.
 
     Returns (centers (2, S), assignments (N,), wcss).
     """
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    # C order: matmul takes another BLAS path, with other bits, for a
+    # Fortran-ordered or strided copy of the points
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64, order="C"))
     n = points.shape[0]
     if n < 2:
         raise TooFewSamplesError(f"{n} points for 2 centres")
@@ -142,23 +156,20 @@ def kmeans(points, seed: int = 0):
             "non-finite value among the points to cluster")
     rng = make_rng(seed)
     centers = _kmeans_pp_init(points, KMEANS_RESTARTS, rng)
-    assign = np.zeros((len(centers), n), dtype=np.intp)
-    dist = np.empty((len(centers), n, 2))
+    mean = points.mean(axis=0)
+    centred = points - mean
+    assign = np.zeros((len(centers), n), dtype=bool)
     live = np.arange(len(centers))
     for step in range(KMEANS_MAX_ITER):
-        d2 = _sq_dists(points, centers[live])
-        dist[live] = d2
-        new_assign = d2.argmin(axis=2)
+        new_assign = _nearer_second(centred, centers[live] - mean)
         if step:
             moved = (new_assign != assign[live]).any(axis=1)
-            live, d2, new_assign = live[moved], d2[moved], new_assign[moved]
+            live, new_assign = live[moved], new_assign[moved]
             if not live.size:
                 break
         assign[live] = new_assign
-        centers[live] = _lloyd_centers(points, d2, new_assign)
-    else:
-        # out of steps: these centres moved after their last distances
-        dist[live] = _sq_dists(points, centers[live])
+        centers[live] = _lloyd_centers(points, centers[live], new_assign)
+    dist = _sq_dists(points, centers)
     assign = dist.argmin(axis=2)
     wcss = np.take_along_axis(dist, assign[..., None], axis=2)[..., 0].sum(
         axis=1).tolist()
@@ -193,26 +204,34 @@ def _kmeans_pp_init(points: np.ndarray, restarts: int, rng) -> np.ndarray:
     return points[seeds]
 
 
-def _lloyd_centers(points: np.ndarray, d2: np.ndarray,
-                   assign: np.ndarray) -> np.ndarray:
-    """(R, 2, S) centres of one Lloyd step from its (R, N, 2) distances and
-    (R, N) assignments."""
-    n, s = points.shape
-    restarts = len(assign)
-    slot = assign + 2 * np.arange(restarts)[:, None]
-    counts = np.bincount(slot.ravel(), minlength=restarts * 2).reshape(
-        restarts, 2)
-    # each point lands in its cluster's slot; -0.0 is the exact additive
-    # identity, so the sum over points adds the members in row order
-    slots = np.full((n, restarts * 2, s), -0.0)
-    slots[np.arange(n)[:, None], slot.T] = points[:, None, :]
-    sums = slots.sum(axis=0).reshape(restarts, 2, s)
-    centers = sums / np.maximum(counts, 1)[..., None]
+def _nearer_second(centred: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """(R, N) bool, True where a point is nearer centre 1 than centre 0 by
+    the bisector test, from the (N, S) points and the (R, 2, S) centres,
+    both less the points' mean."""
+    w = offsets[:, 1] - offsets[:, 0]
+    norms = (offsets * offsets).sum(axis=-1)
+    half_gap = 0.5 * (norms[:, 1] - norms[:, 0])
+    return np.matmul(centred, w[:, :, None])[..., 0] > half_gap[:, None]
+
+
+def _lloyd_centers(points: np.ndarray, centers: np.ndarray,
+                   nearer_second: np.ndarray) -> np.ndarray:
+    """(R, 2, S) centres of one Lloyd step from the (R, 2, S) centres that
+    assigned the points and the (R, N) assignment to centre 1."""
+    member = np.empty((len(centers), 2, len(points)))
+    member[:, 1] = nearer_second
+    np.subtract(1.0, member[:, 1], out=member[:, 0])
+    counts = member.sum(axis=2)
+    new = np.matmul(member, points)
+    new /= np.maximum(counts, 1.0)[..., None]
     empty = counts == 0
     if empty.any():
-        farthest = points[np.argmax(np.min(d2, axis=2), axis=1)]
-        centers = np.where(empty[..., None], farthest[:, None, :], centers)
-    return centers
+        reseed = empty.any(axis=1)
+        d2 = _sq_dists(points, centers[reseed])
+        farthest = points[np.argmax(d2.min(axis=2), axis=1)]
+        new[reseed] = np.where(empty[reseed, :, None], farthest[:, None, :],
+                               new[reseed])
+    return new
 
 
 def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:

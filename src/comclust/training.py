@@ -18,7 +18,7 @@ from .autodiff import backward, grad_of, make_rng
 from .dataio import TRAIN, LabeledDataset
 from .encoder import AdamConfig, EncoderConfig, ParamStore
 from .errors import (InvalidSpecError, MissingClassError,
-                     NonFiniteLossError, TooFewSamplesError)
+                     NonFiniteLossError, TooFewSamplesError, ZeroVectorError)
 # udc_com_loss goes unused: perfbench's layer trace hooks it by this name
 from .losses import (C_MAJ, C_MIN, ClassWeights, center_rows,
                      com_triplet_loss, triplet_loss_batch, udc_com_loss,
@@ -157,8 +157,10 @@ def _train(x, y, config: TrainConfig, step, head_outputs: int = 0) -> TrainLog:
     Each iteration ``step(rng, param_vars, enc_config)`` samples a batch and
     embeds it, returning (loss, candidate prototype pair or None, GMM NLL or
     None). The loop checks the loss, takes the Adam step, offers the pair to
-    the running prototypes and logs the iteration. ``head_outputs`` > 0
-    appends a softmax head to the encoder parameters.
+    the running prototypes and logs the iteration. A non-finite loss, or an
+    embedding row that collapsed to zero, ends it with an error that names
+    the iteration. ``head_outputs`` > 0 appends a softmax head to the
+    encoder parameters.
     """
     t = _iterations(len(y), config)
     rng = make_rng(config.seed)
@@ -168,7 +170,11 @@ def _train(x, y, config: TrainConfig, step, head_outputs: int = 0) -> TrainLog:
     result = TrainLog(params=store, encoder_config=enc_config)
     for it in range(t):
         param_vars = store.wrap()
-        loss, pair, gmm_nll = step(rng, param_vars, enc_config)
+        try:
+            loss, pair, gmm_nll = step(rng, param_vars, enc_config)
+        except ZeroVectorError as exc:
+            raise ZeroVectorError(f"an embedding row collapsed to zero at "
+                                  f"iteration {it}: {exc}") from None
         value = loss.item()
         if not math.isfinite(value):
             raise NonFiniteLossError(f"loss {value} at iteration {it}")

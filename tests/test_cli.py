@@ -51,6 +51,17 @@ def four_four_csv(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def collapse_csv(tmp_path_factory):
+    """9000:1000 blobs on which a 9-unit, 3-wide encoder embeds a row of
+    the first batch to zero."""
+    path = tmp_path_factory.mktemp("collapse") / "data.csv"
+    assert main(["synth", "--maj", "9000", "--min", "1000", "--dim", "8",
+                 "--separation", "3", "--seed", "5",
+                 "--out", str(path)]) == 0
+    return path
+
+
 def _train_sdc(blob_csv, tmp_path, **extra):
     out = tmp_path / "model.json"
     args = ["train-sdc", "--data", str(blob_csv), "--seed", "1",
@@ -154,6 +165,21 @@ class TestTrainCommands:
         assert capsys.readouterr().err == (
             "error: batch_size 1 gives UDC's GMM 3 rows, below fit_em's 4\n")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, norms", [("train-udc", "(0, 1.87828)"),
+                                                ("train-sdc", "(0, 1.46431)")])
+    def test_collapsed_embedding_row_is_named(self, collapse_csv, tmp_path,
+                                              capsys, command, norms):
+        """A narrow encoder embeds some row to zero, whose cosine distance
+        is undefined: the error says so and names the iteration."""
+        out = tmp_path / "m.json"
+        assert main([command, "--data", str(collapse_csv), "--epochs", "1",
+                     "--hidden", "9", "--embedding-dim", "3",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: an embedding row collapsed to zero at iteration 0: "
+            f"vector norm below 1e-12 {norms}\n")
+        assert not out.exists()
 
     def test_classifier_smoke(self, blob_csv, tmp_path):
         out = tmp_path / "clf.json"

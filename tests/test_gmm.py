@@ -1,4 +1,3 @@
-import functools
 import itertools
 from unittest import mock
 
@@ -81,6 +80,19 @@ class TestKmeans:
                 kmeans(pts)
             with pytest.raises(NonFiniteLossError, match="overflow"):
                 fit_em(pts)
+
+    def test_bits_do_not_depend_on_the_layout_of_the_points(self):
+        """A Fortran-ordered or strided copy of the points gives the bits
+        of the C-ordered points."""
+        x = _two_blobs(make_rng(2), s=16)
+        copies = (np.asfortranarray(x), np.repeat(x, 2, axis=1)[:, ::2])
+        for seed in range(20):
+            want = kmeans(x, seed=seed)
+            for copy in copies:
+                got = kmeans(copy, seed=seed)
+                assert got[0].tobytes() == want[0].tobytes()
+                np.testing.assert_array_equal(got[1], want[1])
+                assert got[2] == want[2]
 
     def test_wcss_never_worse_than_single_restart(self):
         rng = make_rng(3)
@@ -320,25 +332,31 @@ def _oracle_kmeans(points, restarts=gmm.KMEANS_RESTARTS,
     if n < 2:
         raise TooFewSamplesError(f"{n} points for 2 centres")
     rng = make_rng(seed)
+    mean = points.mean(axis=0)
+    centred = points - mean
     best = None
     for _ in range(restarts):
         centers = _oracle_kmeans_pp_init(points, rng)
         assign = None
         for _ in range(max_iter):
-            d2 = _oracle_sq_dists(points, centers)
-            new_assign = np.argmin(d2, axis=1)
+            # the bisector test on the centred points
+            offsets = centers - mean
+            w = offsets[1] - offsets[0]
+            half_gap = 0.5 * (np.sum(offsets[1] * offsets[1])
+                              - np.sum(offsets[0] * offsets[0]))
+            new_assign = ((centred @ w[:, None])[:, 0] > half_gap).astype(int)
             if assign is not None and np.array_equal(new_assign, assign):
                 break
             assign = new_assign
-            for j in range(2):
-                members = points[assign == j]
-                if len(members) == 0:
-                    centers[j] = points[np.argmax(np.min(d2, axis=1))]
-                else:
-                    # numpy's sum from 0.0, in row order at every width:
-                    # members.mean(axis=0) sums one column pairwise
-                    centers[j] = functools.reduce(np.add, members,
-                                                  0.0) / len(members)
+            # each centre from the 0/1 membership matrix times the points
+            member = np.stack([assign == 0, assign == 1]).astype(np.float64)
+            sums = member @ points
+            counts = np.bincount(assign, minlength=2)
+            d2 = _oracle_sq_dists(points, centers)
+            centers = np.array([
+                sums[j] / counts[j] if counts[j]
+                else points[np.argmax(np.min(d2, axis=1))]
+                for j in range(2)])
         d2 = _oracle_sq_dists(points, centers)
         assign = np.argmin(d2, axis=1)
         wcss = float(np.sum(d2[np.arange(n), assign]))
@@ -537,6 +555,41 @@ class TestRestartBatchedOracle:
             assert (getattr(got, name).tobytes()
                     == getattr(want, name).tobytes()), name
         assert got.nll_trace == want.nll_trace
+
+
+class TestBisectorTest:
+    """The Lloyd steps assign points by a bisector test on centred points;
+    the exact squared distances decide only the final assignment."""
+
+    @settings(max_examples=250, deadline=None, derandomize=True,
+              database=None)
+    @given(kmeans_batches(), st.sampled_from([0.0, 1e3, 1e6]),
+           st.integers(0, 2**16))
+    def test_picks_the_exact_nearest_centre_off_ties(self, points, offset,
+                                                     seed):
+        """For k-means++ seed pairs and for member means of random
+        partitions, on batches offset by 0, 1e3 and 1e6, every point whose
+        exact squared distances d0, d1 differ by more than 1e-9 of d0 + d1
+        goes to the exact argmin."""
+        points = points + offset
+        rng = make_rng(seed)
+        seeds = gmm._kmeans_pp_init(points, 4, rng)
+        means = gmm._lloyd_centers(points, seeds,
+                                   rng.random((4, len(points))) < 0.5)
+        centers = np.concatenate([seeds, means])
+        mean = points.mean(axis=0)
+        got = gmm._nearer_second(points - mean, centers - mean)
+        d2 = np.array([_oracle_sq_dists(points, c) for c in centers])
+        d0, d1 = d2[..., 0], d2[..., 1]
+        clear = np.abs(d0 - d1) > 1e-9 * (d0 + d1)
+        np.testing.assert_array_equal(got[clear], (d1 < d0)[clear])
+
+    def test_a_tie_goes_to_centre_0(self):
+        """Points on the bisector go to centre 0, as argmin sends them."""
+        points = np.array([[0.0, 1.0], [0.0, -1.0], [2.0, 0.0], [-2.0, 0.0]])
+        centers = np.array([[[-1.0, 0.0], [1.0, 0.0]]])
+        got = gmm._nearer_second(points - points.mean(axis=0), centers)
+        np.testing.assert_array_equal(got, [[False, False, True, False]])
 
 
 class TestComponentLogProbs:
