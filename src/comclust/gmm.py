@@ -7,7 +7,15 @@ convergence tolerance ``EM_TOL``, variances floored at ``COV_FLOOR``,
 ``KMEANS_RESTARTS`` k-means++ restarts of up to ``KMEANS_MAX_ITER`` Lloyd
 steps each, and ``EM_RESTARTS`` attempts on degeneracy.
 
-One function, ``_e_step``, computes the mixture's log-densities, and
+EM works on sufficient statistics anchored at the k-means centres: with
+``c_k`` component k's centre, one (2, N, 2S) design
+``z[k] = [x - c_k, (x - c_k)**2]`` is built per fit, and a component is
+its weight, its offset ``d_k = mean_k - c_k`` and its variances. An E-step
+is one stacked matrix product, ``z[k] @ [d_k / var_k, -1 / (2 var_k)]``
+plus a per-component constant, then a two-column log-sum-exp; an M-step
+is another, the (2, N) posteriors times ``z``, which gives ``d_k`` and
+``var_k = E_r[(x - c_k)**2] - d_k**2``. The k-means centres keep those
+differences well conditioned when the batch sits far from the origin.
 ``responsibilities`` turns the E-step of the model ``fit_em`` returns into
 the fitted batch's pseudo-labels, ``model.labels``.
 
@@ -64,25 +72,6 @@ class PseudoLabels:
     assignments: np.ndarray        # argmax responsibility per sample
     responsibilities: np.ndarray   # (N, 2), rows sum to 1
     minority_component: int
-
-
-def _e_step(sq: np.ndarray, covs: np.ndarray, weights: np.ndarray,
-            scaled: np.ndarray):
-    """The (N, 2) matrix log_p of log(h_k) + log G_k(x) and its row-wise
-    log-sum-exp, from the (2, N, S) squared deviations ``sq`` and the
-    (2, S) variances. ``scaled`` is an (N, 2, S) buffer for ``sq / covs``:
-    on that layout log_p comes out C-contiguous, and ``r.sum(axis=0)``
-    adds the rows of its exponent in order."""
-    np.divide(sq, covs[:, None, :], out=scaled.transpose(1, 0, 2))
-    log_p = -0.5 * (scaled.shape[-1] * LOG_2PI + np.log(covs).sum(axis=-1)
-                    + scaled.sum(axis=-1))
-    log_p += np.log(weights)
-    return log_p, _logsumexp(log_p, axis=1)
-
-
-def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    amax = a.max(axis=axis, keepdims=True)
-    return amax.squeeze(axis) + np.log(np.exp(a - amax).sum(axis=axis))
 
 
 def responsibilities(model: GaussianMixture, log_p: np.ndarray,
@@ -245,14 +234,17 @@ def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
 def fit_em(batch, seed: int = 0) -> GaussianMixture:
     """Fit the two-component mixture by EM with k-means initialization.
 
-    Stops when the NLL improves by less than ``EM_TOL`` or after
-    ``EM_MAX_ITER`` iterations. Variances are floored at ``COV_FLOOR`` after
-    every M-step. If a component collapses below one effective sample, EM
+    EM starts from one M-step on the 0/1 k-means memberships (a component
+    with no member keeps its centre, weight 1 / (N + 1) and the variance
+    floor). It stops when the NLL improves by less than ``EM_TOL`` or
+    after ``EM_MAX_ITER`` iterations, so it makes at most EM_MAX_ITER + 1
+    E-steps, and ``nll_trace`` records one NLL per iteration, not the
+    last, extra E-step. Variances are floored at ``COV_FLOOR`` after every
+    M-step. If a component collapses below one effective sample, EM
     restarts from a fresh k-means seed (up to ``EM_RESTARTS`` attempts)
     before raising DegenerateComponentError. The returned model carries
-    the batch's pseudo-labels as ``labels``, from the E-step whose NLL met
-    ``EM_TOL`` or, when EM runs out of iterations, from one more E-step,
-    which ``nll_trace`` does not record.
+    the batch's pseudo-labels as ``labels``, from its last E-step: the one
+    whose NLL met ``EM_TOL``, or the extra one.
     """
     batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
     n = batch.shape[0]
@@ -272,52 +264,53 @@ def fit_em(batch, seed: int = 0) -> GaussianMixture:
 def _fit_em_once(batch: np.ndarray, seed: int) -> GaussianMixture:
     n, s = batch.shape
     centers, assign, _ = kmeans(batch, seed=seed)
-    weights = np.bincount(assign, minlength=2).astype(np.float64)
-    weights = np.clip(weights, 1.0, None)
+    # z[k] = [x - c_k, (x - c_k)**2], c_k the k-means centres
+    z = np.empty((2, n, 2 * s))
+    np.subtract(batch, centers[:, None, :], out=z[..., :s])
+    np.square(z[..., :s], out=z[..., s:])
+    nk, offsets, covs = _m_step(z, (assign == np.arange(2)[:, None]) * 1.0)
+    weights = np.maximum(nk, 1.0)
     weights /= weights.sum()
-    means = centers.copy()
-    covs = np.empty((2, s))
-    for j in range(2):
-        members = batch[assign == j]
-        var = members.var(axis=0) if len(members) else np.ones(s)
-        covs[j] = np.maximum(var, COV_FLOOR)
-
-    # sq holds the (2, N, S) squared deviations from the current means,
-    # which the M-step's variances need too
-    sq = batch - means[:, None, :]
-    sq *= sq
-    scaled = np.empty((n, 2, s))
     nll_trace = []
-    prev_nll = None
-    for _ in range(EM_MAX_ITER):
-        log_p, lse = _e_step(sq, covs, weights, scaled)
-        nll = float(-lse.sum())
-        nll_trace.append(nll)
-        if prev_nll is not None and abs(prev_nll - nll) < EM_TOL:
+    for it in range(EM_MAX_ITER + 1):
+        # log(h_k) + log G_k(x) = z[k] @ [d/var, -1/(2 var)] + const_k
+        w = np.concatenate([offsets / covs, -0.5 / covs], axis=1)
+        const = np.log(weights) - 0.5 * (
+            s * LOG_2PI + (np.log(covs) + offsets * w[:, :s]).sum(axis=1))
+        log_p = np.matmul(z, w[:, :, None])[..., 0]
+        log_p += const[:, None]
+        top = np.maximum(log_p[0], log_p[1])
+        lse = top + np.log1p(np.exp(np.minimum(log_p[0], log_p[1]) - top))
+        if it == EM_MAX_ITER:     # out of iterations: labels only
             break
-        prev_nll = nll
-
-        log_p -= lse[:, None]
-        r = np.exp(log_p, out=log_p)
-        nk = r.sum(axis=0)
-        if (nk < 1.0).any():
+        nll_trace.append(float(-lse.sum()))
+        if it and abs(nll_trace[-2] - nll_trace[-1]) < EM_TOL:
+            break
+        log_p -= lse
+        nk, offsets, covs = _m_step(z, np.exp(log_p, out=log_p))
+        if nk.min() < 1.0:
             raise DegenerateComponentError(
                 f"effective counts {nk} below 1")
         weights = nk / n
-        means = (r.T @ batch) / nk[:, None]
-        sq = batch - means[:, None, :]
-        sq *= sq
-        covs = np.maximum(np.matmul(r.T[:, None, :], sq)[:, 0] / nk[:, None],
-                          COV_FLOOR)
-    else:
-        log_p, lse = _e_step(sq, covs, weights, scaled)
 
-    model = GaussianMixture(weights, means, covs, nll_trace)
+    model = GaussianMixture(weights, centers + offsets, covs, nll_trace)
     collapsed = (np.all(model.covariances <= COV_FLOOR * (1 + 1e-9))
                  and np.allclose(model.means[0], model.means[1], atol=1e-9))
     if collapsed:
         raise DegenerateComponentError(
             "both components collapsed onto a single point")
     # a module-level call: perfbench's layer trace wraps it by name
-    model.labels = responsibilities(model, log_p, lse)
+    model.labels = responsibilities(model, log_p.T, lse)
     return model
+
+
+def _m_step(z: np.ndarray, r: np.ndarray):
+    """The (2,) effective counts, the (2, S) offsets d = mean - c_k and the
+    floored (2, S) variances E_r[(x - c_k)**2] - d**2, from the (2, N, 2S)
+    anchored statistics and the (2, N) memberships ``r``; a component with
+    no members keeps its anchor and gets the floor."""
+    nk = r.sum(axis=1)
+    stats = np.matmul(r[:, None, :], z)[:, 0] / np.maximum(nk, 1.0)[:, None]
+    s = z.shape[-1] // 2
+    offsets = stats[:, :s]
+    return nk, offsets, np.maximum(stats[:, s:] - offsets * offsets, COV_FLOOR)

@@ -21,12 +21,6 @@ def _two_component(mu0, mu1, var=1.0, weights=(0.5, 0.5), dim=None):
                            np.stack([mu0, mu1]), covs)
 
 
-def _two_blobs(rng, n=45, s=4, scale=1.0, shift=3.0):
-    x = rng.normal(size=(n, s))
-    x[: n // 3] += shift
-    return x * scale
-
-
 def _oracle_log_density(x, mean, var):
     """Closed-form log-density of a diagonal-covariance normal over the
     last axis: -(S log 2 pi + sum log var + sum (x - mean)^2 / var) / 2."""
@@ -161,9 +155,9 @@ class TestFitEm:
             trace = model.nll_trace
             assert len(trace) < gmm.EM_MAX_ITER
             assert abs(trace[-2] - trace[-1]) < gmm.EM_TOL
-            _assert_labels_equal(model.labels, _oracle_labels(model, x))
-            log_p = _oracle_component_log_probs(model, x)
-            assert float(-_oracle_logsumexp(log_p, axis=1).sum()) == trace[-1]
+            want, scoring_nll = _oracle_fit_em(x, trial)
+            _assert_fits_equal(model, want)
+            assert scoring_nll == trace[-1]
 
     def test_labels_after_the_last_iteration_are_one_more_e_step(self):
         """Out of iterations, the last M-step moved the model past EM's last
@@ -177,7 +171,7 @@ class TestFitEm:
                 trace = model.nll_trace
                 assert len(trace) == 2
                 assert abs(trace[0] - trace[1]) >= gmm.EM_TOL
-                _assert_labels_equal(model.labels, _oracle_labels(model, x))
+                _assert_fits_equal(model, _oracle_fit_em(x, trial)[0])
 
     def test_covariance_floor_holds(self):
         pts = np.vstack([np.tile([0.0, 5.0], (10, 1)),
@@ -365,50 +359,132 @@ def _oracle_kmeans(points, restarts=gmm.KMEANS_RESTARTS,
     return best
 
 
-def _oracle_logsumexp(a, axis):
-    amax = np.max(a, axis=axis, keepdims=True)
-    return np.squeeze(amax, axis) + np.log(np.sum(np.exp(a - amax),
-                                                  axis=axis))
-
-
-def _oracle_component_log_probs(model, x):
-    return np.stack([_oracle_log_density(x, model.means[k],
-                                         model.covariances[k])
-                     + np.log(model.weights[k]) for k in range(2)], axis=1)
-
-
-def _oracle_labels(model, x):
-    """An E-step of ``model`` on ``x``, made apart from EM: the posteriors,
-    their argmax and the minority component."""
-    log_p = _oracle_component_log_probs(model, x)
-    r = np.exp(log_p - _oracle_logsumexp(log_p, axis=1)[:, None])
-    assign = np.argmax(r, axis=1)
-    return gmm.PseudoLabels(assign, r, identify_minority(model, assign))
-
-
 def _assert_labels_equal(got, want):
     assert got.responsibilities.tobytes() == want.responsibilities.tobytes()
     np.testing.assert_array_equal(got.assignments, want.assignments)
     assert got.minority_component == want.minority_component
 
 
+def _assert_fits_equal(got, want):
+    for name in ("weights", "means", "covariances"):
+        assert (getattr(got, name).tobytes()
+                == getattr(want, name).tobytes()), name
+    assert got.nll_trace == want.nll_trace
+    _assert_labels_equal(got.labels, want.labels)
+
+
+def _oracle_e_step(z, offsets, covs, weights):
+    """Each component's log(h_k) + log G_k(x) on its own, from its anchored
+    statistics z[k] = [x - c_k, (x - c_k)**2] and its offset d = mean - c_k:
+    z[k] @ [d / var, -1 / (2 var)] plus a constant; and the log-sum-exp of
+    the two."""
+    log_p = []
+    for k in range(2):
+        s = len(covs[k])
+        w = np.concatenate([offsets[k] / covs[k], -0.5 / covs[k]])
+        const = np.log(weights[k]) - 0.5 * (
+            s * np.log(2 * np.pi)
+            + np.sum(np.log(covs[k]) + offsets[k] * w[:s]))
+        log_p.append((z[k] @ w[:, None])[:, 0] + const)
+    top = np.maximum(log_p[0], log_p[1])
+    return log_p, top + np.log1p(np.exp(np.minimum(log_p[0], log_p[1]) - top))
+
+
+def _oracle_m_step(z, r):
+    """Each component's effective count, offset from its anchor and floored
+    variance, from its anchored statistics and its memberships."""
+    nk, offsets, covs = np.empty(2), [], []
+    for k in range(2):
+        nk[k] = r[k].sum()
+        stats = (r[k][None, :] @ z[k])[0] / max(nk[k], 1.0)
+        s = len(stats) // 2
+        offsets.append(stats[:s])
+        covs.append(np.maximum(stats[s:] - stats[:s] ** 2, gmm.COV_FLOOR))
+    return nk, np.array(offsets), np.array(covs)
+
+
 def _oracle_fit_em_once(batch, seed):
+    """EM by the anchored arithmetic, one component at a time: the
+    returned model, its labels from an E-step made after EM, and that
+    E-step's NLL."""
+    n = len(batch)
+    centers, assign, _ = _oracle_kmeans(batch, seed=seed)
+    z = [np.hstack([batch - c, (batch - c) ** 2]) for c in centers]
+    nk, offsets, covs = _oracle_m_step(z, [(assign == k) * 1.0
+                                           for k in range(2)])
+    weights = np.maximum(nk, 1.0) / np.maximum(nk, 1.0).sum()
+    trace = []
+    for _ in range(gmm.EM_MAX_ITER):
+        log_p, lse = _oracle_e_step(z, offsets, covs, weights)
+        trace.append(float(-np.sum(lse)))
+        if len(trace) > 1 and abs(trace[-2] - trace[-1]) < gmm.EM_TOL:
+            break
+        nk, offsets, covs = _oracle_m_step(z, [np.exp(lp - lse)
+                                               for lp in log_p])
+        if np.any(nk < 1.0):
+            raise DegenerateComponentError(f"effective counts {nk} below 1")
+        weights = nk / n
+    model = GaussianMixture(weights, centers + offsets, covs, trace)
+    if (np.allclose(model.means[0], model.means[1], atol=1e-9)
+            and np.all(model.covariances <= gmm.COV_FLOOR * (1 + 1e-9))):
+        raise DegenerateComponentError("both components collapsed")
+    log_p, lse = _oracle_e_step(z, offsets, covs, weights)
+    r = np.stack([np.exp(lp - lse) for lp in log_p], axis=1)
+    assign = np.argmax(r, axis=1)
+    model.labels = gmm.PseudoLabels(assign, r,
+                                    identify_minority(model, assign))
+    return model, float(-np.sum(lse))
+
+
+def _restarting(fit_once):
+    """``fit_once`` behind fit_em's input check and restart rule."""
+    def fit(batch, seed):
+        batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
+        if batch.shape[0] < 4:
+            raise TooFewSamplesError("too few samples")
+        for attempt in range(gmm.EM_RESTARTS):
+            try:
+                return fit_once(batch, seed + 1000 * attempt)
+            except DegenerateComponentError:
+                pass
+        raise DegenerateComponentError("degenerate after restarts")
+    return fit
+
+
+_oracle_fit_em = _restarting(_oracle_fit_em_once)
+
+
+# --- Reference: EM by two-pass arithmetic, closed-form densities of the
+# returned model and variances as weighted means of squared deviations
+# from the new means. The anchored arithmetic must agree with it closely.
+
+def _two_pass_log_probs(model, x):
+    return np.stack([_oracle_log_density(x, model.means[k],
+                                         model.covariances[k])
+                     + np.log(model.weights[k]) for k in range(2)], axis=1)
+
+
+def _two_pass_logsumexp(a):
+    amax = np.max(a, axis=1, keepdims=True)
+    return amax[:, 0] + np.log(np.sum(np.exp(a - amax), axis=1))
+
+
+def _two_pass_fit_em_once(batch, seed):
     n, s = batch.shape
     centers, assign, _ = _oracle_kmeans(batch, seed=seed)
     weights = np.bincount(assign, minlength=2).astype(np.float64)
     weights = np.clip(weights, 1.0, None)
     weights /= weights.sum()
-    means = centers.copy()
     covs = np.empty((2, s))
     for j in range(2):
         members = batch[assign == j]
         var = members.var(axis=0) if len(members) else np.ones(s)
         covs[j] = np.maximum(var, gmm.COV_FLOOR)
-    model = GaussianMixture(weights, means, covs, nll_trace=[])
+    model = GaussianMixture(weights, centers.copy(), covs, nll_trace=[])
     prev_nll = None
     for _ in range(gmm.EM_MAX_ITER):
-        log_p = _oracle_component_log_probs(model, batch)
-        lse = _oracle_logsumexp(log_p, axis=1)
+        log_p = _two_pass_log_probs(model, batch)
+        lse = _two_pass_logsumexp(log_p)
         nll = float(-np.sum(lse))
         model.nll_trace.append(nll)
         if prev_nll is not None and abs(prev_nll - nll) < gmm.EM_TOL:
@@ -427,19 +503,15 @@ def _oracle_fit_em_once(batch, seed):
     if (np.allclose(model.means[0], model.means[1], atol=1e-9)
             and np.all(model.covariances <= gmm.COV_FLOOR * (1 + 1e-9))):
         raise DegenerateComponentError("both components collapsed")
+    log_p = _two_pass_log_probs(model, batch)
+    r = np.exp(log_p - _two_pass_logsumexp(log_p)[:, None])
+    assign = np.argmax(r, axis=1)
+    model.labels = gmm.PseudoLabels(assign, r,
+                                    identify_minority(model, assign))
     return model
 
 
-def _oracle_fit_em(batch, seed):
-    batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
-    if batch.shape[0] < 4:
-        raise TooFewSamplesError("too few samples")
-    for attempt in range(gmm.EM_RESTARTS):
-        try:
-            return _oracle_fit_em_once(batch, seed + 1000 * attempt)
-        except DegenerateComponentError:
-            pass
-    raise DegenerateComponentError("degenerate after restarts")
+_two_pass_fit_em = _restarting(_two_pass_fit_em_once)
 
 
 @st.composite
@@ -551,10 +623,7 @@ class TestRestartBatchedOracle:
         if isinstance(want, type):
             assert got is want
             return
-        for name in ("weights", "means", "covariances"):
-            assert (getattr(got, name).tobytes()
-                    == getattr(want, name).tobytes()), name
-        assert got.nll_trace == want.nll_trace
+        _assert_fits_equal(got, want[0])
 
 
 class TestBisectorTest:
@@ -601,9 +670,54 @@ class TestComponentLogProbs:
            st.sampled_from([gmm.EM_MAX_ITER, 2]))
     def test_equals_per_component_log_pdf(self, batch, seed, max_iter):
         """Whether EM stops on EM_TOL or runs out of iterations, the labels
-        have the bits of the closed-form density of each component on its
-        own, taken at the returned model."""
+        have the bits of each component's anchored E-step on its own, taken
+        at the returned model after EM."""
         with mock.patch.object(gmm, "EM_MAX_ITER", max_iter):
-            model = _outcome(fit_em, batch, seed=seed)
-        if not isinstance(model, type):
-            _assert_labels_equal(model.labels, _oracle_labels(model, batch))
+            got = _outcome(fit_em, batch, seed=seed)
+            want = _outcome(_oracle_fit_em, batch, seed)
+        if isinstance(want, type):
+            assert got is want
+        else:
+            _assert_labels_equal(got.labels, want[0].labels)
+
+
+class TestAnchoredStatistics:
+    """EM's statistics are offsets from the k-means centres; the two-pass
+    arithmetic, deviations from each new mean, is the reference."""
+
+    @settings(max_examples=250, deadline=None, derandomize=True,
+              database=None)
+    @given(kmeans_batches(), st.integers(0, 2**16))
+    def test_agrees_with_two_pass_arithmetic(self, batch, seed):
+        """The same error, or the same assignment of every row whose top
+        posterior in the reference exceeds 0.5 + 1e-6, and the means and
+        variances within 1e-6 relative; a mean coordinate at 0 is held to
+        1e-12 of the largest coordinate instead."""
+        got = _outcome(fit_em, batch, seed=seed)
+        want = _outcome(_two_pass_fit_em, batch, seed)
+        if isinstance(want, type):
+            assert got is want
+            return
+        clear = want.labels.responsibilities.max(axis=1) > 0.5 + 1e-6
+        np.testing.assert_array_equal(got.labels.assignments[clear],
+                                      want.labels.assignments[clear])
+        np.testing.assert_allclose(got.means, want.means, rtol=1e-6,
+                                   atol=1e-12 * np.abs(batch).max())
+        np.testing.assert_allclose(got.covariances, want.covariances,
+                                   rtol=1e-6)
+
+    @pytest.mark.parametrize("offset", [1e2, 1e4, 1e6, 1e8])
+    def test_variances_keep_their_precision_far_from_the_origin(self, offset):
+        """Two unit-spread clusters ``offset`` apart, the batch shifted by
+        3 * offset: each component's variances are its cluster's two-pass
+        variances to 1e-9 relative, which an anchor at the origin or at the
+        batch mean would lose to cancellation."""
+        rng = make_rng(11)
+        x = rng.normal(size=(45, 16))
+        x[:15] += offset
+        x += 3 * offset
+        model = fit_em(x, seed=0)
+        near = np.argmin(np.abs(model.means[:, 0] - x[0, 0]))
+        for k, rows in ((near, x[:15]), (1 - near, x[15:])):
+            np.testing.assert_allclose(model.covariances[k],
+                                       rows.var(axis=0), rtol=1e-9)
