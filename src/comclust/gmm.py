@@ -1,6 +1,7 @@
 """Two-component, diagonal-covariance Gaussian mixture over embeddings:
 two-centre k-means(++) init and EM fitting, which hands back the fitted
-batch's pseudo-labels.
+batch's posteriors and their argmax. The mixture knows no classes: UDC,
+in ``training``, picks the component that stands for the rare class.
 
 The fit settings are module constants: ``EM_MAX_ITER`` EM iterations with
 convergence tolerance ``EM_TOL``, variances floored at ``COV_FLOOR``,
@@ -17,7 +18,7 @@ is another, the (2, N) posteriors times ``z``, which gives ``d_k`` and
 ``var_k = E_r[(x - c_k)**2] - d_k**2``. The k-means centres keep those
 differences well conditioned when the batch sits far from the origin.
 ``responsibilities`` turns the E-step of the model ``fit_em`` returns into
-the fitted batch's pseudo-labels, ``model.labels``.
+its posteriors on the fitted batch, ``model.labels``.
 
 ``kmeans`` runs its restarts together, and EM updates both components in
 one set of array operations. Both give the bits of the plain loops over
@@ -59,7 +60,7 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 class GaussianMixture:
     """Fitted two-component mixture: ``weights`` (2,), ``means`` (2, S) and
     ``covariances`` (2, S) of diagonal variances, the NLL of each EM
-    iteration, and the pseudo-labels of the batch it was fitted on."""
+    iteration, and the posteriors of the batch it was fitted on."""
     weights: np.ndarray
     means: np.ndarray
     covariances: np.ndarray
@@ -71,32 +72,15 @@ class GaussianMixture:
 class PseudoLabels:
     assignments: np.ndarray        # argmax responsibility per sample
     responsibilities: np.ndarray   # (N, 2), rows sum to 1
-    minority_component: int
 
 
-def responsibilities(model: GaussianMixture, log_p: np.ndarray,
-                     lse: np.ndarray) -> PseudoLabels:
-    """Posterior component memberships of the batch ``model`` was fitted
-    on, from its E-step there: the (N, 2) log(h_k) + log G_k(x) ``log_p``,
-    which becomes the posteriors in place, and its row-wise log-sum-exp."""
+def responsibilities(log_p: np.ndarray, lse: np.ndarray) -> PseudoLabels:
+    """Posterior component memberships from an E-step: the (N, 2)
+    log(h_k) + log G_k(x) ``log_p``, which becomes the posteriors in place,
+    and its row-wise log-sum-exp."""
     log_p -= lse[:, None]
     r = np.exp(log_p, out=log_p)
-    assign = np.argmax(r, axis=1)
-    return PseudoLabels(assign, r, identify_minority(model, assign))
-
-
-def identify_minority(model: GaussianMixture, assignments) -> int:
-    """Component standing in for the rare class: smaller mixture weight,
-    tie-broken by fewer assigned members, then by index 0. The paper-side
-    mapping from components to disease classes is unspecified, so this is
-    a deliberate policy."""
-    w = model.weights
-    if abs(w[0] - w[1]) > 1e-12:
-        return int(np.argmin(w))
-    counts = np.bincount(np.asarray(assignments), minlength=2)
-    if counts[0] != counts[1]:
-        return int(np.argmin(counts))
-    return 0
+    return PseudoLabels(np.argmax(r, axis=1), r)
 
 
 def kmeans(points, seed: int = 0):
@@ -243,8 +227,9 @@ def fit_em(batch, seed: int = 0) -> GaussianMixture:
     M-step. If a component collapses below one effective sample, EM
     restarts from a fresh k-means seed (up to ``EM_RESTARTS`` attempts)
     before raising DegenerateComponentError. The returned model carries
-    the batch's pseudo-labels as ``labels``, from its last E-step: the one
-    whose NLL met ``EM_TOL``, or the extra one.
+    the batch's posteriors and their argmax as ``labels``, from its last
+    E-step: the one whose NLL met ``EM_TOL``, or the extra one. Neither
+    component stands for a class.
     """
     batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
     n = batch.shape[0]
@@ -293,15 +278,14 @@ def _fit_em_once(batch: np.ndarray, seed: int) -> GaussianMixture:
                 f"effective counts {nk} below 1")
         weights = nk / n
 
-    model = GaussianMixture(weights, centers + offsets, covs, nll_trace)
-    collapsed = (np.all(model.covariances <= COV_FLOOR * (1 + 1e-9))
-                 and np.allclose(model.means[0], model.means[1], atol=1e-9))
-    if collapsed:
+    means = centers + offsets
+    if (np.all(covs <= COV_FLOOR * (1 + 1e-9))
+            and np.allclose(means[0], means[1], atol=1e-9)):
         raise DegenerateComponentError(
             "both components collapsed onto a single point")
     # a module-level call: perfbench's layer trace wraps it by name
-    model.labels = responsibilities(model, log_p.T, lse)
-    return model
+    return GaussianMixture(weights, means, covs, nll_trace,
+                           responsibilities(log_p.T, lse))
 
 
 def _m_step(z: np.ndarray, r: np.ndarray):

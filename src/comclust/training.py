@@ -17,12 +17,11 @@ from . import gmm as gmm_mod
 from .autodiff import backward, grad_of, make_rng
 from .dataio import TRAIN, LabeledDataset
 from .encoder import AdamConfig, EncoderConfig, ParamStore
-from .errors import (InvalidSpecError, MissingClassError,
+from .errors import (ComclustError, InvalidSpecError, MissingClassError,
                      NonFiniteLossError, TooFewSamplesError, ZeroVectorError)
 # udc_com_loss goes unused: perfbench's layer trace hooks it by this name
-from .losses import (C_MAJ, C_MIN, ClassWeights, center_rows,
-                     com_triplet_loss, triplet_loss_batch, udc_com_loss,
-                     weighted_cross_entropy)
+from .losses import (C_MAJ, C_MIN, ClassWeights, com_triplet_loss,
+                     triplet_loss_batch, udc_com_loss, weighted_cross_entropy)
 from .metrics import roc_auc, weighted_metrics
 from .prototypes import (Prototypes, batch_centers, infer_label,
                          malignancy_score, update_prototypes)
@@ -157,10 +156,11 @@ def _train(x, y, config: TrainConfig, step, head_outputs: int = 0) -> TrainLog:
     Each iteration ``step(rng, param_vars, enc_config)`` samples a batch and
     embeds it, returning (loss, candidate prototype pair or None, GMM NLL or
     None). The loop checks the loss, takes the Adam step, offers the pair to
-    the running prototypes and logs the iteration. A non-finite loss, or an
-    embedding row that collapsed to zero, ends it with an error that names
-    the iteration. ``head_outputs`` > 0 appends a softmax head to the
-    encoder parameters.
+    the running prototypes and logs the iteration. A library error on the
+    way, a non-finite loss included, ends the loop with its message and
+    `` at iteration N``; an embedding row that collapsed to zero names the
+    iteration before the message. ``head_outputs`` > 0 appends a softmax
+    head to the encoder parameters.
     """
     t = _iterations(len(y), config)
     rng = make_rng(config.seed)
@@ -169,23 +169,25 @@ def _train(x, y, config: TrainConfig, step, head_outputs: int = 0) -> TrainLog:
 
     result = TrainLog(params=store, encoder_config=enc_config)
     for it in range(t):
-        param_vars = store.wrap()
         try:
+            param_vars = store.wrap()
             loss, pair, gmm_nll = step(rng, param_vars, enc_config)
+            value = loss.item()
+            if not math.isfinite(value):
+                raise NonFiniteLossError(f"loss {value}")
+            backward(loss)
+            enc.adam_step(store, [grad_of(p) for p in param_vars], config.adam)
+            result.losses.append(value)
+            if pair is not None:
+                result.prototypes = update_prototypes(result.prototypes, *pair)
+                result.separations.append(result.prototypes.separation)
+            if gmm_nll is not None:
+                result.gmm_nlls.append(gmm_nll)
         except ZeroVectorError as exc:
             raise ZeroVectorError(f"an embedding row collapsed to zero at "
                                   f"iteration {it}: {exc}") from None
-        value = loss.item()
-        if not math.isfinite(value):
-            raise NonFiniteLossError(f"loss {value} at iteration {it}")
-        backward(loss)
-        enc.adam_step(store, [grad_of(p) for p in param_vars], config.adam)
-        result.losses.append(value)
-        if pair is not None:
-            result.prototypes = update_prototypes(result.prototypes, *pair)
-            result.separations.append(result.prototypes.separation)
-        if gmm_nll is not None:
-            result.gmm_nlls.append(gmm_nll)
+        except ComclustError as exc:
+            raise type(exc)(f"{exc} at iteration {it}") from None
     return result
 
 
@@ -227,11 +229,13 @@ def udc_batch_rows(config: TrainConfig) -> int:
 def train_udc(dataset: LabeledDataset, config: TrainConfig) -> TrainLog:
     """Unsupervised deep clustering: labels are ignored.
 
-    Per iteration a batch of 3M samples is embedded, a fresh two-component
-    GMM is fitted on those embeddings to produce pseudo-labels, and each
-    sample is an anchor whose own component mean is its positive and the
-    other mean its negative, under the loss SDC uses. The two means are
-    also the candidate prototype pair.
+    Per iteration a batch of 3M samples is embedded and a fresh
+    two-component GMM is fitted on those embeddings. Each sample is an
+    anchor whose own component's mean (its argmax posterior) is its
+    positive and the other mean its negative, under the loss SDC uses. The
+    GMM knows no classes: ``_minority_component`` picks the component that
+    stands for the rare class, whose mean leads the candidate prototype
+    pair.
     """
     m3 = udc_batch_rows(config)
     x, y = dataset.subset(TRAIN)
@@ -244,14 +248,26 @@ def train_udc(dataset: LabeledDataset, config: TrainConfig) -> TrainLog:
         emb = enc.forward(param_vars, enc_config, x[rows],
                           train_mode=True, rng=rng)
         model = gmm_mod.fit_em(emb.value, seed=int(rng.integers(2 ** 31)))
-        k_min = model.labels.minority_component
-        pseudo = np.where(model.labels.assignments == k_min, C_MIN, C_MAJ)
-        mu_min, mu_maj = model.means[k_min], model.means[1 - k_min]
-        loss = _batch_loss(config.loss_kind, emb,
-                           *center_rows(pseudo, mu_min, mu_maj))
-        return loss, (mu_min, mu_maj), model.nll_trace[-1]
+        assign = model.labels.assignments
+        loss = _batch_loss(config.loss_kind, emb, model.means[assign],
+                           model.means[1 - assign])
+        k = _minority_component(model.weights, assign)
+        return loss, (model.means[k], model.means[1 - k]), model.nll_trace[-1]
 
     return _train(x, y, config, step)
+
+
+def _minority_component(weights, assignments) -> int:
+    """The GMM component standing in for the rare class: the smaller
+    weight, tie-broken by fewer assigned rows, then by index 0. The paper
+    does not say how components map to classes, so this is a deliberate
+    policy."""
+    if abs(weights[0] - weights[1]) > 1e-12:
+        return int(np.argmin(weights))
+    counts = np.bincount(assignments, minlength=2)
+    if counts[0] != counts[1]:
+        return int(np.argmin(counts))
+    return 0
 
 
 EQUAL = "equal"

@@ -1142,6 +1142,23 @@ def test_udc_overflow_into_the_gmm_is_an_error(tiny_csv, tmp_path, capsys):
     assert err.splitlines()[-1].startswith("error: ") and "finite" in err
 
 
+@pytest.mark.parametrize("command, message", [
+    ("train-udc", "non-finite value among the points to cluster"),
+    ("train-sdc", "non-finite gradient for parameter 0 of shape (4, 64)"),
+], ids=["udc-kmeans", "sdc-adam"])
+def test_failure_inside_training_names_the_iteration(tmp_path, capsys,
+                                                     command, message):
+    """The first step at this rate overflows the weights, so iteration 1
+    fails: in UDC's k-means, in SDC's Adam update."""
+    data = str(tmp_path / "d.csv")
+    assert main(["synth", "--maj", "60", "--min", "20", "--dim", "4",
+                 "--separation", "6", "--out", data]) == 0
+    assert main([command, "--data", data, "--out", str(tmp_path / "m.json"),
+                 "--epochs", "1", "--lr", "1e308"]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == f"error: {message} at iteration 1"
+
+
 def test_udc_overflowing_distances_are_an_error(tiny_csv, tmp_path, capsys):
     """Finite features this large overflow the squared distances that
     k-means++ draws its seeds by."""

@@ -473,8 +473,7 @@ class TestResults:
     @given(record=json_records)
     @example(record={"scores": [0.1, float("nan"), -0.0, float("inf")],
               "labels": np.arange(3), "é": (), "z": {}})
-    def test_canonical_json_matches_json_dumps(self, record,
-                                               tmp_path_factory):
+    def test_saved_text_matches_json_dumps(self, record, tmp_path_factory):
         path = tmp_path_factory.getbasetemp() / "record.json"
         save_results(path, record)
         assert path.read_text() == canonical_text(record)

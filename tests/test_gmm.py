@@ -10,15 +10,7 @@ from comclust import gmm
 from comclust.autodiff import make_rng
 from comclust.errors import (DegenerateComponentError, NonFiniteLossError,
                              TooFewSamplesError)
-from comclust.gmm import GaussianMixture, fit_em, identify_minority, kmeans
-
-
-def _two_component(mu0, mu1, var=1.0, weights=(0.5, 0.5), dim=None):
-    mu0, mu1 = np.atleast_1d(np.asarray(mu0, float)), np.atleast_1d(np.asarray(mu1, float))
-    d = dim or len(mu0)
-    covs = np.full((2, d), var)
-    return GaussianMixture(np.array(weights, float),
-                           np.stack([mu0, mu1]), covs)
+from comclust.gmm import GaussianMixture, fit_em, kmeans
 
 
 def _oracle_log_density(x, mean, var):
@@ -222,8 +214,8 @@ class TestLogPdf:
 
 
 class TestResponsibilities:
-    """``fit_em`` hands back the fitted batch's pseudo-labels: the
-    posteriors of the returned model on that batch."""
+    """``fit_em`` hands back the posteriors of the returned model on the
+    batch it was fitted on, and their argmax."""
 
     def test_rows_sum_to_one(self):
         rng = make_rng(12)
@@ -279,24 +271,6 @@ class TestResponsibilities:
         x[7, 1] = bad
         with pytest.raises(NonFiniteLossError):
             fit_em(x)
-
-
-class TestIdentifyMinority:
-    def test_smaller_weight_wins(self):
-        """The weights decide even when the member counts disagree."""
-        model = _two_component([0.0], [1.0], weights=(0.9, 0.1))
-        assignments = np.array([0] * 15 + [1] * 30)
-        assert identify_minority(model, assignments) == 1
-
-    def test_tie_breaks_on_member_counts(self):
-        model = _two_component([0.0], [1.0], weights=(0.5, 0.5))
-        assignments = np.array([0] * 30 + [1] * 15)
-        assert identify_minority(model, assignments) == 1
-
-    def test_full_tie_gives_component_zero(self):
-        model = _two_component([0.0], [1.0], weights=(0.5, 0.5))
-        assignments = np.array([0] * 10 + [1] * 10)
-        assert identify_minority(model, assignments) == 0
 
 
 # --- Oracle: the per-restart k-means and the per-component EM loop that the
@@ -362,7 +336,6 @@ def _oracle_kmeans(points, restarts=gmm.KMEANS_RESTARTS,
 def _assert_labels_equal(got, want):
     assert got.responsibilities.tobytes() == want.responsibilities.tobytes()
     np.testing.assert_array_equal(got.assignments, want.assignments)
-    assert got.minority_component == want.minority_component
 
 
 def _assert_fits_equal(got, want):
@@ -430,9 +403,7 @@ def _oracle_fit_em_once(batch, seed):
         raise DegenerateComponentError("both components collapsed")
     log_p, lse = _oracle_e_step(z, offsets, covs, weights)
     r = np.stack([np.exp(lp - lse) for lp in log_p], axis=1)
-    assign = np.argmax(r, axis=1)
-    model.labels = gmm.PseudoLabels(assign, r,
-                                    identify_minority(model, assign))
+    model.labels = gmm.PseudoLabels(np.argmax(r, axis=1), r)
     return model, float(-np.sum(lse))
 
 
@@ -505,9 +476,7 @@ def _two_pass_fit_em_once(batch, seed):
         raise DegenerateComponentError("both components collapsed")
     log_p = _two_pass_log_probs(model, batch)
     r = np.exp(log_p - _two_pass_logsumexp(log_p)[:, None])
-    assign = np.argmax(r, axis=1)
-    model.labels = gmm.PseudoLabels(assign, r,
-                                    identify_minority(model, assign))
+    model.labels = gmm.PseudoLabels(np.argmax(r, axis=1), r)
     return model
 
 
@@ -515,11 +484,12 @@ _two_pass_fit_em = _restarting(_two_pass_fit_em_once)
 
 
 @st.composite
-def kmeans_batches(draw):
-    """Two shifted normal blobs at scale 1e-3, 1 or 1e3; optionally with the
-    second half repeating the first (duplicate points, wcss ties) and
-    rounded to integers (coinciding points, -0.0 coordinates)."""
-    n = draw(st.integers(2, 60))
+def kmeans_batches(draw, min_rows=2):
+    """Two shifted normal blobs of ``min_rows``-60 rows at scale 1e-3, 1 or
+    1e3; optionally with the second half repeating the first (duplicate
+    points, wcss ties) and rounded to integers (coinciding points, -0.0
+    coordinates)."""
+    n = draw(st.integers(min_rows, 60))
     s = draw(st.integers(1, 20))
     rng = make_rng(draw(st.integers(0, 2**32 - 1)))
     points = rng.normal(size=(n, s))
@@ -616,7 +586,7 @@ class TestRestartBatchedOracle:
 
     @settings(max_examples=250, deadline=None, derandomize=True,
               database=None)
-    @given(kmeans_batches(), st.integers(0, 2**16))
+    @given(kmeans_batches(gmm.EM_MIN_SAMPLES), st.integers(0, 2**16))
     def test_fit_em_matches_per_component_loop(self, batch, seed):
         got = _outcome(fit_em, batch, seed=seed)
         want = _outcome(_oracle_fit_em, batch, seed)
@@ -666,7 +636,7 @@ class TestComponentLogProbs:
 
     @settings(max_examples=100, deadline=None, derandomize=True,
               database=None)
-    @given(kmeans_batches(), st.integers(0, 2**16),
+    @given(kmeans_batches(gmm.EM_MIN_SAMPLES), st.integers(0, 2**16),
            st.sampled_from([gmm.EM_MAX_ITER, 2]))
     def test_equals_per_component_log_pdf(self, batch, seed, max_iter):
         """Whether EM stops on EM_TOL or runs out of iterations, the labels
@@ -687,7 +657,7 @@ class TestAnchoredStatistics:
 
     @settings(max_examples=250, deadline=None, derandomize=True,
               database=None)
-    @given(kmeans_batches(), st.integers(0, 2**16))
+    @given(kmeans_batches(gmm.EM_MIN_SAMPLES), st.integers(0, 2**16))
     def test_agrees_with_two_pass_arithmetic(self, batch, seed):
         """The same error, or the same assignment of every row whose top
         posterior in the reference exceeds 0.5 + 1e-6, and the means and

@@ -256,8 +256,9 @@ class TestTrainUdc:
     def test_step_takes_the_batch_loss_on_center_rows(
             self, loss_kind, called, monkeypatch):
         """Each anchor's own GMM mean is its positive and the other mean
-        its negative, under the loss that SDC takes for the same kind."""
-        fits, calls = [], []
+        its negative, under the loss that SDC takes for the same kind; the
+        offered prototype pair leads with the minority component's mean."""
+        fits, calls, offers = [], [], []
         fit_em = gmm.fit_em
 
         def recording(*args, **kwargs):
@@ -268,18 +269,46 @@ class TestTrainUdc:
             calls.append(args)
             return getattr(losses, called)(*args)
 
+        def offered(current, cl_min, cl_maj):
+            offers.append((cl_min, cl_maj))
+            return update_prototypes(current, cl_min, cl_maj)
+
         monkeypatch.setattr(gmm, "fit_em", recording)
+        monkeypatch.setattr(training, "update_prototypes", offered)
         for name in ("com_triplet_loss", "triplet_loss_batch"):
             monkeypatch.setattr(training, name, capture if name == called
                                 else None)
         result = train_udc(_dataset(seed=4),
                            _fast(seed=4, batch_size=5, loss_kind=loss_kind))
-        assert len(calls) == len(fits) == len(result.losses)
-        for (anchors, own, other), model in zip(calls, fits):
+        assert len(calls) == len(fits) == len(offers) == len(result.losses)
+        for (anchors, own, other), model, pair in zip(calls, fits, offers):
             assert ad.value_of(anchors).shape == own.shape == (15, 8)
             assign = model.labels.assignments
             np.testing.assert_array_equal(own, model.means[assign])
             np.testing.assert_array_equal(other, model.means[1 - assign])
+            k = training._minority_component(model.weights, assign)
+            np.testing.assert_array_equal(pair[0], model.means[k])
+            np.testing.assert_array_equal(pair[1], model.means[1 - k])
+
+
+class TestMinorityComponent:
+    """The component UDC reads as the rare class."""
+
+    def test_smaller_weight_wins(self):
+        """The weights decide even when the member counts disagree."""
+        assignments = np.array([0] * 15 + [1] * 30)
+        assert training._minority_component(np.array([0.9, 0.1]),
+                                            assignments) == 1
+
+    def test_tie_breaks_on_member_counts(self):
+        assignments = np.array([0] * 30 + [1] * 15)
+        assert training._minority_component(np.array([0.5, 0.5]),
+                                            assignments) == 1
+
+    def test_full_tie_gives_component_zero(self):
+        assignments = np.array([0] * 10 + [1] * 10)
+        assert training._minority_component(np.array([0.5, 0.5]),
+                                            assignments) == 0
 
 
 class TestSameProgram:
