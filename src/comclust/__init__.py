@@ -11,9 +11,8 @@ from .autodiff import Var, backward, cosine_distance, make_rng
 from .dataio import BlobSpec, LabeledDataset, load_csv, save_csv, split_dataset, synth_imbalanced
 from .encoder import AdamConfig, EncoderConfig, ParamStore, adam_step
 from .gmm import GaussianMixture, fit_em, kmeans, responsibilities
-from .losses import (ClassWeights, MarginSpec, com_adaptive_margin,
-                     com_dist_wa, com_triplet_loss, triplet_loss,
-                     udc_adaptive_margin, udc_com_loss, udc_dist_wa,
+from .losses import (ClassWeights, com_adaptive_margin, com_dist_wa,
+                     com_triplet_loss, triplet_loss, udc_com_loss,
                      weighted_cross_entropy)
 from .metrics import confusion, roc_auc, weighted_metrics
 from .prototypes import (Prototypes, batch_centers, infer_label,

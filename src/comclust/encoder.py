@@ -114,11 +114,6 @@ def init_encoder_params(config: EncoderConfig, rng,
                        for shape in param_shapes(config, head_outputs)])
 
 
-def init_head_params(embedding_dim: int, n_out: int, rng) -> list:
-    return [_he_uniform(shape, rng)
-            for shape in ((embedding_dim, n_out), (n_out,))]
-
-
 def forward(param_vars: list, config: EncoderConfig, x_batch,
             train_mode: bool = False, rng=None):
     """Run the MLP as one ``autodiff.dense_stack`` node, returning (B, S)

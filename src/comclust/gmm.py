@@ -18,7 +18,7 @@ is another, the (2, N) posteriors times ``z``, which gives ``d_k`` and
 ``var_k = E_r[(x - c_k)**2] - d_k**2``. The k-means centres keep those
 differences well conditioned when the batch sits far from the origin.
 ``responsibilities`` turns the E-step of the model ``fit_em`` returns into
-its posteriors on the fitted batch, ``model.labels``.
+its posteriors on the fitted batch, ``model.posteriors``.
 
 ``kmeans`` runs its restarts together, and EM updates both components in
 one set of array operations. Both give the bits of the plain loops over
@@ -38,7 +38,7 @@ uniform. Squared distances that overflow make the draw undefined, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,27 +60,22 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 class GaussianMixture:
     """Fitted two-component mixture: ``weights`` (2,), ``means`` (2, S) and
     ``covariances`` (2, S) of diagonal variances, the NLL of each EM
-    iteration, and the posteriors of the batch it was fitted on."""
+    iteration, and the fitted batch's (N, 2) ``posteriors`` and their argmax
+    ``assignments``."""
     weights: np.ndarray
     means: np.ndarray
     covariances: np.ndarray
-    nll_trace: list = field(default_factory=list)
-    labels: PseudoLabels | None = None
+    nll_trace: list
+    assignments: np.ndarray
+    posteriors: np.ndarray
 
 
-@dataclass
-class PseudoLabels:
-    assignments: np.ndarray        # argmax responsibility per sample
-    responsibilities: np.ndarray   # (N, 2), rows sum to 1
-
-
-def responsibilities(log_p: np.ndarray, lse: np.ndarray) -> PseudoLabels:
+def responsibilities(log_p: np.ndarray, lse: np.ndarray) -> np.ndarray:
     """Posterior component memberships from an E-step: the (N, 2)
     log(h_k) + log G_k(x) ``log_p``, which becomes the posteriors in place,
     and its row-wise log-sum-exp."""
     log_p -= lse[:, None]
-    r = np.exp(log_p, out=log_p)
-    return PseudoLabels(np.argmax(r, axis=1), r)
+    return np.exp(log_p, out=log_p)
 
 
 def kmeans(points, seed: int = 0):
@@ -227,8 +222,8 @@ def fit_em(batch, seed: int = 0) -> GaussianMixture:
     M-step. If a component collapses below one effective sample, EM
     restarts from a fresh k-means seed (up to ``EM_RESTARTS`` attempts)
     before raising DegenerateComponentError. The returned model carries
-    the batch's posteriors and their argmax as ``labels``, from its last
-    E-step: the one whose NLL met ``EM_TOL``, or the extra one. Neither
+    the batch's ``posteriors`` and their argmax, ``assignments``, from its
+    last E-step: the one whose NLL met ``EM_TOL``, or the extra one. Neither
     component stands for a class.
     """
     batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
@@ -266,7 +261,7 @@ def _fit_em_once(batch: np.ndarray, seed: int) -> GaussianMixture:
         log_p += const[:, None]
         top = np.maximum(log_p[0], log_p[1])
         lse = top + np.log1p(np.exp(np.minimum(log_p[0], log_p[1]) - top))
-        if it == EM_MAX_ITER:     # out of iterations: labels only
+        if it == EM_MAX_ITER:     # out of iterations: posteriors only
             break
         nll_trace.append(float(-lse.sum()))
         if it and abs(nll_trace[-2] - nll_trace[-1]) < EM_TOL:
@@ -284,8 +279,9 @@ def _fit_em_once(batch: np.ndarray, seed: int) -> GaussianMixture:
         raise DegenerateComponentError(
             "both components collapsed onto a single point")
     # a module-level call: perfbench's layer trace wraps it by name
+    r = responsibilities(log_p.T, lse)
     return GaussianMixture(weights, means, covs, nll_trace,
-                           responsibilities(log_p.T, lse))
+                           np.argmax(r, axis=1), r)
 
 
 def _m_step(z: np.ndarray, r: np.ndarray):

@@ -8,9 +8,13 @@ graph node: its cosine distances (``autodiff.row_cosine_with_vjp``),
 per-row hinge, ReLU and mean, with one vector-Jacobian product, evaluated
 in the order the composed primitives would take, so value and gradients
 keep their bits. The single-triplet functions (``triplet_loss``,
-``com_dist_wa``, ...) take 1-D vectors, are composed from primitives, and
-serve as the per-row definitions. Both kinds follow the tape rule of
-``autodiff``.
+``com_dist_wa``, ``com_adaptive_margin``) take 1-D vectors, are composed
+from primitives, and serve as the per-row definitions; a pseudo-labeled
+anchor's row is ``com_dist_wa`` with its own cluster center as P and the
+other as N. Both kinds follow the tape rule of ``autodiff``.
+COM-triplet is margin-free: its only bound is the adaptive 1 - d(P, N) of
+each triplet. The traditional triplet loss's constant margin is
+``TRIPLET_MARGIN``.
 Distances are cosine distances, so all losses are invariant to positive
 rescaling of any embedding.
 """
@@ -30,19 +34,6 @@ TRIPLET_MARGIN = 0.2        # the traditional triplet loss's constant margin
 
 C_MAJ = 0
 C_MIN = 1
-
-
-@dataclass(frozen=True)
-class MarginSpec:
-    """COM-triplet's margin policy. "adaptive", the bound 1 - d(P, N) of
-    each triplet, is the only mode: COM-triplet is margin-free. The
-    traditional triplet loss's constant margin is ``TRIPLET_MARGIN``.
-    """
-    mode: str = "adaptive"
-
-    def __post_init__(self):
-        if self.mode != "adaptive":
-            raise InvalidSpecError(f"unknown margin mode {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -78,10 +69,9 @@ def com_adaptive_margin(e_p, e_n):
     return ad.sub(1.0, cosine_distance(e_p, e_n))
 
 
-def com_triplet_loss(anchors, positives=None, negatives=None,
-                     margin: MarginSpec = MarginSpec()):
+def com_triplet_loss(anchors, positives=None, negatives=None):
     """Mean COM-triplet hinge over a batch of M triplets, with the adaptive
-    bound 1 - d(P, N) of each triplet (``margin``'s only mode).
+    bound 1 - d(P, N) of each triplet, its only margin.
 
     ``anchors``/``positives``/``negatives`` are (M, S) arrays or Vars; row i
     of each forms one triplet. Plain positives and negatives (UDC's center
@@ -171,23 +161,6 @@ def _loss_node(value, operands: tuple, grads):
     return ad.node(value, operands, grads)
 
 
-def udc_adaptive_margin(mu_min, mu_maj):
-    """Pseudo-label margin: 1 - d(mu_min, mu_maj)."""
-    return com_adaptive_margin(mu_min, mu_maj)
-
-
-def udc_dist_wa(e_a, mu_min, mu_maj, pseudo_class: int):
-    """Center-based within/across term for a single anchor.
-
-    The anchor's own cluster center plays the positive role and the other
-    center the negative role, per the anchor's pseudo-class.
-    """
-    own, other = (mu_min, mu_maj) if pseudo_class == C_MIN else (mu_maj, mu_min)
-    # d(own, other) has the bits of d(mu_min, mu_maj): cosine distance is
-    # symmetric in its operands, rounding included
-    return com_dist_wa(e_a, own, other)
-
-
 def center_rows(pseudo_classes, mu_min, mu_maj):
     """(M, S) rows of each anchor's own cluster center and of the other
     center, per the anchors' pseudo-classes."""
@@ -196,16 +169,14 @@ def center_rows(pseudo_classes, mu_min, mu_maj):
             np.where(minority, mu_maj, mu_min))
 
 
-def udc_com_loss(anchors, pseudo_classes, mu_min, mu_maj,
-                 margin: MarginSpec = MarginSpec()):
+def udc_com_loss(anchors, pseudo_classes, mu_min, mu_maj):
     """``com_triplet_loss`` over a pseudo-labeled batch, with each anchor's
     own cluster center as its positive and the other center as its negative
     (``center_rows``). The centers ``mu_min``/``mu_maj`` are constant (S,)
     arrays, so the margin is 1 - d(mu_min, mu_maj).
     """
     return com_triplet_loss(anchors,
-                            *center_rows(pseudo_classes, mu_min, mu_maj),
-                            margin)
+                            *center_rows(pseudo_classes, mu_min, mu_maj))
 
 
 def weighted_cross_entropy(labels, probs, weights: ClassWeights):

@@ -248,7 +248,7 @@ def train_udc(dataset: LabeledDataset, config: TrainConfig) -> TrainLog:
         emb = enc.forward(param_vars, enc_config, x[rows],
                           train_mode=True, rng=rng)
         model = gmm_mod.fit_em(emb.value, seed=int(rng.integers(2 ** 31)))
-        assign = model.labels.assignments
+        assign = model.assignments
         loss = _batch_loss(config.loss_kind, emb, model.means[assign],
                            model.means[1 - assign])
         k = _minority_component(model.weights, assign)

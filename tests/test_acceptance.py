@@ -17,10 +17,9 @@ from comclust.cli import main, run_sweep_cell
 from comclust.dataio import TEST, BlobSpec, split_dataset, synth_imbalanced
 from comclust.encoder import AdamConfig, EncoderConfig
 from comclust.gmm import fit_em
-from comclust.losses import (ClassWeights, MarginSpec, com_adaptive_margin,
+from comclust.losses import (C_MIN, ClassWeights, com_adaptive_margin,
                              com_dist_wa, com_triplet_loss, triplet_loss,
-                             udc_adaptive_margin, udc_com_loss, udc_dist_wa,
-                             weighted_cross_entropy)
+                             udc_com_loss, weighted_cross_entropy)
 from comclust.training import (TrainConfig, best_permutation_accuracy,
                                evaluate_prototypes, train_sdc, train_udc)
 
@@ -103,16 +102,10 @@ def test_criterion_01_loss_analytics():
     assert com_adaptive_margin(E1, E1) == pytest.approx(1.0, abs=tol)
     assert com_adaptive_margin(E1, E2) == pytest.approx(0.0, abs=tol)
     assert com_adaptive_margin(E1, E1N) == pytest.approx(-1.0, abs=tol)
-    adaptive = MarginSpec("adaptive")
-    assert com_triplet_loss(E1[None], E1[None], E1[None],
-                            adaptive) == pytest.approx(1.0, abs=tol)
-    assert com_triplet_loss(E1[None], E1[None], E2[None],
-                            adaptive) == pytest.approx(0.0, abs=tol)
-    assert udc_adaptive_margin(E1, E1) == pytest.approx(1.0, abs=tol)
-    assert udc_adaptive_margin(E1, E2) == pytest.approx(0.0, abs=tol)
-    assert udc_adaptive_margin(E1, E1N) == pytest.approx(-1.0, abs=tol)
-    assert udc_dist_wa(E1, E1, E2, 1) == pytest.approx(-1.0, abs=tol)
-    assert udc_dist_wa(E1, E2, E1, 0) == pytest.approx(-1.0, abs=tol)
+    assert com_triplet_loss(E1[None], E1[None],
+                            E1[None]) == pytest.approx(1.0, abs=tol)
+    assert com_triplet_loss(E1[None], E1[None],
+                            E2[None]) == pytest.approx(0.0, abs=tol)
     w = ClassWeights(1.0, 1.0)
     assert weighted_cross_entropy([1.0], [1.0 - 1e-12], w) == \
         pytest.approx(0.0, abs=tol)
@@ -172,27 +165,26 @@ def test_criterion_02_gradient_correctness():
         if abs(arg) < kink_tol:
             continue
         _fd_check(lambda lv: com_triplet_loss(
-            _as_row(lv[0]), _as_row(lv[1]), _as_row(lv[2]),
-            MarginSpec("adaptive")), [a, p, n])
+            _as_row(lv[0]), _as_row(lv[1]), _as_row(lv[2])), [a, p, n])
         checked += 1
 
     checked = 0
     while checked < 200:     # unsupervised variant on cluster means
         mu_min, mu_maj, a = rng.normal(size=(3, 4))
         cls = int(rng.integers(0, 2))
-        arg = (udc_dist_wa(a, mu_min, mu_maj, cls)
-               + udc_adaptive_margin(mu_min, mu_maj))
+        own, other = ((mu_min, mu_maj) if cls == C_MIN
+                      else (mu_maj, mu_min))
+        arg = com_dist_wa(a, own, other) + com_adaptive_margin(mu_min, mu_maj)
         if abs(arg) < kink_tol:
             continue
         _fd_check(lambda lv, cls=cls, mn=mu_min, mj=mu_maj: udc_com_loss(
-            _as_row(lv[0]), [cls], mn, mj, MarginSpec("adaptive")), [a])
+            _as_row(lv[0]), [cls], mn, mj), [a])
         checked += 1
 
     config = EncoderConfig(input_dim=3, hidden=(4,), embedding_dim=2,
                            dropout_rate=0.0)
     for _ in range(200):     # weighted cross-entropy through the encoder
-        store = enc.init_encoder_params(config, rng)
-        store.arrays.extend(enc.init_head_params(2, 2, rng))
+        store = enc.init_encoder_params(config, rng, enc.HEAD_OUTPUTS)
         x = rng.normal(size=(4, 3))
         y = rng.integers(0, 2, size=4).astype(float)
         weights = ClassWeights(float(rng.uniform(0.5, 3.0)),

@@ -10,11 +10,10 @@ from hypothesis.extra import numpy as hnp
 
 from comclust.autodiff import cosine_distance
 from comclust.errors import DegenerateDistancesError
-from comclust.losses import (C_MAJ, C_MIN, TRIPLET_MARGIN, MarginSpec,
+from comclust.losses import (C_MAJ, C_MIN, TRIPLET_MARGIN,
                              com_adaptive_margin, com_dist_wa,
                              com_triplet_loss, triplet_loss,
-                             triplet_loss_batch, udc_adaptive_margin,
-                             udc_com_loss, udc_dist_wa)
+                             triplet_loss_batch, udc_com_loss)
 from comclust.prototypes import infer_label, malignancy_score, update_prototypes
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
@@ -22,8 +21,6 @@ PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
 
 # entries bounded away from zero, so no row can have a vanishing norm
 ENTRY = st.one_of(st.floats(-5.0, -0.05), st.floats(0.05, 5.0))
-# COM-triplet's margin is adaptive, its only mode
-MARGINS = st.just(MarginSpec("adaptive"))
 
 
 @st.composite
@@ -45,15 +42,16 @@ def _com_row(a, p, n):
 
 
 def _udc_row(a, cls, mu_min, mu_maj):
-    return max(0.0, udc_dist_wa(a, mu_min, mu_maj, cls)
-               + udc_adaptive_margin(mu_min, mu_maj))
+    """The COM row of an anchor with its own center as P, the other as N."""
+    own, other = (mu_min, mu_maj) if cls == C_MIN else (mu_maj, mu_min)
+    return _com_row(a, own, other)
 
 
 @PROPERTY
-@given(batches(3), MARGINS, st.data())
-def test_com_triplet_loss_is_mean_of_rows(abn, margin, data):
+@given(batches(3), st.data())
+def test_com_triplet_loss_is_mean_of_rows(abn, data):
     a, p, n = abn
-    loss = com_triplet_loss(a, p, n, margin)
+    loss = com_triplet_loss(a, p, n)
     assert isinstance(loss, float)
     expected = np.mean([_com_row(a[i], p[i], n[i])
                         for i in range(len(a))])
@@ -61,7 +59,7 @@ def test_com_triplet_loss_is_mean_of_rows(abn, margin, data):
     k = data.draw(st.integers(0, 2))
     scaled = [x * data.draw(row_scales(len(a))) if j == k else x
               for j, x in enumerate(abn)]
-    assert com_triplet_loss(*scaled, margin) == pytest.approx(loss, abs=1e-12)
+    assert com_triplet_loss(*scaled) == pytest.approx(loss, abs=1e-12)
 
 
 @PROPERTY
@@ -79,25 +77,25 @@ def test_triplet_loss_batch_is_mean_of_rows(abn, data):
 
 
 @PROPERTY
-@given(batches(1), MARGINS, st.data())
-def test_udc_com_loss_is_mean_of_rows(anchors, margin, data):
+@given(batches(1), st.data())
+def test_udc_com_loss_is_mean_of_rows(anchors, data):
     (a,) = anchors
     m, s = a.shape
     mu_min, mu_maj = data.draw(hnp.arrays(np.float64, (2, s), elements=ENTRY))
     classes = data.draw(hnp.arrays(np.int64, m,
                                    elements=st.sampled_from([C_MAJ, C_MIN])))
-    loss = udc_com_loss(a, classes, mu_min, mu_maj, margin)
+    loss = udc_com_loss(a, classes, mu_min, mu_maj)
     expected = np.mean([_udc_row(a[i], classes[i], mu_min, mu_maj)
                         for i in range(m)])
     assert loss == pytest.approx(expected, abs=1e-12)
     scaled = udc_com_loss(a * data.draw(row_scales(m)), classes,
-                          2.5 * mu_min, 0.3 * mu_maj, margin)
+                          2.5 * mu_min, 0.3 * mu_maj)
     assert scaled == pytest.approx(loss, abs=1e-12)
 
 
 @PROPERTY
-@given(batches(1), MARGINS, st.data())
-def test_udc_com_loss_is_com_triplet_on_center_rows(anchors, margin, data):
+@given(batches(1), st.data())
+def test_udc_com_loss_is_com_triplet_on_center_rows(anchors, data):
     """Each anchor's own center is its positive, the other its negative."""
     (a,) = anchors
     m, s = a.shape
@@ -106,8 +104,8 @@ def test_udc_com_loss_is_com_triplet_on_center_rows(anchors, margin, data):
                                    elements=st.sampled_from([C_MAJ, C_MIN])))
     own = np.array([mu_min if c == C_MIN else mu_maj for c in classes])
     other = np.array([mu_maj if c == C_MIN else mu_min for c in classes])
-    assert (udc_com_loss(a, classes, mu_min, mu_maj, margin)
-            == com_triplet_loss(a, own, other, margin))
+    assert (udc_com_loss(a, classes, mu_min, mu_maj)
+            == com_triplet_loss(a, own, other))
 
 
 @st.composite

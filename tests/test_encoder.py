@@ -15,11 +15,11 @@ from comclust.autodiff import Var, backward, grad_of, make_rng
 from comclust.encoder import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, HEAD_OUTPUTS,
                               MAX_PARAMETERS, AdamConfig, EncoderConfig,
                               ParamStore, adam_step, classify, embed,
-                              forward, init_encoder_params, init_head_params,
+                              forward, init_encoder_params,
                               minority_probability, param_shapes)
 from comclust.errors import (InvalidSpecError, NonFiniteLossError,
                              ShapeMismatchError)
-from comclust.losses import MarginSpec, com_triplet_loss
+from comclust.losses import com_triplet_loss
 from comclust.prototypes import (infer_label, malignancy_score,
                                  update_prototypes)
 from comclust.training import evaluate_classifier, evaluate_prototypes
@@ -82,13 +82,13 @@ class TestForward:
             emb = forward(store.wrap(), config, x, train_mode=False)
             return com_triplet_loss(
                 ad.take_rows(emb, [0, 1]), ad.take_rows(emb, [2, 3]),
-                ad.take_rows(emb, [4, 5]), MarginSpec("adaptive"))
+                ad.take_rows(emb, [4, 5]))
 
         param_vars = store.wrap()
         emb = forward(param_vars, config, x, train_mode=False)
         loss = com_triplet_loss(
             ad.take_rows(emb, [0, 1]), ad.take_rows(emb, [2, 3]),
-            ad.take_rows(emb, [4, 5]), MarginSpec("adaptive"))
+            ad.take_rows(emb, [4, 5]))
         backward(loss)
 
         h = 1e-4
@@ -152,10 +152,15 @@ class TestFlatStore:
                                            (3, 2), (2,)]
 
     def test_head_draw_continues_the_encoder_draw(self):
+        """The encoder's arrays come first, then the head's He-uniform
+        weights and zero bias, drawn from where the encoder's draw left
+        the generator."""
         config = EncoderConfig(input_dim=4, hidden=(6,), embedding_dim=3)
         rng = make_rng(21)
         encoder = init_encoder_params(config, rng).arrays
-        head = init_head_params(3, HEAD_OUTPUTS, rng)
+        limit = np.sqrt(6.0 / 3)
+        head = [rng.uniform(-limit, limit, size=(3, HEAD_OUTPUTS)),
+                np.zeros(HEAD_OUTPUTS)]
         joint = init_encoder_params(config, make_rng(21), HEAD_OUTPUTS)
         for a, b in zip(joint.arrays, encoder + head, strict=True):
             np.testing.assert_array_equal(a, b)
@@ -264,7 +269,7 @@ class TestAdam:
 class TestHead:
     def test_minority_probability_matches_softmax(self):
         rng = make_rng(13)
-        head = init_head_params(4, 2, rng)
+        head = [rng.normal(size=(4, 2)), rng.normal(size=2)]
         emb = rng.normal(size=(5, 4))
         p = minority_probability([Var(head[0]), Var(head[1])], Var(emb)).value
         logits = emb @ head[0] + head[1]

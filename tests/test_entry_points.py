@@ -2,7 +2,8 @@
 outside the test suite's own checks: the library itself, the acceptance
 criteria (``tests/test_acceptance.py``) or a layer-trace hook of the
 benchmark (``perfbench/layertrace.py``, read here, never imported). An
-entry point that only unit tests reach is code no command needs."""
+entry point that only unit tests reach is code no command needs; so is a
+parameter that its function never reads."""
 
 import ast
 import importlib
@@ -107,3 +108,29 @@ def test_exemptions_are_still_needed():
     """An exempt primitive that gains a caller, or goes, leaves the list."""
     assert EXEMPT <= _public_defs()
     assert EXEMPT <= _unreferenced()
+
+
+def _unread_parameters() -> list:
+    """Each parameter of a function or lambda in comclust whose body never
+    reads it, as "module:line function(parameter)"."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.Lambda)):
+                continue
+            body = [node.body] if isinstance(node, ast.Lambda) else node.body
+            read = {name.id for stmt in body for name in ast.walk(stmt)
+                    if isinstance(name, ast.Name)
+                    and isinstance(name.ctx, ast.Load)}
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                      *(a for a in (args.vararg, args.kwarg) if a)]
+            found.extend(f"{_module_name(path)}:{node.lineno} "
+                         f"{getattr(node, 'name', '<lambda>')}({a.arg})"
+                         for a in params if a.arg not in read)
+    return found
+
+
+def test_every_parameter_is_read():
+    assert _unread_parameters() == []

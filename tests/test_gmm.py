@@ -209,7 +209,7 @@ class TestLogPdf:
                     np.sqrt(model.covariances)).sum(axis=-1)
                 want = np.exp(log_joint - special.logsumexp(
                     log_joint, axis=1, keepdims=True))
-                np.testing.assert_allclose(model.labels.responsibilities,
+                np.testing.assert_allclose(model.posteriors,
                                            want, rtol=1e-9, atol=1e-12)
 
 
@@ -220,11 +220,11 @@ class TestResponsibilities:
     def test_rows_sum_to_one(self):
         rng = make_rng(12)
         for trial in range(5):
-            labels = fit_em(_two_blobs(rng), seed=trial).labels
-            np.testing.assert_allclose(labels.responsibilities.sum(axis=1),
-                                       1.0, atol=1e-9)
+            model = fit_em(_two_blobs(rng), seed=trial)
+            np.testing.assert_allclose(model.posteriors.sum(axis=1), 1.0,
+                                       atol=1e-9)
             np.testing.assert_array_equal(
-                labels.assignments, np.argmax(labels.responsibilities, axis=1))
+                model.assignments, np.argmax(model.posteriors, axis=1))
 
     def test_matches_naive_summation(self):
         rng = make_rng(10)
@@ -236,7 +236,7 @@ class TestResponsibilities:
                                    row, model.means[k], model.covariances[k]))
                                for k in range(2)] for row in x])
             np.testing.assert_allclose(
-                model.labels.responsibilities,
+                model.posteriors,
                 joint / joint.sum(axis=1, keepdims=True), rtol=0, atol=1e-12)
 
     def test_midpoint_symmetry(self):
@@ -244,7 +244,7 @@ class TestResponsibilities:
         mirror, gets mirrored labels."""
         half = make_rng(8).normal(size=(20, 2)) + 3.0
         x = np.stack([half, -half], axis=1).reshape(-1, 2)
-        r = fit_em(x, seed=0).labels.responsibilities
+        r = fit_em(x, seed=0).posteriors
         np.testing.assert_allclose(r[1::2], r[::2, ::-1], rtol=0, atol=1e-9)
 
     def test_point_at_far_component_mean(self):
@@ -253,11 +253,11 @@ class TestResponsibilities:
         rng = make_rng(9)
         x = np.vstack([rng.normal(size=(30, 2)),
                        rng.normal(size=(15, 2)) + [10.0, 0.0]])
-        labels = fit_em(x, seed=0).labels
-        own = labels.assignments[0]
-        np.testing.assert_array_equal(labels.assignments,
+        model = fit_em(x, seed=0)
+        own = model.assignments[0]
+        np.testing.assert_array_equal(model.assignments,
                                       np.repeat([own, 1 - own], [30, 15]))
-        assert labels.responsibilities.max(axis=1).min() > 0.999
+        assert model.posteriors.max(axis=1).min() > 0.999
 
     def test_empty_batch(self):
         with pytest.raises(TooFewSamplesError):
@@ -333,8 +333,8 @@ def _oracle_kmeans(points, restarts=gmm.KMEANS_RESTARTS,
     return best
 
 
-def _assert_labels_equal(got, want):
-    assert got.responsibilities.tobytes() == want.responsibilities.tobytes()
+def _assert_posteriors_equal(got, want):
+    assert got.posteriors.tobytes() == want.posteriors.tobytes()
     np.testing.assert_array_equal(got.assignments, want.assignments)
 
 
@@ -343,7 +343,7 @@ def _assert_fits_equal(got, want):
         assert (getattr(got, name).tobytes()
                 == getattr(want, name).tobytes()), name
     assert got.nll_trace == want.nll_trace
-    _assert_labels_equal(got.labels, want.labels)
+    _assert_posteriors_equal(got, want)
 
 
 def _oracle_e_step(z, offsets, covs, weights):
@@ -397,14 +397,15 @@ def _oracle_fit_em_once(batch, seed):
         if np.any(nk < 1.0):
             raise DegenerateComponentError(f"effective counts {nk} below 1")
         weights = nk / n
-    model = GaussianMixture(weights, centers + offsets, covs, trace)
-    if (np.allclose(model.means[0], model.means[1], atol=1e-9)
-            and np.all(model.covariances <= gmm.COV_FLOOR * (1 + 1e-9))):
+    means = centers + offsets
+    if (np.allclose(means[0], means[1], atol=1e-9)
+            and np.all(covs <= gmm.COV_FLOOR * (1 + 1e-9))):
         raise DegenerateComponentError("both components collapsed")
     log_p, lse = _oracle_e_step(z, offsets, covs, weights)
     r = np.stack([np.exp(lp - lse) for lp in log_p], axis=1)
-    model.labels = gmm.PseudoLabels(np.argmax(r, axis=1), r)
-    return model, float(-np.sum(lse))
+    return (GaussianMixture(weights, means, covs, trace, np.argmax(r, axis=1),
+                            r),
+            float(-np.sum(lse)))
 
 
 def _restarting(fit_once):
@@ -451,7 +452,8 @@ def _two_pass_fit_em_once(batch, seed):
         members = batch[assign == j]
         var = members.var(axis=0) if len(members) else np.ones(s)
         covs[j] = np.maximum(var, gmm.COV_FLOOR)
-    model = GaussianMixture(weights, centers.copy(), covs, nll_trace=[])
+    model = GaussianMixture(weights, centers.copy(), covs, nll_trace=[],
+                            assignments=None, posteriors=None)
     prev_nll = None
     for _ in range(gmm.EM_MAX_ITER):
         log_p = _two_pass_log_probs(model, batch)
@@ -475,8 +477,8 @@ def _two_pass_fit_em_once(batch, seed):
             and np.all(model.covariances <= gmm.COV_FLOOR * (1 + 1e-9))):
         raise DegenerateComponentError("both components collapsed")
     log_p = _two_pass_log_probs(model, batch)
-    r = np.exp(log_p - _two_pass_logsumexp(log_p)[:, None])
-    model.labels = gmm.PseudoLabels(np.argmax(r, axis=1), r)
+    model.posteriors = np.exp(log_p - _two_pass_logsumexp(log_p)[:, None])
+    model.assignments = np.argmax(model.posteriors, axis=1)
     return model
 
 
@@ -648,7 +650,7 @@ class TestComponentLogProbs:
         if isinstance(want, type):
             assert got is want
         else:
-            _assert_labels_equal(got.labels, want[0].labels)
+            _assert_posteriors_equal(got, want[0])
 
 
 class TestAnchoredStatistics:
@@ -668,9 +670,9 @@ class TestAnchoredStatistics:
         if isinstance(want, type):
             assert got is want
             return
-        clear = want.labels.responsibilities.max(axis=1) > 0.5 + 1e-6
-        np.testing.assert_array_equal(got.labels.assignments[clear],
-                                      want.labels.assignments[clear])
+        clear = want.posteriors.max(axis=1) > 0.5 + 1e-6
+        np.testing.assert_array_equal(got.assignments[clear],
+                                      want.assignments[clear])
         np.testing.assert_allclose(got.means, want.means, rtol=1e-6,
                                    atol=1e-12 * np.abs(batch).max())
         np.testing.assert_allclose(got.covariances, want.covariances,

@@ -2,13 +2,11 @@ import numpy as np
 import pytest
 
 from comclust.autodiff import Var, backward, cosine_distance, make_rng
-from comclust.errors import (EmptyBatchError, InvalidSpecError,
-                             ShapeMismatchError)
-from comclust.losses import (C_MAJ, C_MIN, ClassWeights, MarginSpec,
+from comclust.errors import EmptyBatchError, ShapeMismatchError
+from comclust.losses import (C_MAJ, C_MIN, ClassWeights, center_rows,
                              com_adaptive_margin, com_dist_wa,
                              com_triplet_loss, triplet_loss,
-                             triplet_loss_batch, udc_adaptive_margin,
-                             udc_com_loss, udc_dist_wa,
+                             triplet_loss_batch, udc_com_loss,
                              weighted_cross_entropy)
 
 E1 = np.array([1.0, 0.0])
@@ -50,41 +48,24 @@ class TestAdaptiveMargin:
     def test_values(self, p, n, expected):
         assert com_adaptive_margin(p, n) == pytest.approx(expected, abs=1e-12)
 
-    def test_udc_variant_is_same_formula(self):
-        rng = make_rng(5)
-        u, v = rng.normal(size=(2, 6))
-        assert udc_adaptive_margin(u, v) == pytest.approx(
-            com_adaptive_margin(u, v), abs=1e-15)
-
 
 class TestComTripletLoss:
-    def test_margin_is_adaptive_only(self):
-        with pytest.raises(InvalidSpecError):
-            MarginSpec("constant")
-        with pytest.raises(TypeError):      # there is no constant to pass
-            MarginSpec("constant", 0.2)
-
-    def test_margin_argument_is_optional(self):
-        a, p, n = make_rng(3).normal(size=(3, 4, 5))
-        assert com_triplet_loss(a, p, n) == com_triplet_loss(
-            a, p, n, MarginSpec("adaptive"))
-
     def test_collapsed_triple_adaptive(self):
-        loss = com_triplet_loss(E1[None], E1[None], E1[None], MarginSpec("adaptive"))
+        loss = com_triplet_loss(E1[None], E1[None], E1[None])
         assert loss == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_negative(self):
-        loss = com_triplet_loss(E1[None], E1[None], E2[None], MarginSpec("adaptive"))
+        loss = com_triplet_loss(E1[None], E1[None], E2[None])
         assert loss == pytest.approx(0.0, abs=1e-12)
 
     def test_antipodal_negative(self):
-        loss = com_triplet_loss(E1[None], E1[None], E1N[None], MarginSpec("adaptive"))
+        loss = com_triplet_loss(E1[None], E1[None], E1N[None])
         assert loss == pytest.approx(0.0, abs=1e-12)
 
     def test_empty_batch(self):
         with pytest.raises(EmptyBatchError):
             com_triplet_loss(np.empty((0, 2)), np.empty((0, 2)),
-                             np.empty((0, 2)), MarginSpec("adaptive"))
+                             np.empty((0, 2)))
 
     @pytest.mark.parametrize("loss", [com_triplet_loss, triplet_loss_batch])
     def test_rows_without_entries(self, loss):
@@ -95,7 +76,7 @@ class TestComTripletLoss:
         rng = make_rng(11)
         for _ in range(50):
             a, p, n = rng.normal(size=(3, 5, 4))
-            loss = com_triplet_loss(a, p, n, MarginSpec("adaptive"))
+            loss = com_triplet_loss(a, p, n)
             assert loss >= 0.0
             expected = np.mean([
                 max(0.0, com_dist_wa(a[i], p[i], n[i])
@@ -104,8 +85,7 @@ class TestComTripletLoss:
             assert loss == pytest.approx(expected, abs=1e-12)
 
     def test_adaptive_penalizes_collapse_harder_than_constant(self):
-        adaptive = com_triplet_loss(E1[None], E1[None], E1[None],
-                                    MarginSpec("adaptive"))
+        adaptive = com_triplet_loss(E1[None], E1[None], E1[None])
         constant = triplet_loss_batch(E1[None], E1[None], E1[None])
         assert adaptive == pytest.approx(1.0, abs=1e-12)
         assert constant == pytest.approx(0.2, abs=1e-12)
@@ -113,19 +93,27 @@ class TestComTripletLoss:
     def test_scale_invariance(self):
         rng = make_rng(13)
         a, p, n = rng.normal(size=(3, 4, 3))
-        base = com_triplet_loss(a, p, n, MarginSpec("adaptive"))
+        base = com_triplet_loss(a, p, n)
         scales = rng.uniform(0.1, 5.0, size=(3, 4, 1))
-        scaled = com_triplet_loss(a * scales[0], p * scales[1], n * scales[2],
-                                  MarginSpec("adaptive"))
+        scaled = com_triplet_loss(a * scales[0], p * scales[1], n * scales[2])
         assert scaled == pytest.approx(base, abs=1e-10)
 
 
+def _center_dist_wa(e_a, mu_min, mu_maj, pseudo_class):
+    """``com_dist_wa`` of one pseudo-labeled anchor on its ``center_rows``:
+    its own cluster center as P and the other center as N."""
+    (own,), (other,) = center_rows([pseudo_class], mu_min, mu_maj)
+    return com_dist_wa(e_a, own, other)
+
+
 class TestUdcDistWa:
+    """UDC's within/across term: the anchor's own center is its positive."""
+
     def test_anchor_at_minority_mean(self):
-        assert udc_dist_wa(E1, E1, E2, C_MIN) == pytest.approx(-1.0, abs=1e-12)
+        assert _center_dist_wa(E1, E1, E2, C_MIN) == pytest.approx(-1.0, abs=1e-12)
 
     def test_anchor_at_majority_mean(self):
-        assert udc_dist_wa(E2, E1, E2, C_MAJ) == pytest.approx(-1.0, abs=1e-12)
+        assert _center_dist_wa(E2, E1, E2, C_MAJ) == pytest.approx(-1.0, abs=1e-12)
 
     def test_equidistant_anchor_reduces_to_half_gap(self):
         mu_min = np.array([1.0, 0.0, 0.0])
@@ -135,14 +123,14 @@ class TestUdcDistWa:
         assert d == pytest.approx(cosine_distance(e_a, mu_maj), abs=1e-12)
         d_cc = cosine_distance(mu_min, mu_maj)
         for cls in (C_MIN, C_MAJ):
-            assert udc_dist_wa(e_a, mu_min, mu_maj, cls) == pytest.approx(
+            assert _center_dist_wa(e_a, mu_min, mu_maj, cls) == pytest.approx(
                 0.5 * d - 0.5 * d_cc, abs=1e-12)
 
     def test_degenerate_anchor_equals_com_form(self):
         # anchor placed exactly on the minority mean
         mu_min = np.array([0.6, -0.2, 1.1])
         mu_maj = np.array([-0.4, 0.9, 0.3])
-        got = udc_dist_wa(mu_min, mu_min, mu_maj, C_MIN)
+        got = _center_dist_wa(mu_min, mu_min, mu_maj, C_MIN)
         assert got == pytest.approx(com_dist_wa(mu_min, mu_min, mu_maj), abs=1e-12)
         assert got == pytest.approx(-cosine_distance(mu_min, mu_maj), abs=1e-12)
 
@@ -211,8 +199,7 @@ class TestGradients:
             def build(va, p=p, n=n):
                 arg_val = (com_dist_wa(va.value, p, n)
                            + com_adaptive_margin(p, n))
-                loss = com_triplet_loss(
-                    _stack(va), Var(p[None]), Var(n[None]), MarginSpec("adaptive"))
+                loss = com_triplet_loss(_stack(va), Var(p[None]), Var(n[None]))
                 return loss, arg_val
 
             if _check_grad(build, a):
@@ -239,10 +226,9 @@ class TestGradients:
             cls = int(rng.integers(0, 2))
 
             def build(va, cls=cls):
-                arg = (udc_dist_wa(va.value, mu_min, mu_maj, cls)
-                       + udc_adaptive_margin(mu_min, mu_maj))
-                loss = udc_com_loss(_stack(va), [cls], mu_min, mu_maj,
-                                    MarginSpec("adaptive"))
+                arg = (_center_dist_wa(va.value, mu_min, mu_maj, cls)
+                       + com_adaptive_margin(mu_min, mu_maj))
+                loss = udc_com_loss(_stack(va), [cls], mu_min, mu_maj)
                 return loss, arg
 
             if _check_grad(build, a):

@@ -283,7 +283,7 @@ class TestTrainUdc:
         assert len(calls) == len(fits) == len(offers) == len(result.losses)
         for (anchors, own, other), model, pair in zip(calls, fits, offers):
             assert ad.value_of(anchors).shape == own.shape == (15, 8)
-            assign = model.labels.assignments
+            assign = model.assignments
             np.testing.assert_array_equal(own, model.means[assign])
             np.testing.assert_array_equal(other, model.means[1 - assign])
             k = training._minority_component(model.weights, assign)
