@@ -25,9 +25,12 @@ one set of array operations. Both give the bits of the plain loops over
 restarts and components (``tests/test_gmm.py`` keeps those loops, and
 ``rng.choice`` for the seeds, as its oracle), so a seeded run's
 pseudo-labels do not depend on the batching; ``kmeans`` states the rules
-that keep it so. A Lloyd step is two stacked matrix products, each
-restart's on its own: a bisector test on the centred points, and the 0/1
-membership matrix times the points. Exact squared distances serve only
+that keep it so. A Lloyd step is two stacked matrix products over every
+restart, each restart's on its own: a bisector test on the centred
+points, and the 0/1 membership matrix times the points. The steps stop
+at the first that changes no restart's assignment; until then the same
+memberships give a converged restart its centres' bits again. Exact
+squared distances serve only
 the k-means++ draws, an empty cluster's re-seed and the final
 assignments and wcss. The second k-means++ seed is the draw that
 ``rng.choice(n, p=d2 / total)`` makes: one ``rng.random()`` placed by
@@ -100,12 +103,14 @@ def kmeans(points, seed: int = 0):
       point ``p`` goes to centre 1 when
       ``(p - m) @ (b - a) > (|b|**2 - |a|**2) / 2``, and to centre 0
       otherwise, a tie included, as ``argmin`` breaks it; one stacked
-      ``matmul`` tests all live restarts, and a restart drops out at the
-      first step that leaves its assignment unchanged;
+      ``matmul`` tests every restart, and the steps stop at the first
+      that leaves every restart's assignment unchanged;
     - a centre is the mean of its members: one stacked ``matmul`` of the
       (R, 2, N) 0/1 membership matrix by the points, divided by the
-      member counts; an empty cluster is re-seeded at the point farthest,
-      by exact squared distance, from its nearest centre;
+      member counts, so a restart whose assignment held gets its centres'
+      bits again; an empty cluster is re-seeded at the point farthest, by
+      exact squared distance, from its nearest centre, except in a
+      restart whose assignment held, which keeps its centres;
     - the exact squared distances ``|p - c|**2`` to every restart's final
       centres give the assignments and the wcss;
     - the first restart wins unless a later one beats its wcss by more
@@ -119,28 +124,26 @@ def kmeans(points, seed: int = 0):
     n = points.shape[0]
     if n < 2:
         raise TooFewSamplesError(f"{n} points for 2 centres")
-    if not np.isfinite(points).all():
+    if not np.logical_and.reduce(np.isfinite(points), axis=None):
         raise NonFiniteLossError(
             "non-finite value among the points to cluster")
     rng = make_rng(seed)
     centers = _kmeans_pp_init(points, KMEANS_RESTARTS, rng)
-    mean = points.mean(axis=0)
+    mean = np.add.reduce(points, axis=0) / n
     centred = points - mean
-    assign = np.zeros((len(centers), n), dtype=bool)
-    live = np.arange(len(centers))
+    assign = None
+    moved = np.ones(len(centers), dtype=bool)
     for step in range(KMEANS_MAX_ITER):
-        new_assign = _nearer_second(centred, centers[live] - mean)
+        new_assign = _nearer_second(centred, centers - mean)
         if step:
-            moved = (new_assign != assign[live]).any(axis=1)
-            live, new_assign = live[moved], new_assign[moved]
-            if not live.size:
+            moved = np.logical_or.reduce(new_assign != assign, axis=1)
+            if not np.logical_or.reduce(moved):
                 break
-        assign[live] = new_assign
-        centers[live] = _lloyd_centers(points, centers[live], new_assign)
+        assign = new_assign
+        centers = _lloyd_centers(points, centers, assign, moved)
     dist = _sq_dists(points, centers)
     assign = dist.argmin(axis=2)
-    wcss = np.take_along_axis(dist, assign[..., None], axis=2)[..., 0].sum(
-        axis=1).tolist()
+    wcss = np.add.reduce(np.minimum.reduce(dist, axis=2), axis=1).tolist()
     best = 0
     for r in range(1, len(wcss)):
         if wcss[r] < wcss[best] - 1e-15:
@@ -157,18 +160,20 @@ def _kmeans_pp_init(points: np.ndarray, restarts: int, rng) -> np.ndarray:
         seeds[r, 0] = rng.integers(n)
         u[r] = rng.random()
     d2 = _sq_dists(points, points[seeds[:, 0], None])[..., 0]    # (R, N)
-    total = d2.sum(axis=1)
-    if not np.isfinite(total).all():
+    total = np.add.reduce(d2, axis=1)
+    if not np.logical_and.reduce(np.isfinite(total)):
         raise NonFiniteLossError(
             "squared distances between the points to cluster overflow")
     # a restart whose points all sit on its first seed (total 0) repeats
     # it; the covariance floor handles it downstream
     spread = total > 0
+    if np.logical_and.reduce(spread):     # a view of every row, no copy
+        spread = slice(None)
     cdf = (d2[spread] / total[spread, None]).cumsum(axis=1)
     cdf /= cdf[:, -1:]
     seeds[:, 1] = seeds[:, 0]
     # searchsorted(cdf[r], u[r], side="right"), row by row
-    seeds[spread, 1] = (cdf <= u[spread, None]).sum(axis=1)
+    seeds[spread, 1] = np.add.reduce(cdf <= u[spread, None], axis=1)
     return points[seeds]
 
 
@@ -176,28 +181,31 @@ def _nearer_second(centred: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """(R, N) bool, True where a point is nearer centre 1 than centre 0 by
     the bisector test, from the (N, S) points and the (R, 2, S) centres,
     both less the points' mean."""
-    w = offsets[:, 1] - offsets[:, 0]
-    norms = (offsets * offsets).sum(axis=-1)
-    half_gap = 0.5 * (norms[:, 1] - norms[:, 0])
-    return np.matmul(centred, w[:, :, None])[..., 0] > half_gap[:, None]
+    w = offsets[:, 1, :, None] - offsets[:, 0, :, None]       # (R, S, 1)
+    norms = np.add.reduce(offsets * offsets, axis=-1)
+    half_gap = 0.5 * (norms[:, 1:] - norms[:, :1])            # (R, 1)
+    return np.matmul(centred, w)[..., 0] > half_gap
 
 
 def _lloyd_centers(points: np.ndarray, centers: np.ndarray,
-                   nearer_second: np.ndarray) -> np.ndarray:
+                   nearer_second: np.ndarray, moved: np.ndarray) -> np.ndarray:
     """(R, 2, S) centres of one Lloyd step from the (R, 2, S) centres that
-    assigned the points and the (R, N) assignment to centre 1."""
+    assigned the points, the (R, N) assignment to centre 1 and the (R,)
+    restarts whose assignment changed."""
     member = np.empty((len(centers), 2, len(points)))
     member[:, 1] = nearer_second
-    np.subtract(1.0, member[:, 1], out=member[:, 0])
-    counts = member.sum(axis=2)
+    np.logical_not(nearer_second, out=member[:, 0])
+    counts = np.add.reduce(member, axis=2, keepdims=True)     # (R, 2, 1)
     new = np.matmul(member, points)
-    new /= np.maximum(counts, 1.0)[..., None]
+    new /= np.maximum(counts, 1.0)
     empty = counts == 0
-    if empty.any():
-        reseed = empty.any(axis=1)
+    if np.logical_or.reduce(empty, axis=None):
+        # a re-seed reads the centres: a converged restart keeps them
+        new[~moved] = centers[~moved]
+        reseed = empty.any(axis=(1, 2)) & moved
         d2 = _sq_dists(points, centers[reseed])
         farthest = points[np.argmax(d2.min(axis=2), axis=1)]
-        new[reseed] = np.where(empty[reseed, :, None], farthest[:, None, :],
+        new[reseed] = np.where(empty[reseed], farthest[:, None, :],
                                new[reseed])
     return new
 
@@ -207,7 +215,7 @@ def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     (..., k, S) centres."""
     diff = points[:, None, :] - centers[..., None, :, :]
     diff *= diff
-    return diff.sum(axis=-1)
+    return np.add.reduce(diff, axis=-1)
 
 
 def fit_em(batch, seed: int = 0) -> GaussianMixture:
@@ -250,38 +258,45 @@ def _fit_em_once(batch: np.ndarray, seed: int) -> GaussianMixture:
     np.square(z[..., :s], out=z[..., s:])
     nk, offsets, covs = _m_step(z, (assign == np.arange(2)[:, None]) * 1.0)
     weights = np.maximum(nk, 1.0)
-    weights /= weights.sum()
+    weights /= np.add.reduce(weights)
     nll_trace = []
+    s_log_2pi = s * LOG_2PI
     for it in range(EM_MAX_ITER + 1):
         # log(h_k) + log G_k(x) = z[k] @ [d/var, -1/(2 var)] + const_k
-        w = np.concatenate([offsets / covs, -0.5 / covs], axis=1)
-        const = np.log(weights) - 0.5 * (
-            s * LOG_2PI + (np.log(covs) + offsets * w[:, :s]).sum(axis=1))
+        scaled = offsets / covs
+        w = np.concatenate([scaled, -0.5 / covs], axis=1)
+        const = np.log(weights) - 0.5 * (s_log_2pi + np.add.reduce(
+            np.log(covs) + offsets * scaled, axis=1))
         log_p = np.matmul(z, w[:, :, None])[..., 0]
         log_p += const[:, None]
-        top = np.maximum(log_p[0], log_p[1])
-        lse = top + np.log1p(np.exp(np.minimum(log_p[0], log_p[1]) - top))
+        # lse = top + log1p(exp(bottom - top)), formed in place
+        first, second = log_p
+        top = np.maximum(first, second)
+        lse = np.minimum(first, second)
+        lse -= top
+        np.log1p(np.exp(lse, out=lse), out=lse)
+        lse += top
         if it == EM_MAX_ITER:     # out of iterations: posteriors only
             break
-        nll_trace.append(float(-lse.sum()))
+        nll_trace.append(float(-np.add.reduce(lse)))
         if it and abs(nll_trace[-2] - nll_trace[-1]) < EM_TOL:
             break
         log_p -= lse
         nk, offsets, covs = _m_step(z, np.exp(log_p, out=log_p))
-        if nk.min() < 1.0:
+        if np.minimum.reduce(nk) < 1.0:
             raise DegenerateComponentError(
                 f"effective counts {nk} below 1")
         weights = nk / n
 
     means = centers + offsets
-    if (np.all(covs <= COV_FLOOR * (1 + 1e-9))
+    if (np.logical_and.reduce(covs <= COV_FLOOR * (1 + 1e-9), axis=None)
             and np.allclose(means[0], means[1], atol=1e-9)):
         raise DegenerateComponentError(
             "both components collapsed onto a single point")
     # a module-level call: perfbench's layer trace wraps it by name
     r = responsibilities(log_p.T, lse)
     return GaussianMixture(weights, means, covs, nll_trace,
-                           np.argmax(r, axis=1), r)
+                           r.argmax(axis=1), r)
 
 
 def _m_step(z: np.ndarray, r: np.ndarray):
@@ -289,8 +304,10 @@ def _m_step(z: np.ndarray, r: np.ndarray):
     floored (2, S) variances E_r[(x - c_k)**2] - d**2, from the (2, N, 2S)
     anchored statistics and the (2, N) memberships ``r``; a component with
     no members keeps its anchor and gets the floor."""
-    nk = r.sum(axis=1)
-    stats = np.matmul(r[:, None, :], z)[:, 0] / np.maximum(nk, 1.0)[:, None]
+    nk = np.add.reduce(r, axis=1)
+    stats = np.matmul(r[:, None, :], z)[:, 0]
+    stats /= np.maximum(nk, 1.0)[:, None]
     s = z.shape[-1] // 2
-    offsets = stats[:, :s]
-    return nk, offsets, np.maximum(stats[:, s:] - offsets * offsets, COV_FLOOR)
+    offsets, covs = stats[:, :s], stats[:, s:]
+    covs -= offsets * offsets
+    return nk, offsets, np.maximum(covs, COV_FLOOR, out=covs)

@@ -42,7 +42,7 @@ def batch_centers(embeddings, classes):
         members = embeddings[classes == c]
         if len(members) == 0:
             raise MissingClassError(f"no embeddings of class {c} in batch")
-        out[c] = members.mean(axis=0)
+        out[c] = np.add.reduce(members, axis=0) / len(members)
     return out[C_MIN], out[C_MAJ]
 
 

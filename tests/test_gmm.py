@@ -525,12 +525,45 @@ SEEDING_EDGE_CASES = {
     "identical-points": np.tile([1.5, -2.0], (6, 1)),
     "underflow-in-some-restarts": _underflow_batch(),
     "one-column": make_rng(7).normal(size=(30, 1)),
+    # squared distances of 0 or a few subnormals: a re-seeded centre can
+    # tie with the other one, and the re-seed that a converged restart
+    # with an empty cluster would make next lands elsewhere
+    "reseed-after-convergence": np.array([[-1.0e-162], [2.0e-162],
+                                          [-0.5e-162], [0.0]]),
 }
 
 
+def _converged_empty_restarts(points):
+    """Over seeds 0-7, the Lloyd steps' restarts that had converged with an
+    empty cluster while another restart still moved, and how many of them
+    a re-seed from their centres would have moved: (count, moving)."""
+    lloyd = gmm._lloyd_centers
+    count = moving = 0
+
+    def spy(points, centers, nearer_second, moved):
+        nonlocal count, moving
+        if moved.any():
+            for r in np.flatnonzero(~moved):
+                ones = nearer_second[r].sum()
+                if 0 < ones < len(points):
+                    continue
+                count += 1
+                empty = int(ones == 0)
+                d2 = _oracle_sq_dists(points, centers[r])
+                farthest = points[np.argmax(np.min(d2, axis=1))]
+                moving += not np.array_equal(farthest, centers[r, empty])
+        return lloyd(points, centers, nearer_second, moved)
+
+    with mock.patch.object(gmm, "_lloyd_centers", spy):
+        for seed in range(8):
+            kmeans(points, seed=seed)
+    return count, moving
+
+
 class TestSeedingEdgeCases:
-    """Branches of the k-means++ seeding that the property test below
-    rarely reaches, pinned to the oracle's bits and to its draws."""
+    """Branches of the k-means++ seeding and of the Lloyd steps that the
+    property tests below rarely reach, pinned to the oracle's bits and to
+    its draws."""
 
     @pytest.mark.parametrize("case", SEEDING_EDGE_CASES)
     @pytest.mark.parametrize("seed", range(8))
@@ -567,6 +600,21 @@ class TestSeedingEdgeCases:
                 first = _oracle_kmeans_pp_init(points, rng)[0]
                 seen.add(int((d2[(points == first).all(axis=1)][0] > 0).sum()))
         assert {0, 2} <= seen
+
+    def test_underflow_case_reaches_a_converged_empty_cluster(self):
+        """The premise of the underflow case for the Lloyd steps: some
+        restarts converge with an empty cluster while others still move, so
+        the comparison above covers a converged restart's kept centres."""
+        count, _ = _converged_empty_restarts(_underflow_batch())
+        assert count > 0
+
+    def test_reseed_case_would_move_a_kept_centre(self):
+        """The premise of the re-seed case: a restart that converged with an
+        empty cluster keeps centres that a fresh re-seed would move, so the
+        comparison above fails if it re-seeds them."""
+        _, moving = _converged_empty_restarts(
+            SEEDING_EDGE_CASES["reseed-after-convergence"])
+        assert moving > 0
 
 
 class TestRestartBatchedOracle:
@@ -616,7 +664,8 @@ class TestBisectorTest:
         rng = make_rng(seed)
         seeds = gmm._kmeans_pp_init(points, 4, rng)
         means = gmm._lloyd_centers(points, seeds,
-                                   rng.random((4, len(points))) < 0.5)
+                                   rng.random((4, len(points))) < 0.5,
+                                   np.ones(4, dtype=bool))
         centers = np.concatenate([seeds, means])
         mean = points.mean(axis=0)
         got = gmm._nearer_second(points - mean, centers - mean)

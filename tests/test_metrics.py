@@ -143,7 +143,8 @@ class TestWeightedMetrics:
             for key in oracle:
                 assert got[key] == pytest.approx(oracle[key], abs=1e-12)
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
     @given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)),
                     min_size=1, max_size=80))
     def test_bit_equal_to_per_class_count_loop(self, pairs):
