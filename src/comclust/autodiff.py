@@ -29,8 +29,9 @@ Losses work on batches: an (M, S) array holds one embedding per row, and
 (S,) row) into (M,) distances with a single fused vector-Jacobian product,
 so a batch of triplets costs a few graph nodes rather than a few per row.
 ``row_cosine_with_vjp`` is the same computation on plain arrays, for fused
-nodes that build on it (the batch losses, which pass each block's row norms
-in so that none is computed twice). A fused node evaluates in the
+nodes that build on it: each batch loss measures all its cosine pairs in
+one call over a (K, M, S) stack of pair blocks, with every row's norm taken
+once and passed in. A fused node evaluates in the
 order its composed primitives would, so its value and gradients keep their
 bits; a vector-Jacobian product may return None for an input that needs no
 gradient, and ``backward`` then skips that input.
@@ -278,10 +279,10 @@ def row_cosine_distance(u, v, u_norms=None):
 def row_cosine_with_vjp(uval: np.ndarray, vval: np.ndarray, u_norms=None,
                         v_norms=None):
     """``row_cosine_distance`` of two plain float64 operands whose shapes
-    it accepts (not checked here), as (distances, vjp): ``vjp(g)`` gives
-    the gradients (gu, gv), each summed back to its operand's shape, and
-    ``vjp(g, u_grad=False)`` or ``vjp(g, v_grad=False)`` gives None in place
-    of a gradient the caller drops. ``u_norms`` and ``v_norms`` are as
+    it accepts (not checked here), or of two (K, M, S) stacks of K such
+    pairs, as (distances, vjp): ``vjp(g)`` gives the gradients (gu, gv),
+    each summed back to its operand's shape, and ``vjp(g, v_grad=False)``
+    gives None in place of gv. ``u_norms`` and ``v_norms`` are as
     ``u_norms`` of ``row_cosine_distance``, for u and v. Raises
     ZeroVectorError as ``row_cosine_distance`` does."""
     nu = row_norms(uval) if u_norms is None else u_norms
@@ -292,13 +293,12 @@ def row_cosine_with_vjp(uval: np.ndarray, vval: np.ndarray, u_norms=None,
     nunv = nu * nv
     cos = _rowdot(uval, vval) / nunv
 
-    def vjp(g, u_grad=True, v_grad=True):
+    def vjp(g, v_grad=True):
         # d(1 - cos)/dx = -(y / (|x||y|) - cos * x / |x|^2), row by row
         cross = (g / nunv)[..., None]
-        gu = gv = None
-        if u_grad:
-            gu = _unbroadcast((g * cos / (nu * nu))[..., None] * uval
-                              - cross * vval, uval.shape)
+        gu = _unbroadcast((g * cos / (nu * nu))[..., None] * uval
+                          - cross * vval, uval.shape)
+        gv = None
         if v_grad:
             gv = _unbroadcast((g * cos / (nv * nv))[..., None] * vval
                               - cross * uval, vval.shape)

@@ -4,14 +4,16 @@ weighted cross-entropy.
 
 The batch losses take (M, S) operands, one triplet or anchor per row, or
 SDC's one (3M, S) embedding whose row blocks are A, P and N. Each is one
-graph node: its cosine distances (``autodiff.row_cosine_with_vjp``),
-per-row hinge, ReLU and mean, with one vector-Jacobian product, evaluated
-in the order the composed primitives would take, so value and gradients
-keep their bits. The single-triplet functions (``triplet_loss``,
-``com_dist_wa``, ``com_adaptive_margin``) take 1-D vectors, are composed
-from primitives, and serve as the per-row definitions; a pseudo-labeled
-anchor's row is ``com_dist_wa`` with its own cluster center as P and the
-other as N. Both kinds follow the tape rule of ``autodiff``.
+graph node over a (3, M, S) array of those blocks: its cosine distances
+(one ``autodiff.row_cosine_with_vjp`` over every pair of blocks the loss
+measures, each row's norm taken once), per-row hinge, ReLU and mean, with
+one vector-Jacobian product, evaluated in the order the composed
+primitives would take, so value and gradients keep their bits. The
+single-triplet functions (``triplet_loss``, ``com_dist_wa``,
+``com_adaptive_margin``) take 1-D vectors, are composed from primitives,
+and serve as the per-row definitions; a pseudo-labeled anchor's row is
+``com_dist_wa`` with its own cluster center as P and the other as N. Both
+kinds follow the tape rule of ``autodiff``.
 COM-triplet is margin-free: its only bound is the adaptive 1 - d(P, N) of
 each triplet. The traditional triplet loss's constant margin is
 ``TRIPLET_MARGIN``.
@@ -27,7 +29,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import cosine_distance
-from .errors import EmptyBatchError, InvalidSpecError, ShapeMismatchError
+from .errors import (EmptyBatchError, InvalidSpecError, ShapeMismatchError,
+                     ZeroVectorError)
 
 PROB_CLAMP = 1e-12
 TRIPLET_MARGIN = 0.2        # the traditional triplet loss's constant margin
@@ -69,36 +72,41 @@ def com_adaptive_margin(e_p, e_n):
     return ad.sub(1.0, cosine_distance(e_p, e_n))
 
 
+# each batch loss's cosine pairs, as indices into its (3, M, S) A, P and N
+# row blocks: COM's (A, P), (A, N), (P, N), the triplet loss's first two
+_COM_U, _COM_V = np.array([0, 0, 1]), np.array([1, 2, 2])
+_TRIPLET_U, _TRIPLET_V = _COM_U[:2], _COM_V[:2]
+
+
 def com_triplet_loss(anchors, positives=None, negatives=None):
     """Mean COM-triplet hinge over a batch of M triplets, with the adaptive
     bound 1 - d(P, N) of each triplet, its only margin.
 
     ``anchors``/``positives``/``negatives`` are (M, S) arrays or Vars; row i
     of each forms one triplet. Plain positives and negatives (UDC's center
-    rows) get no gradient, and with both plain the d(P, N) product is
-    skipped. With ``positives`` and ``negatives`` left out, ``anchors`` is
-    one (3M, S) embedding whose row blocks are A, P and N (SDC's batch),
-    and the loss node has it as its only parent.
+    rows) get no gradient. With ``positives`` and ``negatives`` left out,
+    ``anchors`` is one (3M, S) embedding whose row blocks are A, P and N
+    (SDC's batch), and the loss node has it as its only parent.
     """
-    a, p, n, p_grad, n_grad = _triplet_rows(anchors, positives, negatives)
-    norms = [ad.row_norms(x) for x in (a, p, n)]
-    d_ap, vjp_ap = ad.row_cosine_with_vjp(a, p, norms[0], norms[1])
-    d_an, vjp_an = ad.row_cosine_with_vjp(a, n, norms[0], norms[2])
-    d_pn, vjp_pn = ad.row_cosine_with_vjp(p, n, norms[1], norms[2])
+    blocks, p_grad, n_grad = _triplet_blocks(anchors, positives, negatives)
+    (d_ap, d_an, d_pn), vjp = _pair_cosines(blocks, _COM_U, _COM_V)
     # com_dist_wa's term plus the bound 1 - d(P, N)
     hinge = (d_ap - (d_an + d_pn) * 0.5) + (1.0 - d_pn)
     active = hinge > 0.0
 
     def grads(g):
-        g_ap = g / len(a) * active
-        g_an = -g_ap * 0.5
-        ga_ap, gp = vjp_ap(g_ap, v_grad=p_grad)
-        ga_an, gn = vjp_an(g_an, v_grad=n_grad)
-        if p_grad or n_grad:
-            gp_pn, gn_pn = vjp_pn(-g_ap + g_an, p_grad, n_grad)
-            gp = gp + gp_pn if p_grad else None
-            gn = gn + gn_pn if n_grad else None
-        return ga_ap + ga_an, gp, gn
+        gd = np.empty((3, len(active)))
+        gd[0] = g / len(active) * active
+        gd[1] = -gd[0] * 0.5
+        gd[2] = -gd[0] + gd[1]
+        gu, gv = vjp(gd, v_grad=p_grad or n_grad)
+        full = np.empty_like(blocks)
+        np.add(gu[0], gu[1], out=full[0])
+        if p_grad:
+            np.add(gv[0], gu[2], out=full[1])
+        if n_grad:
+            np.add(gv[1], gv[2], out=full[2])
+        return full
 
     return _loss_node(np.where(active, hinge, 0.0).mean(),
                       (anchors, positives, negatives), grads)
@@ -109,56 +117,82 @@ def triplet_loss_batch(anchors, positives=None, negatives=None):
     the constant margin ``TRIPLET_MARGIN``, as one graph node like
     ``com_triplet_loss``, whose operands it takes in either form; plain
     positives and negatives get no gradient either."""
-    a, p, n, p_grad, n_grad = _triplet_rows(anchors, positives, negatives)
-    na = ad.row_norms(a)
-    d_ap, vjp_ap = ad.row_cosine_with_vjp(a, p, na)
-    d_an, vjp_an = ad.row_cosine_with_vjp(a, n, na)
+    blocks, p_grad, n_grad = _triplet_blocks(anchors, positives, negatives)
+    (d_ap, d_an), vjp = _pair_cosines(blocks, _TRIPLET_U, _TRIPLET_V)
     hinge = (d_ap - d_an) + TRIPLET_MARGIN
     active = hinge > 0.0
 
     def grads(g):
-        g_ap = g / len(a) * active
-        ga_ap, gp = vjp_ap(g_ap, v_grad=p_grad)
-        ga_an, gn = vjp_an(-g_ap, v_grad=n_grad)
-        return ga_ap + ga_an, gp, gn
+        gd = np.empty((2, len(active)))
+        gd[0] = g / len(active) * active
+        gd[1] = -gd[0]
+        gu, gv = vjp(gd, v_grad=p_grad or n_grad)
+        full = np.empty_like(blocks)
+        np.add(gu[0], gu[1], out=full[0])
+        if gv is not None:
+            full[1:] = gv
+        return full
 
     return _loss_node(np.where(active, hinge, 0.0).mean(),
                       (anchors, positives, negatives), grads)
 
 
-def _triplet_rows(anchors, positives, negatives) -> tuple:
-    """The plain (M, S) A, P and N rows of a batch loss's operands, the
-    three given or the row blocks of a (3M, S) ``anchors`` alone, then
-    whether the P and the N rows need gradients."""
+def _triplet_blocks(anchors, positives, negatives) -> tuple:
+    """A batch loss's operands as one plain (3, M, S) array of its A, P and
+    N row blocks, a (3M, S) ``anchors`` alone reshaped or the three given
+    concatenated, then whether the P and the N rows need gradients."""
     if positives is None and negatives is None:
         emb = ad.value_of(anchors)
         if emb.ndim != 2 or len(emb) % 3:
             raise ShapeMismatchError(f"a stacked triplet batch has 3M rows, "
                                      f"got shape {emb.shape}")
-        m = len(emb) // 3
-        rows = emb[:m], emb[m:2 * m], emb[2 * m:]
-        needs = (ad.needs_grad(anchors),) * 2
-    else:
-        rows = tuple(ad.value_of(x) for x in (anchors, positives, negatives))
-        needs = ad.needs_grad(positives), ad.needs_grad(negatives)
+        blocks = emb.reshape(3, len(emb) // 3, emb.shape[1])
+        _batch_len(*blocks)
+        return blocks, ad.needs_grad(anchors), ad.needs_grad(anchors)
+    rows = [ad.value_of(x) for x in (anchors, positives, negatives)]
     _batch_len(*rows)
-    return (*rows, *needs)
+    return (np.concatenate(rows).reshape(3, *rows[0].shape),
+            ad.needs_grad(positives), ad.needs_grad(negatives))
+
+
+def _pair_cosines(blocks: np.ndarray, iu: np.ndarray, iv: np.ndarray):
+    """(K, M) cosine distances between the row blocks ``blocks[iu[k]]`` and
+    ``blocks[iv[k]]`` of each pair k, and their vjp, from one
+    ``autodiff.row_cosine_with_vjp`` over the gathered blocks with every
+    row's norm taken once. A collapsed row raises the ZeroVectorError of
+    the first pair that holds one."""
+    norms = ad.row_norms(blocks)
+    try:
+        return ad.row_cosine_with_vjp(blocks[iu], blocks[iv], norms[iu],
+                                      norms[iv])
+    except ZeroVectorError:
+        for i, j in zip(iu, iv):
+            ad.row_cosine_with_vjp(blocks[i], blocks[j], norms[i], norms[j])
+        raise
 
 
 def _loss_node(value, operands: tuple, grads):
-    """A batch loss as one node over its operands, given ``grads(g)`` =
-    (gA, gP, gN). A stacked (3M, S) batch is the only parent, and its
-    gradient takes each block as 0.0 + gX: the bits of the three blocks
-    gathered by ``autodiff.take_rows`` and their gradients summed."""
+    """A batch loss as one node over its operands, given ``grads(g)``, the
+    (3, M, S) gradient of the A, P and N blocks, whose P or N block is left
+    unset when that operand is plain. A stacked (3M, S) batch is the only
+    parent, and its gradient takes each block as 0.0 + gX: the bits of the
+    three blocks gathered by ``autodiff.take_rows`` and their gradients
+    summed."""
     anchors, positives, negatives = operands
     if positives is None and negatives is None:
         def vjp(g):
-            full = np.concatenate(grads(g))
+            full = grads(g)
             full += 0.0
-            return (full,)
+            return (full.reshape(-1, full.shape[2]),)
 
         return ad.node(value, (anchors,), vjp)
-    return ad.node(value, operands, grads)
+
+    def vjp(g):
+        ga, gp, gn = grads(g)
+        return (ga, gp if ad.needs_grad(positives) else None,
+                gn if ad.needs_grad(negatives) else None)
+
+    return ad.node(value, operands, vjp)
 
 
 def center_rows(pseudo_classes, mu_min, mu_maj):

@@ -374,9 +374,11 @@ def test_dense_relu_has_the_composed_bits_on_special_values(composed):
 @FUSED
 @given(data=st.data())
 def test_fused_hinges_have_the_bits_of_the_composed_losses(composed, data):
-    """Var positives and negatives, one stacked (3M, S) Var whose row
-    blocks are A, P and N (SDC; the reference gathers them with
-    ``take_rows``), or constant center rows (UDC)."""
+    """Var anchors with positives and negatives each a Var or plain (every
+    combination, so that each vjp path where only P or only N needs a
+    gradient is pinned), one stacked (3M, S) Var whose row blocks are A, P
+    and N (SDC; the reference gathers them with ``take_rows``), or constant
+    center rows (UDC)."""
     m, s = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 4))
 
     def rows(*shape):
@@ -384,17 +386,19 @@ def test_fused_hinges_have_the_bits_of_the_composed_losses(composed, data):
 
     form = data.draw(st.sampled_from(["operands", "stacked", "centers"]))
     if form == "operands":
-        inputs, as_var = [rows(m, s), rows(m, s), rows(m, s)], [True] * 3
+        inputs = [rows(m, s), rows(m, s), rows(m, s)]
+        flags = [[True, p, n] for p in (True, False) for n in (True, False)]
     elif form == "stacked":
-        inputs, as_var = [rows(3 * m, s)], [True]
+        inputs, flags = [rows(3 * m, s)], [[True]]
     else:
         classes = data.draw(hnp.arrays(int, m, elements=st.sampled_from([0, 1])))
         inputs = [rows(m, s), *center_rows(classes, rows(s), rows(s))]
-        as_var = [True, False, False]
-    _assert_same_bits(com_triplet_loss, composed.com_triplet_loss, inputs,
-                      as_var)
-    _assert_same_bits(triplet_loss_batch, composed.triplet_loss_batch, inputs,
-                      as_var)
+        flags = [[True, False, False]]
+    for as_var in flags:
+        _assert_same_bits(com_triplet_loss, composed.com_triplet_loss, inputs,
+                          as_var)
+        _assert_same_bits(triplet_loss_batch, composed.triplet_loss_batch,
+                          inputs, as_var)
 
 
 @pytest.mark.parametrize("loss", [com_triplet_loss, triplet_loss_batch],
@@ -475,16 +479,29 @@ def test_dense_gradient_matches_finite_differences(relu, masked):
 @pytest.mark.parametrize("loss", [com_triplet_loss, triplet_loss_batch],
                          ids=["com_triplet_loss", "triplet_loss_batch"])
 def test_fused_hinge_gradient_matches_finite_differences(loss):
+    """Every Var operand's gradient, with the operands in each form: three
+    Vars, one stacked (3M, S) Var whose row blocks are A, P and N (SDC), and
+    Var anchors with plain center rows (UDC)."""
     rng = make_rng(62)
-    for _ in range(10):
-        arrays = rng.normal(size=(3, 6, 4))
+    for form in ("operands", "stacked", "centers"):
+        for _ in range(10):
+            blocks = rng.normal(size=(3, 6, 4))
+            if form == "operands":
+                arrays, as_var = list(blocks), [True] * 3
+            elif form == "stacked":
+                arrays, as_var = [blocks.reshape(18, 4)], [True]
+            else:
+                arrays = [blocks[0], *center_rows(rng.integers(0, 2, 6),
+                                                  *blocks[1, :2])]
+                as_var = [True, False, False]
 
-        def run(arrays=arrays):
-            leaves = [Var(x) for x in arrays]
-            return leaves, loss(*leaves)
+            def run(arrays=arrays, as_var=as_var):
+                leaves = [Var(x) if v else x for x, v in zip(arrays, as_var)]
+                return leaves, loss(*leaves)
 
-        leaves, value = run()
-        backward(value)
-        for arr, leaf in zip(arrays, leaves):
-            num = central_diff(lambda: run()[1].item(), arr)
-            assert np.max(_rel_err(grad_of(leaf), num)) < 1e-3
+            leaves, value = run()
+            backward(value)
+            for arr, leaf in zip(arrays, leaves):
+                if isinstance(leaf, Var):
+                    num = central_diff(lambda: run()[1].item(), arr)
+                    assert np.max(_rel_err(grad_of(leaf), num)) < 1e-3

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from comclust.autodiff import Var, backward, cosine_distance, make_rng
-from comclust.errors import EmptyBatchError, ShapeMismatchError
+from comclust.errors import (EmptyBatchError, ShapeMismatchError,
+                             ZeroVectorError)
 from comclust.losses import (C_MAJ, C_MIN, ClassWeights, center_rows,
                              com_adaptive_margin, com_dist_wa,
                              com_triplet_loss, triplet_loss,
@@ -71,6 +72,26 @@ class TestComTripletLoss:
     def test_rows_without_entries(self, loss):
         with pytest.raises(ShapeMismatchError, match="no entries"):
             loss(np.empty((3, 0)), Var(np.empty((3, 0))), np.empty((3, 0)))
+
+    @pytest.mark.parametrize("stacked", [False, True],
+                             ids=["operands", "stacked"])
+    @pytest.mark.parametrize("loss", [com_triplet_loss, triplet_loss_batch])
+    @pytest.mark.parametrize("block, norms", [(0, "(0, 0.946942)"),
+                                              (1, "(1.27104, 0)"),
+                                              (2, "(1.27104, 0)")],
+                             ids=["A", "P", "N"])
+    def test_collapsed_row_names_its_first_pair(self, loss, stacked, block,
+                                                norms):
+        """A zero row in A, P or N: the error gives (min |U|, min |V|) of
+        the first pair of (A, P), (A, N), (P, N) that holds it, in either
+        form of the operands."""
+        blocks = make_rng(65).normal(size=(3, 4, 3))
+        blocks[block, 2] = 0.0
+        operands = ([Var(blocks.reshape(12, 3))] if stacked
+                    else [Var(b) for b in blocks])
+        with pytest.raises(ZeroVectorError) as err:
+            loss(*operands)
+        assert str(err.value) == f"vector norm below 1e-12 {norms}"
 
     def test_nonnegative_and_matches_direct_formula(self):
         rng = make_rng(11)
