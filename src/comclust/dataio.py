@@ -145,10 +145,11 @@ def _header(d: int) -> list:
     return [f"f{i}" for i in range(d)] + ["label"]
 
 
-# The bytes of a body in the block grammar: numpy's tokenizer and float()
+# The bytes of a cell in the block grammar: numpy's tokenizer and float()
 # read every cell made of them alike. numpy strips other bytes, such as
-# "\x0c" and "\x1c", as whitespace where float() raises.
-BLOCK_BYTES = b"0123456789.eE+-,\r\n"
+# "\x0c" and "\x1c", as whitespace where float() raises. A body holds
+# these, commas and line ends ("\n" or "\r\n") alone.
+_CELL_BYTES = b"0123456789.eE+-"
 _NL, _CR, _COMMA, _ZERO, _ONE = b"\n\r,01"   # as byte values
 # the block check reads this much at a time: a buffer the size of the file,
 # once freed, leaves later commands of the process a larger peak RSS
@@ -203,18 +204,21 @@ def _block_labels(path) -> tuple | None:
 
 def _block_lines(lines: bytes, d: int, limit: int) -> np.ndarray | None:
     """The labels of ``lines``, whole lines that each end in ``\\n``, if
-    every one is in the block grammar, else None."""
-    if (lines.translate(None, BLOCK_BYTES)
-            or (b"\r" in lines and lines.count(b"\r") != lines.count(b"\r\n"))):
-        return None
+    every one is in the block grammar, else None.
+
+    One comparison checks the bytes and the D commas of every line: with
+    the cell bytes and ``\\r`` deleted, the lines must read D commas and a
+    ``\\n`` each."""
     buf = np.frombuffer(lines, np.uint8)
     ends = np.flatnonzero(buf == _NL)
+    if (lines.translate(None, _CELL_BYTES + b"\r")
+            != (b"," * d + b"\n") * len(ends)
+            or (b"\r" in lines and lines.count(b"\r") != lines.count(b"\r\n"))):
+        return None
     label = ends - 1
     label -= buf[label] == _CR
-    commas = np.searchsorted(np.flatnonzero(buf == _COMMA), ends)
     # a line over the limit may hold a cell that csv.reader refuses
-    if len(ends) and ((np.diff(commas, prepend=0) != d).any()
-                      or np.diff(ends, prepend=-1).max() > limit
+    if len(ends) and (np.diff(ends, prepend=-1).max() > limit
                       or not ((buf[label - 1] == _COMMA)
                               & ((buf[label] == _ZERO)
                                  | (buf[label] == _ONE))).all()):
@@ -285,9 +289,12 @@ def save_results(path, record: dict) -> None:
     file then holds the text written before it.
 
     The text goes to the file as it is made. A list, tuple or array is
-    written ``_JSON_BLOCK_ITEMS`` items at a time, and a block of only ints,
-    or of only finite floats, such as part of a column of scores, is one
-    join of their reprs instead of json's per-item encoder."""
+    written ``_JSON_BLOCK_ITEMS`` items at a time. A block of only ints, or
+    of only finite floats, is one join of their reprs instead of json's
+    per-item encoder. A 1-D integer array, or a float array that one
+    ``np.isfinite`` pass finds finite, such as a column of scores, is typed
+    so once by its dtype; any other list, tuple or array is typed block by
+    block."""
     with open(path, "w") as fh:
         _encode(record, "\n", fh.write)
         fh.write("\n")
@@ -322,15 +329,14 @@ def _encode(obj, newline: str, write) -> None:
         inner = newline + "  "
         sep = "," + inner
         write("[" + inner)
+        numeric = _numeric_column(obj)
         for start in range(0, len(obj), _JSON_BLOCK_ITEMS):
             block = obj[start:start + _JSON_BLOCK_ITEMS]
             if isinstance(block, np.ndarray):
                 block = block.tolist()
             if start:
                 write(sep)
-            types = set(map(type, block))
-            if types == {int} or (types == {float}
-                                  and all(map(math.isfinite, block))):
+            if numeric or _plain_numbers(block):
                 write(sep.join(map(repr, block)))
             else:
                 for n, value in enumerate(block):
@@ -340,3 +346,23 @@ def _encode(obj, newline: str, write) -> None:
         write(newline + "]")
     else:
         write(json.dumps(obj))
+
+
+def _numeric_column(obj) -> bool:
+    """Whether ``obj`` is a 1-D array whose ``tolist`` gives only ints, or
+    only finite floats: typed once by its dtype, with one ``np.isfinite``
+    pass over a float column. A longdouble's ``tolist`` gives numpy
+    scalars, so a float wider than 8 bytes is not typed here."""
+    if not isinstance(obj, np.ndarray) or obj.ndim != 1:
+        return False
+    kind, size = obj.dtype.kind, obj.dtype.itemsize
+    return kind in "iu" or (kind == "f" and size <= 8
+                            and bool(np.isfinite(obj).all()))
+
+
+def _plain_numbers(block: list) -> bool:
+    """Whether ``block`` holds only ints, or only finite floats, whose
+    reprs are their JSON text."""
+    types = set(map(type, block))
+    return types == {int} or (types == {float}
+                              and all(map(math.isfinite, block)))

@@ -87,9 +87,16 @@ def roc_auc(labels, scores) -> float:
 
 
 def _midranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties assigned the mean of their rank range."""
-    order = np.argsort(x, kind="mergesort")
+    """1-based ranks with ties assigned the mean of their rank range.
+
+    numpy's default sort orders equal scores in no fixed way, which a run's
+    shared midrank does not see; it puts NaNs last, and each NaN is a run of
+    its own, so their positions are put back in index order. The ranks are
+    then those of a stable sort, bit for bit."""
+    order = np.argsort(x)
     xs = x[order]
+    if len(xs) and np.isnan(xs[-1]):
+        order[np.searchsorted(xs, np.nan):].sort()
     # the sorted positions i..j of each run of equal scores; NaN != NaN, so
     # each NaN is a run of its own
     starts = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))

@@ -370,8 +370,10 @@ def _aggregate(y: np.ndarray, preds: np.ndarray, scores: np.ndarray) -> dict:
         raise NonFiniteLossError(f"{bad} of {len(scores)} scores are not "
                                  f"finite")
     out = weighted_metrics(y, preds)
+    # exactly two distinct labels: its least and greatest, and no other
+    lo, hi = y.min(), y.max()
     out["auc"] = (roc_auc(y, scores)
-                  if len(np.unique(y)) == 2 else None)
+                  if lo != hi and not ((y != lo) & (y != hi)).any() else None)
     return {"metrics": out, "predictions": preds, "scores": scores}
 
 

@@ -331,24 +331,36 @@ def _dense_chain(composed, x, params, in_mask=None):
     return x
 
 
+def _dense_flags(n: int) -> list:
+    """Var flags of x, W_0, b_0, ..., W_{n-1}, b_{n-1}: all Var; x plain;
+    each W alone plain; each b alone plain; only x Var; only the weights
+    Var; only the biases Var."""
+    size = 1 + 2 * n
+    return [[True] * size,
+            *([i != plain for i in range(size)] for plain in range(size)),
+            [i == 0 for i in range(size)],
+            [i % 2 == 1 for i in range(size)],
+            [i > 0 and i % 2 == 0 for i in range(size)]]
+
+
 @FUSED
 @given(data=st.data())
 def test_dense_has_the_bits_of_the_composed_layer(composed, data):
     """A stack of one to three layers, with or without the mask on the last
-    layer's input and with any of its inputs plain, has the value and the
-    Var inputs' gradients of the composed chain."""
+    layer's input, has the value and the Var inputs' gradients of the
+    composed chain under every pattern of ``_dense_flags``, so each path
+    that skips a plain input's gradient is pinned."""
     m, s = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 4))
     params, last_in = _stack_params(data.draw, s)
     in_mask = (_array(data.draw, m, last_in) if data.draw(st.booleans())
                else None)
-    as_var = [data.draw(st.booleans()) for _ in range(1 + len(params))]
-    assume(any(as_var))
     weights = _array(data.draw, m, params[-1].shape[0])
-    _assert_same_bits(
-        lambda x, *params: ad.dense_stack(x, params, in_mask),
-        lambda x, *params: _dense_chain(composed, x, params, in_mask),
-        [_array(data.draw, m, s), *params],
-        as_var, lambda out: ad.mean(ad.mul(out, weights)))
+    inputs = [_array(data.draw, m, s), *params]
+    for as_var in _dense_flags(len(params) // 2):
+        _assert_same_bits(
+            lambda x, *params: ad.dense_stack(x, params, in_mask),
+            lambda x, *params: _dense_chain(composed, x, params, in_mask),
+            inputs, as_var, lambda out: ad.mean(ad.mul(out, weights)))
 
 
 def test_dense_relu_has_the_composed_bits_on_special_values(composed):

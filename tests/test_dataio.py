@@ -182,21 +182,36 @@ json_records = st.recursive(
 # the JSON writer's block; a long column fills two and leaves one item
 BLOCK = dataio._JSON_BLOCK_ITEMS
 LONG_COLUMNS = ["float-array", "float-list", "float64-tuple", "int-array",
-                "int-list", "bool-array", "mixed-list"]
+                "int-list", "bool-array", "mixed-list", "float32-array",
+                "int8-array", "uint64-array", "finite-float-array",
+                "float-2d-array", "object-array"]
 
 
 def long_column(kind: str):
-    """A column of 2 * BLOCK + 1 items of one kind; a float column holds
-    NaN, +inf, -inf and -0.0 in its second and third blocks only."""
+    """A column of 2 * BLOCK + 1 items (rows, for the 2-D array) of one
+    kind. The float column and those made from it hold NaN, +inf, -inf and
+    -0.0 in their second and third blocks only; the finite float column
+    holds -0.0 in its first block, and the float32 column is finite."""
     floats = np.random.default_rng(3).normal(size=2 * BLOCK + 1)
     floats[[BLOCK, BLOCK + 1, 2 * BLOCK - 1, 2 * BLOCK]] = [
         np.nan, np.inf, -np.inf, -0.0]
+    finite = np.where(np.isfinite(floats), floats, 0.5)
+    finite[5] = -0.0
     return {"float-array": floats, "float-list": floats.tolist(),
             "float64-tuple": tuple(floats),
             "int-array": np.arange(-5, 2 * BLOCK - 4),
             "int-list": list(range(2 * BLOCK + 1)),
             "bool-array": floats > 0,
             "mixed-list": [*range(BLOCK), 0.5, True, None, *range(BLOCK - 2)],
+            "float32-array": finite.astype(np.float32),
+            "int8-array": (np.arange(2 * BLOCK + 1) % 256 - 128).astype(
+                np.int8),
+            "uint64-array": np.arange(2 * BLOCK + 1, dtype=np.uint64)
+            + np.uint64(2 ** 64 - 2 * BLOCK - 1),
+            "finite-float-array": finite,
+            "float-2d-array": np.column_stack([floats, finite]),
+            "object-array": np.array(
+                [*range(BLOCK), *finite[BLOCK:].tolist()], dtype=object),
             }[kind]
 
 

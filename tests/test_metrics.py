@@ -226,6 +226,22 @@ class TestAucProperties:
         x = np.array(values, dtype=np.float64)
         assert np.array_equal(_midranks(x), loop_midranks(x))
 
+    def test_midranks_at_a_size_numpy_sorts_by_simd(self):
+        """20 000 scores from a few values, with +-0.0, +-inf and NaNs: at
+        this size numpy's default sort takes its vectorised path, which
+        orders ties and NaNs in no fixed way, and the ranks keep the bits of
+        the mergesort reference's."""
+        rng = make_rng(71)
+        values = np.array([-1.5, -0.0, 0.0, 0.25, 3.0, np.inf, -np.inf,
+                           np.nan])
+        x = values[rng.integers(0, len(values), 20_000)]
+        assert _midranks(x).tobytes() == loop_midranks(x).tobytes()
+        # the pairwise definition gives a NaN no credit, ranks put it last
+        sub = x[rng.choice(np.flatnonzero(~np.isnan(x)), 400, replace=False)]
+        labels = (rng.random(400) < 0.3).astype(int)
+        assert roc_auc(labels, sub) == pytest.approx(
+            pairwise_auc(labels, sub), abs=1e-12)
+
     @settings(max_examples=50, deadline=None, derandomize=True,
               database=None)
     @given(labelled_scores(st.one_of(FEW_SCORES, st.floats(-1e6, 1e6))))
