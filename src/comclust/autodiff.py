@@ -173,8 +173,8 @@ def dense_stack(x, params: list, in_mask=None):
     dropout mask, say) is a constant of the last layer's input shape that
     multiplies that input. Each layer takes the expressions of ``mul``,
     ``matmul``, ``add`` and ``relu`` composed, forward and back, so value
-    and gradients keep their bits. A plain input gets no gradient computed,
-    and with only plain inputs no layer's activations are kept.
+    and gradients keep their bits. A plain input x gets no gradient
+    computed, and with only plain inputs no layer's activations are kept.
     """
     record = any(isinstance(p, Var) for p in (x, *params))
     values = [value_of(p) for p in params]
@@ -207,13 +207,11 @@ def dense_stack(x, params: list, in_mask=None):
         for layer in reversed(range(n)):
             if layer < n - 1:
                 g = g * (outputs[layer] > 0.0)  # pre-activation > 0
-            w, b = params[2 * layer], params[2 * layer + 1]
-            if isinstance(w, Var):
-                grads[1 + 2 * layer] = inputs[layer].T @ g
-            if isinstance(b, Var):
-                grads[2 + 2 * layer] = _unbroadcast(g, b.shape)
+            w, b = values[2 * layer], values[2 * layer + 1]
+            grads[1 + 2 * layer] = inputs[layer].T @ g
+            grads[2 + 2 * layer] = _unbroadcast(g, b.shape)
             if layer > 0 or isinstance(x, Var):
-                g = g @ values[2 * layer].T
+                g = g @ w.T
                 if layer == n - 1 and in_mask is not None:
                     g = g * in_mask
         grads[0] = g if isinstance(x, Var) else None
@@ -281,9 +279,8 @@ def row_cosine_with_vjp(uval: np.ndarray, vval: np.ndarray, u_norms=None,
     """``row_cosine_distance`` of two plain float64 operands whose shapes
     it accepts (not checked here), or of two (K, M, S) stacks of K such
     pairs, as (distances, vjp): ``vjp(g)`` gives the gradients (gu, gv),
-    each summed back to its operand's shape, and ``vjp(g, v_grad=False)``
-    gives None in place of gv. ``u_norms`` and ``v_norms`` are as
-    ``u_norms`` of ``row_cosine_distance``, for u and v. Raises
+    each summed back to its operand's shape. ``u_norms`` and ``v_norms``
+    are as ``u_norms`` of ``row_cosine_distance``, for u and v. Raises
     ZeroVectorError as ``row_cosine_distance`` does."""
     nu = row_norms(uval) if u_norms is None else u_norms
     nv = row_norms(vval) if v_norms is None else v_norms
@@ -293,16 +290,13 @@ def row_cosine_with_vjp(uval: np.ndarray, vval: np.ndarray, u_norms=None,
     nunv = nu * nv
     cos = _rowdot(uval, vval) / nunv
 
-    def vjp(g, v_grad=True):
+    def vjp(g):
         # d(1 - cos)/dx = -(y / (|x||y|) - cos * x / |x|^2), row by row
         cross = (g / nunv)[..., None]
-        gu = _unbroadcast((g * cos / (nu * nu))[..., None] * uval
-                          - cross * vval, uval.shape)
-        gv = None
-        if v_grad:
-            gv = _unbroadcast((g * cos / (nv * nv))[..., None] * vval
-                              - cross * uval, vval.shape)
-        return gu, gv
+        return (_unbroadcast((g * cos / (nu * nu))[..., None] * uval
+                             - cross * vval, uval.shape),
+                _unbroadcast((g * cos / (nv * nv))[..., None] * vval
+                             - cross * uval, vval.shape))
 
     return 1.0 - cos, vjp
 

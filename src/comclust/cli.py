@@ -205,10 +205,6 @@ def cmd_synth(args) -> None:
     save_csv(args.out, dataio.synth_imbalanced(spec))
 
 
-def _load_split(path: str, seed: int) -> LabeledDataset:
-    return dataio.split_dataset(load_csv(path), seed)
-
-
 def _write_train_log(path, result: training.TrainLog) -> None:
     """One row per iteration: the loss, then the prototype separation and
     the GMM NLL where the mode logged them."""
@@ -264,7 +260,7 @@ def cmd_train(args) -> None:
     """train-sdc, train-udc and train-classifier: train, save the
     checkpoint, evaluate val and test, write the results record and the
     optional per-iteration log."""
-    dataset = _load_split(args.data, args.seed)
+    dataset = dataio.split_dataset(load_csv(args.data), args.seed)
     loss = getattr(args, "loss", None)             # train-sdc's and train-udc's
     hidden = tuple(_comma_list(args.hidden, "--hidden", int))
     config = _train_config(loss, batch_size=args.batch_size,

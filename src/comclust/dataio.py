@@ -289,12 +289,11 @@ def save_results(path, record: dict) -> None:
     file then holds the text written before it.
 
     The text goes to the file as it is made. A list, tuple or array is
-    written ``_JSON_BLOCK_ITEMS`` items at a time. A block of only ints, or
-    of only finite floats, is one join of their reprs instead of json's
-    per-item encoder. A 1-D integer array, or a float array that one
-    ``np.isfinite`` pass finds finite, such as a column of scores, is typed
-    so once by its dtype; any other list, tuple or array is typed block by
-    block."""
+    written ``_JSON_BLOCK_ITEMS`` items at a time. A 1-D integer array, or
+    a float array that one ``np.isfinite`` pass finds finite, such as a
+    column of scores, is typed so once by its dtype, and each block of it
+    is one join of the items' reprs instead of json's per-item encoder;
+    any other list, tuple or array is written item by item."""
     with open(path, "w") as fh:
         _encode(record, "\n", fh.write)
         fh.write("\n")
@@ -336,7 +335,7 @@ def _encode(obj, newline: str, write) -> None:
                 block = block.tolist()
             if start:
                 write(sep)
-            if numeric or _plain_numbers(block):
+            if numeric:
                 write(sep.join(map(repr, block)))
             else:
                 for n, value in enumerate(block):
@@ -358,11 +357,3 @@ def _numeric_column(obj) -> bool:
     kind, size = obj.dtype.kind, obj.dtype.itemsize
     return kind in "iu" or (kind == "f" and size <= 8
                             and bool(np.isfinite(obj).all()))
-
-
-def _plain_numbers(block: list) -> bool:
-    """Whether ``block`` holds only ints, or only finite floats, whose
-    reprs are their JSON text."""
-    types = set(map(type, block))
-    return types == {int} or (types == {float}
-                              and all(map(math.isfinite, block)))

@@ -167,8 +167,6 @@ def _kmeans_pp_init(points: np.ndarray, restarts: int, rng) -> np.ndarray:
     # a restart whose points all sit on its first seed (total 0) repeats
     # it; the covariance floor handles it downstream
     spread = total > 0
-    if np.logical_and.reduce(spread):     # a view of every row, no copy
-        spread = slice(None)
     cdf = (d2[spread] / total[spread, None]).cumsum(axis=1)
     cdf /= cdf[:, -1:]
     seeds[:, 1] = seeds[:, 0]

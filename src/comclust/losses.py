@@ -50,14 +50,10 @@ class ClassWeights:
             raise InvalidSpecError("class weights must be finite and positive")
 
 
-def _triplet_hinge(d_ap, d_an, alpha: float):
-    return ad.relu(ad.add(ad.sub(d_ap, d_an), alpha))
-
-
 def triplet_loss(e_a, e_p, e_n, alpha: float):
     """Classic triplet hinge: max(0, d(A,P) - d(A,N) + alpha)."""
-    return _triplet_hinge(cosine_distance(e_a, e_p),
-                          cosine_distance(e_a, e_n), alpha)
+    return ad.relu(ad.add(ad.sub(cosine_distance(e_a, e_p),
+                                 cosine_distance(e_a, e_n)), alpha))
 
 
 def com_dist_wa(e_a, e_p, e_n):
@@ -84,11 +80,12 @@ def com_triplet_loss(anchors, positives=None, negatives=None):
 
     ``anchors``/``positives``/``negatives`` are (M, S) arrays or Vars; row i
     of each forms one triplet. Plain positives and negatives (UDC's center
-    rows) get no gradient. With ``positives`` and ``negatives`` left out,
-    ``anchors`` is one (3M, S) embedding whose row blocks are A, P and N
-    (SDC's batch), and the loss node has it as its only parent.
+    rows) are constant leaves, whose grad stays None. With ``positives``
+    and ``negatives`` left out, ``anchors`` is one (3M, S) embedding whose
+    row blocks are A, P and N (SDC's batch), and the loss node has it as
+    its only parent.
     """
-    blocks, p_grad, n_grad = _triplet_blocks(anchors, positives, negatives)
+    blocks = _triplet_blocks(anchors, positives, negatives)
     (d_ap, d_an, d_pn), vjp = _pair_cosines(blocks, _COM_U, _COM_V)
     # com_dist_wa's term plus the bound 1 - d(P, N)
     hinge = (d_ap - (d_an + d_pn) * 0.5) + (1.0 - d_pn)
@@ -99,13 +96,11 @@ def com_triplet_loss(anchors, positives=None, negatives=None):
         gd[0] = g / len(active) * active
         gd[1] = -gd[0] * 0.5
         gd[2] = -gd[0] + gd[1]
-        gu, gv = vjp(gd, v_grad=p_grad or n_grad)
+        gu, gv = vjp(gd)
         full = np.empty_like(blocks)
         np.add(gu[0], gu[1], out=full[0])
-        if p_grad:
-            np.add(gv[0], gu[2], out=full[1])
-        if n_grad:
-            np.add(gv[1], gv[2], out=full[2])
+        np.add(gv[0], gu[2], out=full[1])
+        np.add(gv[1], gv[2], out=full[2])
         return full
 
     return _loss_node(np.where(active, hinge, 0.0).mean(),
@@ -115,9 +110,8 @@ def com_triplet_loss(anchors, positives=None, negatives=None):
 def triplet_loss_batch(anchors, positives=None, negatives=None):
     """Mean traditional triplet hinge over a batch (ablation baseline) with
     the constant margin ``TRIPLET_MARGIN``, as one graph node like
-    ``com_triplet_loss``, whose operands it takes in either form; plain
-    positives and negatives get no gradient either."""
-    blocks, p_grad, n_grad = _triplet_blocks(anchors, positives, negatives)
+    ``com_triplet_loss``, whose operands it takes in either form."""
+    blocks = _triplet_blocks(anchors, positives, negatives)
     (d_ap, d_an), vjp = _pair_cosines(blocks, _TRIPLET_U, _TRIPLET_V)
     hinge = (d_ap - d_an) + TRIPLET_MARGIN
     active = hinge > 0.0
@@ -126,21 +120,20 @@ def triplet_loss_batch(anchors, positives=None, negatives=None):
         gd = np.empty((2, len(active)))
         gd[0] = g / len(active) * active
         gd[1] = -gd[0]
-        gu, gv = vjp(gd, v_grad=p_grad or n_grad)
+        gu, gv = vjp(gd)
         full = np.empty_like(blocks)
         np.add(gu[0], gu[1], out=full[0])
-        if gv is not None:
-            full[1:] = gv
+        full[1:] = gv
         return full
 
     return _loss_node(np.where(active, hinge, 0.0).mean(),
                       (anchors, positives, negatives), grads)
 
 
-def _triplet_blocks(anchors, positives, negatives) -> tuple:
+def _triplet_blocks(anchors, positives, negatives) -> np.ndarray:
     """A batch loss's operands as one plain (3, M, S) array of its A, P and
-    N row blocks, a (3M, S) ``anchors`` alone reshaped or the three given
-    concatenated, then whether the P and the N rows need gradients."""
+    N row blocks: a (3M, S) ``anchors`` alone reshaped, or the three given
+    concatenated."""
     if positives is None and negatives is None:
         emb = ad.value_of(anchors)
         if emb.ndim != 2 or len(emb) % 3:
@@ -148,11 +141,10 @@ def _triplet_blocks(anchors, positives, negatives) -> tuple:
                                      f"got shape {emb.shape}")
         blocks = emb.reshape(3, len(emb) // 3, emb.shape[1])
         _batch_len(*blocks)
-        return blocks, ad.needs_grad(anchors), ad.needs_grad(anchors)
+        return blocks
     rows = [ad.value_of(x) for x in (anchors, positives, negatives)]
     _batch_len(*rows)
-    return (np.concatenate(rows).reshape(3, *rows[0].shape),
-            ad.needs_grad(positives), ad.needs_grad(negatives))
+    return np.concatenate(rows).reshape(3, *rows[0].shape)
 
 
 def _pair_cosines(blocks: np.ndarray, iu: np.ndarray, iv: np.ndarray):
@@ -173,11 +165,10 @@ def _pair_cosines(blocks: np.ndarray, iu: np.ndarray, iv: np.ndarray):
 
 def _loss_node(value, operands: tuple, grads):
     """A batch loss as one node over its operands, given ``grads(g)``, the
-    (3, M, S) gradient of the A, P and N blocks, whose P or N block is left
-    unset when that operand is plain. A stacked (3M, S) batch is the only
-    parent, and its gradient takes each block as 0.0 + gX: the bits of the
-    three blocks gathered by ``autodiff.take_rows`` and their gradients
-    summed."""
+    (3, M, S) gradient of the A, P and N blocks; a plain P or N operand is
+    given None. A stacked (3M, S) batch is the only parent, and its
+    gradient takes each block as 0.0 + gX: the bits of the three blocks
+    gathered by ``autodiff.take_rows`` and their gradients summed."""
     anchors, positives, negatives = operands
     if positives is None and negatives is None:
         def vjp(g):

@@ -1,6 +1,7 @@
 """Plain helpers shared by test modules (fixtures live in conftest.py)."""
 
 import json
+import os
 
 import numpy as np
 
@@ -12,6 +13,20 @@ def load_results(path) -> dict:
     """A results record, evaluation or checkpoint as the JSON it holds."""
     with open(path) as fh:
         return json.load(fh)
+
+
+def assert_same_text(got, want) -> None:
+    """Exact equality of two str or bytes texts. A mismatch fails with the
+    first differing offset, both lengths and about 80 characters of each
+    around that offset: pytest's own diff of two long texts can run for
+    minutes."""
+    if got == want:
+        return
+    at = len(os.path.commonprefix([got, want]))
+    lo, hi = max(0, at - 40), at + 40
+    raise AssertionError(
+        f"texts differ at offset {at} (lengths {len(got)} and {len(want)})"
+        f"\n got: {got[lo:hi]!r}\nwant: {want[lo:hi]!r}")
 
 
 def sample_triplets_loop(layout, m, rng):

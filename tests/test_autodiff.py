@@ -348,8 +348,9 @@ def _dense_flags(n: int) -> list:
 def test_dense_has_the_bits_of_the_composed_layer(composed, data):
     """A stack of one to three layers, with or without the mask on the last
     layer's input, has the value and the Var inputs' gradients of the
-    composed chain under every pattern of ``_dense_flags``, so each path
-    that skips a plain input's gradient is pinned."""
+    composed chain under every pattern of ``_dense_flags``, so a plain
+    input x, which alone gets no gradient computed, and plain weights and
+    biases are each pinned."""
     m, s = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 4))
     params, last_in = _stack_params(data.draw, s)
     in_mask = (_array(data.draw, m, last_in) if data.draw(st.booleans())
@@ -387,10 +388,9 @@ def test_dense_relu_has_the_composed_bits_on_special_values(composed):
 @given(data=st.data())
 def test_fused_hinges_have_the_bits_of_the_composed_losses(composed, data):
     """Var anchors with positives and negatives each a Var or plain (every
-    combination, so that each vjp path where only P or only N needs a
-    gradient is pinned), one stacked (3M, S) Var whose row blocks are A, P
-    and N (SDC; the reference gathers them with ``take_rows``), or constant
-    center rows (UDC)."""
+    combination, so that a Var P or N beside a plain one is pinned), one
+    stacked (3M, S) Var whose row blocks are A, P and N (SDC; the reference
+    gathers them with ``take_rows``), or constant center rows (UDC)."""
     m, s = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 4))
 
     def rows(*shape):

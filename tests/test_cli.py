@@ -30,7 +30,7 @@ from comclust.prototypes import (infer_label, malignancy_score,
                                  update_prototypes)
 from comclust.training import evaluate_prototypes
 
-from helpers import load_results
+from helpers import assert_same_text, load_results
 
 
 @pytest.fixture(scope="module")
@@ -110,9 +110,9 @@ class TestTrainCommands:
         (tmp_path / "b").mkdir()
         a = _train_sdc(blob_csv, tmp_path / "a", **{"results": tmp_path / "ra.json"})
         b = _train_sdc(blob_csv, tmp_path / "b", **{"results": tmp_path / "rb.json"})
-        assert (tmp_path / "ra.json").read_bytes() == \
-            (tmp_path / "rb.json").read_bytes()
-        assert a.read_bytes() == b.read_bytes()
+        assert_same_text((tmp_path / "ra.json").read_bytes(),
+                         (tmp_path / "rb.json").read_bytes())
+        assert_same_text(a.read_bytes(), b.read_bytes())
 
     def test_training_log(self, blob_csv, tmp_path):
         _train_sdc(blob_csv, tmp_path, log=tmp_path / "log.csv")
@@ -321,7 +321,7 @@ class TestEval:
                              str(blob_csv), "--split", "all",
                              "--out", str(out)]) == 0
             outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
+        assert_same_text(*outputs)
 
     @pytest.mark.parametrize("centers", [
         ([1.0] + [0.5] * 7, [-1.0] + [0.5] * 7),
@@ -628,7 +628,7 @@ class TestCheckpointFormat:
                          str(blob_csv), "--split", "all",
                          "--out", str(out)]) == 0
             evals.append(out.read_bytes())
-        assert evals[0] == evals[1]
+        assert_same_text(*evals)
 
 
 @pytest.fixture(scope="module")

@@ -16,7 +16,7 @@ from comclust.dataio import (MAX_FEATURE_VALUES, SPLIT_FRACTIONS, TEST,
 from comclust.errors import (InvalidSpecError, MissingColumnError, ParseError,
                              TooFewSamplesError)
 
-from helpers import load_results
+from helpers import assert_same_text, load_results
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True,
                     database=None)
@@ -491,7 +491,7 @@ class TestResults:
     def test_saved_text_matches_json_dumps(self, record, tmp_path_factory):
         path = tmp_path_factory.getbasetemp() / "record.json"
         save_results(path, record)
-        assert path.read_text() == canonical_text(record)
+        assert_same_text(path.read_text(), canonical_text(record))
 
     @pytest.mark.parametrize("kind", LONG_COLUMNS)
     def test_long_columns_give_the_json_dumps_text(self, kind, tmp_path):
@@ -500,7 +500,7 @@ class TestResults:
         record = {"column": long_column(kind), "row": [long_column(kind)[:3]]}
         path = tmp_path / "r.json"
         save_results(path, record)
-        assert path.read_text() == canonical_text(record)
+        assert_same_text(path.read_text(), canonical_text(record))
 
     @pytest.mark.parametrize("as_array", [False, True])
     def test_peak_memory_is_below_the_text(self, tmp_path, as_array):
