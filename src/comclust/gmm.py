@@ -17,6 +17,9 @@ plus a per-component constant, then a two-column log-sum-exp; an M-step
 is another, the (2, N) posteriors times ``z``, which gives ``d_k`` and
 ``var_k = E_r[(x - c_k)**2] - d_k**2``. The k-means centres keep those
 differences well conditioned when the batch sits far from the origin.
+A fit allocates EM's state once: the statistics, the E-step's weights,
+the log-posteriors and their log-sum-exp are buffers that each iteration
+overwrites, with the bits of arrays made afresh.
 ``responsibilities`` turns the E-step of the model ``fit_em`` returns into
 its posteriors on the fitted batch, ``model.posteriors``.
 
@@ -30,14 +33,15 @@ restart, each restart's on its own: a bisector test on the centred
 points, and the 0/1 membership matrix times the points. The steps stop
 at the first that changes no restart's assignment; until then the same
 memberships give a converged restart its centres' bits again. Exact
-squared distances serve only
-the k-means++ draws, an empty cluster's re-seed and the final
-assignments and wcss. The second k-means++ seed is the draw that
-``rng.choice(n, p=d2 / total)`` makes: one ``rng.random()`` placed by
-``searchsorted`` in the normalised cumulative sum of ``p``. A restart
-whose ``total`` is 0 repeats its first seed and still spends that
-uniform. Squared distances that overflow make the draw undefined, and
-``kmeans`` raises NonFiniteLossError instead."""
+squared distances serve only the k-means++ draws, an empty cluster's
+re-seed and the final assignments and wcss. They are taken centre-major,
+(..., k, N), which gives the bits of the point-major layout. The second
+k-means++ seed is the draw that ``rng.choice(n, p=d2 / total)`` makes:
+one ``rng.random()`` placed by ``searchsorted`` in the normalised
+cumulative sum of ``p``. A restart whose ``total`` is 0 repeats its
+first seed and still spends that uniform. Squared distances that
+overflow make the draw undefined, and ``kmeans`` raises
+NonFiniteLossError instead."""
 
 from __future__ import annotations
 
@@ -111,8 +115,9 @@ def kmeans(points, seed: int = 0):
       bits again; an empty cluster is re-seeded at the point farthest, by
       exact squared distance, from its nearest centre, except in a
       restart whose assignment held, which keeps its centres;
-    - the exact squared distances ``|p - c|**2`` to every restart's final
-      centres give the assignments and the wcss;
+    - the exact squared distances ``|c - p|**2`` from every restart's
+      final centres, taken centre-major as (R, 2, N), give the assignments
+      (the argmin over the two centres) and the wcss;
     - the first restart wins unless a later one beats its wcss by more
       than 1e-15.
 
@@ -141,9 +146,10 @@ def kmeans(points, seed: int = 0):
                 break
         assign = new_assign
         centers = _lloyd_centers(points, centers, assign, moved)
-    dist = _sq_dists(points, centers)
-    assign = dist.argmin(axis=2)
-    wcss = np.add.reduce(np.minimum.reduce(dist, axis=2), axis=1).tolist()
+    dist = _sq_dists(points, centers)                           # (R, 2, N)
+    # argmin and min over the two centres' rows, a tie going to centre 0
+    assign = (dist[:, 1] < dist[:, 0]).astype(np.intp)
+    wcss = np.add.reduce(np.minimum(dist[:, 0], dist[:, 1]), axis=1).tolist()
     best = 0
     for r in range(1, len(wcss)):
         if wcss[r] < wcss[best] - 1e-15:
@@ -159,7 +165,7 @@ def _kmeans_pp_init(points: np.ndarray, restarts: int, rng) -> np.ndarray:
     for r in range(restarts):
         seeds[r, 0] = rng.integers(n)
         u[r] = rng.random()
-    d2 = _sq_dists(points, points[seeds[:, 0], None])[..., 0]    # (R, N)
+    d2 = _sq_dists(points, points[seeds[:, 0], None])[:, 0]      # (R, N)
     total = np.add.reduce(d2, axis=1)
     if not np.logical_and.reduce(np.isfinite(total)):
         raise NonFiniteLossError(
@@ -202,16 +208,18 @@ def _lloyd_centers(points: np.ndarray, centers: np.ndarray,
         new[~moved] = centers[~moved]
         reseed = empty.any(axis=(1, 2)) & moved
         d2 = _sq_dists(points, centers[reseed])
-        farthest = points[np.argmax(d2.min(axis=2), axis=1)]
+        farthest = points[np.argmax(d2.min(axis=1), axis=1)]
         new[reseed] = np.where(empty[reseed], farthest[:, None, :],
                                new[reseed])
     return new
 
 
 def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """(..., N, k) squared distances from the (N, S) points to the
-    (..., k, S) centres."""
-    diff = points[:, None, :] - centers[..., None, :, :]
+    """(..., k, N) squared distances from the (..., k, S) centres to the
+    (N, S) points, centre-major: each centre's N differences are one
+    contiguous run, and each point's S-term sum has the bits of the
+    point-major layout, since (c - p)**2 equals (p - c)**2 exactly."""
+    diff = centers[..., None, :] - points
     diff *= diff
     return np.add.reduce(diff, axis=-1)
 
@@ -231,6 +239,10 @@ def fit_em(batch, seed: int = 0) -> GaussianMixture:
     the batch's ``posteriors`` and their argmax, ``assignments``, from its
     last E-step: the one whose NLL met ``EM_TOL``, or the extra one. Neither
     component stands for a class.
+
+    Each fit allocates EM's state once and every iteration writes into it,
+    so the model's ``covariances`` and ``posteriors`` are views of buffers
+    that belong to that fit alone.
     """
     batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
     n = batch.shape[0]
@@ -254,23 +266,53 @@ def _fit_em_once(batch: np.ndarray, seed: int) -> GaussianMixture:
     z = np.empty((2, n, 2 * s))
     np.subtract(batch, centers[:, None, :], out=z[..., :s])
     np.square(z[..., :s], out=z[..., s:])
-    nk, offsets, covs = _m_step(z, (assign == np.arange(2)[:, None]) * 1.0)
-    weights = np.maximum(nk, 1.0)
-    weights /= np.add.reduce(weights)
+    # EM's state, which every iteration overwrites: the M-step's
+    # statistics [d, var], the E-step's weights [d/var, -1/(2 var)], the
+    # (2, N) log-posteriors (a view of matmul's (2, N, 1) output) with
+    # their two rows, and the rows' max and log-sum-exp
+    stats = np.empty((2, 1, 2 * s))
+    offsets, covs = stats[:, 0, :s], stats[:, 0, s:]
+    w = np.empty((2, 2 * s, 1))
+    scaled, half_precision = w[:, :s, 0], w[:, s:, 0]
+    log_p3 = np.empty((2, n, 1))
+    log_p = log_p3[..., 0]
+    first, second = log_p
+    top, lse = np.empty(n), np.empty(n)
+    r = (assign == np.arange(2)[:, None]) * 1.0     # 0/1 k-means memberships
     nll_trace = []
     s_log_2pi = s * LOG_2PI
     for it in range(EM_MAX_ITER + 1):
-        # log(h_k) + log G_k(x) = z[k] @ [d/var, -1/(2 var)] + const_k
-        scaled = offsets / covs
-        w = np.concatenate([scaled, -0.5 / covs], axis=1)
-        const = np.log(weights) - 0.5 * (s_log_2pi + np.add.reduce(
-            np.log(covs) + offsets * scaled, axis=1))
-        log_p = np.matmul(z, w[:, :, None])[..., 0]
-        log_p += const[:, None]
+        # M-step: the effective counts, then d = mean - c_k and the floored
+        # var = E_r[(x - c_k)**2] - d**2 in the views of the statistics
+        nk = np.add.reduce(r, axis=1)
+        np.matmul(r[:, None, :], z, out=stats)
+        stats /= np.maximum(nk, 1.0)[:, None, None]
+        covs -= offsets * offsets
+        np.maximum(covs, COV_FLOOR, out=covs)
+        if it == 0:
+            # from k-means: a component with no members keeps its anchor,
+            # the floor and weight 1 / (N + 1)
+            weights = np.maximum(nk, 1.0)
+            weights /= np.add.reduce(weights)
+        elif np.minimum.reduce(nk) < 1.0:
+            raise DegenerateComponentError(
+                f"effective counts {nk} below 1")
+        else:
+            weights = nk / n
+        # log(h_k) + log G_k(x) = z[k] @ [d/var, -1/(2 var)] + const_k, with
+        # const_k = log h_k - (S log 2 pi + sum(log var + d * d/var)) / 2
+        # added as a float: Python rounds its three steps as numpy does
+        np.divide(offsets, covs, out=scaled)
+        np.divide(-0.5, covs, out=half_precision)
+        log_h = np.log(weights).tolist()
+        spread = np.add.reduce(np.log(covs) + offsets * scaled,
+                               axis=1).tolist()
+        np.matmul(z, w, out=log_p3)
+        first += log_h[0] - 0.5 * (s_log_2pi + spread[0])
+        second += log_h[1] - 0.5 * (s_log_2pi + spread[1])
         # lse = top + log1p(exp(bottom - top)), formed in place
-        first, second = log_p
-        top = np.maximum(first, second)
-        lse = np.minimum(first, second)
+        np.maximum(first, second, out=top)
+        np.minimum(first, second, out=lse)
         lse -= top
         np.log1p(np.exp(lse, out=lse), out=lse)
         lse += top
@@ -280,11 +322,7 @@ def _fit_em_once(batch: np.ndarray, seed: int) -> GaussianMixture:
         if it and abs(nll_trace[-2] - nll_trace[-1]) < EM_TOL:
             break
         log_p -= lse
-        nk, offsets, covs = _m_step(z, np.exp(log_p, out=log_p))
-        if np.minimum.reduce(nk) < 1.0:
-            raise DegenerateComponentError(
-                f"effective counts {nk} below 1")
-        weights = nk / n
+        r = np.exp(log_p, out=log_p)
 
     means = centers + offsets
     if (np.logical_and.reduce(covs <= COV_FLOOR * (1 + 1e-9), axis=None)
@@ -296,16 +334,3 @@ def _fit_em_once(batch: np.ndarray, seed: int) -> GaussianMixture:
     return GaussianMixture(weights, means, covs, nll_trace,
                            r.argmax(axis=1), r)
 
-
-def _m_step(z: np.ndarray, r: np.ndarray):
-    """The (2,) effective counts, the (2, S) offsets d = mean - c_k and the
-    floored (2, S) variances E_r[(x - c_k)**2] - d**2, from the (2, N, 2S)
-    anchored statistics and the (2, N) memberships ``r``; a component with
-    no members keeps its anchor and gets the floor."""
-    nk = np.add.reduce(r, axis=1)
-    stats = np.matmul(r[:, None, :], z)[:, 0]
-    stats /= np.maximum(nk, 1.0)[:, None]
-    s = z.shape[-1] // 2
-    offsets, covs = stats[:, :s], stats[:, s:]
-    covs -= offsets * offsets
-    return nk, offsets, np.maximum(covs, COV_FLOOR, out=covs)

@@ -202,6 +202,7 @@ def train_sdc(dataset: LabeledDataset, config: TrainConfig) -> TrainLog:
     """
     x, y = dataset.subset(TRAIN)
     layout = class_layout(y)
+    _iterations(len(y), config)     # a refused run warns of nothing
     for c in (C_MAJ, C_MIN):
         if layout.sizes[c] == 1:
             log.warning("class %d has a single training sample; using P = A",
@@ -239,6 +240,7 @@ def train_udc(dataset: LabeledDataset, config: TrainConfig) -> TrainLog:
     """
     m3 = udc_batch_rows(config)
     x, y = dataset.subset(TRAIN)
+    _iterations(len(y), config)     # a refused run warns of nothing
     if len(y) < 2 * m3:
         log.warning("training split has %d samples; at least %d recommended "
                     "for UDC batches of %d", len(y), 2 * m3, m3)

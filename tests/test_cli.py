@@ -230,6 +230,27 @@ class TestTrainCommands:
         assert run.stderr == ("class 1 has a single training sample; "
                               "using P = A\n")
 
+    @pytest.mark.parametrize("command, n_min, n_train", [
+        ("train-sdc", 1, 31), ("train-udc", 12, 39)])
+    def test_zero_iteration_run_prints_only_its_error(
+            self, command, n_min, n_train, tmp_path):
+        """A run refused for zero iterations warns of nothing in the
+        training it never starts: not of SDC's single-sample class, nor of
+        UDC's small training split."""
+        data, out = tmp_path / "small.csv", tmp_path / "m.json"
+        assert main(["synth", "--maj", "40", "--min", str(n_min), "--dim",
+                     "4", "--separation", "6", "--out", str(data)]) == 0
+        src = str(Path(comclust.__file__).resolve().parents[1])
+        run = subprocess.run(
+            [sys.executable, "-m", "comclust.cli", command, "--data",
+             str(data), "--batch-size", "1000", "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+            text=True)
+        assert run.returncode == 1
+        assert run.stderr == (f"error: {n_train} training samples with batch "
+                              "size 1000 and 15 epochs give zero iterations\n")
+        assert not out.exists()
+
     def test_classifier_log_has_a_row_per_iteration(self, blob_csv,
                                                     tmp_path):
         log = tmp_path / "clf_log.csv"

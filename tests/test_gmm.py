@@ -127,6 +127,28 @@ class TestFitEm:
         np.testing.assert_array_equal(a.means, b.means)
         np.testing.assert_array_equal(a.weights, b.weights)
 
+    def test_fits_keep_their_arrays_apart(self):
+        """EM overwrites its state in place every iteration, yet a model's
+        arrays share no memory with one another or with a later fit's, and
+        a later fit of the same shape leaves them as they were."""
+        rng = make_rng(46)
+
+        def arrays(model):
+            return {"weights": model.weights, "means": model.means,
+                    "covariances": model.covariances,
+                    "posteriors": model.posteriors,
+                    "assignments": model.assignments}
+
+        first = arrays(fit_em(_two_blobs(rng, s=5), seed=2))
+        for (a, x), (b, y) in itertools.combinations(first.items(), 2):
+            assert not np.shares_memory(x, y), (a, b)
+        kept = {name: x.copy() for name, x in first.items()}
+        second = arrays(fit_em(_two_blobs(rng, s=5), seed=3))
+        for name, x in first.items():
+            np.testing.assert_array_equal(x, kept[name], err_msg=name)
+            for other, y in second.items():
+                assert not np.shares_memory(x, y), (name, other)
+
     def test_all_identical_points_degenerate(self):
         pts = np.tile([2.0, 2.0], (20, 1))
         with pytest.raises(DegenerateComponentError):
