@@ -21,19 +21,20 @@ from .dataio import BlobSpec, LabeledDataset, load_csv, save_csv, save_results
 from .encoder import AdamConfig
 from .errors import (ComclustError, InvalidSpecError, NonFiniteLossError,
                      ShapeMismatchError, TooFewSamplesError)
+from .metrics import METRIC_NAMES
 from .training import (EQUAL, INVERSE_FREQUENCY, LOSS_COM, LOSS_TRIPLET,
                        TrainConfig, evaluate_classifier, evaluate_prototypes)
 
 DEFAULT_RATIOS = "900:900,900:450,900:225,900:60,900:25,900:15"
-# method -> (training mode, loss kind, class weighting); SDC and UDC have
-# no weighting and a classifier no loss kind
+# method -> (training mode, its train function's keywords): the loss kind
+# of SDC and UDC, or a classifier's class weighting
 SWEEP_METHODS = {
-    "sdc-com": ("sdc", LOSS_COM, None),
-    "sdc-triplet": ("sdc", LOSS_TRIPLET, None),
-    "classifier": ("classifier", None, EQUAL),
-    "classifier-lw": ("classifier", None, INVERSE_FREQUENCY),
-    "udc-com": ("udc", LOSS_COM, None),
-    "udc-triplet": ("udc", LOSS_TRIPLET, None),
+    "sdc-com": ("sdc", {"loss_kind": LOSS_COM}),
+    "sdc-triplet": ("sdc", {"loss_kind": LOSS_TRIPLET}),
+    "classifier": ("classifier", {"weighting": EQUAL}),
+    "classifier-lw": ("classifier", {"weighting": INVERSE_FREQUENCY}),
+    "udc-com": ("udc", {"loss_kind": LOSS_COM}),
+    "udc-triplet": ("udc", {"loss_kind": LOSS_TRIPLET}),
 }
 
 
@@ -178,13 +179,6 @@ def _comma_list(text: str, flag: str, convert=str) -> list:
         raise InvalidSpecError(f"bad {flag} entry in {text!r}") from None
 
 
-def _train_config(loss, **settings) -> TrainConfig:
-    """TrainConfig(**settings) with ``loss``, None for a classifier."""
-    if loss is not None:
-        settings["loss_kind"] = loss
-    return TrainConfig(**settings)
-
-
 def _config_echo(config: TrainConfig, loss) -> dict:
     """The settings a run read, with ``loss`` None for a classifier."""
     return {
@@ -219,14 +213,11 @@ def _write_train_log(path, result: training.TrainLog) -> None:
 
 
 def _fit(mode: str, dataset: LabeledDataset, config: TrainConfig,
-         weighting: str) -> training.TrainLog:
-    """Train one mode: "sdc", "udc" or "classifier" (which alone uses
-    ``weighting``)."""
-    if mode == "sdc":
-        return training.train_sdc(dataset, config)
-    if mode == "udc":
-        return training.train_udc(dataset, config)
-    return training.train_classifier(dataset, config, weighting)
+         **keywords) -> training.TrainLog:
+    """Train one mode, "sdc", "udc" or "classifier", by its train function
+    with that mode's own setting as ``keywords``; the function is looked up
+    when called, so a wrapped or patched one is the one that runs."""
+    return getattr(training, f"train_{mode}")(dataset, config, **keywords)
 
 
 def _evaluate(params, encoder_config, prototypes, x, y) -> dict:
@@ -261,20 +252,20 @@ def cmd_train(args) -> None:
     checkpoint, evaluate val and test, write the results record and the
     optional per-iteration log."""
     dataset = dataio.split_dataset(load_csv(args.data), args.seed)
-    loss = getattr(args, "loss", None)             # train-sdc's and train-udc's
     hidden = tuple(_comma_list(args.hidden, "--hidden", int))
-    config = _train_config(loss, batch_size=args.batch_size,
-                           epochs=args.epochs, seed=args.seed,
-                           adam=AdamConfig(learning_rate=args.lr),
-                           hidden=hidden, embedding_dim=args.embedding_dim,
-                           dropout_rate=args.dropout)
+    config = TrainConfig(batch_size=args.batch_size, epochs=args.epochs,
+                         seed=args.seed,
+                         adam=AdamConfig(learning_rate=args.lr),
+                         hidden=hidden, embedding_dim=args.embedding_dim,
+                         dropout_rate=args.dropout)
+    # the mode's own setting: train-sdc's and train-udc's loss kind, or
+    # train-classifier's weighting, which the record adds beside the seed
+    loss = getattr(args, "loss", None)
+    keywords = {"loss_kind": loss} if loss else {"weighting": args.weighting}
     record = {"command": args.command, "config": _config_echo(config, loss),
-              "seed": args.seed}
-    weighting = getattr(args, "weighting", None)   # train-classifier's alone
-    if weighting is not None:
-        record["weighting"] = weighting
+              "seed": args.seed, **({} if loss else keywords)}
     _check_splits(dataset, (dataio.VAL, dataio.TEST))
-    result = _fit(args.command[len("train-"):], dataset, config, weighting)
+    result = _fit(args.command[len("train-"):], dataset, config, **keywords)
     ckpt.save_checkpoint(args.out, result.params, result.encoder_config,
                          result.prototypes, args.seed, record["config"])
     record["metrics"], record["prototype_separation"] = _score(
@@ -327,15 +318,15 @@ def sweep_cell_seeds(run_seed: int, ratio_index: int) -> tuple:
 
 def _sweep_config(method: str, seed: int, epochs: int, batch_size: int,
                   lr: float) -> tuple:
-    """The training mode, config and class weighting of one sweep method."""
+    """The training mode, config and train keywords of one sweep method."""
     if method not in SWEEP_METHODS:
         raise InvalidSpecError(f"unknown method {method!r}")
-    mode, loss, weighting = SWEEP_METHODS[method]
-    config = _train_config(loss, batch_size=batch_size, epochs=epochs,
-                           seed=seed, adam=AdamConfig(learning_rate=lr))
+    mode, keywords = SWEEP_METHODS[method]
+    config = TrainConfig(batch_size=batch_size, epochs=epochs, seed=seed,
+                         adam=AdamConfig(learning_rate=lr))
     if mode == "udc":
         training.udc_batch_rows(config)
-    return mode, config, weighting
+    return mode, config, keywords
 
 
 def run_sweep_cell(n_maj: int, n_min: int, method: str, seed: int,
@@ -348,9 +339,9 @@ def run_sweep_cell(n_maj: int, n_min: int, method: str, seed: int,
                     separation=separation, seed=data_seed)
     dataset = dataio.split_dataset(dataio.synth_imbalanced(spec), split_seed)
     _check_splits(dataset, (dataio.TEST,))
-    mode, config, weighting = _sweep_config(method, train_seed, epochs,
-                                            batch_size, lr)
-    metrics, proto_separation = _score(_fit(mode, dataset, config, weighting),
+    mode, config, keywords = _sweep_config(method, train_seed, epochs,
+                                           batch_size, lr)
+    metrics, proto_separation = _score(_fit(mode, dataset, config, **keywords),
                                        dataset, (dataio.TEST,))
     return {"metrics": metrics[dataio.TEST],
             "prototype_separation": proto_separation}
@@ -379,8 +370,7 @@ def cmd_sweep(args) -> None:
         BlobSpec(n_maj=n_maj, n_min=n_min, dim=args.dim,
                  separation=args.separation)
 
-    fieldnames = ["ratio", "method", "seed", "status", "auc", "recall",
-                  "precision", "specificity", "accuracy", "f1",
+    fieldnames = ["ratio", "method", "seed", "status", "auc", *METRIC_NAMES,
                   "prototype_separation"]
     rows = []
     ok_aucs = defaultdict(list)   # (ratio, method) -> AUC or None per ok cell

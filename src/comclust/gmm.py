@@ -8,40 +8,16 @@ convergence tolerance ``EM_TOL``, variances floored at ``COV_FLOOR``,
 ``KMEANS_RESTARTS`` k-means++ restarts of up to ``KMEANS_MAX_ITER`` Lloyd
 steps each, and ``EM_RESTARTS`` attempts on degeneracy.
 
-EM works on sufficient statistics anchored at the k-means centres: with
-``c_k`` component k's centre, one (2, N, 2S) design
-``z[k] = [x - c_k, (x - c_k)**2]`` is built per fit, and a component is
-its weight, its offset ``d_k = mean_k - c_k`` and its variances. An E-step
-is one stacked matrix product, ``z[k] @ [d_k / var_k, -1 / (2 var_k)]``
-plus a per-component constant, then a two-column log-sum-exp; an M-step
-is another, the (2, N) posteriors times ``z``, which gives ``d_k`` and
-``var_k = E_r[(x - c_k)**2] - d_k**2``. The k-means centres keep those
-differences well conditioned when the batch sits far from the origin.
-A fit allocates EM's state once: the statistics, the E-step's weights,
-the log-posteriors and their log-sum-exp are buffers that each iteration
-overwrites, with the bits of arrays made afresh.
-``responsibilities`` turns the E-step of the model ``fit_em`` returns into
-its posteriors on the fitted batch, ``model.posteriors``.
-
 ``kmeans`` runs its restarts together, and EM updates both components in
 one set of array operations. Both give the bits of the plain loops over
 restarts and components (``tests/test_gmm.py`` keeps those loops, and
 ``rng.choice`` for the seeds, as its oracle), so a seeded run's
-pseudo-labels do not depend on the batching; ``kmeans`` states the rules
-that keep it so. A Lloyd step is two stacked matrix products over every
-restart, each restart's on its own: a bisector test on the centred
-points, and the 0/1 membership matrix times the points. The steps stop
-at the first that changes no restart's assignment; until then the same
-memberships give a converged restart its centres' bits again. Exact
-squared distances serve only the k-means++ draws, an empty cluster's
-re-seed and the final assignments and wcss. They are taken centre-major,
-(..., k, N), which gives the bits of the point-major layout. The second
-k-means++ seed is the draw that ``rng.choice(n, p=d2 / total)`` makes:
-one ``rng.random()`` placed by ``searchsorted`` in the normalised
-cumulative sum of ``p``. A restart whose ``total`` is 0 repeats its
-first seed and still spends that uniform. Squared distances that
-overflow make the draw undefined, and ``kmeans`` raises
-NonFiniteLossError instead."""
+pseudo-labels do not depend on the batching. ``kmeans`` states the rules
+that keep its bits: its draws, its Lloyd steps and its exact distances.
+``fit_em`` states how EM works: its statistics anchored at the k-means
+centres, and its state, allocated once per fit. ``responsibilities``
+turns the E-step of the model ``fit_em`` returns into its posteriors on
+the fitted batch, ``model.posteriors``."""
 
 from __future__ import annotations
 
@@ -240,9 +216,20 @@ def fit_em(batch, seed: int = 0) -> GaussianMixture:
     last E-step: the one whose NLL met ``EM_TOL``, or the extra one. Neither
     component stands for a class.
 
+    EM works on sufficient statistics anchored at the k-means centres:
+    with ``c_k`` component k's centre, one (2, N, 2S) design
+    ``z[k] = [x - c_k, (x - c_k)**2]`` is built per fit, and a component
+    is its weight, its offset ``d_k = mean_k - c_k`` and its variances. An
+    E-step is one stacked matrix product, ``z[k] @ [d_k / var_k,
+    -1 / (2 var_k)]`` plus a per-component constant, then a two-column
+    log-sum-exp; an M-step is another, the (2, N) posteriors times ``z``,
+    which gives ``d_k`` and ``var_k = E_r[(x - c_k)**2] - d_k**2``. The
+    centres keep those differences well conditioned when the batch sits
+    far from the origin.
+
     Each fit allocates EM's state once and every iteration writes into it,
-    so the model's ``covariances`` and ``posteriors`` are views of buffers
-    that belong to that fit alone.
+    with the bits of arrays made afresh, so the model's ``covariances``
+    and ``posteriors`` are views of buffers that belong to that fit alone.
     """
     batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
     n = batch.shape[0]

@@ -36,7 +36,6 @@ LOSS_TRIPLET = "triplet"
 class TrainConfig:
     batch_size: int = 15
     epochs: int = 15
-    loss_kind: str = LOSS_COM            # "com" or "triplet", for SDC and UDC
     seed: int = 0
     adam: AdamConfig = AdamConfig()
     hidden: tuple = (64, 64)
@@ -48,8 +47,6 @@ class TrainConfig:
             raise InvalidSpecError("batch_size must be >= 1")
         if self.epochs < 1:
             raise InvalidSpecError("epochs must be >= 1")
-        if self.loss_kind not in (LOSS_COM, LOSS_TRIPLET):
-            raise InvalidSpecError(f"unknown loss kind {self.loss_kind!r}")
 
     def encoder_config(self, input_dim: int) -> EncoderConfig:
         return EncoderConfig(input_dim, tuple(self.hidden),
@@ -141,13 +138,13 @@ def _sample_rows(n: int, k: int, rng) -> np.ndarray:
     return rng.choice(n, size=min(k, n), replace=False)
 
 
-def _batch_loss(loss_kind: str, *operands):
-    """Mean margin-free COM-triplet loss, or traditional triplet loss with
-    its constant margin, over (M, S) triplet rows: A, P and N, or one
-    stacked (3M, S) embedding."""
-    if loss_kind == LOSS_COM:
-        return com_triplet_loss(*operands)
-    return triplet_loss_batch(*operands)
+def _batch_loss(loss_kind: str):
+    """The batch loss of ``loss_kind``, mean margin-free COM-triplet loss or
+    traditional triplet loss with its constant margin, over (M, S) triplet
+    rows: A, P and N, or one stacked (3M, S) embedding."""
+    if loss_kind not in (LOSS_COM, LOSS_TRIPLET):
+        raise InvalidSpecError(f"unknown loss kind {loss_kind!r}")
+    return com_triplet_loss if loss_kind == LOSS_COM else triplet_loss_batch
 
 
 def _train(x, y, config: TrainConfig, step, head_outputs: int = 0) -> TrainLog:
@@ -191,15 +188,17 @@ def _train(x, y, config: TrainConfig, step, head_outputs: int = 0) -> TrainLog:
     return result
 
 
-def train_sdc(dataset: LabeledDataset, config: TrainConfig) -> TrainLog:
+def train_sdc(dataset: LabeledDataset, config: TrainConfig,
+              loss_kind: str = LOSS_COM) -> TrainLog:
     """Supervised deep clustering.
 
-    Per iteration: sample triplets, embed them, take a COM-triplet (or
-    traditional triplet) gradient step, then offer the per-class batch
-    centers to the running prototype pair, which only ever moves to a more
-    separated pair. A class with a single training sample is its own
-    positive (P = A), which is logged once per run.
+    Per iteration: sample triplets, embed them, take a ``loss_kind``
+    (COM-triplet or traditional triplet) gradient step, then offer the
+    per-class batch centers to the running prototype pair, which only ever
+    moves to a more separated pair. A class with a single training sample
+    is its own positive (P = A), which is logged once per run.
     """
+    batch_loss = _batch_loss(loss_kind)
     x, y = dataset.subset(TRAIN)
     layout = class_layout(y)
     _iterations(len(y), config)     # a refused run warns of nothing
@@ -212,8 +211,7 @@ def train_sdc(dataset: LabeledDataset, config: TrainConfig) -> TrainLog:
         rows = np.concatenate(sample_triplets(layout, config.batch_size, rng))
         emb = enc.forward(param_vars, enc_config, x[rows],
                           train_mode=True, rng=rng)
-        return (_batch_loss(config.loss_kind, emb),
-                batch_centers(emb.value, y[rows]), None)
+        return batch_loss(emb), batch_centers(emb.value, y[rows]), None
 
     return _train(x, y, config, step)
 
@@ -227,17 +225,19 @@ def udc_batch_rows(config: TrainConfig) -> int:
     return m3
 
 
-def train_udc(dataset: LabeledDataset, config: TrainConfig) -> TrainLog:
+def train_udc(dataset: LabeledDataset, config: TrainConfig,
+              loss_kind: str = LOSS_COM) -> TrainLog:
     """Unsupervised deep clustering: labels are ignored.
 
     Per iteration a batch of 3M samples is embedded and a fresh
     two-component GMM is fitted on those embeddings. Each sample is an
     anchor whose own component's mean (its argmax posterior) is its
-    positive and the other mean its negative, under the loss SDC uses. The
-    GMM knows no classes: ``_minority_component`` picks the component that
-    stands for the rare class, whose mean leads the candidate prototype
-    pair.
+    positive and the other mean its negative, under the batch loss of
+    ``loss_kind`` that SDC takes. The GMM knows no classes:
+    ``_minority_component`` picks the component that stands for the rare
+    class, whose mean leads the candidate prototype pair.
     """
+    batch_loss = _batch_loss(loss_kind)
     m3 = udc_batch_rows(config)
     x, y = dataset.subset(TRAIN)
     _iterations(len(y), config)     # a refused run warns of nothing
@@ -251,8 +251,7 @@ def train_udc(dataset: LabeledDataset, config: TrainConfig) -> TrainLog:
                           train_mode=True, rng=rng)
         model = gmm_mod.fit_em(emb.value, seed=int(rng.integers(2 ** 31)))
         assign = model.assignments
-        loss = _batch_loss(config.loss_kind, emb, model.means[assign],
-                           model.means[1 - assign])
+        loss = batch_loss(emb, model.means[assign], model.means[1 - assign])
         k = _minority_component(model.weights, assign)
         return loss, (model.means[k], model.means[1 - k]), model.nll_trace[-1]
 

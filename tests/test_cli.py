@@ -26,6 +26,7 @@ from comclust.dataio import load_csv, split_dataset
 from comclust.encoder import (MAX_PARAMETERS, EncoderConfig, embed,
                               init_encoder_params)
 from comclust.errors import ParseError, TooFewSamplesError
+from comclust.metrics import METRIC_NAMES
 from comclust.prototypes import (infer_label, malignancy_score,
                                  update_prototypes)
 from comclust.training import evaluate_prototypes
@@ -782,6 +783,17 @@ class TestSweep:
         assert len(summary) == 4
         assert all(s["n_ok"] == "2" for s in summary)
 
+    def test_header_names_every_metric(self, tmp_path):
+        """The metric columns are metrics.METRIC_NAMES, between the AUC and
+        the prototype separation."""
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep-imbalance", *self.FAST, "--methods", "classifier",
+                     "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            header = next(csv.reader(fh))
+        assert header == ["ratio", "method", "seed", "status", "auc",
+                          *METRIC_NAMES, "prototype_separation"]
+
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         flags = ["sweep-imbalance", *self.FAST, "--methods", "classifier-lw"]
@@ -850,16 +862,15 @@ class TestSweep:
     def test_cell_trains_its_method(self, method, train, loss, weighting,
                                     monkeypatch):
         """Each sweep method reaches its training mode with its loss kind
-        (a classifier has none to set) or class weighting, and the cell's
-        shared settings."""
+        or class weighting as a keyword, and the cell's shared settings."""
         calls = []
 
         class Stop(Exception):
             pass
 
         def capture(name):
-            def fake(dataset, config, *rest):
-                calls.append((name, config, *rest))
+            def fake(dataset, config, **keywords):
+                calls.append((name, config, keywords))
                 raise Stop
             return fake
 
@@ -869,11 +880,10 @@ class TestSweep:
             run_sweep_cell(n_maj=60, n_min=20, method=method, seed=3,
                            ratio_index=1, dim=4, separation=2.5, epochs=2,
                            batch_size=10, lr=1e-3)
-        [(name, config, *rest)] = calls
+        [(name, config, keywords)] = calls
         assert name == train
-        if loss is not None:
-            assert config.loss_kind == loss
-        assert rest == ([] if weighting is None else [weighting])
+        assert keywords == ({"weighting": weighting} if loss is None
+                            else {"loss_kind": loss})
         assert (config.seed, config.epochs, config.batch_size,
                 config.adam.learning_rate) == (sweep_cell_seeds(3, 1)[2], 2,
                                                10, 1e-3)

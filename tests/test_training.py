@@ -57,6 +57,21 @@ def test_training_needs_a_split(train):
         train(unsplit, _fast())
 
 
+@pytest.mark.parametrize("train", [train_sdc, train_udc])
+def test_unknown_loss_kind_refused_before_any_work(train, monkeypatch):
+    """The loss kind is refused before the split is read (this dataset has
+    none), a parameter drawn or a mixture fitted."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("work began")
+
+    monkeypatch.setattr(enc, "init_encoder_params", no_work)
+    monkeypatch.setattr(gmm, "fit_em", no_work)
+    unsplit = synth_imbalanced(BlobSpec(n_maj=40, n_min=12, dim=4, seed=0))
+    with pytest.raises(InvalidSpecError,
+                       match="^unknown loss kind 'margin'$"):
+        train(unsplit, _fast(), loss_kind="margin")
+
+
 class TestSampleTriplets:
     def test_class_structure(self):
         labels = np.array([0] * 20 + [1] * 5)
@@ -206,7 +221,7 @@ class TestTrainSdc:
 
     def test_traditional_triplet_variant_runs(self):
         ds = _dataset()
-        result = train_sdc(ds, _fast(batch_size=10, loss_kind="triplet"))
+        result = train_sdc(ds, _fast(batch_size=10), loss_kind="triplet")
         assert np.all(np.isfinite(result.losses))
 
     def test_zero_iterations_rejected(self):
@@ -278,8 +293,8 @@ class TestTrainUdc:
         for name in ("com_triplet_loss", "triplet_loss_batch"):
             monkeypatch.setattr(training, name, capture if name == called
                                 else None)
-        result = train_udc(_dataset(seed=4),
-                           _fast(seed=4, batch_size=5, loss_kind=loss_kind))
+        result = train_udc(_dataset(seed=4), _fast(seed=4, batch_size=5),
+                           loss_kind=loss_kind)
         assert len(calls) == len(fits) == len(offers) == len(result.losses)
         for (anchors, own, other), model, pair in zip(calls, fits, offers):
             assert ad.value_of(anchors).shape == own.shape == (15, 8)
@@ -322,13 +337,12 @@ class TestSameProgram:
                                                         monkeypatch,
                                                         composed):
         ds = _dataset(seed=9)
-        config = _fast(seed=9, batch_size=10, hidden=(16, 12), epochs=5,
-                       loss_kind=mode.split("-")[-1] if "-" in mode else "com")
+        config = _fast(seed=9, batch_size=10, hidden=(16, 12), epochs=5)
 
         def run():
             if mode == "classifier":
                 return train_classifier(ds, config)
-            return train_sdc(ds, config)
+            return train_sdc(ds, config, loss_kind=mode.split("-")[-1])
 
         shipped = run()
         called = set()
@@ -393,10 +407,10 @@ class TestSamplerSameProgram:
             _, y = ds.subset(TRAIN)
             assert np.count_nonzero(y == C_MIN) == (
                 1 if case.startswith("singleton") else 2)
-        config = TrainConfig(seed=3, loss_kind=case.split("-")[-1])
-        shipped = train_sdc(ds, config)
+        config, loss_kind = TrainConfig(seed=3), case.split("-")[-1]
+        shipped = train_sdc(ds, config, loss_kind)
         monkeypatch.setattr(training, "sample_triplets", sample_triplets_loop)
-        reference = train_sdc(ds, config)
+        reference = train_sdc(ds, config, loss_kind)
         assert shipped.params.flat.tobytes() == reference.params.flat.tobytes()
         assert shipped.losses == reference.losses
         assert shipped.separations == reference.separations
