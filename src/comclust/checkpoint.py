@@ -14,7 +14,7 @@ import numpy as np
 
 from .autodiff import NORM_FLOOR
 from .dataio import save_results
-from .encoder import HEAD_OUTPUTS, EncoderConfig, ParamStore, param_shapes
+from .encoder import HEAD_OUTPUTS, EncoderConfig, param_shapes
 from .errors import ParseError, ZeroVectorError
 from .prototypes import Prototypes, update_prototypes
 
@@ -36,16 +36,16 @@ def _encoder_from(d: dict) -> EncoderConfig:
                          d["embedding_dim"], d["dropout_rate"])
 
 
-def save_checkpoint(path, params: ParamStore, encoder_config: EncoderConfig,
+def save_checkpoint(path, params: list, encoder_config: EncoderConfig,
                     prototypes: Prototypes | None,
                     seed: int, config_echo: dict) -> None:
-    """Write a clustering checkpoint when given prototypes, else a
-    classifier checkpoint."""
+    """Write the arrays ``params``, in ``encoder.param_shapes`` order, as a
+    clustering checkpoint when given prototypes, else a classifier one."""
     doc = {
         "version": FORMAT_VERSION,
         "encoder": _encoder_dict(encoder_config),
         "params": [{"shape": list(a.shape), "data": a.ravel()}
-                   for a in params.arrays],
+                   for a in params],
         "seed": seed,
         "config": config_echo,
     }
@@ -58,9 +58,9 @@ def save_checkpoint(path, params: ParamStore, encoder_config: EncoderConfig,
 
 
 def load_checkpoint(path) -> dict:
-    """Returns {encoder_config, params, prototypes, seed, config};
-    prototypes is None for a classifier, a document without prototypes,
-    whose params end in the softmax head.
+    """Returns {encoder_config, params, prototypes, seed, config}; params
+    are float64 arrays in ``param_shapes`` order. A classifier's document
+    has no prototypes (None here), and its params end in the softmax head.
 
     The document is checked against its own encoder config: a file that is
     not a checkpoint, a missing field, a config echo that is not an object,
@@ -92,9 +92,9 @@ def load_checkpoint(path) -> dict:
     clustering = "prototypes" in doc
     return {
         "encoder_config": encoder_config,
-        "params": ParamStore(_read_params(
+        "params": _read_params(
             doc["params"], path,
-            param_shapes(encoder_config, 0 if clustering else HEAD_OUTPUTS))),
+            param_shapes(encoder_config, 0 if clustering else HEAD_OUTPUTS)),
         "seed": seed,
         "config": config,
         "prototypes": (_read_prototypes(doc["prototypes"], path,

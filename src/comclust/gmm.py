@@ -15,9 +15,8 @@ restarts and components (``tests/test_gmm.py`` keeps those loops, and
 pseudo-labels do not depend on the batching. ``kmeans`` states the rules
 that keep its bits: its draws, its Lloyd steps and its exact distances.
 ``fit_em`` states how EM works: its statistics anchored at the k-means
-centres, and its state, allocated once per fit. ``responsibilities``
-turns the E-step of the model ``fit_em`` returns into its posteriors on
-the fitted batch, ``model.posteriors``."""
+centres, and its state, allocated once per fit; each of its E-steps ends
+in ``responsibilities``, and the last one's give ``model.posteriors``."""
 
 from __future__ import annotations
 
@@ -54,10 +53,10 @@ class GaussianMixture:
 
 
 def responsibilities(log_p: np.ndarray, lse: np.ndarray) -> np.ndarray:
-    """Posterior component memberships from an E-step: the (N, 2)
+    """Posterior component memberships from an E-step: the (2, N)
     log(h_k) + log G_k(x) ``log_p``, which becomes the posteriors in place,
-    and its row-wise log-sum-exp."""
-    log_p -= lse[:, None]
+    and its (N,) log-sum-exp over the two components."""
+    log_p -= lse
     return np.exp(log_p, out=log_p)
 
 
@@ -303,21 +302,20 @@ def _fit_em_once(batch: np.ndarray, seed: int) -> GaussianMixture:
         lse -= top
         np.log1p(np.exp(lse, out=lse), out=lse)
         lse += top
-        if it == EM_MAX_ITER:     # out of iterations: posteriors only
+        stop = it == EM_MAX_ITER     # out of iterations: posteriors only
+        if not stop:
+            nll_trace.append(float(-np.add.reduce(lse)))
+            stop = it > 0 and abs(nll_trace[-2] - nll_trace[-1]) < EM_TOL
+        # a module-level call: perfbench's layer trace wraps it by name
+        r = responsibilities(log_p, lse)
+        if stop:
             break
-        nll_trace.append(float(-np.add.reduce(lse)))
-        if it and abs(nll_trace[-2] - nll_trace[-1]) < EM_TOL:
-            break
-        log_p -= lse
-        r = np.exp(log_p, out=log_p)
 
     means = centers + offsets
     if (np.logical_and.reduce(covs <= COV_FLOOR * (1 + 1e-9), axis=None)
             and np.allclose(means[0], means[1], atol=1e-9)):
         raise DegenerateComponentError(
             "both components collapsed onto a single point")
-    # a module-level call: perfbench's layer trace wraps it by name
-    r = responsibilities(log_p.T, lse)
     return GaussianMixture(weights, means, covs, nll_trace,
-                           r.argmax(axis=1), r)
+                           r.argmax(axis=0), r.T)
 

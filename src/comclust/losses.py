@@ -188,7 +188,8 @@ def _loss_node(value, operands: tuple, grads):
 
 def center_rows(pseudo_classes, mu_min, mu_maj):
     """(M, S) rows of each anchor's own cluster center and of the other
-    center, per the anchors' pseudo-classes."""
+    center, per the anchors' pseudo-classes (``C_MIN``, or True, owns
+    ``mu_min``): the rows UDC trains on and ``udc_com_loss`` states."""
     minority = (np.asarray(pseudo_classes, dtype=int) == C_MIN)[:, None]
     return (np.where(minority, mu_min, mu_maj),
             np.where(minority, mu_maj, mu_min))

@@ -16,12 +16,13 @@ from . import encoder as enc
 from . import gmm as gmm_mod
 from .autodiff import backward, grad_of, make_rng
 from .dataio import TRAIN, LabeledDataset
-from .encoder import AdamConfig, EncoderConfig, ParamStore
+from .encoder import AdamConfig, EncoderConfig
 from .errors import (ComclustError, InvalidSpecError, MissingClassError,
                      NonFiniteLossError, TooFewSamplesError, ZeroVectorError)
 # udc_com_loss goes unused: perfbench's layer trace hooks it by this name
-from .losses import (C_MAJ, C_MIN, ClassWeights, com_triplet_loss,
-                     triplet_loss_batch, udc_com_loss, weighted_cross_entropy)
+from .losses import (C_MAJ, C_MIN, ClassWeights, center_rows,
+                     com_triplet_loss, triplet_loss_batch, udc_com_loss,
+                     weighted_cross_entropy)
 from .metrics import roc_auc, weighted_metrics
 from .prototypes import (Prototypes, batch_centers, infer_label,
                          malignancy_score, update_prototypes)
@@ -57,12 +58,12 @@ class TrainConfig:
 class TrainLog:
     """Per-iteration losses, plus prototype separations for SDC and UDC and
     GMM NLLs for UDC (a list a mode does not fill stays empty), and the
-    trained parameters."""
+    trained parameter arrays, in ``encoder.param_shapes`` order."""
     losses: list = field(default_factory=list)
     separations: list = field(default_factory=list)
     gmm_nlls: list = field(default_factory=list)
     prototypes: Prototypes = None
-    params: ParamStore = None
+    params: list = None
     encoder_config: EncoderConfig = None
 
 
@@ -93,7 +94,7 @@ class ClassLayout(NamedTuple):
 
 def class_layout(labels) -> ClassLayout:
     """The sampler's layout of ``labels``, which must hold both classes and
-    nothing else; a run computes it once."""
+    nothing else: every mode's class check of its training split."""
     labels = np.asarray(labels, dtype=int)
     if labels.size and (labels.min() < C_MAJ or labels.max() > C_MIN):
         raise InvalidSpecError(f"labels must be {C_MAJ} or {C_MIN}")
@@ -164,7 +165,7 @@ def _train(x, y, config: TrainConfig, step, head_outputs: int = 0) -> TrainLog:
     enc_config = config.encoder_config(x.shape[1])
     store = enc.init_encoder_params(enc_config, rng, head_outputs)
 
-    result = TrainLog(params=store, encoder_config=enc_config)
+    result = TrainLog(params=store.arrays, encoder_config=enc_config)
     for it in range(t):
         try:
             param_vars = store.wrap()
@@ -230,12 +231,13 @@ def train_udc(dataset: LabeledDataset, config: TrainConfig,
     """Unsupervised deep clustering: labels are ignored.
 
     Per iteration a batch of 3M samples is embedded and a fresh
-    two-component GMM is fitted on those embeddings. Each sample is an
-    anchor whose own component's mean (its argmax posterior) is its
-    positive and the other mean its negative, under the batch loss of
-    ``loss_kind`` that SDC takes. The GMM knows no classes:
-    ``_minority_component`` picks the component that stands for the rare
-    class, whose mean leads the candidate prototype pair.
+    two-component GMM is fitted on those embeddings. The GMM knows no
+    classes: ``_minority_component`` picks the component that stands for
+    the rare class, and a sample's pseudo-class is whether its argmax
+    posterior is that component. Each sample is an anchor whose own
+    pseudo-class mean is its positive and the other mean its negative
+    (``center_rows``), under the batch loss of ``loss_kind`` that SDC
+    takes; the minority mean leads the candidate prototype pair.
     """
     batch_loss = _batch_loss(loss_kind)
     m3 = udc_batch_rows(config)
@@ -250,10 +252,10 @@ def train_udc(dataset: LabeledDataset, config: TrainConfig,
         emb = enc.forward(param_vars, enc_config, x[rows],
                           train_mode=True, rng=rng)
         model = gmm_mod.fit_em(emb.value, seed=int(rng.integers(2 ** 31)))
-        assign = model.assignments
-        loss = batch_loss(emb, model.means[assign], model.means[1 - assign])
-        k = _minority_component(model.weights, assign)
-        return loss, (model.means[k], model.means[1 - k]), model.nll_trace[-1]
+        k = _minority_component(model.weights, model.assignments)
+        pair = model.means[k], model.means[1 - k]
+        loss = batch_loss(emb, *center_rows(model.assignments == k, *pair))
+        return loss, pair, model.nll_trace[-1]
 
     return _train(x, y, config, step)
 
@@ -298,9 +300,7 @@ def train_classifier(dataset: LabeledDataset, config: TrainConfig,
     if weighting not in (EQUAL, INVERSE_FREQUENCY):
         raise InvalidSpecError(f"unknown weighting {weighting!r}")
     x, y = dataset.subset(TRAIN)
-    for c in (C_MAJ, C_MIN):
-        if not np.any(y == c):
-            raise MissingClassError(f"no samples of class {c}")
+    class_layout(y)                 # refuses a split missing a class
 
     def step(rng, param_vars, enc_config):
         rows = _sample_rows(len(y), config.batch_size, rng)
@@ -319,7 +319,7 @@ def train_classifier(dataset: LabeledDataset, config: TrainConfig,
 INFER_BLOCK_ROWS = 1024
 
 
-def _evaluate(params: ParamStore, config: EncoderConfig,
+def _evaluate(params: list, config: EncoderConfig,
               proto: Prototypes | None, x, y) -> dict:
     """Score a split by the prototypes or, with ``proto`` None, the head,
     each block of at most INFER_BLOCK_ROWS rows through the model alone. A
@@ -329,7 +329,7 @@ def _evaluate(params: ParamStore, config: EncoderConfig,
     the padded stacks (8, 12, 10), (8, 16, 12, 10), (8, 64, 64, 32, 2) and
     (5, 9, 13, 2) had 0 batch-dependent rows over blocks of 2-1024 rows."""
     arrays, pad_in = [], 0
-    for w, b in zip(params.arrays[::2], params.arrays[1::2]):
+    for w, b in zip(params[::2], params[1::2]):
         pad_out = -w.shape[1] % 8       # the next W gets pad_out zero rows
         arrays += [np.pad(w, ((0, pad_in), (0, pad_out))),
                    np.pad(b, (0, pad_out))]
@@ -350,14 +350,14 @@ def _evaluate(params: ParamStore, config: EncoderConfig,
     return _aggregate(np.asarray(y, dtype=int), preds, scores)
 
 
-def evaluate_prototypes(params: ParamStore, enc_config: EncoderConfig,
+def evaluate_prototypes(params: list, enc_config: EncoderConfig,
                         proto: Prototypes, x, y) -> dict:
     """Prototype-distance inference over a split: (N,) labels and scores,
     weighted metrics, and AUC (None for a split of one class)."""
     return _evaluate(params, enc_config, proto, x, y)
 
 
-def evaluate_classifier(params: ParamStore, enc_config: EncoderConfig,
+def evaluate_classifier(params: list, enc_config: EncoderConfig,
                         x, y) -> dict:
     """Softmax-head inference over a split, scored by minority probability."""
     return _evaluate(params, enc_config, None, x, y)

@@ -22,7 +22,7 @@ from comclust import checkpoint as ckpt
 from comclust import cli, training
 from comclust.autodiff import make_rng
 from comclust.cli import main, run_sweep_cell, sweep_cell_seeds
-from comclust.dataio import load_csv, split_dataset
+from comclust.dataio import LabeledDataset, load_csv, save_csv, split_dataset
 from comclust.encoder import (MAX_PARAMETERS, EncoderConfig, embed,
                               init_encoder_params)
 from comclust.errors import ParseError, TooFewSamplesError
@@ -122,6 +122,17 @@ class TestTrainCommands:
         assert len(rows) > 0
         seps = [float(r["separation"]) for r in rows]
         assert np.all(np.diff(seps) >= 0.0)
+
+    def test_one_class_csv_is_refused(self, tmp_path, capsys):
+        """train-classifier names the class its training split lacks and
+        writes nothing."""
+        data, out = tmp_path / "one-class.csv", tmp_path / "m.json"
+        save_csv(data, LabeledDataset(make_rng(0).normal(size=(40, 2)),
+                                      np.zeros(40, dtype=int)))
+        assert main(["train-classifier", "--data", str(data),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: no samples of class 1\n"
+        assert not out.exists()
 
     def test_corrupt_csv_exits_nonzero(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -285,7 +296,7 @@ class TestEval:
                      "--out", str(out)]) == 0
         evaluation = load_results(out)
         doc = ckpt.load_checkpoint(model)
-        emb = embed(doc["params"].arrays, doc["encoder_config"],
+        emb = embed(doc["params"], doc["encoder_config"],
                     load_csv(blob_csv).features)
         for row, score in zip(emb, evaluation["scores"]):
             _, d_min, d_maj = infer_label(row, doc["prototypes"])
@@ -441,6 +452,14 @@ class TestCheckpointRoundTrip:
                    if isinstance(node, ast.Attribute)
                    and node.attr == "layer_dims"}
         assert readers == {"encoder.py"}
+
+    def test_only_the_encoder_names_the_optimiser_state(self):
+        """Adam's ParamStore stays in training: outside it a model is its
+        list of parameter arrays, so no other module names the class
+        (``__init__.py`` re-exports it)."""
+        namers = {path.name for path in Path(ckpt.__file__).parent.glob("*.py")
+                  if "ParamStore" in path.read_text()}
+        assert namers == {"encoder.py", "__init__.py"}
 
     def test_only_autodiff_decides_what_is_recorded(self):
         """The tape rule lives in autodiff.node: no other module tests for a
@@ -618,7 +637,8 @@ class TestCheckpointFormat:
         want = update_prototypes(None, cl_min, cl_maj)
         config = EncoderConfig(3, (4,), 6, 0.0)
         path = tmp_path_factory.getbasetemp() / "round-trip.json"
-        ckpt.save_checkpoint(path, init_encoder_params(config, make_rng(0)),
+        ckpt.save_checkpoint(path,
+                             init_encoder_params(config, make_rng(0)).arrays,
                              config, want, 0, {})
         got = ckpt.load_checkpoint(path)["prototypes"]
         for field in ("cl_min", "cl_maj"):

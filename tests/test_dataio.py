@@ -365,6 +365,17 @@ class TestCsv:
         with pytest.raises(ParseError):
             load_csv(path)
 
+    def test_overflowing_block_cell_goes_to_the_line_reader(self, tmp_path):
+        """1e999 is in the block grammar but parses to inf: the block parse
+        is refused, and the line reader names the cell's line."""
+        path = tmp_path / "d.csv"
+        path.write_text("f0,label\n1.0,0\n1e999,1\n")
+        block = dataio._block_labels(path)
+        assert block is not None and dataio._load_block(path, *block) is None
+        with pytest.raises(ParseError) as info:
+            load_csv(path)
+        assert str(info.value) == f"{path}:3: non-finite feature value"
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("a,b,label\n1.0,2.0,0\n")

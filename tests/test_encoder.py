@@ -165,15 +165,17 @@ class TestFlatStore:
         for a, b in zip(joint.arrays, encoder + head, strict=True):
             np.testing.assert_array_equal(a, b)
 
-    def test_loaded_checkpoint_is_views_of_one_buffer(self, tmp_path):
+    def test_loaded_checkpoint_is_the_saved_arrays(self, tmp_path):
+        """A load gives the saved float64 arrays in ``param_shapes`` order."""
         config = EncoderConfig(input_dim=4, hidden=(6,), embedding_dim=3)
         store = init_encoder_params(config, make_rng(22), HEAD_OUTPUTS)
         path = tmp_path / "clf.json"
-        ckpt.save_checkpoint(path, store, config, None, 0, {})
+        ckpt.save_checkpoint(path, store.arrays, config, None, 0, {})
         loaded = ckpt.load_checkpoint(path)["params"]
-        for a, b in zip(loaded.arrays, store.arrays, strict=True):
+        assert [a.shape for a in loaded] == param_shapes(config, HEAD_OUTPUTS)
+        for a, b in zip(loaded, store.arrays, strict=True):
+            assert a.dtype == np.float64
             np.testing.assert_array_equal(a, b)
-        _assert_views_of_flat(loaded, param_shapes(config, HEAD_OUTPUTS))
 
 
 def reference_adam_step(arrays, m, v, t, grads, config) -> None:
@@ -362,10 +364,10 @@ class TestBlockedInference:
 
             with mock.patch.object(training, "INFER_BLOCK_ROWS", block), \
                     mock.patch.object(training, "_aggregate", unscored):
-                return (*evaluate_prototypes(encoder, config, proto, x[rows],
-                                             y[rows]),
-                        *evaluate_classifier(classifier, config, x[rows],
-                                             y[rows]))
+                return (*evaluate_prototypes(encoder.arrays, config, proto,
+                                             x[rows], y[rows]),
+                        *evaluate_classifier(classifier.arrays, config,
+                                             x[rows], y[rows]))
 
         blocked = evaluate(slice(None), block)
         whole = evaluate(slice(None), training.INFER_BLOCK_ROWS)
@@ -397,7 +399,7 @@ class TestBlockedInference:
         proto = update_prototypes(None, np.ones(9), -np.ones(9))
         x = make_rng(5).normal(size=(1, 3))
         with mock.patch.object(enc, "forward", wraps=enc.forward) as spy:
-            out = evaluate_prototypes(store, config, proto, x, [0])
+            out = evaluate_prototypes(store.arrays, config, proto, x, [0])
         assert spy.call_count == 1
         padded, _, rows = spy.call_args.args
         assert rows.tobytes() == np.repeat(x, 2, axis=0).tobytes()
@@ -432,13 +434,14 @@ class TestBlockedInference:
         y = rng.integers(0, 2, size=len(x))
         if kind == "classifier":
             store = init_encoder_params(config, make_rng(6), HEAD_OUTPUTS)
-            evaluate, args = evaluate_classifier, (store, config, x, y)
+            evaluate, args = evaluate_classifier, (store.arrays, config, x, y)
         else:
             store = init_encoder_params(config, make_rng(6))
             proto = update_prototypes(
                 None, rng.normal(size=config.embedding_dim),
                 rng.normal(size=config.embedding_dim))
-            evaluate, args = evaluate_prototypes, (store, config, proto, x, y)
+            evaluate, args = evaluate_prototypes, (store.arrays, config,
+                                                   proto, x, y)
         tracemalloc.start()
         try:
             evaluate(*args)

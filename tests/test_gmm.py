@@ -158,6 +158,17 @@ class TestFitEm:
         with pytest.raises(TooFewSamplesError):
             fit_em(np.ones((3, 2)))
 
+    def test_collapsed_components_raise_after_the_restarts(self):
+        """Two pairs of points 1e-10 apart: every attempt ends with both
+        variances at the floor and means within 1e-9, which is the cause
+        of the error raised after the last restart."""
+        with pytest.raises(DegenerateComponentError,
+                           match=f"^component degenerate after "
+                                 f"{gmm.EM_RESTARTS} restarts$") as info:
+            fit_em([[0.0], [0.0], [1e-10], [1e-10]], seed=0)
+        assert str(info.value.__cause__) == (
+            "both components collapsed onto a single point")
+
     def test_converged_nll_is_the_scoring_e_step(self):
         """When EM stops on EM_TOL, its last E-step scored the returned
         model: the labels are an E-step of that model made apart from EM,

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from comclust.autodiff import Var, backward, cosine_distance, make_rng
-from comclust.errors import (EmptyBatchError, ShapeMismatchError,
-                             ZeroVectorError)
+from comclust.errors import (EmptyBatchError, InvalidSpecError,
+                             ShapeMismatchError, ZeroVectorError)
 from comclust.losses import (C_MAJ, C_MIN, ClassWeights, center_rows,
                              com_adaptive_margin, com_dist_wa,
                              com_triplet_loss, triplet_loss,
@@ -178,6 +178,11 @@ class TestWeightedCrossEntropy:
     def test_length_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             weighted_cross_entropy([1, 0], [0.5], ClassWeights())
+
+    @pytest.mark.parametrize("weights", [(0.0, 1.0), (1.0, float("nan"))])
+    def test_class_weights_must_be_finite_and_positive(self, weights):
+        with pytest.raises(InvalidSpecError, match="finite and positive"):
+            ClassWeights(*weights)
 
 
 def _fd_grad(f, x, h=1e-4):

@@ -216,7 +216,7 @@ class TestTrainSdc:
         a = train_sdc(ds, _fast(batch_size=10))
         b = train_sdc(ds, _fast(batch_size=10))
         assert a.losses == b.losses
-        for pa, pb in zip(a.params.arrays, b.params.arrays):
+        for pa, pb in zip(a.params, b.params):
             np.testing.assert_array_equal(pa, pb)
 
     def test_traditional_triplet_variant_runs(self):
@@ -249,7 +249,7 @@ class TestTrainUdc:
         a = train_udc(base, config)
         b = train_udc(shuffled, config)
         assert a.losses == b.losses
-        for pa, pb in zip(a.params.arrays, b.params.arrays):
+        for pa, pb in zip(a.params, b.params):
             np.testing.assert_array_equal(pa, pb)
 
     def test_log_includes_gmm_nll_and_monotone_separation(self):
@@ -366,7 +366,8 @@ class TestSameProgram:
             {"take_rows", "update_prototypes",
              "com_triplet_loss" if mode == "sdc-com" else "triplet_loss_batch"})
         assert called == expected
-        assert shipped.params.flat.tobytes() == reference.params.flat.tobytes()
+        assert ([a.tobytes() for a in shipped.params]
+                == [a.tobytes() for a in reference.params])
         assert shipped.losses == reference.losses
         assert shipped.separations == reference.separations
         assert len(shipped.losses) > 0
@@ -411,7 +412,8 @@ class TestSamplerSameProgram:
         shipped = train_sdc(ds, config, loss_kind)
         monkeypatch.setattr(training, "sample_triplets", sample_triplets_loop)
         reference = train_sdc(ds, config, loss_kind)
-        assert shipped.params.flat.tobytes() == reference.params.flat.tobytes()
+        assert ([a.tobytes() for a in shipped.params]
+                == [a.tobytes() for a in reference.params])
         assert shipped.losses == reference.losses
         assert shipped.separations == reference.separations
         for field in ("cl_min", "cl_maj", "separation"):
@@ -469,6 +471,23 @@ class TestTrainClassifier:
     def test_invalid_weighting(self):
         with pytest.raises(ValueError):
             train_classifier(_dataset(), _fast(), weighting="nope")
+
+    def test_missing_class_refused(self):
+        """A training split without a class-1 row is refused."""
+        ds = _dataset(seed=12)
+        keep = (ds.splits != TRAIN) | (ds.labels == C_MAJ)
+        one_class = LabeledDataset(ds.features[keep], ds.labels[keep],
+                                   ds.splits[keep])
+        with pytest.raises(MissingClassError,
+                           match="^no samples of class 1$"):
+            train_classifier(one_class, _fast(seed=12))
+
+    def test_non_finite_loss_names_the_iteration(self, monkeypatch):
+        monkeypatch.setattr(training, "weighted_cross_entropy",
+                            lambda *args: ad.Var(np.nan))
+        with pytest.raises(NonFiniteLossError,
+                           match="^loss nan at iteration 0$"):
+            train_classifier(_dataset(seed=13), _fast(seed=13))
 
     def test_deterministic(self):
         ds = _dataset(seed=10)
@@ -532,7 +551,7 @@ class TestEvaluation:
 
         def blocked():
             with mock.patch.object(training, "INFER_BLOCK_ROWS", block):
-                return evaluate_prototypes(params, config, proto, x, y)
+                return evaluate_prototypes(params.arrays, config, proto, x, y)
 
         if n == 0:
             for score in (whole, blocked):
@@ -558,7 +577,7 @@ class TestEvaluation:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(ad.Var, "__init__", counting_init)
-        embed(sdc.params.arrays, sdc.encoder_config, x)
+        embed(sdc.params, sdc.encoder_config, x)
         evaluate_prototypes(sdc.params, sdc.encoder_config, sdc.prototypes,
                             x, y)
         evaluate_classifier(clf.params, clf.encoder_config, x, y)
