@@ -168,13 +168,15 @@ def relu(a):
 
 def dense_stack(x, params: list, in_mask=None):
     """An affine-ReLU stack as one node. ``params`` holds
-    [W_0, b_0, W_1, b_1, ...]; layer l maps its input h to ``h @ W_l + b_l``,
-    followed by max(0, x) on every layer but the last. ``in_mask`` (a
-    dropout mask, say) is a constant of the last layer's input shape that
-    multiplies that input. Each layer takes the expressions of ``mul``,
-    ``matmul``, ``add`` and ``relu`` composed, forward and back, so value
-    and gradients keep their bits. A plain input x gets no gradient
-    computed, and with only plain inputs no layer's activations are kept.
+    [W_0, b_0, W_1, b_1, ...], each b_l a 1-D row of W_l's width; layer l
+    maps its input h to ``h @ W_l + b_l``, followed by max(0, x) on every
+    layer but the last. ``in_mask`` (a dropout mask, say) is a constant of
+    the last layer's input shape that multiplies that input. Each layer
+    takes the expressions of ``mul``, ``matmul``, ``add`` and ``relu``
+    composed, forward and back, so value and gradients keep their bits (a
+    bias gradient is the column sum ``add``'s unbroadcast takes). A plain
+    input x gets no gradient computed, and with only plain inputs no
+    layer's activations are kept.
     """
     record = any(isinstance(p, Var) for p in (x, *params))
     values = [value_of(p) for p in params]
@@ -207,9 +209,9 @@ def dense_stack(x, params: list, in_mask=None):
         for layer in reversed(range(n)):
             if layer < n - 1:
                 g = g * (outputs[layer] > 0.0)  # pre-activation > 0
-            w, b = values[2 * layer], values[2 * layer + 1]
+            w = values[2 * layer]
             grads[1 + 2 * layer] = inputs[layer].T @ g
-            grads[2 + 2 * layer] = _unbroadcast(g, b.shape)
+            grads[2 + 2 * layer] = np.add.reduce(g, axis=0)
             if layer > 0 or isinstance(x, Var):
                 g = g @ w.T
                 if layer == n - 1 and in_mask is not None:

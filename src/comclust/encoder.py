@@ -69,22 +69,31 @@ class AdamConfig:
 class ParamStore:
     """All parameters in one contiguous float64 buffer ``flat``: ``arrays``
     are per-parameter views into it, in the given order. Adam's moments
-    ``m`` and ``v`` and its ``scratch`` are buffers of the same length."""
+    ``m`` and ``v`` and its ``scratch`` are buffers of the same length, and
+    so is ``grad``, which ``adam_step`` fills through its per-parameter
+    views ``grads``."""
 
     def __init__(self, arrays: list):
         self.flat = np.concatenate([np.ravel(a) for a in arrays],
                                    dtype=np.float64)
-        ends = np.cumsum([np.size(a) for a in arrays])
-        self.arrays = [part.reshape(np.shape(a)) for a, part
-                       in zip(arrays, np.split(self.flat, ends[:-1]))]
+        self.arrays = _views(self.flat, arrays)
         self.m = np.zeros_like(self.flat)
         self.v = np.zeros_like(self.flat)
         self.scratch = np.empty_like(self.flat)
+        self.grad = np.empty_like(self.flat)
+        self.grads = _views(self.grad, arrays)
         self.step = 0
 
     def wrap(self) -> list:
         """Fresh leaf Vars for one forward/backward pass."""
         return [Var(a) for a in self.arrays]
+
+
+def _views(buffer: np.ndarray, arrays: list) -> list:
+    """Views into the flat ``buffer`` shaped as ``arrays``, in order."""
+    ends = np.cumsum([np.size(a) for a in arrays])
+    return [part.reshape(np.shape(a)) for a, part
+            in zip(arrays, np.split(buffer, ends[:-1]))]
 
 
 HEAD_OUTPUTS = 2    # the classifier head's logits; minority_probability reads two
@@ -136,7 +145,8 @@ def forward(param_vars: list, config: EncoderConfig, x_batch,
         if rng is None:
             raise InvalidSpecError("train-mode dropout needs an rng")
         keep = 1.0 - config.dropout_rate
-        mask = (rng.random((len(x), config.layer_dims[-2])) < keep) / keep
+        mask = np.multiply(rng.random((len(x), config.layer_dims[-2])) < keep,
+                           1.0 / keep)
     return ad.dense_stack(x, param_vars, mask)
 
 
@@ -176,18 +186,24 @@ def classify(param_vars: list, config: EncoderConfig, x_batch,
 
 
 def adam_step(store: ParamStore, grads: list, config: AdamConfig) -> None:
-    """Standard bias-corrected Adam update of ``store.flat``, in place. A
-    non-finite gradient raises NonFiniteLossError and changes nothing."""
-    shapes = [np.shape(g) for g in grads]
-    if shapes != [a.shape for a in store.arrays]:
-        raise ShapeMismatchError(f"grad shapes {shapes} != param shapes "
-                                 f"{[a.shape for a in store.arrays]}")
-    g = np.concatenate([np.ravel(g) for g in grads], dtype=np.float64)
-    if not np.isfinite(g).all():
-        i = next(i for i, gi in enumerate(grads)
-                 if not np.isfinite(gi).all())
-        raise NonFiniteLossError(
-            f"non-finite gradient for parameter {i} of shape {shapes[i]}")
+    """Standard bias-corrected Adam update of ``store.flat``, in place, with
+    ``grads`` copied (as float64) into ``store.grad``. A gradient list of
+    the wrong length or shapes raises ShapeMismatchError, and a non-finite
+    gradient NonFiniteLossError; either changes no parameter, moment or
+    step."""
+    views = store.grads
+    if len(grads) != len(views) or any(
+            np.shape(g) != view.shape for g, view in zip(grads, views)):
+        raise ShapeMismatchError(f"grad shapes {[np.shape(g) for g in grads]}"
+                                 f" != param shapes "
+                                 f"{[view.shape for view in views]}")
+    for view, gi in zip(views, grads):
+        view[...] = gi
+    g = store.grad
+    if not np.logical_and.reduce(np.isfinite(g)):
+        i = next(i for i, gi in enumerate(views) if not np.isfinite(gi).all())
+        raise NonFiniteLossError(f"non-finite gradient for parameter {i} of "
+                                 f"shape {views[i].shape}")
     store.step += 1
     t = store.step
     b1, b2 = ADAM_BETA1, ADAM_BETA2

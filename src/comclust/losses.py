@@ -103,8 +103,8 @@ def com_triplet_loss(anchors, positives=None, negatives=None):
         np.add(gv[1], gv[2], out=full[2])
         return full
 
-    return _loss_node(np.where(active, hinge, 0.0).mean(),
-                      (anchors, positives, negatives), grads)
+    return _loss_node(np.add.reduce(np.where(active, hinge, 0.0))
+                      / len(active), (anchors, positives, negatives), grads)
 
 
 def triplet_loss_batch(anchors, positives=None, negatives=None):
@@ -126,8 +126,8 @@ def triplet_loss_batch(anchors, positives=None, negatives=None):
         full[1:] = gv
         return full
 
-    return _loss_node(np.where(active, hinge, 0.0).mean(),
-                      (anchors, positives, negatives), grads)
+    return _loss_node(np.add.reduce(np.where(active, hinge, 0.0))
+                      / len(active), (anchors, positives, negatives), grads)
 
 
 def _triplet_blocks(anchors, positives, negatives) -> np.ndarray:

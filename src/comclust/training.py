@@ -83,18 +83,25 @@ _P_N_CLASSES = np.array([[C_MAJ, C_MIN], [C_MIN, C_MAJ]])
 class ClassLayout(NamedTuple):
     """What the triplet sampler reads of a split's labels: the labels, the
     class sizes, the row indices in stable class order (class 0's rows,
-    then class 1's), where each class starts in that order, and each row's
-    rank, its position within its class's stretch of that order."""
+    then class 1's), each row's rank, its position within its class's
+    stretch of that order, and three tables indexed by an anchor's class:
+    the (P, N) ``rng.integers`` highs, the (P, N) classes' starts in that
+    order, and whether P skips the anchor."""
     labels: np.ndarray
     sizes: np.ndarray
     by_class: np.ndarray
-    starts: np.ndarray
     ranks: np.ndarray
+    highs: np.ndarray
+    bases: np.ndarray
+    skips: np.ndarray
 
 
 def class_layout(labels) -> ClassLayout:
     """The sampler's layout of ``labels``, which must hold both classes and
-    nothing else: every mode's class check of its training split."""
+    nothing else: every mode's class check of its training split. The
+    tables are fixed for the split, so ``sample_triplets`` only indexes
+    them: an anchor's P high is its class size less one (1 for a single-row
+    class, whose P skips nothing), its N high the other class's size."""
     labels = np.asarray(labels, dtype=int)
     if labels.size and (labels.min() < C_MAJ or labels.max() > C_MIN):
         raise InvalidSpecError(f"labels must be {C_MAJ} or {C_MIN}")
@@ -106,7 +113,10 @@ def class_layout(labels) -> ClassLayout:
     starts = np.array([0, sizes[0]])
     ranks = np.empty_like(by_class)
     ranks[by_class] = np.arange(len(labels)) - starts[labels[by_class]]
-    return ClassLayout(labels, sizes, by_class, starts, ranks)
+    bounds = sizes[_P_N_CLASSES] - [1, 0]
+    return ClassLayout(labels, sizes, by_class, ranks,
+                       np.maximum(bounds, 1), starts[_P_N_CLASSES],
+                       bounds[:, 0] > 0)
 
 
 def sample_triplets(layout: ClassLayout, m: int, rng):
@@ -118,18 +128,17 @@ def sample_triplets(layout: ClassLayout, m: int, rng):
     (otherwise P = A); N is uniform over the other class.
 
     Two draws: the anchors, then one ``rng.integers`` call on an (M, 2)
-    array holding each anchor's P bound (its class size less one, or 1 for
-    a single-row class) and N bound (the other class's size). A bound of 1
-    draws nothing. A P draw at or past the anchor's rank moves up one row,
-    so P ranges over the class without the anchor.
+    array of each anchor's class's P and N highs from the layout. A high of
+    1 draws nothing. Where P skips the anchor, a P draw at or past the
+    anchor's rank moves up one row, so P ranges over the class without the
+    anchor.
     """
-    labels, sizes, by_class, starts, ranks = layout
+    labels, _, by_class, ranks, highs, bases, skips = layout
     anchors = rng.integers(0, len(labels), size=m)
-    roles = _P_N_CLASSES[labels[anchors]]
-    bounds = sizes[roles] - [1, 0]
-    drawn = rng.integers(0, np.maximum(bounds, 1))
-    drawn[:, 0] += (drawn[:, 0] >= ranks[anchors]) & (bounds[:, 0] > 0)
-    positives, negatives = by_class[starts[roles] + drawn].T.copy()
+    cls = labels[anchors]
+    drawn = rng.integers(0, highs[cls])
+    drawn[:, 0] += (drawn[:, 0] >= ranks[anchors]) & skips[cls]
+    positives, negatives = by_class[bases[cls] + drawn].T.copy()
     return anchors, positives, negatives
 
 

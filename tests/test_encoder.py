@@ -267,6 +267,45 @@ class TestAdam:
         with pytest.raises(ShapeMismatchError):
             adam_step(store, [np.zeros(3)], AdamConfig())
 
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_gradient_count_mismatch_changes_nothing(self, extra):
+        """A list one short or one long is refused, though every gradient
+        it shares with the layout has the right shape."""
+        config = EncoderConfig(input_dim=3, hidden=(4,), embedding_dim=2)
+        store = init_encoder_params(config, make_rng(15))
+        adam_step(store, [np.ones_like(a) for a in store.arrays],
+                  AdamConfig())
+        before = (store.flat.copy(), store.m.copy(), store.v.copy(),
+                  store.step)
+        grads = [np.ones_like(a) for a in store.arrays]
+        grads = grads[:extra] if extra < 0 else grads + [np.ones(2)]
+        with pytest.raises(ShapeMismatchError):
+            adam_step(store, grads, AdamConfig())
+        for got, want in zip((store.flat, store.m, store.v), before[:3]):
+            np.testing.assert_array_equal(got, want)
+        assert store.step == before[3]
+
+    def test_float32_and_strided_gradients_take_their_float64_bits(self):
+        """Gradients in float32, transposed or strided, step as their
+        float64 C-order copies do, bit for bit."""
+        config = EncoderConfig(input_dim=3, hidden=(4,), embedding_dim=2)
+        odd = init_encoder_params(config, make_rng(16))
+        plain = init_encoder_params(config, make_rng(16))
+        rng = make_rng(17)
+        for _ in range(3):
+            w0 = rng.normal(size=(4, 3)).T             # transposed
+            b0 = rng.normal(size=8)[::2]               # strided
+            w1 = rng.normal(size=(4, 2)).astype(np.float32)
+            b1 = rng.normal(size=(2, 3))[:, 1]         # a column
+            grads = [w0, b0, w1, b1]
+            assert not any(g.flags.c_contiguous for g in (w0, b0, b1))
+            adam_step(odd, grads, AdamConfig())
+            adam_step(plain, [np.ascontiguousarray(g, dtype=np.float64)
+                              for g in grads], AdamConfig())
+        for got, want in zip((odd.flat, odd.m, odd.v),
+                             (plain.flat, plain.m, plain.v)):
+            assert got.tobytes() == want.tobytes()
+
 
 class TestHead:
     def test_minority_probability_matches_softmax(self):

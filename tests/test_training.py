@@ -86,20 +86,27 @@ class TestSampleTriplets:
     def test_singleton_class_reuses_anchor(self):
         labels = np.array([0, 0, 0, 1])
         rng = make_rng(4)
-        a, p, n = sample_triplets(class_layout(labels), 30, rng)
+        layout = class_layout(labels)
+        np.testing.assert_array_equal(layout.highs, [[2, 1], [1, 3]])
+        np.testing.assert_array_equal(layout.skips, [True, False])
+        a, p, n = sample_triplets(layout, 30, rng)
         minority_anchors = labels[a] == 1
         assert np.all(p[minority_anchors] == a[minority_anchors])
 
     def test_layout_orders_rows_by_class(self):
-        """Class sizes, the rows in stable class order, where each class
-        starts in it and each row's rank within its class."""
+        """Class sizes, the rows in stable class order, each row's rank
+        within its class, and per anchor class the (P, N) highs, where the
+        (P, N) classes start in that order and whether P skips the
+        anchor."""
         labels = np.array([1, 0, 0, 1, 0])
         layout = class_layout(labels)
         np.testing.assert_array_equal(layout.labels, labels)
         np.testing.assert_array_equal(layout.sizes, [3, 2])
         np.testing.assert_array_equal(layout.by_class, [1, 2, 4, 0, 3])
-        np.testing.assert_array_equal(layout.starts, [0, 3])
         np.testing.assert_array_equal(layout.ranks, [0, 0, 1, 1, 2])
+        np.testing.assert_array_equal(layout.highs, [[2, 2], [1, 3]])
+        np.testing.assert_array_equal(layout.bases, [[0, 3], [3, 0]])
+        np.testing.assert_array_equal(layout.skips, [True, True])
 
     def test_missing_class(self):
         with pytest.raises(MissingClassError):
