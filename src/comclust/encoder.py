@@ -71,7 +71,8 @@ class ParamStore:
     are per-parameter views into it, in the given order. Adam's moments
     ``m`` and ``v`` and its ``scratch`` are buffers of the same length, and
     so is ``grad``, which ``adam_step`` fills through its per-parameter
-    views ``grads``."""
+    views ``grads`` and then reuses for temporaries: after a step it holds
+    no gradient."""
 
     def __init__(self, arrays: list):
         self.flat = np.concatenate([np.ravel(a) for a in arrays],
