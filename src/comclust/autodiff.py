@@ -31,10 +31,11 @@ so a batch of triplets costs a few graph nodes rather than a few per row.
 ``row_cosine_with_vjp`` is the same computation on plain arrays, for fused
 nodes that build on it: each batch loss measures all its cosine pairs in
 one call over a (K, M, S) stack of pair blocks, with every row's norm taken
-once and passed in. A fused node evaluates in the
-order its composed primitives would, so its value and gradients keep their
-bits; a vector-Jacobian product may return None for an input that needs no
-gradient, and ``backward`` then skips that input.
+once and passed in. A fused node evaluates in the order its composed
+primitives would, so its value and gradients keep their bits. Every
+constant leaf gets its gradient but for ``dense_stack``'s plain input x,
+for which its vector-Jacobian product returns None, and ``backward`` then
+skips that input.
 
 All arithmetic is float64.
 """
@@ -83,12 +84,6 @@ def as_var(x) -> Var:
 def value_of(x) -> np.ndarray:
     """The float64 array behind a ``Var`` or a plain operand."""
     return x.value if isinstance(x, Var) else np.asarray(x, dtype=np.float64)
-
-
-def needs_grad(x) -> bool:
-    """Whether a fused node must compute ``x``'s gradient: under the tape
-    rule a plain input becomes a constant leaf, which needs none."""
-    return isinstance(x, Var)
 
 
 def node(value, inputs: tuple, vjp):
@@ -178,7 +173,8 @@ def dense_stack(x, params: list, in_mask=None):
     input x gets no gradient computed, and with only plain inputs no
     layer's activations are kept.
     """
-    record = any(isinstance(p, Var) for p in (x, *params))
+    x_grad = isinstance(x, Var)
+    record = x_grad or any(isinstance(p, Var) for p in params)
     values = [value_of(p) for p in params]
     n = len(values) // 2
     if n < 1 or len(values) % 2:
@@ -212,11 +208,11 @@ def dense_stack(x, params: list, in_mask=None):
             w = values[2 * layer]
             grads[1 + 2 * layer] = inputs[layer].T @ g
             grads[2 + 2 * layer] = np.add.reduce(g, axis=0)
-            if layer > 0 or isinstance(x, Var):
+            if layer > 0 or x_grad:
                 g = g @ w.T
                 if layer == n - 1 and in_mask is not None:
                     g = g * in_mask
-        grads[0] = g if isinstance(x, Var) else None
+        grads[0] = g if x_grad else None
         return grads
 
     return node(h, (x, *params), vjp)
@@ -286,7 +282,8 @@ def row_cosine_with_vjp(uval: np.ndarray, vval: np.ndarray, u_norms=None,
     ZeroVectorError as ``row_cosine_distance`` does."""
     nu = row_norms(uval) if u_norms is None else u_norms
     nv = row_norms(vval) if v_norms is None else v_norms
-    if (nu < NORM_FLOOR).any() or (nv < NORM_FLOOR).any():
+    # fmin takes a row's other norm where one is NaN, which never trips
+    if (np.fmin(nu, nv) < NORM_FLOOR).any():
         raise ZeroVectorError(f"vector norm below {NORM_FLOOR:g} "
                               f"({np.min(nu):g}, {np.min(nv):g})")
     nunv = nu * nv
@@ -294,10 +291,10 @@ def row_cosine_with_vjp(uval: np.ndarray, vval: np.ndarray, u_norms=None,
 
     def vjp(g):
         # d(1 - cos)/dx = -(y / (|x||y|) - cos * x / |x|^2), row by row
-        cross = (g / nunv)[..., None]
-        return (_unbroadcast((g * cos / (nu * nu))[..., None] * uval
+        gcos, cross = g * cos, (g / nunv)[..., None]
+        return (_unbroadcast((gcos / (nu * nu))[..., None] * uval
                              - cross * vval, uval.shape),
-                _unbroadcast((g * cos / (nv * nv))[..., None] * vval
+                _unbroadcast((gcos / (nv * nv))[..., None] * vval
                              - cross * uval, vval.shape))
 
     return 1.0 - cos, vjp

@@ -3,12 +3,13 @@
 weighted cross-entropy.
 
 The batch losses take (M, S) operands, one triplet or anchor per row, or
-SDC's one (3M, S) embedding whose row blocks are A, P and N. Each is one
-graph node over a (3, M, S) array of those blocks: its cosine distances
-(one ``autodiff.row_cosine_with_vjp`` over every pair of blocks the loss
-measures, each row's norm taken once), per-row hinge, ReLU and mean, with
-one vector-Jacobian product, evaluated in the order the composed
-primitives would take, so value and gradients keep their bits. The
+SDC's one (3M, S) embedding whose row blocks are A, P and N; one helper
+tells the two forms apart and maps the blocks' gradient to the operands.
+Each is one graph node over a (3, M, S) array of those blocks: its cosine
+distances (one ``autodiff.row_cosine_with_vjp`` over every pair of blocks
+the loss measures, each row's norm taken once), per-row hinge, ReLU and
+mean, with one vector-Jacobian product, evaluated in the order the
+composed primitives would take, so value and gradients keep their bits. The
 single-triplet functions (``triplet_loss``, ``com_dist_wa``,
 ``com_adaptive_margin``) take 1-D vectors, are composed from primitives,
 and serve as the per-row definitions; a pseudo-labeled anchor's row is
@@ -80,12 +81,14 @@ def com_triplet_loss(anchors, positives=None, negatives=None):
 
     ``anchors``/``positives``/``negatives`` are (M, S) arrays or Vars; row i
     of each forms one triplet. Plain positives and negatives (UDC's center
-    rows) are constant leaves, whose grad stays None. With ``positives``
+    rows) become constant leaves that get their block's gradient, as
+    under the tape rule of ``autodiff``. With ``positives``
     and ``negatives`` left out, ``anchors`` is one (3M, S) embedding whose
     row blocks are A, P and N (SDC's batch), and the loss node has it as
     its only parent.
     """
-    blocks = _triplet_blocks(anchors, positives, negatives)
+    blocks, parents, to_parents = _triplet_blocks(anchors, positives,
+                                                  negatives)
     (d_ap, d_an, d_pn), vjp = _pair_cosines(blocks, _COM_U, _COM_V)
     # com_dist_wa's term plus the bound 1 - d(P, N)
     hinge = (d_ap - (d_an + d_pn) * 0.5) + (1.0 - d_pn)
@@ -101,17 +104,18 @@ def com_triplet_loss(anchors, positives=None, negatives=None):
         np.add(gu[0], gu[1], out=full[0])
         np.add(gv[0], gu[2], out=full[1])
         np.add(gv[1], gv[2], out=full[2])
-        return full
+        return to_parents(full)
 
-    return _loss_node(np.add.reduce(np.where(active, hinge, 0.0))
-                      / len(active), (anchors, positives, negatives), grads)
+    return ad.node(np.add.reduce(np.where(active, hinge, 0.0)) / len(active),
+                   parents, grads)
 
 
 def triplet_loss_batch(anchors, positives=None, negatives=None):
     """Mean traditional triplet hinge over a batch (ablation baseline) with
     the constant margin ``TRIPLET_MARGIN``, as one graph node like
     ``com_triplet_loss``, whose operands it takes in either form."""
-    blocks = _triplet_blocks(anchors, positives, negatives)
+    blocks, parents, to_parents = _triplet_blocks(anchors, positives,
+                                                  negatives)
     (d_ap, d_an), vjp = _pair_cosines(blocks, _TRIPLET_U, _TRIPLET_V)
     hinge = (d_ap - d_an) + TRIPLET_MARGIN
     active = hinge > 0.0
@@ -124,16 +128,20 @@ def triplet_loss_batch(anchors, positives=None, negatives=None):
         full = np.empty_like(blocks)
         np.add(gu[0], gu[1], out=full[0])
         full[1:] = gv
-        return full
+        return to_parents(full)
 
-    return _loss_node(np.add.reduce(np.where(active, hinge, 0.0))
-                      / len(active), (anchors, positives, negatives), grads)
+    return ad.node(np.add.reduce(np.where(active, hinge, 0.0)) / len(active),
+                   parents, grads)
 
 
-def _triplet_blocks(anchors, positives, negatives) -> np.ndarray:
+def _triplet_blocks(anchors, positives, negatives):
     """A batch loss's operands as one plain (3, M, S) array of its A, P and
-    N row blocks: a (3M, S) ``anchors`` alone reshaped, or the three given
-    concatenated."""
+    N row blocks, with the loss node's parents and the map from the blocks'
+    (3, M, S) gradient to theirs. A (3M, S) ``anchors`` alone is reshaped
+    and is the only parent; its gradient takes each block as 0.0 + gX, the
+    bits of the three blocks gathered by ``autodiff.take_rows`` and their
+    gradients summed. Three given operands are concatenated and are the
+    parents, each given its block."""
     if positives is None and negatives is None:
         emb = ad.value_of(anchors)
         if emb.ndim != 2 or len(emb) % 3:
@@ -141,10 +149,16 @@ def _triplet_blocks(anchors, positives, negatives) -> np.ndarray:
                                      f"got shape {emb.shape}")
         blocks = emb.reshape(3, len(emb) // 3, emb.shape[1])
         _batch_len(*blocks)
-        return blocks
-    rows = [ad.value_of(x) for x in (anchors, positives, negatives)]
+
+        def to_stacked(full):
+            full += 0.0
+            return (full.reshape(emb.shape),)
+
+        return blocks, (anchors,), to_stacked
+    operands = (anchors, positives, negatives)
+    rows = [ad.value_of(x) for x in operands]
     _batch_len(*rows)
-    return np.concatenate(rows).reshape(3, *rows[0].shape)
+    return np.concatenate(rows).reshape(3, *rows[0].shape), operands, tuple
 
 
 def _pair_cosines(blocks: np.ndarray, iu: np.ndarray, iv: np.ndarray):
@@ -161,29 +175,6 @@ def _pair_cosines(blocks: np.ndarray, iu: np.ndarray, iv: np.ndarray):
         for i, j in zip(iu, iv):
             ad.row_cosine_with_vjp(blocks[i], blocks[j], norms[i], norms[j])
         raise
-
-
-def _loss_node(value, operands: tuple, grads):
-    """A batch loss as one node over its operands, given ``grads(g)``, the
-    (3, M, S) gradient of the A, P and N blocks; a plain P or N operand is
-    given None. A stacked (3M, S) batch is the only parent, and its
-    gradient takes each block as 0.0 + gX: the bits of the three blocks
-    gathered by ``autodiff.take_rows`` and their gradients summed."""
-    anchors, positives, negatives = operands
-    if positives is None and negatives is None:
-        def vjp(g):
-            full = grads(g)
-            full += 0.0
-            return (full.reshape(-1, full.shape[2]),)
-
-        return ad.node(value, (anchors,), vjp)
-
-    def vjp(g):
-        ga, gp, gn = grads(g)
-        return (ga, gp if ad.needs_grad(positives) else None,
-                gn if ad.needs_grad(negatives) else None)
-
-    return ad.node(value, operands, vjp)
 
 
 def center_rows(pseudo_classes, mu_min, mu_maj):

@@ -1,5 +1,8 @@
 """Confusion-matrix metrics with support-weighted class averaging, and
-rank-based ROC AUC with midrank tie handling."""
+rank-based ROC AUC with midrank tie handling.
+
+A label or prediction is 0 (majority) or 1 (minority): ``binary_values``
+is the library's one check of that rule."""
 
 from __future__ import annotations
 
@@ -7,7 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyBatchError, ShapeMismatchError, SingleClassError
+from .errors import (EmptyBatchError, InvalidSpecError, ShapeMismatchError,
+                     SingleClassError)
 
 METRIC_NAMES = ("recall", "precision", "specificity", "accuracy", "f1")
 
@@ -73,7 +77,7 @@ def roc_auc(labels, scores) -> float:
     Computed from midranks (Mann-Whitney form), which matches the O(n^2)
     pairwise definition exactly.
     """
-    labels = np.asarray(labels)
+    labels = binary_values(labels)
     scores = np.asarray(scores, dtype=np.float64)
     if labels.shape != scores.shape or labels.ndim != 1:
         raise ShapeMismatchError(f"labels {labels.shape} vs scores {scores.shape}")
@@ -106,9 +110,18 @@ def _midranks(x: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def binary_values(values, name: str = "labels") -> np.ndarray:
+    """``values`` as an int array, refused with InvalidSpecError unless
+    each is 0 or 1; ``name`` says what they are in the message."""
+    values = np.asarray(values, dtype=int)
+    if values.size and (values.min() < 0 or values.max() > 1):
+        raise InvalidSpecError(f"{name} must be 0 or 1")
+    return values
+
+
 def _check_binary(labels, predictions):
-    labels = np.asarray(labels, dtype=int)
-    predictions = np.asarray(predictions, dtype=int)
+    labels = binary_values(labels)
+    predictions = binary_values(predictions, "predictions")
     if labels.shape != predictions.shape or labels.ndim != 1:
         raise ShapeMismatchError(
             f"labels {labels.shape} vs predictions {predictions.shape}")

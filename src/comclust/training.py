@@ -23,7 +23,7 @@ from .errors import (ComclustError, InvalidSpecError, MissingClassError,
 from .losses import (C_MAJ, C_MIN, ClassWeights, center_rows,
                      com_triplet_loss, triplet_loss_batch, udc_com_loss,
                      weighted_cross_entropy)
-from .metrics import roc_auc, weighted_metrics
+from .metrics import binary_values, roc_auc, weighted_metrics
 from .prototypes import (Prototypes, batch_centers, infer_label,
                          malignancy_score, update_prototypes)
 
@@ -102,9 +102,7 @@ def class_layout(labels) -> ClassLayout:
     tables are fixed for the split, so ``sample_triplets`` only indexes
     them: an anchor's P high is its class size less one (1 for a single-row
     class, whose P skips nothing), its N high the other class's size."""
-    labels = np.asarray(labels, dtype=int)
-    if labels.size and (labels.min() < C_MAJ or labels.max() > C_MIN):
-        raise InvalidSpecError(f"labels must be {C_MAJ} or {C_MIN}")
+    labels = binary_values(labels)
     sizes = np.bincount(labels, minlength=2)
     for c in (C_MAJ, C_MIN):
         if sizes[c] == 0:
@@ -379,11 +377,8 @@ def _aggregate(y: np.ndarray, preds: np.ndarray, scores: np.ndarray) -> dict:
     if bad:
         raise NonFiniteLossError(f"{bad} of {len(scores)} scores are not "
                                  f"finite")
-    out = weighted_metrics(y, preds)
-    # exactly two distinct labels: its least and greatest, and no other
-    lo, hi = y.min(), y.max()
-    out["auc"] = (roc_auc(y, scores)
-                  if lo != hi and not ((y != lo) & (y != hi)).any() else None)
+    out = weighted_metrics(y, preds)    # refuses a label other than 0 or 1
+    out["auc"] = roc_auc(y, scores) if y.any() and not y.all() else None
     return {"metrics": out, "predictions": preds, "scores": scores}
 
 

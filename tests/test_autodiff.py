@@ -190,6 +190,21 @@ class TestRowCosineDistance:
         with pytest.raises(ZeroVectorError):
             ad.row_cosine_distance(Var(v), np.zeros(2))
 
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_nan_norm_does_not_trip_the_floor(self, swap):
+        """A NaN row gives a NaN distance, not ZeroVectorError, and a zero
+        row beside it in the other operand still raises."""
+        u = np.array([[np.nan, 1.0], [1.0, 2.0]])
+        for v, raises in ((np.ones((2, 2)), False),
+                          (np.array([[0.0, 0.0], [1.0, 1.0]]), True)):
+            pair = (v, u) if swap else (u, v)
+            if raises:
+                with pytest.raises(ZeroVectorError):
+                    ad.row_cosine_distance(*pair)
+            else:
+                d = ad.row_cosine_distance(*pair)
+                assert np.isnan(d[0]) and not np.isnan(d[1])
+
     @pytest.mark.parametrize("u_shape,v_shape", [
         ((3, 2), (4, 2)), ((3, 2), (3, 3)), ((3, 2), (3,)), ((3,), (2,)),
         ((2, 3, 2), (2, 3, 2)), ((3, 0), (3, 0))])
@@ -411,23 +426,6 @@ def test_fused_hinges_have_the_bits_of_the_composed_losses(composed, data):
                           as_var)
         _assert_same_bits(triplet_loss_batch, composed.triplet_loss_batch,
                           inputs, as_var)
-
-
-@pytest.mark.parametrize("loss", [com_triplet_loss, triplet_loss_batch],
-                         ids=["com_triplet_loss", "triplet_loss_batch"])
-@pytest.mark.parametrize("p_var, n_var", [(False, False), (True, False),
-                                          (False, True)])
-def test_plain_operands_get_no_gradient(loss, p_var, n_var):
-    """UDC's center rows are plain operands: their constant leaves keep
-    grad None, while the anchors and any Var operand get theirs."""
-    rng = make_rng(63)
-    own, other = center_rows(rng.integers(0, 2, 6), rng.normal(size=4),
-                             rng.normal(size=4))
-    value = loss(Var(rng.normal(size=(6, 4))), Var(own) if p_var else own,
-                 Var(other) if n_var else other)
-    backward(value)
-    assert ([leaf.grad is not None for leaf in value._parents]
-            == [True, p_var, n_var])
 
 
 def test_dense_stack_on_plain_inputs_keeps_no_activations():

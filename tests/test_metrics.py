@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from comclust.autodiff import make_rng
-from comclust.errors import EmptyBatchError, SingleClassError
+from comclust.errors import EmptyBatchError, InvalidSpecError, SingleClassError
 from comclust.metrics import _midranks, confusion, roc_auc, weighted_metrics
 
 
@@ -162,6 +162,25 @@ class TestConfusion:
         c = confusion([1, 1, 0, 0, 0], [1, 0, 1, 0, 0])
         assert (c.tp, c.fn, c.fp, c.tn) == (1, 1, 1, 2)
         assert c.total == 5
+
+
+class TestLabelRule:
+    """A label or prediction other than 0 or 1 is refused, where it was
+    counted as neither class or as both."""
+
+    @pytest.mark.parametrize("bad", [2, -1])
+    def test_roc_auc_refuses_the_label(self, bad):
+        with pytest.raises(InvalidSpecError, match="labels must be 0 or 1"):
+            roc_auc([0, 1, bad], [0.1, 0.9, 0.5])
+
+    @pytest.mark.parametrize("metric", [confusion, weighted_metrics])
+    @pytest.mark.parametrize("column", ["labels", "predictions"])
+    @pytest.mark.parametrize("bad", [2, -1])
+    def test_confusion_metrics_refuse_the_value(self, metric, column, bad):
+        columns = {"labels": [0, 1, 1], "predictions": [0, 1, 1]}
+        columns[column] = [0, 1, bad]
+        with pytest.raises(InvalidSpecError, match=f"{column} must be 0 or 1"):
+            metric(columns["labels"], columns["predictions"])
 
 
 class TestRocAuc:

@@ -520,6 +520,32 @@ class TestEvaluation:
                                   np.zeros(len(x), dtype=int))
         assert out["metrics"]["auc"] is None
 
+    @staticmethod
+    def _evaluate_untrained(mode, y):
+        """``mode``'s evaluator on len(y) random rows of an untrained
+        model: the prototype pair of two random centres, or the head."""
+        config = enc.EncoderConfig(input_dim=3, hidden=(16,), embedding_dim=8)
+        rng = make_rng(15)
+        x = rng.normal(size=(len(y), 3))
+        if mode == "prototypes":
+            params = enc.init_encoder_params(config, rng)
+            proto = update_prototypes(None, rng.normal(size=8),
+                                      rng.normal(size=8))
+            return evaluate_prototypes(params.arrays, config, proto, x, y)
+        params = enc.init_encoder_params(config, rng, enc.HEAD_OUTPUTS)
+        return evaluate_classifier(params.arrays, config, x, y)
+
+    @pytest.mark.parametrize("mode", ["prototypes", "classifier"])
+    def test_label_outside_the_classes_is_refused(self, mode):
+        with pytest.raises(InvalidSpecError, match="labels must be 0 or 1"):
+            self._evaluate_untrained(mode, np.array([0, 1, 1, 0, 2, 1]))
+
+    @pytest.mark.parametrize("mode", ["prototypes", "classifier"])
+    @pytest.mark.parametrize("label", [0, 1])
+    def test_one_class_split_gives_none_auc(self, mode, label):
+        out = self._evaluate_untrained(mode, np.full(6, label))
+        assert out["metrics"]["auc"] is None
+
     def test_prediction_and_score_lengths(self):
         ds = _dataset(seed=13)
         result = train_sdc(ds, _fast(seed=13, batch_size=10))
